@@ -161,9 +161,7 @@ def moment_distance_to_optimal(y: PseudoMomentSequence, s_star_samples, r: int =
     if samples.shape[0] == 0:
         raise ValueError("empty optimal sample set")
     basis = MonomialBasis(y.n, r)
-    Phi = np.array(
-        [[float(np.prod(x ** np.array(a))) for x in samples] for a in basis]
-    )  # (l, k)
+    Phi = basis.eval_matrix(samples).T  # (l, k)
     yv = np.array([y.value(a) for a in basis])
     k = samples.shape[0]
     # variables: w_1..w_k, t

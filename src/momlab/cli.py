@@ -76,6 +76,7 @@ def _cmd_extract(args):
     k = y.order // 2
     r = max(1, prob.max_constraint_degree)
     rep = check_flatness(y, k, min(r, k), tol=args.rank_tol)
+    x = candidate_minimizer(y)
     report = {
         "level": args.level,
         "m_d_star": res.m_d_star,
@@ -89,10 +90,8 @@ def _cmd_extract(args):
             "singular_values_truncated": rep.singular_values_truncated.tolist(),
             "tol": rep.tol,
         },
-        "candidate_minimizer": candidate_minimizer(y, prob.scale).tolist(),
-        "candidate_in_K": bool(
-            prob.contains(candidate_minimizer(y, None), tol=1e-6)
-        ),
+        "candidate_minimizer": (x if prob.scale is None else prob.scale.to_original(x)).tolist(),
+        "candidate_in_K": bool(prob.contains(x, tol=1e-6)),
     }
     if rep.is_flat:
         try:

@@ -204,14 +204,7 @@ class PseudoMomentSequence:
         weights = np.asarray(weights, dtype=float)
         n = atoms.shape[1]
         basis = MonomialBasis(n, order)
-        y = np.zeros(len(basis))
-        for k, alpha in enumerate(basis):
-            mono = np.ones(atoms.shape[0])
-            for i, a in enumerate(alpha):
-                if a:
-                    mono *= atoms[:, i] ** a
-            y[k] = float(weights @ mono)
-        return PseudoMomentSequence(n, order, y, basis)
+        return PseudoMomentSequence(n, order, weights @ basis.eval_matrix(atoms), basis)
 
     @staticmethod
     def from_table(n: int, order: int, table: dict) -> "PseudoMomentSequence":
@@ -288,13 +281,8 @@ def moment_matrix(y: PseudoMomentSequence, d: int) -> MomentMatrix:
     if 2 * d > y.order:
         raise ValueError(f"moment matrix of order {d} needs moments to degree {2*d} > {y.order}")
     basis = MonomialBasis(y.n, d)
-    m = len(basis)
-    M = np.zeros((m, m))
-    for i, a in enumerate(basis):
-        for j in range(i, m):
-            b = basis[j]
-            M[i, j] = M[j, i] = y.value(tuple(x + z for x, z in zip(a, b)))
-    return MomentMatrix(d, M, basis)
+    E = basis.exps
+    return MomentMatrix(d, y.y[y.basis.indices(E[:, None] + E[None, :])], basis)
 
 
 def localizing_matrix(y: PseudoMomentSequence, g: Polynomial, d: int) -> MomentMatrix:
@@ -309,15 +297,11 @@ def localizing_matrix(y: PseudoMomentSequence, g: Polynomial, d: int) -> MomentM
     if 2 * k + g.degree > y.order:
         raise ValueError("pseudo-moment sequence too short for localizing matrix")
     basis = MonomialBasis(y.n, k)
-    m = len(basis)
-    M = np.zeros((m, m))
-    for i, a in enumerate(basis):
-        for j in range(i, m):
-            b = basis[j]
-            val = 0.0
-            for gamma, c in g.terms.items():
-                val += c * y.value(tuple(x + z + w for x, z, w in zip(a, b, gamma)))
-            M[i, j] = M[j, i] = val
+    E = basis.exps
+    pair_exps = E[:, None] + E[None, :]
+    M = np.zeros((len(basis), len(basis)))
+    for gamma, c in g.terms.items():
+        M += c * y.y[y.basis.indices(pair_exps + gamma)]
     return MomentMatrix(k, M, basis)
 
 

@@ -137,15 +137,10 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
     if np.linalg.cond(V) > 1e10:
         raise ValueError("ill-conditioned pivot basis (borderline flatness)")
 
-    shifts = []
-    for i in range(n):
-        cols = []
-        for pidx in pivots:
-            a = list(basis[pidx])
-            a[i] += 1
-            cols.append(basis.index_of(tuple(a)))
-        Ni = np.linalg.solve(V, P[:, cols])
-        shifts.append(Ni)
+    shifts = [
+        np.linalg.solve(V, P[:, basis.indices(basis.exps[pivots] + unit)])
+        for unit in np.eye(n, dtype=np.int64)
+    ]
 
     comm = max(
         (np.linalg.norm(A @ B - B @ A) for A in shifts for B in shifts), default=0.0
@@ -170,9 +165,7 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
         atoms = np.array(
             [[float(Q[:, j] @ Ni @ Q[:, j]) for Ni in shifts] for j in range(rank)]
         )
-        Phi = np.array(
-            [[float(np.prod(x ** np.array(a))) for x in atoms] for a in mom_basis]
-        )
+        Phi = mom_basis.eval_matrix(atoms).T
         weights, *_ = np.linalg.lstsq(Phi, y_full, rcond=None)
         resid = float(np.linalg.norm(Phi @ weights - y_full))
         if resid > 1e-5 * (1.0 + np.linalg.norm(y_full)) or np.any(weights <= 1e-10):
@@ -208,9 +201,7 @@ def tchakaloff_prune(mu: AtomicMeasure, t: int) -> AtomicMeasure:
     atoms = mu.atoms.copy()
     weights = mu.weights.copy()
     while atoms.shape[0] > l:
-        Phi = np.array(
-            [[float(np.prod(x ** np.array(a))) for x in atoms] for a in basis]
-        )
+        Phi = basis.eval_matrix(atoms).T
         _, s, vt = np.linalg.svd(Phi, full_matrices=True)
         c = vt[-1]
         if np.linalg.norm(Phi @ c) > 1e-10 * max(1.0, float(s[0])):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .poly import MonomialBasis, Polynomial, monomials_upto
-from .sdp import SdpBlock, SdpOptions, SdpProblem, extract_dual_gram, solve
+from .sdp import SdpBlock, SdpOptions, SdpProblem, extract_dual_gram, solve, svd_rank
 
 __all__ = [
     "SosCertificate",
@@ -62,12 +62,9 @@ class SosCertificate:
         """The polynomials sigma_j expanded from their Gram matrices."""
         out = []
         for expo, G in zip(self.gram_bases, self.grams):
-            terms = {}
-            for i, a in enumerate(expo):
-                for j, b in enumerate(expo):
-                    key = tuple(x + z for x, z in zip(a, b))
-                    terms[key] = terms.get(key, 0.0) + G[i, j]
-            out.append(Polynomial(n, terms))
+            basis = MonomialBasis(n, 2 * max((sum(a) for a in expo), default=0))
+            coeffs = _localizing_map(basis, expo, Polynomial.constant(1.0, n)).T @ np.ravel(G)
+            out.append(Polynomial.from_coeffs(basis, coeffs))
         return out
 
 
@@ -96,33 +93,35 @@ class MomentSdp:
     block_bases: tuple             # kept monomial rows of each block
 
 
-def _coeff_vec(p: Polynomial, basis: MonomialBasis) -> np.ndarray:
-    v = np.zeros(len(basis))
-    for alpha, c in p.terms.items():
-        v[basis.index_of(alpha)] = c
-    return v
-
-
 def _relation_rows(prob: SemialgebraicProblem, budget: int, basis: MonomialBasis):
     """Coefficient rows of h * X^gamma for every equality h, deg(h*X^gamma) <= budget."""
     rows = []
     owners = []  # (equality index, gamma) for multiplier recovery
     for j, h in enumerate(prob.equalities):
-        if h.is_zero():
+        gammas = monomials_upto(prob.n, budget - h.degree)
+        if h.is_zero() or not gammas:
             continue
-        for gamma in monomials_upto(prob.n, budget - h.degree):
-            mono = Polynomial(prob.n, {tuple(gamma): 1.0})
-            rows.append(_coeff_vec(h * mono, basis))
-            owners.append((j, tuple(gamma)))
+        shifted = np.array(gammas)[:, None] + np.array(list(h.terms))[None]
+        block = np.zeros((len(gammas), len(basis)))
+        block[np.arange(len(gammas))[:, None], basis.indices(shifted)] = list(h.terms.values())
+        rows.extend(block)
+        owners.extend((j, gamma) for gamma in gammas)
     return rows, owners
 
 
-def _nullspace(E: np.ndarray, rtol: float = 1e-12):
-    u, s, vt = np.linalg.svd(E, full_matrices=True)
-    tol = max(E.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    tol = max(tol, rtol * (s[0] if s.size else 0.0))
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T, rank
+def _localizing_map(basis: MonomialBasis, rows, g: Polynomial) -> np.ndarray:
+    """Matrix V with V @ y = vec of the localizing matrix of g over the monomial `rows`.
+
+    Row i*s + j holds the coefficients of X^(a_i + a_j) * g over `basis`, so
+    V.T @ vec(G) is the coefficient vector of sigma * g for sigma = v' G v.
+    """
+    E = np.array(rows, dtype=np.int64).reshape(len(rows), basis.n)
+    pair_exps = (E[:, None] + E[None, :]).reshape(-1, basis.n)
+    V = np.zeros((len(pair_exps), len(basis)))
+    r = np.arange(len(pair_exps))
+    for gamma, c in g.terms.items():
+        V[r, basis.indices(pair_exps + gamma)] += c
+    return V
 
 
 def _dedup_rows(F0: np.ndarray, FN: np.ndarray):
@@ -164,7 +163,8 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
     y_p, *_ = np.linalg.lstsq(E, rhs, rcond=None)
     if np.linalg.norm(E @ y_p - rhs) > 1e-8:
         raise ValueError("equality constraints are inconsistent with L(1) = 1")
-    N, _ = _nullspace(E)
+    _, vt, rank = svd_rank(E, rtol=1e-12)
+    N = vt[rank:].T
     nv = N.shape[1]
 
     weights = [Polynomial.constant(1.0, n)] + list(prob.constraints)
@@ -175,12 +175,7 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
             continue
         rows = MonomialBasis(n, kg)
         s = len(rows)
-        V = np.zeros((s * s, m))
-        for i, a in enumerate(rows):
-            for j, b in enumerate(rows):
-                for gamma, c in g.terms.items():
-                    key = tuple(x + z + w for x, z, w in zip(a, b, gamma))
-                    V[i * s + j, basis.index_of(key)] += c
+        V = _localizing_map(basis, rows.exponents, g)
         F0 = (V @ y_p).reshape(s, s)
         FN = (V @ N).reshape(s, s, nv)
         keep = _dedup_rows(F0, FN)
@@ -191,7 +186,7 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
         block_weights.append(g)
         block_bases.append(tuple(rows[i] for i in keep))
 
-    f_vec = _coeff_vec(prob.objective, basis)
+    f_vec = prob.objective.coeff_vector(basis)
     c = N.T @ f_vec
     offset = float(f_vec @ y_p)
     sdp = SdpProblem(n_vars=nv, c=c, blocks=blocks, B=None, b=None)
@@ -222,29 +217,22 @@ def _recover_multipliers(prob, residual_vec, basis, budget):
     return tuple(multipliers), residual_vec - R @ lam
 
 
-def _certificate_from_duals(prob, ms: MomentSdp, sol, s_value: float) -> SosCertificate:
-    grams = tuple(extract_dual_gram(sol, j) for j in range(len(ms.block_bases)))
-    cert = SosCertificate(
-        s=s_value,
-        gram_bases=ms.block_bases,
-        grams=grams,
-        multipliers=(),
-        residual=Polynomial.zero(prob.n),
-        residual_norm=math.inf,
-    )
-    combo = Polynomial.zero(prob.n)
-    for sigma, g in zip(cert.sos_terms(prob.n), ms.block_weights):
-        combo = combo + sigma * g
-    target = prob.objective - s_value - combo
-    res_vec = _coeff_vec(target, ms.basis)
-    multipliers, res_vec = _recover_multipliers(prob, res_vec, ms.basis, 2 * ms.order)
-    residual = Polynomial.from_coeffs(ms.basis, res_vec)
+def _certificate(prob, q, s, basis, budget, gram_bases, weights, grams) -> SosCertificate:
+    """Certificate of q - s = sum_j sigma_j g_j + sum_k lam_k h_k over `basis`.
+
+    The residual is what remains after the least-squares equality multipliers.
+    """
+    res_vec = q.coeff_vector(basis)
+    res_vec[0] -= s
+    for rows, g, G in zip(gram_bases, weights, grams):
+        res_vec -= _localizing_map(basis, rows, g).T @ G.ravel()
+    multipliers, res_vec = _recover_multipliers(prob, res_vec, basis, budget)
     return SosCertificate(
-        s=s_value,
-        gram_bases=cert.gram_bases,
-        grams=grams,
+        s=s,
+        gram_bases=tuple(gram_bases),
+        grams=tuple(grams),
         multipliers=multipliers,
-        residual=residual,
+        residual=Polynomial.from_coeffs(basis, res_vec),
         residual_norm=float(np.linalg.norm(res_vec)),
     )
 
@@ -274,7 +262,11 @@ def solve_moment_relaxation(
     y = PseudoMomentSequence(prob.n, 2 * ms.order, y_vec, ms.basis)
     m_d = sol.value + ms.offset
     f_d = sol.dual_value + ms.offset
-    cert = _certificate_from_duals(prob, ms, sol, f_d) if want_certificate else None
+    cert = None
+    if want_certificate:
+        grams = [extract_dual_gram(sol, j) for j in range(len(ms.block_bases))]
+        cert = _certificate(prob, prob.objective, f_d, ms.basis, 2 * ms.order,
+                            ms.block_bases, ms.block_weights, grams)
     return RelaxationResult(d, m_d, y, f_d, cert, sol.status)
 
 
@@ -284,10 +276,76 @@ def solve_sos_tightening(prob: SemialgebraicProblem, d: int, opts=None):
     return res.f_d_star, res.certificate
 
 
-def _sym_elem(s: int, a: int, b: int) -> np.ndarray:
-    M = np.zeros((s, s))
-    M[a, b] = M[b, a] = 1.0
-    return M
+def phase1_gram(basis: MonomialBasis, blocks, target, project=None, opts=None,
+                what: str = "membership SDP"):
+    """Phase-I Gram SDP: is `target` = sum_j (v_j' G_j v_j) g_j with every G_j PSD?
+
+    `blocks` pairs monomial rows v_j (exponent tuples) with weights g_j;
+    `target` is a coefficient vector over `basis`.  Minimizes t subject to
+    G_j + t*I PSD and exact coefficient matching (left-multiplied by
+    `project` when given); dependent matching rows are dropped first.
+    Returns the Grams, shifted by t* and eigenvalue-floored, or None when the
+    matching is inconsistent, the SDP is infeasible or t* > MEMBERSHIP_TOL.
+    Any other non-Optimal status raises RuntimeError naming `what`.
+    """
+    # coefficient matching over the upper-triangular Gram entries, then t
+    cols, sizes = [], [len(rows) for rows, _ in blocks]
+    for (rows, g), sdim in zip(blocks, sizes):
+        iu, ju = np.triu_indices(sdim)
+        V = _localizing_map(basis, rows, g)
+        cols.append((np.where(iu == ju, 1.0, 2.0)[:, None] * V[iu * sdim + ju]).T)
+    A = np.hstack(cols + [np.zeros((len(basis), 1))])
+    nv = A.shape[1]
+    t_idx = nv - 1
+    if project is None:
+        Aeq, beq = A, target
+    else:
+        Aeq, beq = project.T @ A, project.T @ target
+
+    # drop dependent matching rows, detecting inconsistency (=> non-member)
+    u, _, rank = svd_rank(Aeq)
+    B = u[:, :rank].T @ Aeq
+    b = u[:, :rank].T @ beq
+    if np.linalg.norm(beq - u[:, :rank] @ b) > 1e-9 * (1.0 + np.linalg.norm(beq)):
+        return None
+
+    sdp_blocks, lo = [], 0
+    for sdim in sizes:
+        iu, ju = np.triu_indices(sdim)
+        cnt = len(iu)
+        k = np.arange(cnt)
+        mats = np.zeros((cnt + 1, sdim, sdim))
+        mats[k, iu, ju] = 1.0
+        mats[k, ju, iu] = 1.0
+        mats[cnt] = np.eye(sdim)
+        idx = np.append(np.arange(lo, lo + cnt), t_idx)
+        sdp_blocks.append(SdpBlock(F0=np.zeros((sdim, sdim)), var_idx=idx, mats=mats))
+        lo += cnt
+    # safeguard keeping t bounded below even on inconsistent numerics
+    sdp_blocks.append(
+        SdpBlock(F0=np.array([[1e6]]), var_idx=np.array([t_idx]), mats=np.array([[[1.0]]]))
+    )
+    c = np.zeros(nv)
+    c[t_idx] = 1.0
+    sol = solve(SdpProblem(n_vars=nv, c=c, blocks=sdp_blocks, B=B, b=b), opts)
+    if sol.status == "Infeasible":
+        return None
+    if sol.status != "Optimal":
+        raise RuntimeError(f"{what} ended with status {sol.status}")
+    t_star = float(sol.x[t_idx])
+    if t_star > MEMBERSHIP_TOL:
+        return None
+
+    grams, lo = [], 0
+    for sdim in sizes:
+        iu, ju = np.triu_indices(sdim)
+        G = np.zeros((sdim, sdim))
+        G[iu, ju] = G[ju, iu] = sol.x[lo:lo + len(iu)]
+        lo += len(iu)
+        G = G + max(t_star, 0.0) * np.eye(sdim)
+        w, U = np.linalg.eigh((G + G.T) / 2)
+        grams.append((U * np.clip(w, 0.0, None)) @ U.T)
+    return grams
 
 
 def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int, opts=None):
@@ -305,130 +363,19 @@ def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int, opts=N
         return False, None
     n = prob.n
     basis = MonomialBasis(n, d)
-    m = len(basis)
+    weights = [g for g in [Polynomial.constant(1.0, n)] + list(prob.constraints)
+               if (d - g.degree) // 2 >= 0]
+    gram_bases = [tuple(monomials_upto(n, (d - g.degree) // 2)) for g in weights]
 
-    weights = [Polynomial.constant(1.0, n)] + list(prob.constraints)
-    gram_rows = []
-    var_slices = []
-    nv = 0
-    for g in weights:
-        kg = (d - g.degree) // 2
-        if kg < 0:
-            gram_rows.append(None)
-            var_slices.append((nv, nv))
-            continue
-        rows = MonomialBasis(n, kg)
-        gram_rows.append(rows)
-        cnt = len(rows) * (len(rows) + 1) // 2
-        var_slices.append((nv, nv + cnt))
-        nv += cnt
-    t_idx = nv
-    nv += 1
-
-    # coefficient-matching matrix over Gram variables
-    A = np.zeros((m, nv))
-    for g, rows, (lo, hi) in zip(weights, gram_rows, var_slices):
-        if rows is None:
-            continue
-        col = lo
-        for i in range(len(rows)):
-            for j in range(i, len(rows)):
-                factor = 1.0 if i == j else 2.0
-                key0 = tuple(x + z for x, z in zip(rows[i], rows[j]))
-                for gamma, c in g.terms.items():
-                    key = tuple(x + w for x, w in zip(key0, gamma))
-                    A[basis.index_of(key), col] += factor * c
-                col += 1
-    qv = _coeff_vec(q, basis)
-
-    rel_rows, owners = _relation_rows(prob, d, basis)
+    project = None
+    rel_rows, _ = _relation_rows(prob, d, basis)
     if rel_rows:
-        R = np.array(rel_rows).T  # m x n_lam
-        u, s, vt = np.linalg.svd(R, full_matrices=True)
-        rank = int(np.sum(s > max(R.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)))
-        P = u[:, rank:]  # orthonormal complement of the multiplier span
-        Aeq, beq = P.T @ A, P.T @ qv
-    else:
-        R = np.zeros((m, 0))
-        Aeq, beq = A, qv
-
-    # drop dependent matching rows, detecting inconsistency (=> non-member)
-    u, s, vt = np.linalg.svd(Aeq, full_matrices=True)
-    rank = int(np.sum(s > max(Aeq.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)))
-    B = u[:, :rank].T @ Aeq
-    b = u[:, :rank].T @ beq
-    if np.linalg.norm(beq - u[:, :rank] @ b) > 1e-9 * (1.0 + np.linalg.norm(beq)):
+        u, _, rank = svd_rank(np.array(rel_rows).T)
+        project = u[:, rank:]  # orthonormal complement of the multiplier span
+    grams = phase1_gram(basis, list(zip(gram_bases, weights)), q.coeff_vector(basis), project, opts)
+    if grams is None:
         return False, None
-
-    blocks = []
-    for rows, (lo, hi) in zip(gram_rows, var_slices):
-        if rows is None:
-            continue
-        sdim = len(rows)
-        idx = list(range(lo, hi)) + [t_idx]
-        mats = []
-        for i in range(sdim):
-            for j in range(i, sdim):
-                mats.append(_sym_elem(sdim, i, j))
-        mats.append(np.eye(sdim))
-        blocks.append(SdpBlock(F0=np.zeros((sdim, sdim)), var_idx=np.array(idx), mats=np.array(mats)))
-    # safeguard keeping t bounded below even on inconsistent numerics
-    blocks.append(
-        SdpBlock(F0=np.array([[1e6]]), var_idx=np.array([t_idx]), mats=np.array([[[1.0]]]))
-    )
-
-    c = np.zeros(nv)
-    c[t_idx] = 1.0
-    sdp = SdpProblem(n_vars=nv, c=c, blocks=blocks, B=B, b=b)
-    sol = solve(sdp, opts)
-    if sol.status == "Infeasible":
-        return False, None
-    if sol.status != "Optimal":
-        raise RuntimeError(f"membership SDP ended with status {sol.status}")
-    t_star = float(sol.x[t_idx])
-    if t_star > MEMBERSHIP_TOL:
-        return False, None
-
-    # assemble the certificate from the (shifted) Gram variables
-    gram_bases, grams, used_weights = [], [], []
-    for g, rows, (lo, hi) in zip(weights, gram_rows, var_slices):
-        if rows is None:
-            continue
-        sdim = len(rows)
-        G = np.zeros((sdim, sdim))
-        col = lo
-        for i in range(sdim):
-            for j in range(i, sdim):
-                G[i, j] = G[j, i] = sol.x[col]
-                col += 1
-        G = G + max(t_star, 0.0) * np.eye(sdim)
-        w, U = np.linalg.eigh((G + G.T) / 2)
-        G = (U * np.clip(w, 0.0, None)) @ U.T
-        gram_bases.append(tuple(rows))
-        grams.append(G)
-        used_weights.append(g)
-    cert = SosCertificate(
-        s=0.0,
-        gram_bases=tuple(gram_bases),
-        grams=tuple(grams),
-        multipliers=(),
-        residual=Polynomial.zero(n),
-        residual_norm=math.inf,
-    )
-    combo = Polynomial.zero(n)
-    for sigma, g in zip(cert.sos_terms(n), used_weights):
-        combo = combo + sigma * g
-    res_vec = _coeff_vec(q - combo, basis)
-    multipliers, res_vec = _recover_multipliers(prob, res_vec, basis, d)
-    cert = SosCertificate(
-        s=0.0,
-        gram_bases=cert.gram_bases,
-        grams=cert.grams,
-        multipliers=multipliers,
-        residual=Polynomial.from_coeffs(basis, res_vec),
-        residual_norm=float(np.linalg.norm(res_vec)),
-    )
-    return True, cert
+    return True, _certificate(prob, q, 0.0, basis, d, gram_bases, weights, grams)
 
 
 def compute_d0(prob: SemialgebraicProblem, d_max: int):
@@ -458,5 +405,6 @@ def run_hierarchy(prob: SemialgebraicProblem, d_min: int, d_max: int, opts=None)
             )
     solved = [r.m_d_star for r in results if r.status == "Optimal"]
     for lo, hi in zip(solved, solved[1:]):
-        assert hi >= lo - 1e-6, f"lower bounds decreased: {lo} -> {hi}"
+        if not hi >= lo - 1e-6:
+            raise RuntimeError(f"lower bounds decreased: {lo} -> {hi}")
     return results

@@ -4,7 +4,9 @@ Exponent vectors (multi-indices) are plain tuples of nonnegative ints.  The
 single global monomial order is graded-lex: lower total degree first, ties
 broken lexicographically with x1 before x2 before x3...  Every matrix in the
 package indexes rows/columns by this order, so "row k" always means the k-th
-monomial of the ambient basis.
+monomial of the ambient basis.  `MonomialBasis` is the only code that maps
+exponents to indices and evaluates monomials at points; every other module
+goes through its `indices` and `eval_matrix`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class MonomialBasis:
 
     Provides O(1) index lookup; the ordering is stable across the whole
     program (graded-lex), so indices can be exchanged between modules.
+    `exps` holds the exponents as an (len, n) integer array.
     """
 
     def __init__(self, n: int, d: int):
@@ -66,7 +69,15 @@ class MonomialBasis:
         self.d = d
         self.exponents = monomials_upto(n, d)
         self._index = {a: k for k, a in enumerate(self.exponents)}
-        assert len(self.exponents) == r_dim(n, d)
+        if len(self.exponents) != r_dim(n, d):
+            raise RuntimeError(f"graded-lex enumeration gave {len(self.exponents)} monomials, "
+                               f"expected r({n},{d}) = {r_dim(n, d)}")
+        self.exps = np.array(self.exponents, dtype=np.int64).reshape(-1, n)
+        # _below[j, t] = r(n - j, t - 1): monomials of degree < t in the last n - j variables
+        self._below = np.array(
+            [[math.comb(n - j + t - 1, n - j) for t in range(d + 1)] for j in range(n)],
+            dtype=np.int64,
+        )
 
     def __len__(self):
         return len(self.exponents)
@@ -83,10 +94,45 @@ class MonomialBasis:
     def __contains__(self, alpha):
         return tuple(alpha) in self._index
 
+    def indices(self, exps) -> np.ndarray:
+        """Basis indices of an integer exponent array of shape (..., n).
+
+        Raises ValueError when any exponent lies outside the basis.  The
+        graded-lex rank of alpha is the number of monomials of lower degree
+        plus, for each variable i < n-1, the number of monomials of the same
+        degree that agree with alpha before i and have a larger exponent at i.
+        """
+        e = np.asarray(exps)
+        if e.dtype.kind not in "iu" or e.shape[-1:] != (self.n,):
+            raise ValueError(f"expected an integer exponent array of shape (..., {self.n})")
+        if e.size == 0:
+            return np.zeros(e.shape[:-1], dtype=np.int64)
+        # tail[..., j] = degree carried by variables j..n-1
+        tail = np.cumsum(e[..., ::-1], axis=-1)[..., ::-1]
+        if e.min() < 0 or e.max() > self.d or tail[..., 0].max() > self.d:
+            raise ValueError(f"exponent outside the degree-{self.d} basis in {self.n} variables")
+        idx = self._below[0, tail[..., 0]]
+        for j in range(1, self.n):
+            idx = idx + self._below[j, tail[..., j]]
+        return idx
+
+    def eval_matrix(self, points) -> np.ndarray:
+        """Every basis monomial (columns) at every point (rows): shape (m, len(self)).
+
+        Built from per-variable power tables x_i^0 .. x_i^d.
+        """
+        x = np.asarray(points, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.n:
+            raise ValueError(f"points must have shape (m, {self.n}), got {x.shape}")
+        powers = x[:, :, None] ** np.arange(self.d + 1)
+        V = powers[:, 0, self.exps[:, 0]]
+        for i in range(1, self.n):
+            V *= powers[:, i, self.exps[:, i]]
+        return V
+
     def eval_vector(self, x) -> np.ndarray:
         """Vector v(x) of all basis monomials evaluated at the point x."""
-        x = np.asarray(x, dtype=float)
-        return np.array([float(np.prod(x ** np.array(a))) for a in self.exponents])
+        return self.eval_matrix(np.reshape(x, (1, -1)))[0]
 
 
 @dataclass(frozen=True)
@@ -208,12 +254,7 @@ class Polynomial:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n and self.n != 1:
             raise ValueError(f"point has dimension {x.shape[-1]}, expected {self.n}")
-        if self.n == 1 and x.ndim == 0:
-            x = x.reshape(1)
-        total = 0.0
-        for alpha, c in self.terms.items():
-            total += c * float(np.prod(x ** np.array(alpha)))
-        return total
+        return float(self.eval_grid(x.reshape(1, -1))[0])
 
     def eval_grid(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at many points at once; `points` has shape (m, n)."""

@@ -121,6 +121,19 @@ def _nt_scaling(S, Z):
     return W, W_inv
 
 
+def svd_rank(A: np.ndarray, rtol: float = 0.0):
+    """Full SVD of A and its numerical rank: (U, Vt, rank).
+
+    Singular values count toward the rank above max(max(A.shape) * eps, rtol)
+    times the largest one, so U[:, :rank] spans the range of A, U[:, rank:]
+    its left null space and Vt[rank:].T its null space.
+    """
+    u, s, vt = np.linalg.svd(A, full_matrices=True)
+    s_max = s[0] if s.size else 0.0
+    tol = max(max(A.shape) * np.finfo(float).eps * s_max, rtol * s_max)
+    return u, vt, int(np.sum(s > tol))
+
+
 def _max_step(S, dS, frac):
     """Largest alpha <= 1 with S + alpha*dS still positive definite (fraction-to-boundary)."""
     try:
@@ -174,9 +187,8 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
     h = np.concatenate(rhs)
     x_p, *_ = np.linalg.lstsq(E, h, rcond=None)
     # move back toward the iterate within the null space of the face equations
-    u, s, vt = np.linalg.svd(E, full_matrices=True)
-    tol = max(E.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    null = vt[np.sum(s > tol):].T
+    _, vt, rank = svd_rank(E)
+    null = vt[rank:].T
     x_ref = x_p + null @ (null.T @ (x - x_p))
 
     # accept only if feasibility and objective survive

@@ -51,8 +51,8 @@ class CdKernel:
         return float(vx @ (self.factor @ self.basis.eval_vector(z)))
 
     def diag(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([self(x) for x in points])
+        vx = self.basis.eval_matrix(np.atleast_2d(points)) @ self.factor.T
+        return np.sum(vx * vx, axis=1)
 
 
 def cd_kernel(y: PseudoMomentSequence, d: int, pinv_tol: float = 1e-8) -> CdKernel:

@@ -17,10 +17,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cone import ScaleRecord, SemialgebraicProblem
-from .hierarchy import SosCertificate, solve_moment_relaxation
+from .hierarchy import SosCertificate, phase1_gram, solve_moment_relaxation
 from .extraction import candidate_minimizer
 from .poly import MonomialBasis, Polynomial, monomials_upto
-from .sdp import SdpBlock, SdpProblem, solve
 
 __all__ = [
     "ReferenceMeasure",
@@ -34,28 +33,32 @@ __all__ = [
 ]
 
 
+def _box_moment(alpha) -> float:
+    val = 1.0
+    for a in alpha:
+        val *= (1.0 + (-1.0) ** a) / (a + 1)
+    return val
+
+
+def _ball_moment(alpha) -> float:
+    if any(a % 2 for a in alpha):
+        return 0.0
+    beta = [(a + 1) / 2 for a in alpha]
+    num = 2.0 * math.prod(math.gamma(bi) for bi in beta)
+    return num / ((sum(alpha) + len(alpha)) * math.gamma(sum(beta)))
+
+
+_CLOSED_FORM = {"box": _box_moment, "ball": _ball_moment}
+
+
 def lebesgue_box_moments(n: int, degree: int) -> dict:
     """Exact moments of Lebesgue measure on [-1,1]^n up to total degree `degree`."""
-    out = {}
-    for alpha in monomials_upto(n, degree):
-        val = 1.0
-        for a in alpha:
-            val *= (1.0 + (-1.0) ** a) / (a + 1)
-        out[alpha] = val
-    return out
+    return {alpha: _box_moment(alpha) for alpha in monomials_upto(n, degree)}
 
 
 def unit_ball_moments(n: int, degree: int) -> dict:
     """Exact moments of Lebesgue measure on the unit ball (Gamma-ratio closed form)."""
-    out = {}
-    for alpha in monomials_upto(n, degree):
-        if any(a % 2 for a in alpha):
-            out[alpha] = 0.0
-            continue
-        beta = [(a + 1) / 2 for a in alpha]
-        num = 2.0 * math.prod(math.gamma(bi) for bi in beta)
-        out[alpha] = num / ((sum(alpha) + n) * math.gamma(sum(beta)))
-    return out
+    return {alpha: _ball_moment(alpha) for alpha in monomials_upto(n, degree)}
 
 
 class ReferenceMeasure:
@@ -104,26 +107,10 @@ class ReferenceMeasure:
         alpha = tuple(int(a) for a in alpha)
         if sum(alpha) > self.max_degree:
             raise ValueError(f"moment table covers degree {self.max_degree}, asked {sum(alpha)}")
-        if alpha in self._cache:
-            return self._cache[alpha]
-        if self.kind == "box":
-            val = 1.0
-            for a in alpha:
-                val *= (1.0 + (-1.0) ** a) / (a + 1)
-        elif self.kind == "ball":
-            if any(a % 2 for a in alpha):
-                val = 0.0
-            else:
-                beta = [(a + 1) / 2 for a in alpha]
-                val = (
-                    2.0
-                    * math.prod(math.gamma(bi) for bi in beta)
-                    / ((sum(alpha) + self.n) * math.gamma(sum(beta)))
-                )
-        else:
-            val = self.table[alpha]
-        self._cache[alpha] = val
-        return val
+        if alpha not in self._cache:
+            closed_form = _CLOSED_FORM.get(self.kind)
+            self._cache[alpha] = closed_form(alpha) if closed_form else self.table[alpha]
+        return self._cache[alpha]
 
     def integrate(self, p: Polynomial) -> float:
         return float(sum(c * self.moment(a) for a, c in p.terms.items()))
@@ -150,19 +137,19 @@ class UpperBoundResult:
 
 def _moment_pencil(f: Polynomial, mu: ReferenceMeasure, k: int):
     basis = MonomialBasis(mu.n, k)
-    m = len(basis)
-    A = np.zeros((m, m))
-    B = np.zeros((m, m))
-    for i, a in enumerate(basis):
-        for j in range(i, m):
-            b = basis[j]
-            ab = tuple(x + z for x, z in zip(a, b))
-            B[i, j] = B[j, i] = mu.moment(ab)
-            val = 0.0
-            for gamma, c in f.terms.items():
-                val += c * mu.moment(tuple(x + w for x, w in zip(ab, gamma)))
-            A[i, j] = A[j, i] = val
-    return A, B, basis
+    E = basis.exps
+    pair_exps = E[:, None] + E[None, :]
+    full = MonomialBasis(mu.n, 2 * k + f.degree)
+    idx_B = full.indices(pair_exps)
+    idx_A = [(c, full.indices(pair_exps + gamma)) for gamma, c in f.terms.items()]
+    # ask the measure only for the moments the pencil uses
+    moments = np.zeros(len(full))
+    for j in np.unique(np.concatenate([idx_B.ravel()] + [idx.ravel() for _, idx in idx_A])):
+        moments[j] = mu.moment(full[j])
+    A = np.zeros(idx_B.shape)
+    for c, idx in idx_A:
+        A += c * moments[idx]
+    return A, moments[idx_B], basis
 
 
 def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBoundResult:
@@ -220,68 +207,6 @@ def estimator_from_density(
     return x_check, cost, in_hull
 
 
-def _sos_over_basis(target: Polynomial, rows, tol: float = 1e-7):
-    """Phase-I SOS test of `target` over an explicit list of monomial rows."""
-    n = target.n
-    sdim = len(rows)
-    max_deg = max(sum(a) + sum(b) for a in rows for b in rows)
-    max_deg = max(max_deg, target.degree)
-    basis = MonomialBasis(n, max_deg)
-    m = len(basis)
-    nv = sdim * (sdim + 1) // 2 + 1
-    t_idx = nv - 1
-
-    A = np.zeros((m, nv))
-    col = 0
-    for i in range(sdim):
-        for j in range(i, sdim):
-            key = tuple(x + z for x, z in zip(rows[i], rows[j]))
-            A[basis.index_of(key), col] += 1.0 if i == j else 2.0
-            col += 1
-    qv = np.zeros(m)
-    for a, c in target.terms.items():
-        qv[basis.index_of(a)] = c
-
-    u, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)))
-    Beq = u[:, :rank].T @ A
-    beq = u[:, :rank].T @ qv
-    if np.linalg.norm(qv - u[:, :rank] @ beq) > 1e-9 * (1.0 + np.linalg.norm(qv)):
-        return False, None
-
-    mats = []
-    for i in range(sdim):
-        for j in range(i, sdim):
-            M = np.zeros((sdim, sdim))
-            M[i, j] = M[j, i] = 1.0
-            mats.append(M)
-    mats.append(np.eye(sdim))
-    blocks = [
-        SdpBlock(F0=np.zeros((sdim, sdim)), var_idx=np.arange(nv), mats=np.array(mats)),
-        SdpBlock(F0=np.array([[1e6]]), var_idx=np.array([t_idx]), mats=np.array([[[1.0]]])),
-    ]
-    c = np.zeros(nv)
-    c[t_idx] = 1.0
-    sol = solve(SdpProblem(n_vars=nv, c=c, blocks=blocks, B=Beq, b=beq))
-    if sol.status == "Infeasible":
-        return False, None
-    if sol.status != "Optimal":
-        raise RuntimeError(f"SOS test SDP ended with status {sol.status}")
-    t_star = float(sol.x[t_idx])
-    if t_star > tol:
-        return False, None
-    G = np.zeros((sdim, sdim))
-    col = 0
-    for i in range(sdim):
-        for j in range(i, sdim):
-            G[i, j] = G[j, i] = sol.x[col]
-            col += 1
-    G = G + max(t_star, 0.0) * np.eye(sdim)
-    wv, U = np.linalg.eigh((G + G.T) / 2)
-    G = (U * np.clip(wv, 0.0, None)) @ U.T
-    return True, G
-
-
 def is_sos_convex(f: Polynomial, d_cert: int | None = None):
     """Test whether the Hessian quadratic form y'D2f(x)y is SOS in (x,y).
 
@@ -311,13 +236,15 @@ def is_sos_convex(f: Polynomial, d_cert: int | None = None):
     for i in range(n):
         for beta in monomials_upto(n, kx):
             rows.append(tuple(beta) + tuple(int(i == j) for j in range(n)))
-    ok, G = _sos_over_basis(target, rows)
-    if not ok:
+    basis = MonomialBasis(2 * n, max(2 * max(sum(a) for a in rows), target.degree))
+    grams = phase1_gram(basis, [(rows, Polynomial.constant(1.0, 2 * n))],
+                        target.coeff_vector(basis), what="SOS test SDP")
+    if grams is None:
         return False, None
     cert = SosCertificate(
         s=0.0,
         gram_bases=(tuple(rows),),
-        grams=(G,),
+        grams=(grams[0],),
         multipliers=(),
         residual=Polynomial.zero(2 * n),
         residual_norm=0.0,
@@ -351,7 +278,8 @@ def convex_cost_bound(prob: SemialgebraicProblem, d: int, f_star: float | None =
     f_at = prob.objective(
         x_cand if prob.scale is None else prob.scale.to_normalized(x_cand)
     )
-    assert f_at <= res.m_d_star + 1e-6, "convex candidate exceeded the lower bound"
+    if not f_at <= res.m_d_star + 1e-6:
+        raise RuntimeError("convex candidate exceeded the lower bound")
     return {
         "d": d,
         "m_d_star": res.m_d_star,

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from momlab.cone import SemialgebraicProblem, normalize
+from momlab import hierarchy
 from momlab.extraction import candidate_minimizer
 from momlab.hierarchy import (
     MEMBERSHIP_TOL,
+    RelaxationResult,
     build_moment_sdp,
     compute_d0,
     qmodule_membership,
@@ -135,6 +137,17 @@ def test_run_hierarchy_records_failures_and_monotone():
     assert math.isnan(results[0].m_d_star)
     assert results[2].status == "Optimal"
     assert results[2].m_d_star == pytest.approx(-0.25, abs=1e-6)
+
+
+def test_run_hierarchy_raises_when_bounds_decrease(monkeypatch, line_problem):
+    bounds = {2: -0.5, 3: -1.0}
+
+    def fake(prob, d, opts=None):
+        return RelaxationResult(d, bounds[d], None, bounds[d], None, "Optimal")
+
+    monkeypatch.setattr(hierarchy, "solve_moment_relaxation", fake)
+    with pytest.raises(RuntimeError, match="lower bounds decreased"):
+        run_hierarchy(line_problem, 2, 3)
 
 
 def test_scale_invariance_through_normalize():

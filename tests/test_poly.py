@@ -36,6 +36,28 @@ def test_eval_vector_at_point():
     np.testing.assert_allclose(v, [1, 2, 3, 4, 6, 9])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(0, 6))
+def test_indices_and_eval_matrix_match_definitions(data, n, d):
+    basis = MonomialBasis(n, d)
+    exps = data.draw(st.lists(st.sampled_from(basis.exponents), min_size=1, max_size=12))
+    assert basis.indices(np.array(exps)).tolist() == [basis.index_of(a) for a in exps]
+
+    coords = st.floats(-2, 2, allow_nan=False)
+    pts = data.draw(st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=5))
+    expected = [[math.prod(x**a for x, a in zip(p, alpha)) for alpha in basis] for p in pts]
+    np.testing.assert_allclose(basis.eval_matrix(np.array(pts)), expected, rtol=1e-12)
+
+    i = data.draw(st.integers(0, n - 1))
+    too_high = list(exps[0])
+    too_high[i] += d + 1 - sum(too_high)
+    negative = [0] * n
+    negative[i] = -1
+    for bad in (too_high, negative):
+        with pytest.raises(ValueError, match="outside"):
+            basis.indices(np.array([bad]))
+
+
 def test_zero_polynomial_conventions():
     z = Polynomial.zero(2)
     assert z.is_zero()
