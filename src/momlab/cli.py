@@ -12,7 +12,7 @@ import numpy as np
 from .bench import builtin_corpus, load_corpus, run_suite
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import candidate_minimizer, check_flatness, extract_atoms
-from .hierarchy import build_moment_sdp, solve_moment_relaxation
+from .hierarchy import build_moment_sdp, solve_moment_relaxation, solve_moment_sdp
 from .poly import grlex_key
 from .sdp import export_sdpa
 from .support import cd_kernel, cd_support_grid, default_power_family, power_method_margin
@@ -42,10 +42,10 @@ def _poly_json(p):
 
 def _cmd_solve(args):
     prob = SemialgebraicProblem.load(args.problem)
+    ms = build_moment_sdp(prob, args.level)
     if args.export_sdpa:
-        ms = build_moment_sdp(prob, args.level)
         export_sdpa(ms.problem, args.export_sdpa)
-    res = solve_moment_relaxation(prob, args.level)
+    res = solve_moment_sdp(prob, ms)
     report = {
         "level": res.d,
         "m_d_star": res.m_d_star,

@@ -25,6 +25,7 @@ __all__ = [
     "MomentSdp",
     "relaxation_order",
     "build_moment_sdp",
+    "solve_moment_sdp",
     "solve_moment_relaxation",
     "solve_sos_tightening",
     "qmodule_membership",
@@ -124,6 +125,18 @@ def _localizing_map(basis: MonomialBasis, rows, g: Polynomial) -> np.ndarray:
     return V
 
 
+def _eliminate(E: np.ndarray, h: np.ndarray):
+    """Solutions of E x = h as x_p + N z: returns (x_p, N, ||E x_p - h||).
+
+    x_p is the least-squares solution and the orthonormal columns of N span
+    the null space of E; a residual above round-off means E x = h has no
+    solution.
+    """
+    x_p, *_ = np.linalg.lstsq(E, h, rcond=None)
+    _, vt, rank = svd_rank(E, rtol=1e-12)
+    return x_p, vt[rank:].T, float(np.linalg.norm(E @ x_p - h))
+
+
 def _dedup_rows(F0: np.ndarray, FN: np.ndarray):
     """Indices of structurally distinct rows of an affine matrix F0 + FN.z.
 
@@ -160,11 +173,9 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
     E = np.vstack([e0] + rel_rows) if rel_rows else e0.reshape(1, -1)
     rhs = np.zeros(E.shape[0])
     rhs[0] = 1.0
-    y_p, *_ = np.linalg.lstsq(E, rhs, rcond=None)
-    if np.linalg.norm(E @ y_p - rhs) > 1e-8:
+    y_p, N, residual = _eliminate(E, rhs)
+    if residual > 1e-8:
         raise ValueError("equality constraints are inconsistent with L(1) = 1")
-    _, vt, rank = svd_rank(E, rtol=1e-12)
-    N = vt[rank:].T
     nv = N.shape[1]
 
     weights = [Polynomial.constant(1.0, n)] + list(prob.constraints)
@@ -189,7 +200,7 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
     f_vec = prob.objective.coeff_vector(basis)
     c = N.T @ f_vec
     offset = float(f_vec @ y_p)
-    sdp = SdpProblem(n_vars=nv, c=c, blocks=blocks, B=None, b=None)
+    sdp = SdpProblem(n_vars=nv, c=c, blocks=blocks)
     return MomentSdp(
         d=d,
         order=k,
@@ -244,12 +255,21 @@ def solve_moment_relaxation(
     want_certificate: bool = True,
 ) -> RelaxationResult:
     """Level-d moment relaxation: returns m_d*, pseudo-moments and the dual bound."""
-    ms = build_moment_sdp(prob, d)
+    return solve_moment_sdp(prob, build_moment_sdp(prob, d), opts, want_certificate)
+
+
+def solve_moment_sdp(
+    prob: SemialgebraicProblem,
+    ms: MomentSdp,
+    opts: SdpOptions | None = None,
+    want_certificate: bool = True,
+) -> RelaxationResult:
+    """Solve a moment SDP assembled by `build_moment_sdp(prob, d)`."""
     if ms.problem.n_vars == 0:
         # equalities pin every pseudo-moment; nothing to optimize
         y = PseudoMomentSequence(prob.n, 2 * ms.order, ms.y_particular, ms.basis)
         val = ms.offset
-        return RelaxationResult(d, val, y, val, None, "Optimal")
+        return RelaxationResult(ms.d, val, y, val, None, "Optimal")
     sol = solve(ms.problem, opts)
     if sol.status != "Optimal" and opts is None:
         # degenerate problems can stall just above the default tolerances;
@@ -257,7 +277,7 @@ def solve_moment_relaxation(
         # over every downstream tolerance
         sol = solve(ms.problem, SdpOptions(gap_tol=1e-7, feas_tol=1e-7))
     if sol.status != "Optimal":
-        raise RuntimeError(f"level {d}: moment SDP ended with status {sol.status}")
+        raise RuntimeError(f"level {ms.d}: moment SDP ended with status {sol.status}")
     y_vec = ms.y_particular + ms.nullbasis @ sol.x
     y = PseudoMomentSequence(prob.n, 2 * ms.order, y_vec, ms.basis)
     m_d = sol.value + ms.offset
@@ -267,13 +287,22 @@ def solve_moment_relaxation(
         grams = [extract_dual_gram(sol, j) for j in range(len(ms.block_bases))]
         cert = _certificate(prob, prob.objective, f_d, ms.basis, 2 * ms.order,
                             ms.block_bases, ms.block_weights, grams)
-    return RelaxationResult(d, m_d, y, f_d, cert, sol.status)
+    return RelaxationResult(ms.d, m_d, y, f_d, cert, sol.status)
 
 
 def solve_sos_tightening(prob: SemialgebraicProblem, d: int, opts=None):
     """SOS lower bound f_d* with certificate, read off the moment SDP's dual."""
     res = solve_moment_relaxation(prob, d, opts=opts, want_certificate=True)
     return res.f_d_star, res.certificate
+
+
+def _sym_from_triu(vals: np.ndarray, sdim: int) -> np.ndarray:
+    """Symmetric sdim x sdim matrices from upper-triangular entries on the last axis."""
+    iu, ju = np.triu_indices(sdim)
+    G = np.zeros(vals.shape[:-1] + (sdim, sdim))
+    G[..., iu, ju] = vals
+    G[..., ju, iu] = vals
+    return G
 
 
 def phase1_gram(basis: MonomialBasis, blocks, target, project=None, opts=None,
@@ -283,51 +312,43 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None, opts=None,
     `blocks` pairs monomial rows v_j (exponent tuples) with weights g_j;
     `target` is a coefficient vector over `basis`.  Minimizes t subject to
     G_j + t*I PSD and exact coefficient matching (left-multiplied by
-    `project` when given); dependent matching rows are dropped first.
+    `project` when given).  The matching equations are eliminated before the
+    solve: the Gram entries range over x_p + N z and the SDP is over (z, t).
     Returns the Grams, shifted by t* and eigenvalue-floored, or None when the
     matching is inconsistent, the SDP is infeasible or t* > MEMBERSHIP_TOL.
     Any other non-Optimal status raises RuntimeError naming `what`.
     """
-    # coefficient matching over the upper-triangular Gram entries, then t
+    # coefficient matching over the upper-triangular Gram entries
     cols, sizes = [], [len(rows) for rows, _ in blocks]
     for (rows, g), sdim in zip(blocks, sizes):
         iu, ju = np.triu_indices(sdim)
         V = _localizing_map(basis, rows, g)
         cols.append((np.where(iu == ju, 1.0, 2.0)[:, None] * V[iu * sdim + ju]).T)
-    A = np.hstack(cols + [np.zeros((len(basis), 1))])
-    nv = A.shape[1]
-    t_idx = nv - 1
+    A = np.hstack(cols)
     if project is None:
         Aeq, beq = A, target
     else:
         Aeq, beq = project.T @ A, project.T @ target
-
-    # drop dependent matching rows, detecting inconsistency (=> non-member)
-    u, _, rank = svd_rank(Aeq)
-    B = u[:, :rank].T @ Aeq
-    b = u[:, :rank].T @ beq
-    if np.linalg.norm(beq - u[:, :rank] @ b) > 1e-9 * (1.0 + np.linalg.norm(beq)):
+    x_p, N, residual = _eliminate(Aeq, beq)
+    if residual > 1e-9 * (1.0 + np.linalg.norm(beq)):
         return None
+    nz = N.shape[1]
+    t_idx = nz
 
     sdp_blocks, lo = [], 0
     for sdim in sizes:
-        iu, ju = np.triu_indices(sdim)
-        cnt = len(iu)
-        k = np.arange(cnt)
-        mats = np.zeros((cnt + 1, sdim, sdim))
-        mats[k, iu, ju] = 1.0
-        mats[k, ju, iu] = 1.0
-        mats[cnt] = np.eye(sdim)
-        idx = np.append(np.arange(lo, lo + cnt), t_idx)
-        sdp_blocks.append(SdpBlock(F0=np.zeros((sdim, sdim)), var_idx=idx, mats=mats))
-        lo += cnt
+        hi = lo + sdim * (sdim + 1) // 2
+        mats = np.concatenate([_sym_from_triu(N[lo:hi].T, sdim), np.eye(sdim)[None]])
+        sdp_blocks.append(SdpBlock(F0=_sym_from_triu(x_p[lo:hi], sdim),
+                                   var_idx=np.arange(nz + 1), mats=mats))
+        lo = hi
     # safeguard keeping t bounded below even on inconsistent numerics
     sdp_blocks.append(
         SdpBlock(F0=np.array([[1e6]]), var_idx=np.array([t_idx]), mats=np.array([[[1.0]]]))
     )
-    c = np.zeros(nv)
+    c = np.zeros(nz + 1)
     c[t_idx] = 1.0
-    sol = solve(SdpProblem(n_vars=nv, c=c, blocks=sdp_blocks, B=B, b=b), opts)
+    sol = solve(SdpProblem(n_vars=nz + 1, c=c, blocks=sdp_blocks), opts)
     if sol.status == "Infeasible":
         return None
     if sol.status != "Optimal":
@@ -336,15 +357,14 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None, opts=None,
     if t_star > MEMBERSHIP_TOL:
         return None
 
+    entries = x_p + N @ sol.x[:nz]
     grams, lo = [], 0
     for sdim in sizes:
-        iu, ju = np.triu_indices(sdim)
-        G = np.zeros((sdim, sdim))
-        G[iu, ju] = G[ju, iu] = sol.x[lo:lo + len(iu)]
-        lo += len(iu)
-        G = G + max(t_star, 0.0) * np.eye(sdim)
-        w, U = np.linalg.eigh((G + G.T) / 2)
+        hi = lo + sdim * (sdim + 1) // 2
+        G = _sym_from_triu(entries[lo:hi], sdim) + max(t_star, 0.0) * np.eye(sdim)
+        w, U = np.linalg.eigh(G)
         grams.append((U * np.clip(w, 0.0, None)) @ U.T)
+        lo = hi
     return grams
 
 

@@ -4,7 +4,10 @@ Problem form (minimization convention used throughout the package):
 
     minimize    c' x
     subject to  A_j(x) = F_j0 + sum_i x_i F_ji  PSD   for each block j
-                B x = b                               (optional equalities)
+
+There are no linear equality constraints: callers eliminate them before the
+solve by affine substitution x = x_p + N z, which keeps the blocks strictly
+feasible.
 
 The solver is an infeasible-start path-following method with Nesterov-Todd
 scaling and a Mehrotra-style adaptive centering step (predictor solve fixes
@@ -15,6 +18,7 @@ fully deterministic: fixed order, no randomized pivoting.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +33,8 @@ __all__ = [
     "extract_dual_gram",
     "export_sdpa",
 ]
+
+log = logging.getLogger("momlab.sdp")
 
 
 @dataclass
@@ -62,14 +68,9 @@ class SdpProblem:
     n_vars: int
     c: np.ndarray
     blocks: list
-    B: np.ndarray | None = None  # (p, n_vars)
-    b: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        if self.B is not None:
-            self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-            self.b = np.asarray(self.b, dtype=float)
 
     @property
     def block_sizes(self):
@@ -82,14 +83,12 @@ class SdpOptions:
     feas_tol: float = 1e-8
     max_iter: int = 200
     step_frac: float = 0.99
-    verbose: bool = False
 
 
 @dataclass
 class SdpSolution:
     x: np.ndarray
     block_duals: list
-    eq_duals: np.ndarray | None
     value: float
     dual_value: float
     status: str  # Optimal | Infeasible | MaxIter | IllConditioned
@@ -155,10 +154,10 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
 
     At optimality every primal block annihilates the range of its dual block,
     so the equations A_j(x) v = 0 (v an eigenvector of Z_j with non-vanishing
-    eigenvalue) together with Bx = b cut out the optimal face.  Projecting the
-    iterate onto that affine set removes the O(sqrt(gap)) normal error while
-    keeping the tangential (face) position.  The refined point is returned
-    only if it stays feasible and does not move the objective.
+    eigenvalue) cut out the optimal face.  Projecting the iterate onto that
+    affine set removes the O(sqrt(gap)) normal error while keeping the
+    tangential (face) position.  The refined point is returned only if it
+    stays feasible and does not move the objective.
     """
     nv = problem.n_vars
     rows, rhs = [], []
@@ -178,9 +177,6 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
                 E[:, vi] = blk.mats[kk] @ v
             rows.append(E)
             rhs.append(-blk.F0 @ v)
-    if problem.B is not None and problem.B.size:
-        rows.append(problem.B)
-        rhs.append(problem.b)
     if not rows:
         return x
     E = np.vstack(rows)
@@ -197,11 +193,6 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
             1.0 + np.linalg.norm(blk.F0)
         ):
             return x
-    if problem.B is not None and problem.B.size:
-        if np.linalg.norm(problem.B @ x_ref - problem.b) > 100 * feas_tol * (
-            1.0 + np.linalg.norm(problem.b)
-        ):
-            return x
     # projecting a feasible iterate onto the optimal face can only lower the
     # objective (up to residual noise); a rise means the face was misread
     obj_shift = float(problem.c @ (x_ref - x))
@@ -216,26 +207,21 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
     nv = problem.n_vars
     c = problem.c
     blocks = problem.blocks
-    has_eq = problem.B is not None and problem.B.size > 0
-    B = problem.B if has_eq else np.zeros((0, nv))
-    b = problem.b if has_eq else np.zeros(0)
 
     dim_total = sum(blk.size for blk in blocks)
     x = np.zeros(nv)
-    w = np.zeros(B.shape[0])
     S = [np.eye(blk.size) * (1.0 + np.linalg.norm(blk.F0)) for blk in blocks]
     zeta = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
     Z = [np.eye(blk.size) * zeta for blk in blocks]
 
     c_scale = 1.0 + np.linalg.norm(c)
-    b_scale = 1.0 + np.linalg.norm(b)
     f0_scale = [1.0 + np.linalg.norm(blk.F0) for blk in blocks]
 
     trace = []
     status = "MaxIter"
     stall_count = 0
     it = 0
-    best = None  # (score, x, S, Z, w) of the most feasible/converged iterate seen
+    best = None  # (score, x, S, Z) of the most feasible/converged iterate seen
 
     def adjoint(Zs):
         out = np.zeros(nv)
@@ -246,28 +232,22 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
 
     for it in range(1, opts.max_iter + 1):
         Rp = [blk.assemble(x) - Sj for blk, Sj in zip(blocks, S)]
-        rb = b - B @ x
-        rd = c - adjoint(Z) - B.T @ w
+        rd = c - adjoint(Z)
         gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z))
         mu = gap / dim_total
         pobj = float(c @ x)
-        dobj = float(b @ w) - sum(float(np.tensordot(blk.F0, Zj)) for blk, Zj in zip(blocks, Z))
+        dobj = -sum(float(np.tensordot(blk.F0, Zj)) for blk, Zj in zip(blocks, Z))
 
-        pres = max(
-            [np.linalg.norm(R) / fs for R, fs in zip(Rp, f0_scale)]
-            + [np.linalg.norm(rb) / b_scale]
-        )
+        pres = max(np.linalg.norm(R) / fs for R, fs in zip(Rp, f0_scale))
         dres = np.linalg.norm(rd) / c_scale
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         trace.append((pobj, dobj, pres, dres, mu))
-
-        if opts.verbose:
-            print(f"iter {it:3d}  pobj {pobj:+.6e}  dobj {dobj:+.6e}  "
-                  f"pres {pres:.2e}  dres {dres:.2e}  gap {relgap:.2e}")
+        log.debug("iter %3d  pobj %+.6e  dobj %+.6e  pres %.2e  dres %.2e  gap %.2e",
+                  it, pobj, dobj, pres, dres, relgap)
 
         score = max(pres, dres, relgap)
         if np.isfinite(score) and (best is None or score < best[0]):
-            best = (score, x.copy(), [Sj.copy() for Sj in S], [Zj.copy() for Zj in Z], w.copy())
+            best = (score, x.copy(), [Sj.copy() for Sj in S], [Zj.copy() for Zj in Z])
 
         if pres <= opts.feas_tol and dres <= opts.feas_tol and relgap <= opts.gap_tol:
             status = "Optimal"
@@ -321,21 +301,6 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             u = sla.solve_triangular(Lm, rhs, lower=True)
             return sla.solve_triangular(Lm.T, u, lower=False)
 
-        if has_eq:
-            MB = m_solve(B.T)
-            Schur_eq = B @ MB
-            Le = None
-            ej = 0.0
-            for attempt in range(8):
-                try:
-                    Le = np.linalg.cholesky(Schur_eq + ej * np.eye(B.shape[0]))
-                    break
-                except np.linalg.LinAlgError:
-                    ej = 1e-14 * max(1.0, np.trace(Schur_eq)) if ej == 0.0 else ej * 100.0
-            if Le is None:
-                status = "IllConditioned"
-                break
-
         def direction(Rc):
             g = np.zeros(nv)
             for blk, Wj_inv, Rcj, Rpj in zip(blocks, Wl_inv, Rc, Rp):
@@ -343,15 +308,7 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
                     continue
                 T = Wj_inv @ (Rcj - Rpj) @ Wj_inv
                 g[blk.var_idx] += np.einsum("kab,ab->k", blk.mats, _sym(T))
-            rhs = g - rd
-            if has_eq:
-                t = rb - B @ m_solve(rhs)
-                u = sla.solve_triangular(Le, t, lower=True)
-                dw = sla.solve_triangular(Le.T, u, lower=False)
-                dx = m_solve(rhs + B.T @ dw)
-            else:
-                dw = np.zeros(0)
-                dx = m_solve(rhs)
+            dx = m_solve(g - rd)
             dS, dZ = [], []
             for blk, Wj_inv, Rcj, Rpj in zip(blocks, Wl_inv, Rc, Rp):
                 dSj = Rpj.copy()
@@ -360,11 +317,11 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
                 dZj = _sym(Wj_inv @ (Rcj - dSj) @ Wj_inv)
                 dS.append(_sym(dSj))
                 dZ.append(dZj)
-            return dx, dw, dS, dZ
+            return dx, dS, dZ
 
         # predictor: pure Newton step toward the boundary fixes the centering weight
         Rc_aff = [-Sj for Sj in S]
-        dx_a, dw_a, dS_a, dZ_a = direction(Rc_aff)
+        dx_a, dS_a, dZ_a = direction(Rc_aff)
         ap = min(_max_step(Sj, dSj, opts.step_frac) for Sj, dSj in zip(S, dS_a))
         ad = min(_max_step(Zj, dZj, opts.step_frac) for Zj, dZj in zip(Z, dZ_a))
         gap_aff = sum(
@@ -378,11 +335,12 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             sigma = 1.0
 
         # corrector: recentered step, Schur factorization reused
-        Rc = []
-        for Sj, Zj in zip(S, Z):
-            Zinv = np.linalg.inv(Zj)
-            Rc.append(_sym(sigma * mu * Zinv - Sj))
-        dx, dw, dS, dZ = direction(Rc)
+        try:
+            Rc = [_sym(sigma * mu * np.linalg.inv(Zj) - Sj) for Sj, Zj in zip(S, Z)]
+        except np.linalg.LinAlgError:
+            status = "IllConditioned"
+            break
+        dx, dS, dZ = direction(Rc)
         ap = min(1.0, min(_max_step(Sj, dSj, opts.step_frac) for Sj, dSj in zip(S, dS)))
         ad = min(1.0, min(_max_step(Zj, dZj, opts.step_frac) for Zj, dZj in zip(Z, dZ)))
 
@@ -393,30 +351,24 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
 
         x = x + ap * dx
         S = [_sym(Sj + ap * dSj) for Sj, dSj in zip(S, dS)]
-        w = w + ad * dw
         Z = [_sym(Zj + ad * dZj) for Zj, dZj in zip(Z, dZ)]
 
     if status != "Optimal" and status != "Infeasible" and best is not None:
-        _, x, S, Z, w = best
+        _, x, S, Z = best
     gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z))
     if status == "Optimal":
         # dual identifies the optimal face; snap the primal iterate onto it
         x = _refine_primal(problem, x, Z, opts.feas_tol, gap)
         S = [_sym(blk.assemble(x)) for blk in blocks]
     pobj = float(c @ x)
-    dobj = float(b @ w) - sum(float(np.tensordot(blk.F0, Zj)) for blk, Zj in zip(blocks, Z))
+    dobj = -sum(float(np.tensordot(blk.F0, Zj)) for blk, Zj in zip(blocks, Z))
     Rp = [blk.assemble(x) - Sj for blk, Sj in zip(blocks, S)]
-    rb = b - B @ x
-    rd = c - adjoint(Z) - B.T @ w
-    pres = max(
-        [np.linalg.norm(R) / fs for R, fs in zip(Rp, f0_scale)]
-        + [np.linalg.norm(rb) / b_scale]
-    )
+    rd = c - adjoint(Z)
+    pres = max(np.linalg.norm(R) / fs for R, fs in zip(Rp, f0_scale))
     dres = float(np.linalg.norm(rd) / c_scale)
     return SdpSolution(
         x=x,
         block_duals=Z,
-        eq_duals=(w if has_eq else None),
         value=pobj,
         dual_value=dobj,
         status=status,
@@ -445,14 +397,9 @@ def export_sdpa(problem: SdpProblem, path) -> None:
     """Write the problem in SDPA sparse format (.dat-s).
 
     SDPA's convention is min c'x s.t. sum_i x_i F_i - F_0 PSD, so our block
-    constants are written negated.  Equalities Bx = b are encoded as a pair
-    of diagonal blocks (Bx - b >= 0 and b - Bx >= 0).
+    constants are written negated.
     """
-    has_eq = problem.B is not None and problem.B.size > 0
     struct = [blk.size for blk in problem.blocks]
-    if has_eq:
-        p = problem.B.shape[0]
-        struct += [-p, -p]
     lines = []
     lines.append(f"{problem.n_vars} = mDIM")
     lines.append(f"{len(struct)} = nBLOCK")
@@ -466,21 +413,9 @@ def export_sdpa(problem: SdpProblem, path) -> None:
                 if v != 0.0:
                     lines.append(f"{k} {blk_no} {i+1} {j+1} {float(v)!r}")
 
-    def emit_diag(k, blk_no, diag):
-        for i, v in enumerate(diag):
-            if v != 0.0:
-                lines.append(f"{k} {blk_no} {i+1} {i+1} {float(v)!r}")
-
     for jb, blk in enumerate(problem.blocks, start=1):
         emit(0, jb, -blk.F0)
         for kk, vi in enumerate(blk.var_idx):
             emit(int(vi) + 1, jb, blk.mats[kk])
-    if has_eq:
-        nb = len(problem.blocks)
-        emit_diag(0, nb + 1, problem.b)
-        emit_diag(0, nb + 2, -problem.b)
-        for i in range(problem.n_vars):
-            emit_diag(i + 1, nb + 1, problem.B[:, i])
-            emit_diag(i + 1, nb + 2, -problem.B[:, i])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

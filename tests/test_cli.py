@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import momlab.cli
+import momlab.hierarchy
 from momlab.cli import main
 from momlab.cone import PseudoMomentSequence, SemialgebraicProblem
 from momlab.poly import Polynomial
@@ -33,8 +35,17 @@ def test_solve_reports_bounds(capsys, line_json):
     assert "certificate" not in out
 
 
-def test_solve_with_certificate_and_sdpa(capsys, tmp_path, line_json):
+def test_solve_with_certificate_and_sdpa(capsys, tmp_path, line_json, monkeypatch):
     sdpa = tmp_path / "line.dat-s"
+    builds = []
+    build = momlab.hierarchy.build_moment_sdp
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(momlab.cli, "build_moment_sdp", counting_build)
+    monkeypatch.setattr(momlab.hierarchy, "build_moment_sdp", counting_build)
     assert (
         main(
             [
@@ -56,6 +67,7 @@ def test_solve_with_certificate_and_sdpa(capsys, tmp_path, line_json):
     assert np.min(np.linalg.eigvalsh(G0)) >= -1e-8
     text = sdpa.read_text()
     assert "= mDIM" in text and "= bLOCKsTRUCT" in text
+    assert len(builds) == 1
 
 
 def test_extract_subcommand(capsys, corner_json):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -52,25 +54,20 @@ def test_3x3_arrow_sdp_exact_face():
     np.testing.assert_allclose(sol.x, [0.75, 0.75, 0.375], atol=1e-6)
 
 
-def test_equality_constraints():
-    # min x1 + x2 s.t. diag(x1, x2) >= 0, x1 + x2 = 1 -> value 1
+def test_singular_dual_ends_ill_conditioned(monkeypatch):
+    # a singular dual block in the corrector ends the solve, it does not raise
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
     blk = SdpBlock(
-        F0=np.zeros((2, 2)),
-        var_idx=np.array([0, 1]),
-        mats=np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
+        F0=np.eye(2),
+        var_idx=np.array([0]),
+        mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     )
-    prob = SdpProblem(
-        n_vars=2,
-        c=np.array([1.0, 1.0]),
-        blocks=[blk],
-        B=np.array([[1.0, 1.0]]),
-        b=np.array([1.0]),
-    )
-    sol = solve(prob)
-    assert sol.status == "Optimal"
-    assert sol.value == pytest.approx(1.0, abs=1e-8)
-    assert sol.x[0] + sol.x[1] == pytest.approx(1.0, abs=1e-8)
-    assert sol.eq_duals is not None
+    sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]))
+    assert sol.status == "IllConditioned"
+    assert sol.iterations == 1
 
 
 def test_infeasible_detection():
@@ -108,6 +105,19 @@ def test_weak_duality_along_solution():
     sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]))
     assert sol.value >= sol.dual_value - 1e-7
     assert len(sol.trace) == sol.iterations
+
+
+def test_iterations_logged_at_debug(caplog):
+    blk = SdpBlock(
+        F0=np.eye(2),
+        var_idx=np.array([0]),
+        mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
+    )
+    with caplog.at_level(logging.DEBUG, logger="momlab.sdp"):
+        sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]))
+    lines = [r.getMessage() for r in caplog.records if r.name == "momlab.sdp"]
+    assert len(lines) == sol.iterations
+    assert lines[0].startswith("iter   1  pobj")
 
 
 def test_row_scaling_invariance():
@@ -169,19 +179,13 @@ def test_export_sdpa_format(tmp_path):
         var_idx=np.array([0]),
         mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     )
-    prob = SdpProblem(
-        n_vars=1,
-        c=np.array([1.0]),
-        blocks=[blk],
-        B=np.array([[1.0]]),
-        b=np.array([0.5]),
-    )
+    prob = SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk])
     path = tmp_path / "prob.dat-s"
     export_sdpa(prob, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "1 = mDIM"
-    assert lines[1] == "3 = nBLOCK"  # PSD block + two equality diagonals
-    assert lines[2] == "2 -1 -1 = bLOCKsTRUCT"
+    assert lines[1] == "1 = nBLOCK"
+    assert lines[2] == "2 = bLOCKsTRUCT"
     assert lines[3] == "1.0"
     # entry lines are "<var> <block> <i> <j> <value>" with parseable floats
     for ln in lines[4:]:

@@ -106,6 +106,11 @@ def test_is_sos_convex_verdicts():
     assert not convex and cert is None
     # affine objectives short-circuit
     assert is_sos_convex(x1 - 2 * x2 + 1)[0]
+    # SOS-convex inputs on which the phase-I Gram SDP once stalled at MaxIter
+    z1, z2, z3 = (Polynomial.variable(i, 3) for i in range(3))
+    for f in [(z1 + z2 + z3) ** 4, (x1 - 0.5 * x2) ** 4 + x1 * x1]:
+        convex, cert = is_sos_convex(f)
+        assert convex and cert.residual_norm <= 1e-6
 
 
 def test_convex_cost_bound_report():
