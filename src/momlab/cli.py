@@ -51,6 +51,7 @@ def _cmd_solve(args):
         "m_d_star": res.m_d_star,
         "f_d_star": res.f_d_star,
         "status": res.status,
+        "retried": res.retried,
         "pseudo_moments": res.pseudo_moments.to_json_dict(),
         "certificate_residual": (
             None if res.certificate is None else res.certificate.residual_norm

@@ -77,6 +77,7 @@ class RelaxationResult:
     f_d_star: float
     certificate: SosCertificate | None
     status: str
+    retried: bool = False  # accepted solve is the loosened-tolerance (1e-7) re-solve
 
 
 @dataclass(frozen=True)
@@ -249,29 +250,28 @@ def _certificate(prob, q, s, basis, budget, gram_bases, weights, grams) -> SosCe
 
 
 def solve_moment_relaxation(
-    prob: SemialgebraicProblem,
-    d: int,
-    opts: SdpOptions | None = None,
-    want_certificate: bool = True,
+    prob: SemialgebraicProblem, d: int, want_certificate: bool = True
 ) -> RelaxationResult:
     """Level-d moment relaxation: returns m_d*, pseudo-moments and the dual bound."""
-    return solve_moment_sdp(prob, build_moment_sdp(prob, d), opts, want_certificate)
+    return solve_moment_sdp(prob, build_moment_sdp(prob, d), want_certificate)
 
 
 def solve_moment_sdp(
-    prob: SemialgebraicProblem,
-    ms: MomentSdp,
-    opts: SdpOptions | None = None,
-    want_certificate: bool = True,
+    prob: SemialgebraicProblem, ms: MomentSdp, want_certificate: bool = True
 ) -> RelaxationResult:
-    """Solve a moment SDP assembled by `build_moment_sdp(prob, d)`."""
+    """Solve a moment SDP assembled by `build_moment_sdp(prob, d)`.
+
+    A solve that ends non-Optimal is repeated once at gap and feasibility
+    tolerances of 1e-7; `retried` on the result says whether that happened.
+    """
     if ms.problem.n_vars == 0:
         # equalities pin every pseudo-moment; nothing to optimize
         y = PseudoMomentSequence(prob.n, 2 * ms.order, ms.y_particular, ms.basis)
         val = ms.offset
         return RelaxationResult(ms.d, val, y, val, None, "Optimal")
-    sol = solve(ms.problem, opts)
-    if sol.status != "Optimal" and opts is None:
+    sol = solve(ms.problem)
+    retried = sol.status != "Optimal"
+    if retried:
         # degenerate problems can stall just above the default tolerances;
         # a slightly looser target still leaves orders of magnitude of margin
         # over every downstream tolerance
@@ -287,12 +287,12 @@ def solve_moment_sdp(
         grams = [extract_dual_gram(sol, j) for j in range(len(ms.block_bases))]
         cert = _certificate(prob, prob.objective, f_d, ms.basis, 2 * ms.order,
                             ms.block_bases, ms.block_weights, grams)
-    return RelaxationResult(ms.d, m_d, y, f_d, cert, sol.status)
+    return RelaxationResult(ms.d, m_d, y, f_d, cert, sol.status, retried)
 
 
-def solve_sos_tightening(prob: SemialgebraicProblem, d: int, opts=None):
+def solve_sos_tightening(prob: SemialgebraicProblem, d: int):
     """SOS lower bound f_d* with certificate, read off the moment SDP's dual."""
-    res = solve_moment_relaxation(prob, d, opts=opts, want_certificate=True)
+    res = solve_moment_relaxation(prob, d, want_certificate=True)
     return res.f_d_star, res.certificate
 
 
@@ -305,7 +305,7 @@ def _sym_from_triu(vals: np.ndarray, sdim: int) -> np.ndarray:
     return G
 
 
-def phase1_gram(basis: MonomialBasis, blocks, target, project=None, opts=None,
+def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
                 what: str = "membership SDP"):
     """Phase-I Gram SDP: is `target` = sum_j (v_j' G_j v_j) g_j with every G_j PSD?
 
@@ -348,7 +348,7 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None, opts=None,
     )
     c = np.zeros(nz + 1)
     c[t_idx] = 1.0
-    sol = solve(SdpProblem(n_vars=nz + 1, c=c, blocks=sdp_blocks), opts)
+    sol = solve(SdpProblem(n_vars=nz + 1, c=c, blocks=sdp_blocks))
     if sol.status == "Infeasible":
         return None
     if sol.status != "Optimal":
@@ -368,7 +368,7 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None, opts=None,
     return grams
 
 
-def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int, opts=None):
+def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int):
     """Is q = sigma_0 + sum sigma_i p_i + sum lam_j h_j with every product degree <= d?
 
     Decided by a phase-I SDP: minimize t subject to G_j + t*I PSD and exact
@@ -392,7 +392,7 @@ def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int, opts=N
     if rel_rows:
         u, _, rank = svd_rank(np.array(rel_rows).T)
         project = u[:, rank:]  # orthonormal complement of the multiplier span
-    grams = phase1_gram(basis, list(zip(gram_bases, weights)), q.coeff_vector(basis), project, opts)
+    grams = phase1_gram(basis, list(zip(gram_bases, weights)), q.coeff_vector(basis), project)
     if grams is None:
         return False, None
     return True, _certificate(prob, q, 0.0, basis, d, gram_bases, weights, grams)
@@ -413,12 +413,12 @@ def compute_d0(prob: SemialgebraicProblem, d_max: int):
     return None
 
 
-def run_hierarchy(prob: SemialgebraicProblem, d_min: int, d_max: int, opts=None):
+def run_hierarchy(prob: SemialgebraicProblem, d_min: int, d_max: int):
     """Solve levels d_min..d_max; failures are recorded, monotonicity checked."""
     results = []
     for d in range(d_min, d_max + 1):
         try:
-            results.append(solve_moment_relaxation(prob, d, opts=opts))
+            results.append(solve_moment_relaxation(prob, d))
         except Exception as exc:  # noqa: BLE001 - per-level isolation is the contract
             results.append(
                 RelaxationResult(d, math.nan, None, math.nan, None, f"Failed: {exc}")

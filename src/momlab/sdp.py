@@ -9,6 +9,11 @@ There are no linear equality constraints: callers eliminate them before the
 solve by affine substitution x = x_p + N z, which keeps the blocks strictly
 feasible.
 
+How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
+its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
+(<F_ji, W^-1 F_jk W^-1>) are the only code in the iteration that reads
+`mats`.
+
 The solver is an infeasible-start path-following method with Nesterov-Todd
 scaling and a Mehrotra-style adaptive centering step (predictor solve fixes
 sigma, corrector solve reuses the same Schur factorization).  Everything is
@@ -39,7 +44,11 @@ log = logging.getLogger("momlab.sdp")
 
 @dataclass
 class SdpBlock:
-    """One affine PSD block: F0 + sum over k of x[var_idx[k]] * mats[k]."""
+    """One affine PSD block: F0 + sum over k of x[var_idx[k]] * mats[k].
+
+    A block with no variables (empty `var_idx`, `mats` of shape (0, s, s)) is
+    a constant PSD constraint.
+    """
 
     F0: np.ndarray
     var_idx: np.ndarray  # (m_act,) indices into the decision vector
@@ -56,11 +65,21 @@ class SdpBlock:
     def size(self) -> int:
         return self.F0.shape[0]
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """sum over k of x[var_idx[k]] * mats[k]."""
+        return np.tensordot(x[self.var_idx], self.mats, axes=1)
+
+    def adjoint(self, Z: np.ndarray) -> np.ndarray:
+        """<mats[k], Z> for every k: the block's share of A*(Z) on var_idx."""
+        return np.einsum("kab,ab->k", self.mats, Z)
+
+    def schur(self, W_inv: np.ndarray) -> np.ndarray:
+        """<mats[i], W_inv mats[j] W_inv>: the block's Schur complement on var_idx."""
+        U = np.einsum("ab,kbc,cd->kad", W_inv, self.mats, W_inv)
+        return np.einsum("iab,jab->ij", self.mats, U)
+
     def assemble(self, x: np.ndarray) -> np.ndarray:
-        A = self.F0.copy()
-        if len(self.var_idx):
-            A += np.tensordot(x[self.var_idx], self.mats, axes=1)
-        return A
+        return self.F0 + self.apply(x)
 
 
 @dataclass
@@ -81,8 +100,10 @@ class SdpProblem:
 class SdpOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
-    max_iter: int = 200
-    step_frac: float = 0.99
+
+
+MAX_ITER = 200
+STEP_FRAC = 0.99  # fraction of the distance to the PSD boundary a step may cover
 
 
 @dataclass
@@ -110,14 +131,12 @@ def _eigh_sqrt(A):
     return (U * np.sqrt(w)) @ U.T, (U / np.sqrt(w)) @ U.T
 
 
-def _nt_scaling(S, Z):
-    """Nesterov-Todd scaling point W with W Z W = S; returns (W, W_inv)."""
+def _nt_scaling_inv(S, Z):
+    """Inverse of the Nesterov-Todd scaling point W with W Z W = S."""
     Sh, Sh_inv = _eigh_sqrt(S)
     T = _sym(Sh @ Z @ Sh)
-    Th, Th_inv = _eigh_sqrt(T)
-    W = _sym(Sh @ Th_inv @ Sh)
-    W_inv = _sym(Sh_inv @ Th @ Sh_inv)
-    return W, W_inv
+    Th, _ = _eigh_sqrt(T)
+    return _sym(Sh_inv @ Th @ Sh_inv)
 
 
 def svd_rank(A: np.ndarray, rtol: float = 0.0):
@@ -173,8 +192,7 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
         for k in range(V.shape[1]):
             v = V[:, k]
             E = np.zeros((blk.size, nv))
-            for kk, vi in enumerate(blk.var_idx):
-                E[:, vi] = blk.mats[kk] @ v
+            E[:, blk.var_idx] = (blk.mats @ v).T
             rows.append(E)
             rhs.append(-blk.F0 @ v)
     if not rows:
@@ -226,20 +244,27 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
     def adjoint(Zs):
         out = np.zeros(nv)
         for blk, Zj in zip(blocks, Zs):
-            if len(blk.var_idx):
-                out[blk.var_idx] += np.einsum("kab,ab->k", blk.mats, Zj)
+            out[blk.var_idx] += blk.adjoint(Zj)
         return out
 
-    for it in range(1, opts.max_iter + 1):
+    def measure(x, S, Z):
+        """Residuals and objectives of an iterate: (Rp, rd, pobj, dobj, pres, dres)."""
         Rp = [blk.assemble(x) - Sj for blk, Sj in zip(blocks, S)]
         rd = c - adjoint(Z)
-        gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z))
-        mu = gap / dim_total
         pobj = float(c @ x)
         dobj = -sum(float(np.tensordot(blk.F0, Zj)) for blk, Zj in zip(blocks, Z))
-
         pres = max(np.linalg.norm(R) / fs for R, fs in zip(Rp, f0_scale))
         dres = np.linalg.norm(rd) / c_scale
+        return Rp, rd, pobj, dobj, pres, dres
+
+    def step(Xs, dXs):
+        """Largest fraction-to-boundary step keeping every block of Xs + a*dXs PSD."""
+        return min(_max_step(Xj, dXj, STEP_FRAC) for Xj, dXj in zip(Xs, dXs))
+
+    for it in range(1, MAX_ITER + 1):
+        Rp, rd, pobj, dobj, pres, dres = measure(x, S, Z)
+        gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z))
+        mu = gap / dim_total
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         trace.append((pobj, dobj, pres, dres, mu))
         log.debug("iter %3d  pobj %+.6e  dobj %+.6e  pres %.2e  dres %.2e  gap %.2e",
@@ -268,19 +293,10 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             break
 
         # Nesterov-Todd scalings and Schur complement
-        Wl, Wl_inv = [], []
-        for Sj, Zj in zip(S, Z):
-            Wj, Wj_inv = _nt_scaling(Sj, Zj)
-            Wl.append(Wj)
-            Wl_inv.append(Wj_inv)
-
+        W_inv = [_nt_scaling_inv(Sj, Zj) for Sj, Zj in zip(S, Z)]
         M = np.zeros((nv, nv))
-        for blk, Wj_inv in zip(blocks, Wl_inv):
-            if not len(blk.var_idx):
-                continue
-            U = np.einsum("ab,kbc,cd->kad", Wj_inv, blk.mats, Wj_inv)
-            M_blk = np.einsum("iab,jab->ij", blk.mats, U)
-            M[np.ix_(blk.var_idx, blk.var_idx)] += M_blk
+        for blk, Wj_inv in zip(blocks, W_inv):
+            M[np.ix_(blk.var_idx, blk.var_idx)] += blk.schur(Wj_inv)
         M = _sym(M)
 
         # dense Cholesky with escalating jitter on near-singularity
@@ -302,28 +318,19 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             return sla.solve_triangular(Lm.T, u, lower=False)
 
         def direction(Rc):
-            g = np.zeros(nv)
-            for blk, Wj_inv, Rcj, Rpj in zip(blocks, Wl_inv, Rc, Rp):
-                if not len(blk.var_idx):
-                    continue
-                T = Wj_inv @ (Rcj - Rpj) @ Wj_inv
-                g[blk.var_idx] += np.einsum("kab,ab->k", blk.mats, _sym(T))
+            g = adjoint([_sym(Wj_inv @ (Rcj - Rpj) @ Wj_inv)
+                         for Wj_inv, Rcj, Rpj in zip(W_inv, Rc, Rp)])
             dx = m_solve(g - rd)
             dS, dZ = [], []
-            for blk, Wj_inv, Rcj, Rpj in zip(blocks, Wl_inv, Rc, Rp):
-                dSj = Rpj.copy()
-                if len(blk.var_idx):
-                    dSj += np.tensordot(dx[blk.var_idx], blk.mats, axes=1)
-                dZj = _sym(Wj_inv @ (Rcj - dSj) @ Wj_inv)
+            for blk, Wj_inv, Rcj, Rpj in zip(blocks, W_inv, Rc, Rp):
+                dSj = Rpj + blk.apply(dx)
+                dZ.append(_sym(Wj_inv @ (Rcj - dSj) @ Wj_inv))
                 dS.append(_sym(dSj))
-                dZ.append(dZj)
             return dx, dS, dZ
 
         # predictor: pure Newton step toward the boundary fixes the centering weight
-        Rc_aff = [-Sj for Sj in S]
-        dx_a, dS_a, dZ_a = direction(Rc_aff)
-        ap = min(_max_step(Sj, dSj, opts.step_frac) for Sj, dSj in zip(S, dS_a))
-        ad = min(_max_step(Zj, dZj, opts.step_frac) for Zj, dZj in zip(Z, dZ_a))
+        dx_a, dS_a, dZ_a = direction([-Sj for Sj in S])
+        ap, ad = step(S, dS_a), step(Z, dZ_a)
         gap_aff = sum(
             float(np.tensordot(Sj + ap * dSj, Zj + ad * dZj))
             for Sj, dSj, Zj, dZj in zip(S, dS_a, Z, dZ_a)
@@ -341,8 +348,7 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             status = "IllConditioned"
             break
         dx, dS, dZ = direction(Rc)
-        ap = min(1.0, min(_max_step(Sj, dSj, opts.step_frac) for Sj, dSj in zip(S, dS)))
-        ad = min(1.0, min(_max_step(Zj, dZj, opts.step_frac) for Zj, dZj in zip(Z, dZ)))
+        ap, ad = step(S, dS), step(Z, dZ)
 
         if max(ap, ad) < 1e-8:
             stall_count += 1
@@ -360,12 +366,7 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         # dual identifies the optimal face; snap the primal iterate onto it
         x = _refine_primal(problem, x, Z, opts.feas_tol, gap)
         S = [_sym(blk.assemble(x)) for blk in blocks]
-    pobj = float(c @ x)
-    dobj = -sum(float(np.tensordot(blk.F0, Zj)) for blk, Zj in zip(blocks, Z))
-    Rp = [blk.assemble(x) - Sj for blk, Sj in zip(blocks, S)]
-    rd = c - adjoint(Z)
-    pres = max(np.linalg.norm(R) / fs for R, fs in zip(Rp, f0_scale))
-    dres = float(np.linalg.norm(rd) / c_scale)
+    _, _, pobj, dobj, pres, dres = measure(x, S, Z)
     return SdpSolution(
         x=x,
         block_duals=Z,
@@ -375,7 +376,7 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         iterations=it,
         gap=gap / (1.0 + abs(pobj) + abs(dobj)),
         primal_residual=float(pres),
-        dual_residual=dres,
+        dual_residual=float(dres),
         trace=trace,
     )
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cone import ScaleRecord, SemialgebraicProblem
-from .hierarchy import SosCertificate, phase1_gram, solve_moment_relaxation
+from .hierarchy import _certificate, phase1_gram, solve_moment_relaxation
 from .extraction import candidate_minimizer
 from .poly import MonomialBasis, Polynomial, monomials_upto
 
@@ -173,16 +173,13 @@ def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBound
     q = q / math.sqrt(norm2)
     q_poly = Polynomial.from_coeffs(basis, q)
     sigma = q_poly * q_poly
-    x_check = np.array(
-        [mu.integrate(Polynomial.variable(i, mu.n) * sigma) for i in range(mu.n)]
-    )
-    cost = mu.integrate(f * sigma)
+    x_check, cost, in_hull = estimator_from_density(f, sigma, mu)
     return UpperBoundResult(
         d=d,
         u_d_star=u_star,
         sigma=sigma,
         x_check=x_check,
-        feasible=mu.in_support_hull(x_check),
+        feasible=in_hull,
         cost=cost,
     )
 
@@ -237,30 +234,13 @@ def is_sos_convex(f: Polynomial, d_cert: int | None = None):
         for beta in monomials_upto(n, kx):
             rows.append(tuple(beta) + tuple(int(i == j) for j in range(n)))
     basis = MonomialBasis(2 * n, max(2 * max(sum(a) for a in rows), target.degree))
-    grams = phase1_gram(basis, [(rows, Polynomial.constant(1.0, 2 * n))],
-                        target.coeff_vector(basis), what="SOS test SDP")
+    one = Polynomial.constant(1.0, 2 * n)
+    grams = phase1_gram(basis, [(rows, one)], target.coeff_vector(basis), what="SOS test SDP")
     if grams is None:
         return False, None
-    cert = SosCertificate(
-        s=0.0,
-        gram_bases=(tuple(rows),),
-        grams=(grams[0],),
-        multipliers=(),
-        residual=Polynomial.zero(2 * n),
-        residual_norm=0.0,
-    )
-    # audit the expansion
-    combo = cert.sos_terms(2 * n)[0]
-    resid = target - combo
-    cert = SosCertificate(
-        s=0.0,
-        gram_bases=cert.gram_bases,
-        grams=cert.grams,
-        multipliers=(),
-        residual=resid,
-        residual_norm=resid.coeff_norm(),
-    )
-    return True, cert
+    # the Hessian form has no equality constraints, so no multipliers enter
+    hess = SemialgebraicProblem(n=2 * n, objective=target)
+    return True, _certificate(hess, target, 0.0, basis, basis.d, (tuple(rows),), (one,), grams)
 
 
 def convex_cost_bound(prob: SemialgebraicProblem, d: int, f_star: float | None = None) -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -33,6 +34,23 @@ def test_solve_reports_bounds(capsys, line_json):
     assert out["status"] == "Optimal"
     assert out["certificate_residual"] <= 1e-6
     assert "certificate" not in out
+
+
+def test_solve_reports_retry(capsys, line_json, monkeypatch):
+    real, calls = momlab.hierarchy.solve, []
+
+    def first_fails(problem, opts=None):
+        calls.append(opts)
+        sol = real(problem, opts)
+        return dataclasses.replace(sol, status="MaxIter") if len(calls) == 1 else sol
+
+    assert main(["solve", "--problem", line_json, "--level", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["retried"] is False
+    monkeypatch.setattr(momlab.hierarchy, "solve", first_fails)
+    assert main(["solve", "--problem", line_json, "--level", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "Optimal"
+    assert out["retried"] is True
 
 
 def test_solve_with_certificate_and_sdpa(capsys, tmp_path, line_json, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -148,6 +149,34 @@ def test_run_hierarchy_raises_when_bounds_decrease(monkeypatch, line_problem):
     monkeypatch.setattr(hierarchy, "solve_moment_relaxation", fake)
     with pytest.raises(RuntimeError, match="lower bounds decreased"):
         run_hierarchy(line_problem, 2, 3)
+
+
+def test_retry_is_reported(monkeypatch, line_problem):
+    # the first solve reports MaxIter, so the loosened-tolerance re-solve is accepted
+    real, seen = hierarchy.solve, []
+
+    def first_fails(problem, opts=None):
+        seen.append(opts)
+        sol = real(problem, opts)
+        return dataclasses.replace(sol, status="MaxIter") if len(seen) == 1 else sol
+
+    monkeypatch.setattr(hierarchy, "solve", first_fails)
+    res = solve_moment_relaxation(line_problem, 2)
+    assert res.status == "Optimal"
+    assert res.retried is True
+    assert len(seen) == 2
+    assert seen[0] is None
+    assert (seen[1].gap_tol, seen[1].feas_tol) == (1e-7, 1e-7)
+
+
+def test_first_time_solve_is_not_retried(monkeypatch, line_problem):
+    calls = []
+    real = hierarchy.solve
+    monkeypatch.setattr(hierarchy, "solve", lambda p, o=None: calls.append(o) or real(p, o))
+    res = solve_moment_relaxation(line_problem, 2)
+    assert res.status == "Optimal"
+    assert res.retried is False
+    assert calls == [None]
 
 
 def test_scale_invariance_through_normalize():

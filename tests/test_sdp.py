@@ -37,6 +37,43 @@ def test_simple_2x2_bound():
     assert sol.dual_value == pytest.approx(-1.0, abs=1e-7)
 
 
+def test_constant_block_leaves_value():
+    # a block with no variables is a constant PSD constraint; here it is slack
+    blk = SdpBlock(
+        F0=np.eye(2),
+        var_idx=np.array([0]),
+        mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
+    )
+    const = SdpBlock(F0=np.eye(3), var_idx=np.array([], dtype=int), mats=np.zeros((0, 3, 3)))
+    sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk, const]))
+    assert sol.status == "Optimal"
+    assert sol.value == pytest.approx(-1.0, abs=1e-7)
+
+
+def _random_sym(rng, *shape):
+    A = rng.standard_normal(shape)
+    return A + np.swapaxes(A, -1, -2)
+
+
+def test_block_operator_identities():
+    rng = np.random.default_rng(7)
+    nv, s = 6, 4
+    for m in (0, 1, 3, nv):
+        var_idx = np.sort(rng.choice(nv, size=m, replace=False))
+        blk = SdpBlock(F0=_random_sym(rng, s, s), var_idx=var_idx, mats=_random_sym(rng, m, s, s))
+        x = rng.standard_normal(nv)
+        Z = _random_sym(rng, s, s)
+        # <apply(x), Z> = x[var_idx] . adjoint(Z)
+        assert np.tensordot(blk.apply(x), Z) == pytest.approx(x[var_idx] @ blk.adjoint(Z), abs=1e-12)
+        # schur(W_inv)[i, j] = <F_i, W_inv F_j W_inv>
+        B = rng.standard_normal((s, s))
+        W_inv = B @ B.T + s * np.eye(s)
+        expected = np.array(
+            [[np.tensordot(Fi, W_inv @ Fj @ W_inv) for Fj in blk.mats] for Fi in blk.mats]
+        ).reshape(m, m)
+        np.testing.assert_allclose(blk.schur(W_inv), expected, rtol=1e-12, atol=1e-10)
+
+
 def test_3x3_arrow_sdp_exact_face():
     # min -a - b + c over PSD [[1, a, b], [a, a, c], [b, c, b]];
     # optimum -1.125 at (0.75, 0.75, 0.375) (det = 0 face, see test derivation:
