@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import candidate_minimizer, check_flatness, extract_atoms
 from .hierarchy import solve_moment_relaxation
-from .poly import MonomialBasis, Polynomial
+from .poly import MonomialBasis, Polynomial, box_grid
 from .upperbound import ReferenceMeasure, solve_upper_bound
 
 __all__ = [
@@ -105,9 +105,7 @@ def brute_force_oracle(prob: SemialgebraicProblem, resolution: int | None = None
         resolution = _default_resolution(n)
     if box is None:
         box = ((-1.0, 1.0),) * n
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = box_grid(box, resolution)
     feas = np.ones(pts.shape[0], dtype=bool)
     for p in prob.constraints:
         feas &= p.eval_grid(pts) >= -1e-9
@@ -160,9 +158,9 @@ def moment_distance_to_optimal(y: PseudoMomentSequence, s_star_samples, r: int =
     samples = np.atleast_2d(np.asarray(s_star_samples, dtype=float))
     if samples.shape[0] == 0:
         raise ValueError("empty optimal sample set")
-    basis = MonomialBasis(y.n, r)
-    Phi = basis.eval_matrix(samples).T  # (l, k)
-    yv = np.array([y.value(a) for a in basis])
+    y_r = y.truncate(r)
+    Phi = y_r.basis.eval_matrix(samples).T  # (l, k)
+    yv = y_r.y
     k = samples.shape[0]
     # variables: w_1..w_k, t
     ones_t = np.ones((Phi.shape[0], 1))

@@ -7,13 +7,11 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from .bench import builtin_corpus, load_corpus, run_suite
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import candidate_minimizer, check_flatness, extract_atoms
 from .hierarchy import build_moment_sdp, solve_moment_relaxation, solve_moment_sdp
-from .poly import grlex_key
+from .poly import box_grid, grlex_key
 from .sdp import export_sdpa
 from .support import cd_kernel, cd_support_grid, default_power_family, power_method_margin
 from .upperbound import ReferenceMeasure, solve_upper_bound
@@ -147,11 +145,8 @@ def _cmd_support(args):
             writer.writerow(list(pt) + [f"{val:.10g}", int(inc)])
     else:
         family = default_power_family(y.n)
-        axes = [np.linspace(lo, hi, args.res)] * y.n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
         budget = 2 * args.degree
-        for pt in pts:
+        for pt in box_grid(box, args.res):
             margin = power_method_margin(y, budget, family, pt)
             writer.writerow(list(pt) + [f"{margin:.10g}", int(margin >= 0)])
 

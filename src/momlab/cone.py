@@ -270,10 +270,12 @@ class MomentMatrix:
         return np.linalg.eigvalsh(self.M)
 
     def numerical_rank(self, tol: float = 1e-6) -> int:
-        s = np.linalg.svd(self.M, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > tol * s[0]))
+        return sv_rank(np.linalg.svd(self.M, compute_uv=False), tol)
+
+
+def sv_rank(s: np.ndarray, tol: float) -> int:
+    """Number of singular values s (descending) above tol * s[0]; 0 for a zero matrix."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
 
 
 def moment_matrix(y: PseudoMomentSequence, d: int) -> MomentMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .cone import PseudoMomentSequence, ScaleRecord, moment_matrix
+from .cone import PseudoMomentSequence, ScaleRecord, moment_matrix, sv_rank
 from .poly import MonomialBasis
 
 __all__ = [
@@ -90,12 +90,9 @@ def check_flatness(y: PseudoMomentSequence, d: int, r: int, tol: float = 1e-6) -
     if 2 * d > y.order:
         raise ValueError(f"flatness at order {d} needs moments to degree {2*d} > {y.order}")
     drop = -(-r // 2)
-    Mf = moment_matrix(y, d)
-    Mt = moment_matrix(y, d - drop)
-    sf = np.linalg.svd(Mf.M, compute_uv=False)
-    st = np.linalg.svd(Mt.M, compute_uv=False)
-    rank_f = int(np.sum(sf > tol * sf[0])) if sf.size and sf[0] > 0 else 0
-    rank_t = int(np.sum(st > tol * st[0])) if st.size and st[0] > 0 else 0
+    sf = np.linalg.svd(moment_matrix(y, d).M, compute_uv=False)
+    st = np.linalg.svd(moment_matrix(y, d - drop).M, compute_uv=False)
+    rank_f, rank_t = sv_rank(sf, tol), sv_rank(st, tol)
     return FlatnessReport(
         d=d,
         r=r,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .poly import MonomialBasis, Polynomial, monomials_upto
-from .sdp import SdpBlock, SdpOptions, SdpProblem, extract_dual_gram, solve, svd_rank
+from .sdp import SdpBlock, SdpProblem, extract_dual_gram, solve, svd_rank
 
 __all__ = [
     "SosCertificate",
@@ -77,7 +77,7 @@ class RelaxationResult:
     f_d_star: float
     certificate: SosCertificate | None
     status: str
-    retried: bool = False  # accepted solve is the loosened-tolerance (1e-7) re-solve
+    retried: bool = False  # accepted iterate met only the loosened 1e-7 tolerance (sdp.LOOSE_TOL)
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,10 @@ def solve_moment_sdp(
 ) -> RelaxationResult:
     """Solve a moment SDP assembled by `build_moment_sdp(prob, d)`.
 
-    A solve that ends non-Optimal is repeated once at gap and feasibility
-    tolerances of 1e-7; `retried` on the result says whether that happened.
+    The SDP is solved once, with no re-solve.  When the iteration misses the
+    1e-8 tolerances, `sdp.solve` accepts its first iterate within 1e-7 if
+    there is one; `retried` on the result says whether that happened (the
+    solution's `loose` flag).  Any other non-Optimal status raises.
     """
     if ms.problem.n_vars == 0:
         # equalities pin every pseudo-moment; nothing to optimize
@@ -270,12 +272,6 @@ def solve_moment_sdp(
         val = ms.offset
         return RelaxationResult(ms.d, val, y, val, None, "Optimal")
     sol = solve(ms.problem)
-    retried = sol.status != "Optimal"
-    if retried:
-        # degenerate problems can stall just above the default tolerances;
-        # a slightly looser target still leaves orders of magnitude of margin
-        # over every downstream tolerance
-        sol = solve(ms.problem, SdpOptions(gap_tol=1e-7, feas_tol=1e-7))
     if sol.status != "Optimal":
         raise RuntimeError(f"level {ms.d}: moment SDP ended with status {sol.status}")
     y_vec = ms.y_particular + ms.nullbasis @ sol.x
@@ -287,7 +283,7 @@ def solve_moment_sdp(
         grams = [extract_dual_gram(sol, j) for j in range(len(ms.block_bases))]
         cert = _certificate(prob, prob.objective, f_d, ms.basis, 2 * ms.order,
                             ms.block_bases, ms.block_weights, grams)
-    return RelaxationResult(ms.d, m_d, y, f_d, cert, sol.status, retried)
+    return RelaxationResult(ms.d, m_d, y, f_d, cert, sol.status, sol.loose)
 
 
 def solve_sos_tightening(prob: SemialgebraicProblem, d: int):

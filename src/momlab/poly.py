@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "MonomialBasis",
     "Polynomial",
+    "box_grid",
     "grlex_key",
     "monomials_upto",
     "r_dim",
@@ -35,6 +36,12 @@ def grlex_key(alpha):
 def r_dim(n: int, d: int) -> int:
     """Dimension r(n,d) = C(n+d,d) of polynomials of degree <= d in n variables."""
     return math.comb(n + d, d)
+
+
+def box_grid(box, resolution: int) -> np.ndarray:
+    """(m, n) grid on the box ((lo, hi), ...): `resolution` points per axis, first slowest."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def monomials_upto(n: int, d: int):
@@ -252,8 +259,8 @@ class Polynomial:
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n and self.n != 1:
-            raise ValueError(f"point has dimension {x.shape[-1]}, expected {self.n}")
+        if x.size != self.n:
+            raise ValueError(f"point has {x.size} coordinates, expected {self.n}")
         return float(self.eval_grid(x.reshape(1, -1))[0])
 
     def eval_grid(self, points: np.ndarray) -> np.ndarray:
@@ -286,9 +293,7 @@ class Polynomial:
         if not self.terms:
             return 0.0
         if self.n <= 6:
-            axes = [np.linspace(-1.0, 1.0, grid_per_axis)] * self.n
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            pts = box_grid(((-1.0, 1.0),) * self.n, grid_per_axis)
         else:
             rng = np.random.default_rng(0)
             pts = rng.uniform(-1.0, 1.0, size=(rng_samples, self.n))

@@ -19,6 +19,11 @@ scaling and a Mehrotra-style adaptive centering step (predictor solve fixes
 sigma, corrector solve reuses the same Schur factorization).  Everything is
 dense; blocks at desk scale are at most a few hundred rows.  The iteration is
 fully deterministic: fixed order, no randomized pivoting.
+
+Stopping rule: `Optimal` at the first iterate with relative residuals and
+gap <= TOL (1e-8).  A run that ends any other way returns its first iterate
+within LOOSE_TOL (1e-7), if it had one, as `Optimal` with `loose=True`; no
+second solve runs, and `iterations` and `trace` cover the whole run.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import scipy.linalg as sla
 __all__ = [
     "SdpBlock",
     "SdpProblem",
-    "SdpOptions",
     "SdpSolution",
     "solve",
     "extract_dual_gram",
@@ -96,14 +100,12 @@ class SdpProblem:
         return [blk.size for blk in self.blocks]
 
 
-@dataclass
-class SdpOptions:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-
-
 MAX_ITER = 200
 STEP_FRAC = 0.99  # fraction of the distance to the PSD boundary a step may cover
+TOL = 1e-8  # residuals and relative gap at which the iteration stops Optimal
+# Degenerate problems can stall just above TOL; an iterate within LOOSE_TOL
+# still leaves orders of magnitude of margin over every downstream tolerance.
+LOOSE_TOL = 1e-7
 
 
 @dataclass
@@ -118,6 +120,7 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     trace: list = field(default_factory=list)  # (pobj, dobj, pres, dres, mu) per iterate
+    loose: bool = False  # Optimal only at LOOSE_TOL: the first iterate that met it
 
 
 def _sym(A):
@@ -219,9 +222,8 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
     return x_ref
 
 
-def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration; see module docstring for the method."""
-    opts = opts or SdpOptions()
     nv = problem.n_vars
     c = problem.c
     blocks = problem.blocks
@@ -240,6 +242,7 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
     stall_count = 0
     it = 0
     best = None  # (score, x, S, Z) of the most feasible/converged iterate seen
+    loose = None  # (x, S, Z) of the first iterate within LOOSE_TOL
 
     def adjoint(Zs):
         out = np.zeros(nv)
@@ -274,22 +277,24 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         if np.isfinite(score) and (best is None or score < best[0]):
             best = (score, x.copy(), [Sj.copy() for Sj in S], [Zj.copy() for Zj in Z])
 
-        if pres <= opts.feas_tol and dres <= opts.feas_tol and relgap <= opts.gap_tol:
+        if pres <= TOL and dres <= TOL and relgap <= TOL:
             status = "Optimal"
             break
+        if loose is None and pres <= LOOSE_TOL and dres <= LOOSE_TOL and relgap <= LOOSE_TOL:
+            loose = (x, S, Z)
         if not (np.isfinite(mu) and np.isfinite(pres) and np.isfinite(dres)):
             status = "IllConditioned"
             break
         znorm = max(np.linalg.norm(Zj) for Zj in Z)
-        if znorm > 1e10 * zeta and pres > 1e2 * opts.feas_tol:
+        if znorm > 1e10 * zeta and pres > 1e2 * TOL:
             # dual ray diverging while primal residual is stuck: no feasible point
             status = "Infeasible"
             break
-        if mu < 1e-14 and pres > 1e2 * opts.feas_tol:
+        if mu < 1e-14 and pres > 1e2 * TOL:
             status = "Infeasible"
             break
         if stall_count >= 3:
-            status = "Infeasible" if pres > 1e2 * opts.feas_tol else "IllConditioned"
+            status = "Infeasible" if pres > 1e2 * TOL else "IllConditioned"
             break
 
         # Nesterov-Todd scalings and Schur complement
@@ -359,12 +364,16 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         S = [_sym(Sj + ap * dSj) for Sj, dSj in zip(S, dS)]
         Z = [_sym(Zj + ad * dZj) for Zj, dZj in zip(Z, dZ)]
 
-    if status != "Optimal" and status != "Infeasible" and best is not None:
+    accepted_loose = status != "Optimal" and loose is not None
+    if accepted_loose:
+        x, S, Z = loose
+        status = "Optimal"
+    elif status != "Optimal" and status != "Infeasible" and best is not None:
         _, x, S, Z = best
     gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z))
     if status == "Optimal":
         # dual identifies the optimal face; snap the primal iterate onto it
-        x = _refine_primal(problem, x, Z, opts.feas_tol, gap)
+        x = _refine_primal(problem, x, Z, LOOSE_TOL if accepted_loose else TOL, gap)
         S = [_sym(blk.assemble(x)) for blk in blocks]
     _, _, pobj, dobj, pres, dres = measure(x, S, Z)
     return SdpSolution(
@@ -378,6 +387,7 @@ def solve(problem: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         primal_residual=float(pres),
         dual_residual=float(dres),
         trace=trace,
+        loose=accepted_loose,
     )
 
 

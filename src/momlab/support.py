@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import PseudoMomentSequence, moment_matrix
-from .poly import MonomialBasis, Polynomial, monomials_upto, r_dim
+from .poly import MonomialBasis, Polynomial, box_grid, monomials_upto, r_dim
 
 __all__ = [
     "CdKernel",
@@ -93,12 +93,6 @@ class SupportGrid:
     hausdorff_to_reference: float | None = None
 
 
-def _grid_points(box, resolution: int):
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def cd_support_grid(
     kernel: CdKernel,
     box,
@@ -109,7 +103,7 @@ def cd_support_grid(
     """Evaluate the kernel diagonal on a grid and flag the sublevel set K(x,x) < threshold."""
     n = kernel.basis.n
     box = tuple(tuple(map(float, b)) for b in (box if hasattr(box[0], "__len__") else [box] * n))
-    pts = _grid_points(box, resolution)
+    pts = box_grid(box, resolution)
     vals = kernel.diag(pts)
     inc = vals < threshold
     haus = None

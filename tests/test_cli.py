@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 import momlab.cli
 import momlab.hierarchy
+import momlab.sdp
 from momlab.cli import main
 from momlab.cone import PseudoMomentSequence, SemialgebraicProblem
 from momlab.poly import Polynomial
@@ -38,19 +38,16 @@ def test_solve_reports_bounds(capsys, line_json):
 
 def test_solve_reports_retry(capsys, line_json, monkeypatch):
     real, calls = momlab.hierarchy.solve, []
-
-    def first_fails(problem, opts=None):
-        calls.append(opts)
-        sol = real(problem, opts)
-        return dataclasses.replace(sol, status="MaxIter") if len(calls) == 1 else sol
-
+    monkeypatch.setattr(momlab.hierarchy, "solve", lambda p: calls.append(1) or real(p))
     assert main(["solve", "--problem", line_json, "--level", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["retried"] is False
-    monkeypatch.setattr(momlab.hierarchy, "solve", first_fails)
+    # with the 1e-8 tier out of reach the run's first iterate within 1e-7 is accepted
+    monkeypatch.setattr(momlab.sdp, "TOL", 0.0)
     assert main(["solve", "--problem", line_json, "--level", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "Optimal"
     assert out["retried"] is True
+    assert len(calls) == 2
 
 
 def test_solve_with_certificate_and_sdpa(capsys, tmp_path, line_json, monkeypatch):

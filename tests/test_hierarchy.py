@@ -1,11 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from momlab.cone import SemialgebraicProblem, normalize
-from momlab import hierarchy
+from momlab import hierarchy, sdp
 from momlab.extraction import candidate_minimizer
 from momlab.hierarchy import (
     MEMBERSHIP_TOL,
@@ -18,7 +17,7 @@ from momlab.hierarchy import (
     solve_moment_relaxation,
     solve_sos_tightening,
 )
-from momlab.poly import Polynomial
+from momlab.poly import MonomialBasis, Polynomial
 
 
 def test_relaxation_order():
@@ -151,32 +150,50 @@ def test_run_hierarchy_raises_when_bounds_decrease(monkeypatch, line_problem):
         run_hierarchy(line_problem, 2, 3)
 
 
+def _record_solves(monkeypatch):
+    """Route hierarchy.solve through a recorder; returns the list of its solutions."""
+    real, sols = hierarchy.solve, []
+    monkeypatch.setattr(hierarchy, "solve", lambda problem: sols.append(real(problem)) or sols[-1])
+    return sols
+
+
 def test_retry_is_reported(monkeypatch, line_problem):
-    # the first solve reports MaxIter, so the loosened-tolerance re-solve is accepted
-    real, seen = hierarchy.solve, []
-
-    def first_fails(problem, opts=None):
-        seen.append(opts)
-        sol = real(problem, opts)
-        return dataclasses.replace(sol, status="MaxIter") if len(seen) == 1 else sol
-
-    monkeypatch.setattr(hierarchy, "solve", first_fails)
+    # an interior iterate has a positive gap, so the 1e-8 tier is unreachable
+    # and the first iterate within 1e-7 is accepted from the same run
+    monkeypatch.setattr(sdp, "TOL", 0.0)
+    sols = _record_solves(monkeypatch)
     res = solve_moment_relaxation(line_problem, 2)
     assert res.status == "Optimal"
     assert res.retried is True
-    assert len(seen) == 2
-    assert seen[0] is None
-    assert (seen[1].gap_tol, seen[1].feas_tol) == (1e-7, 1e-7)
+    assert len(sols) == 1 and sols[0].loose
+    sol = sols[0]
+    assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= 1e-7
+    assert res.m_d_star == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_first_time_solve_is_not_retried(monkeypatch, line_problem):
-    calls = []
-    real = hierarchy.solve
-    monkeypatch.setattr(hierarchy, "solve", lambda p, o=None: calls.append(o) or real(p, o))
+    sols = _record_solves(monkeypatch)
     res = solve_moment_relaxation(line_problem, 2)
     assert res.status == "Optimal"
     assert res.retried is False
-    assert calls == [None]
+    assert len(sols) == 1 and not sols[0].loose
+
+
+def test_stalled_solve_accepted_in_one_run(monkeypatch):
+    # dense quartic (seed 1) on the unit disc at level 8: the run ends
+    # IllConditioned at iteration 31 after first meeting 1e-7 at iteration 23
+    rng = np.random.default_rng(1)
+    f = Polynomial(2, {a: rng.standard_normal() for a in MonomialBasis(2, 4)})
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    prob = SemialgebraicProblem(
+        n=2, objective=f, constraints=(Polynomial.constant(1.0, 2) - x1 * x1 - x2 * x2,)
+    )
+    sols = _record_solves(monkeypatch)
+    res = solve_moment_relaxation(prob, 8)
+    assert len(sols) == 1
+    assert res.status == "Optimal" and res.retried is True
+    assert sols[0].iterations > 23
+    assert max(sols[0].primal_residual, sols[0].dual_residual, sols[0].gap) <= 1e-7
 
 
 def test_scale_invariance_through_normalize():

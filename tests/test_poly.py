@@ -96,6 +96,20 @@ def test_eval_grid_matches_scalar_eval():
     np.testing.assert_allclose(p.eval_grid(pts), [p(x) for x in pts])
 
 
+def test_call_checks_point_size():
+    x = Polynomial.variable(0, 1)
+    p = x * x + 3 * x
+    assert p(2.0) == 10.0
+    assert p([2.0]) == p(np.array(2.0)) == 10.0
+    with pytest.raises(ValueError, match="3 coordinates, expected 1"):
+        p([2.0, 5.0, 7.0])
+    q = Polynomial.variable(1, 2)
+    with pytest.raises(ValueError, match="1 coordinates, expected 2"):
+        q(2.0)
+    with pytest.raises(ValueError, match="3 coordinates, expected 2"):
+        q([1.0, 2.0, 3.0])
+
+
 def test_partial_derivative():
     x1 = Polynomial.variable(0, 2)
     x2 = Polynomial.variable(1, 2)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from momlab import sdp
 from momlab.sdp import (
     SdpBlock,
-    SdpOptions,
     SdpProblem,
     export_sdpa,
     extract_dual_gram,
@@ -196,18 +196,24 @@ def test_extract_dual_gram_psd_and_status_guard():
         extract_dual_gram(bad, 0)
 
 
-def test_tight_options_still_converge():
+def test_loose_acceptance_keeps_first_iterate_within_loose_tol(monkeypatch):
+    # an interior iterate has a positive gap, so TOL = 0 is never met
+    monkeypatch.setattr(sdp, "TOL", 0.0)
     blk = SdpBlock(
         F0=np.eye(2),
         var_idx=np.array([0]),
         mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     )
-    sol = solve(
-        SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]),
-        SdpOptions(gap_tol=1e-10, feas_tol=1e-10),
-    )
-    assert sol.status == "Optimal"
-    assert sol.gap <= 1e-10
+    sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]))
+    assert sol.status == "Optimal" and sol.loose
+    assert len(sol.trace) == sol.iterations
+    within = [k for k, (pobj, dobj, pres, dres, mu) in enumerate(sol.trace)
+              if max(pres, dres, 2 * mu / (1 + abs(pobj) + abs(dobj))) <= sdp.LOOSE_TOL]
+    # the run went on past the accepted iterate, whose dual is returned as is
+    assert within and within[0] < sol.iterations - 1
+    assert sol.dual_value == sol.trace[within[0]][1]
+    assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= sdp.LOOSE_TOL
+    assert sol.value == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_export_sdpa_format(tmp_path):
