@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import candidate_minimizer, check_flatness, extract_atoms
@@ -155,6 +154,9 @@ def moment_distance_to_optimal(y: PseudoMomentSequence, s_star_samples, r: int =
     Linear program: min t over probability weights w on the sample points with
     |y_alpha - sum_j w_j x_j^alpha| <= t for every |alpha| <= r.
     """
+    # imported here: scipy.optimize is a third of `import momlab` and only this LP needs it
+    from scipy.optimize import linprog
+
     samples = np.atleast_2d(np.asarray(s_star_samples, dtype=float))
     if samples.shape[0] == 0:
         raise ValueError("empty optimal sample set")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .poly import MonomialBasis, Polynomial, r_dim
+from .sdp import sv_rank
 
 __all__ = [
     "ScaleRecord",
@@ -209,6 +210,10 @@ class PseudoMomentSequence:
     @staticmethod
     def from_table(n: int, order: int, table: dict) -> "PseudoMomentSequence":
         basis = MonomialBasis(n, order)
+        missing = [a for a in basis if a not in table]
+        if missing:
+            raise ValueError(f"moment table of degree {order} has no entry "
+                             f"for exponent {missing[0]}")
         y = np.array([float(table[a]) for a in basis])
         return PseudoMomentSequence(n, order, y, basis)
 
@@ -271,11 +276,6 @@ class MomentMatrix:
 
     def numerical_rank(self, tol: float = 1e-6) -> int:
         return sv_rank(np.linalg.svd(self.M, compute_uv=False), tol)
-
-
-def sv_rank(s: np.ndarray, tol: float) -> int:
-    """Number of singular values s (descending) above tol * s[0]; 0 for a zero matrix."""
-    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
 
 
 def moment_matrix(y: PseudoMomentSequence, d: int) -> MomentMatrix:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .cone import PseudoMomentSequence, ScaleRecord, moment_matrix, sv_rank
+from .cone import PseudoMomentSequence, ScaleRecord, moment_matrix
 from .poly import MonomialBasis
+from .sdp import affine_solutions, sv_rank
 
 __all__ = [
     "AtomicMeasure",
@@ -198,16 +199,12 @@ def tchakaloff_prune(mu: AtomicMeasure, t: int) -> AtomicMeasure:
     atoms = mu.atoms.copy()
     weights = mu.weights.copy()
     while atoms.shape[0] > l:
-        Phi = basis.eval_matrix(atoms).T
-        _, s, vt = np.linalg.svd(Phi, full_matrices=True)
-        c = vt[-1]
-        if np.linalg.norm(Phi @ c) > 1e-10 * max(1.0, float(s[0])):
-            break  # no kernel direction left (should not happen while k > l)
+        # more atoms than monomials, so the null space is never empty
+        _, null, _ = affine_solutions(basis.eval_matrix(atoms).T, np.zeros(l))
+        c = null[:, -1]
         if np.max(c) < np.max(-c):
             c = -c
         mask = c > 1e-14
-        if not np.any(mask):
-            break
         ratios = weights[mask] / c[mask]
         tau = float(np.min(ratios))
         weights = weights - tau * c

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .poly import MonomialBasis, Polynomial, monomials_upto
-from .sdp import SdpBlock, SdpProblem, extract_dual_gram, solve, svd_rank
+from .sdp import SdpBlock, SdpProblem, affine_solutions, extract_dual_gram, psd_floor, solve
 
 __all__ = [
     "SosCertificate",
@@ -126,18 +126,6 @@ def _localizing_map(basis: MonomialBasis, rows, g: Polynomial) -> np.ndarray:
     return V
 
 
-def _eliminate(E: np.ndarray, h: np.ndarray):
-    """Solutions of E x = h as x_p + N z: returns (x_p, N, ||E x_p - h||).
-
-    x_p is the least-squares solution and the orthonormal columns of N span
-    the null space of E; a residual above round-off means E x = h has no
-    solution.
-    """
-    x_p, *_ = np.linalg.lstsq(E, h, rcond=None)
-    _, vt, rank = svd_rank(E, rtol=1e-12)
-    return x_p, vt[rank:].T, float(np.linalg.norm(E @ x_p - h))
-
-
 def _dedup_rows(F0: np.ndarray, FN: np.ndarray):
     """Indices of structurally distinct rows of an affine matrix F0 + FN.z.
 
@@ -174,7 +162,7 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
     E = np.vstack([e0] + rel_rows) if rel_rows else e0.reshape(1, -1)
     rhs = np.zeros(E.shape[0])
     rhs[0] = 1.0
-    y_p, N, residual = _eliminate(E, rhs)
+    y_p, N, residual = affine_solutions(E, rhs)
     if residual > 1e-8:
         raise ValueError("equality constraints are inconsistent with L(1) = 1")
     nv = N.shape[1]
@@ -325,7 +313,7 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
         Aeq, beq = A, target
     else:
         Aeq, beq = project.T @ A, project.T @ target
-    x_p, N, residual = _eliminate(Aeq, beq)
+    x_p, N, residual = affine_solutions(Aeq, beq)
     if residual > 1e-9 * (1.0 + np.linalg.norm(beq)):
         return None
     nz = N.shape[1]
@@ -358,8 +346,7 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
     for sdim in sizes:
         hi = lo + sdim * (sdim + 1) // 2
         G = _sym_from_triu(entries[lo:hi], sdim) + max(t_star, 0.0) * np.eye(sdim)
-        w, U = np.linalg.eigh(G)
-        grams.append((U * np.clip(w, 0.0, None)) @ U.T)
+        grams.append(psd_floor(G))
         lo = hi
     return grams
 
@@ -386,8 +373,8 @@ def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int):
     project = None
     rel_rows, _ = _relation_rows(prob, d, basis)
     if rel_rows:
-        u, _, rank = svd_rank(np.array(rel_rows).T)
-        project = u[:, rank:]  # orthonormal complement of the multiplier span
+        # orthonormal complement of the multiplier span: the null space of the rows
+        _, project, _ = affine_solutions(np.array(rel_rows), np.zeros(len(rel_rows)))
     grams = phase1_gram(basis, list(zip(gram_bases, weights)), q.coeff_vector(basis), project)
     if grams is None:
         return False, None

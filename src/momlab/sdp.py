@@ -7,7 +7,9 @@ Problem form (minimization convention used throughout the package):
 
 There are no linear equality constraints: callers eliminate them before the
 solve by affine substitution x = x_p + N z, which keeps the blocks strictly
-feasible.
+feasible.  Every such elimination, and every null space in the package, comes
+from the one helper `affine_solutions` (one SVD gives x_p and N) with the one
+rank rule `sv_rank`.
 
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
@@ -40,6 +42,9 @@ __all__ = [
     "SdpSolution",
     "solve",
     "extract_dual_gram",
+    "psd_floor",
+    "affine_solutions",
+    "sv_rank",
     "export_sdpa",
 ]
 
@@ -142,17 +147,24 @@ def _nt_scaling_inv(S, Z):
     return _sym(Sh_inv @ Th @ Sh_inv)
 
 
-def svd_rank(A: np.ndarray, rtol: float = 0.0):
-    """Full SVD of A and its numerical rank: (U, Vt, rank).
+def sv_rank(s: np.ndarray, tol: float) -> int:
+    """Number of singular values s (descending) above tol * s[0]; 0 for a zero matrix."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
 
-    Singular values count toward the rank above max(max(A.shape) * eps, rtol)
-    times the largest one, so U[:, :rank] spans the range of A, U[:, rank:]
-    its left null space and Vt[rank:].T its null space.
+
+def affine_solutions(E: np.ndarray, h: np.ndarray):
+    """Solutions of E x = h as x_p + N z: returns (x_p, N, ||E x_p - h||).
+
+    One SVD of E gives both parts.  With r the numerical rank (singular
+    values above max(max(E.shape) * eps, 1e-12) times the largest),
+    x_p = V_r S_r^-1 U_r' h is the minimum-norm least-squares solution and the
+    orthonormal columns of N = V[:, r:] span the null space of E.  A residual
+    above round-off means E x = h has no solution.
     """
-    u, s, vt = np.linalg.svd(A, full_matrices=True)
-    s_max = s[0] if s.size else 0.0
-    tol = max(max(A.shape) * np.finfo(float).eps * s_max, rtol * s_max)
-    return u, vt, int(np.sum(s > tol))
+    u, s, vt = np.linalg.svd(E, full_matrices=E.shape[0] < E.shape[1])
+    r = sv_rank(s, max(max(E.shape) * np.finfo(float).eps, 1e-12))
+    x_p = vt[:r].T @ ((u[:, :r].T @ h) / s[:r])
+    return x_p, vt[r:].T, float(np.linalg.norm(E @ x_p - h))
 
 
 def _max_step(S, dS, frac):
@@ -189,8 +201,6 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
         if lam_max <= 1e-7:
             continue
         V = U[:, w > 1e-4 * lam_max]
-        if V.shape[1] == 0:
-            continue
         # rows: for each active eigenvector v, (F_ji v) coefficients, rhs -F_j0 v
         for k in range(V.shape[1]):
             v = V[:, k]
@@ -200,12 +210,8 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
             rhs.append(-blk.F0 @ v)
     if not rows:
         return x
-    E = np.vstack(rows)
-    h = np.concatenate(rhs)
-    x_p, *_ = np.linalg.lstsq(E, h, rcond=None)
+    x_p, null, _ = affine_solutions(np.vstack(rows), np.concatenate(rhs))
     # move back toward the iterate within the null space of the face equations
-    _, vt, rank = svd_rank(E)
-    null = vt[rank:].T
     x_ref = x_p + null @ (null.T @ (x - x_p))
 
     # accept only if feasibility and objective survive
@@ -398,10 +404,13 @@ def extract_dual_gram(sol: SdpSolution, block: int) -> np.ndarray:
     """
     if sol.status != "Optimal":
         raise ValueError(f"dual Gram requested from a non-optimal solve (status {sol.status})")
-    Z = _sym(sol.block_duals[block])
-    w, U = np.linalg.eigh(Z)
-    w = np.clip(w, 0.0, None)
-    return _sym((U * w) @ U.T)
+    return psd_floor(sol.block_duals[block])
+
+
+def psd_floor(A: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to symmetric A (Frobenius): negative eigenvalues set to 0."""
+    w, U = np.linalg.eigh(_sym(A))
+    return _sym((U * np.clip(w, 0.0, None)) @ U.T)
 
 
 def export_sdpa(problem: SdpProblem, path) -> None:

@@ -109,6 +109,9 @@ class ReferenceMeasure:
             raise ValueError(f"moment table covers degree {self.max_degree}, asked {sum(alpha)}")
         if alpha not in self._cache:
             closed_form = _CLOSED_FORM.get(self.kind)
+            if closed_form is None and alpha not in self.table:
+                raise ValueError(f"moment table of degree {self.max_degree} has no entry "
+                                 f"for exponent {alpha}")
             self._cache[alpha] = closed_form(alpha) if closed_form else self.table[alpha]
         return self._cache[alpha]
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momlab
 from momlab.bench import (
     brute_force_oracle,
     builtin_corpus,
@@ -183,3 +188,13 @@ def test_full_suite_reports(suite_run):
     assert by_id["line-min"].flat_levels  # exact already at low levels
     # rate fits exist wherever enough positive gaps survive
     assert by_id["shifted-paraboloid"].upper_fit is not None
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is about a third of the import time; only the moment-distance LP needs it
+    src = str(Path(momlab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, momlab; print('scipy.optimize' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

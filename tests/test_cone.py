@@ -149,3 +149,9 @@ def test_vector_integral_triangle_inequality():
     h = [Polynomial.variable(0, 2), Polynomial.variable(1, 2) ** 2]
     lhs, rhs = vector_integral_check(mu, h)
     assert lhs <= rhs + 1e-12
+
+
+def test_moment_table_missing_exponent_raises_value_error():
+    d = {"n": 1, "order": 2, "values": [{"alpha": [0], "y": 1.0}, {"alpha": [2], "y": 0.5}]}
+    with pytest.raises(ValueError, match=r"degree 2 has no entry for exponent \(1,\)"):
+        PseudoMomentSequence.from_json_dict(d)

@@ -8,6 +8,7 @@ from momlab import sdp
 from momlab.sdp import (
     SdpBlock,
     SdpProblem,
+    affine_solutions,
     export_sdpa,
     extract_dual_gram,
     solve,
@@ -238,3 +239,41 @@ def test_export_sdpa_format(tmp_path):
         float(parts[4])
     # F0 is written negated under the SDPA sign convention
     assert "0 1 1 1 -1.0" in lines
+
+
+def _affine_cases():
+    """(E, rank) pairs: tall, wide, rank-deficient, zero and no-row matrices."""
+    rng = np.random.default_rng(3)
+    return {
+        "tall": (rng.standard_normal((7, 3)), 3),
+        "wide": (rng.standard_normal((3, 7)), 3),
+        "rank-deficient": (rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6)), 2),
+        "zero": (np.zeros((4, 3)), 0),
+        "no-rows": (np.zeros((0, 4)), 0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_affine_cases()))
+def test_affine_solutions_parametrize_the_solution_set(case):
+    E, rank = _affine_cases()[case]
+    rows, cols = E.shape
+    rng = np.random.default_rng(4)
+    h = E @ rng.standard_normal(cols)
+    x_p, N, residual = affine_solutions(E, h)
+    assert N.shape == (cols, cols - rank)
+    np.testing.assert_allclose(N.T @ N, np.eye(cols - rank), atol=1e-12)
+    np.testing.assert_allclose(E @ N, 0.0, atol=1e-12)
+    np.testing.assert_allclose(N.T @ x_p, 0.0, atol=1e-12)  # minimum-norm particular solution
+    z = rng.standard_normal(cols - rank)
+    np.testing.assert_allclose(E @ (x_p + N @ z), h, atol=1e-12)
+    assert residual <= 1e-12
+
+    if rows == rank:
+        return  # full row rank (or no rows): every h is consistent
+    # an h with a part outside the range of E has no solution: the residual is that part
+    u, _, _ = np.linalg.svd(E)
+    w = u[:, rank:] @ rng.standard_normal(rows - rank)
+    x_q, N_q, residual = affine_solutions(E, h + w / np.linalg.norm(w))
+    np.testing.assert_array_equal(N_q, N)
+    np.testing.assert_allclose(E @ x_q, h, atol=1e-12)  # least-squares solution
+    assert residual == pytest.approx(1.0, rel=1e-10)

@@ -133,3 +133,10 @@ def test_convex_cost_bound_rejects_nonconvex():
     )
     with pytest.raises(ValueError, match="not SOS-convex"):
         convex_cost_bound(prob, 4)
+
+
+def test_table_measure_missing_moment_raises_value_error():
+    x = Polynomial.variable(0, 1)
+    mu = ReferenceMeasure("table", 1, table={(0,): 1.0, (2,): 1 / 3, (4,): 0.2})
+    with pytest.raises(ValueError, match=r"degree 4 has no entry for exponent \(1,\)"):
+        solve_upper_bound(x, mu, 2)
