@@ -8,7 +8,7 @@ import json
 import sys
 
 from .bench import builtin_corpus, load_corpus, run_suite
-from .cone import PseudoMomentSequence, SemialgebraicProblem
+from .cone import PseudoMomentSequence, ScaleRecord, SemialgebraicProblem
 from .extraction import candidate_minimizer, check_flatness, extract_atoms
 from .hierarchy import build_moment_sdp, solve_moment_relaxation, solve_moment_sdp
 from .poly import box_grid, grlex_key
@@ -76,6 +76,7 @@ def _cmd_extract(args):
     r = max(1, prob.max_constraint_degree)
     rep = check_flatness(y, k, min(r, k), tol=args.rank_tol)
     x = candidate_minimizer(y)
+    scale = prob.scale or ScaleRecord.identity(prob.n)  # report in original coordinates
     report = {
         "level": args.level,
         "m_d_star": res.m_d_star,
@@ -89,13 +90,13 @@ def _cmd_extract(args):
             "singular_values_truncated": rep.singular_values_truncated.tolist(),
             "tol": rep.tol,
         },
-        "candidate_minimizer": (x if prob.scale is None else prob.scale.to_original(x)).tolist(),
+        "candidate_minimizer": scale.to_original(x).tolist(),
         "candidate_in_K": bool(prob.contains(x, tol=1e-6)),
     }
     if rep.is_flat:
         try:
             mu = extract_atoms(y, k, rank_tol=args.rank_tol)
-            report["atoms"] = mu.atoms.tolist()
+            report["atoms"] = scale.to_original(mu.atoms).tolist()
             report["weights"] = mu.weights.tolist()
             report["atom_f_values"] = [float(prob.objective(a)) for a in mu.atoms]
             report["atom_in_K"] = [bool(prob.contains(a, tol=1e-6)) for a in mu.atoms]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,6 +79,8 @@ class SemialgebraicProblem:
         for p in (self.objective, *self.constraints, *self.equalities):
             if p.n != self.n:
                 raise ValueError("constraint dimension mismatch")
+        if self.scale is not None and not len(self.scale.center) == len(self.scale.radius) == self.n:
+            raise ValueError("scale record dimension mismatch")
 
     @property
     def max_constraint_degree(self) -> int:
@@ -114,16 +116,21 @@ class SemialgebraicProblem:
             "constraints": [p.to_json_dict() for p in self.constraints],
             "equalities": [h.to_json_dict() for h in self.equalities],
             "ball_radius": self.ball_radius,
+            "scale": None if self.scale is None else asdict(self.scale),
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "SemialgebraicProblem":
+        scale = d.get("scale")
+        if scale is not None:
+            scale = ScaleRecord(tuple(scale["center"]), tuple(scale["radius"]))
         return SemialgebraicProblem(
             n=int(d["n"]),
             objective=Polynomial.from_json_dict(d["objective"]),
             constraints=tuple(Polynomial.from_json_dict(p) for p in d.get("constraints", [])),
             equalities=tuple(Polynomial.from_json_dict(p) for p in d.get("equalities", [])),
             ball_radius=d.get("ball_radius"),
+            scale=scale,
         )
 
     @staticmethod
@@ -282,9 +289,7 @@ def moment_matrix(y: PseudoMomentSequence, d: int) -> MomentMatrix:
     """Moment matrix of order d: M[alpha,beta] = y_{alpha+beta}, size r(n,d)."""
     if 2 * d > y.order:
         raise ValueError(f"moment matrix of order {d} needs moments to degree {2*d} > {y.order}")
-    basis = MonomialBasis(y.n, d)
-    E = basis.exps
-    return MomentMatrix(d, y.y[y.basis.indices(E[:, None] + E[None, :])], basis)
+    return localizing_matrix(y, Polynomial.constant(1.0, y.n), 2 * d)
 
 
 def localizing_matrix(y: PseudoMomentSequence, g: Polynomial, d: int) -> MomentMatrix:
@@ -299,12 +304,7 @@ def localizing_matrix(y: PseudoMomentSequence, g: Polynomial, d: int) -> MomentM
     if 2 * k + g.degree > y.order:
         raise ValueError("pseudo-moment sequence too short for localizing matrix")
     basis = MonomialBasis(y.n, k)
-    E = basis.exps
-    pair_exps = E[:, None] + E[None, :]
-    M = np.zeros((len(basis), len(basis)))
-    for gamma, c in g.terms.items():
-        M += c * y.y[y.basis.indices(pair_exps + gamma)]
-    return MomentMatrix(k, M, basis)
+    return MomentMatrix(k, y.basis.localizing_map(basis.exps, g).gather(y.y), basis)
 
 
 def op_norm_distance(y1: PseudoMomentSequence, y2: PseudoMomentSequence, t: int) -> float:

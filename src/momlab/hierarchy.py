@@ -64,7 +64,7 @@ class SosCertificate:
         out = []
         for expo, G in zip(self.gram_bases, self.grams):
             basis = MonomialBasis(n, 2 * max((sum(a) for a in expo), default=0))
-            coeffs = _localizing_map(basis, expo, Polynomial.constant(1.0, n)).T @ np.ravel(G)
+            coeffs = basis.localizing_map(expo, Polynomial.constant(1.0, n)).adjoint(G)
             out.append(Polynomial.from_coeffs(basis, coeffs))
         return out
 
@@ -95,12 +95,12 @@ class MomentSdp:
     block_bases: tuple             # kept monomial rows of each block
 
 
-def _relation_rows(prob: SemialgebraicProblem, budget: int, basis: MonomialBasis):
-    """Coefficient rows of h * X^gamma for every equality h, deg(h*X^gamma) <= budget."""
+def _relation_rows(prob: SemialgebraicProblem, basis: MonomialBasis):
+    """Coefficient rows of h * X^gamma for every equality h, deg(h*X^gamma) <= basis.d."""
     rows = []
     owners = []  # (equality index, gamma) for multiplier recovery
     for j, h in enumerate(prob.equalities):
-        gammas = monomials_upto(prob.n, budget - h.degree)
+        gammas = monomials_upto(prob.n, basis.d - h.degree)
         if h.is_zero() or not gammas:
             continue
         shifted = np.array(gammas)[:, None] + np.array(list(h.terms))[None]
@@ -109,21 +109,6 @@ def _relation_rows(prob: SemialgebraicProblem, budget: int, basis: MonomialBasis
         rows.extend(block)
         owners.extend((j, gamma) for gamma in gammas)
     return rows, owners
-
-
-def _localizing_map(basis: MonomialBasis, rows, g: Polynomial) -> np.ndarray:
-    """Matrix V with V @ y = vec of the localizing matrix of g over the monomial `rows`.
-
-    Row i*s + j holds the coefficients of X^(a_i + a_j) * g over `basis`, so
-    V.T @ vec(G) is the coefficient vector of sigma * g for sigma = v' G v.
-    """
-    E = np.array(rows, dtype=np.int64).reshape(len(rows), basis.n)
-    pair_exps = (E[:, None] + E[None, :]).reshape(-1, basis.n)
-    V = np.zeros((len(pair_exps), len(basis)))
-    r = np.arange(len(pair_exps))
-    for gamma, c in g.terms.items():
-        V[r, basis.indices(pair_exps + gamma)] += c
-    return V
 
 
 def _dedup_rows(F0: np.ndarray, FN: np.ndarray):
@@ -158,7 +143,7 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
     # linear constraints on y: normalization + equality relations
     e0 = np.zeros(m)
     e0[0] = 1.0
-    rel_rows, _ = _relation_rows(prob, budget, basis)
+    rel_rows, _ = _relation_rows(prob, basis)
     E = np.vstack([e0] + rel_rows) if rel_rows else e0.reshape(1, -1)
     rhs = np.zeros(E.shape[0])
     rhs[0] = 1.0
@@ -174,10 +159,9 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
         if kg < 0:
             continue
         rows = MonomialBasis(n, kg)
-        s = len(rows)
-        V = _localizing_map(basis, rows.exponents, g)
-        F0 = (V @ y_p).reshape(s, s)
-        FN = (V @ N).reshape(s, s, nv)
+        loc = basis.localizing_map(rows.exps, g)
+        F0 = loc.gather(y_p)
+        FN = loc.gather(N)
         keep = _dedup_rows(F0, FN)
         F0 = F0[np.ix_(keep, keep)]
         FN = FN[np.ix_(keep, keep)]
@@ -203,9 +187,9 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
     )
 
 
-def _recover_multipliers(prob, residual_vec, basis, budget):
+def _recover_multipliers(prob, residual_vec, basis):
     """Least-squares equality multipliers soaking up the certificate residual."""
-    rel_rows, owners = _relation_rows(prob, budget, basis)
+    rel_rows, owners = _relation_rows(prob, basis)
     multipliers = [Polynomial.zero(prob.n) for _ in prob.equalities]
     if not rel_rows:
         return tuple(multipliers), residual_vec
@@ -217,7 +201,7 @@ def _recover_multipliers(prob, residual_vec, basis, budget):
     return tuple(multipliers), residual_vec - R @ lam
 
 
-def _certificate(prob, q, s, basis, budget, gram_bases, weights, grams) -> SosCertificate:
+def _certificate(prob, q, s, basis, gram_bases, weights, grams) -> SosCertificate:
     """Certificate of q - s = sum_j sigma_j g_j + sum_k lam_k h_k over `basis`.
 
     The residual is what remains after the least-squares equality multipliers.
@@ -225,8 +209,8 @@ def _certificate(prob, q, s, basis, budget, gram_bases, weights, grams) -> SosCe
     res_vec = q.coeff_vector(basis)
     res_vec[0] -= s
     for rows, g, G in zip(gram_bases, weights, grams):
-        res_vec -= _localizing_map(basis, rows, g).T @ G.ravel()
-    multipliers, res_vec = _recover_multipliers(prob, res_vec, basis, budget)
+        res_vec -= basis.localizing_map(rows, g).adjoint(G)
+    multipliers, res_vec = _recover_multipliers(prob, res_vec, basis)
     return SosCertificate(
         s=s,
         gram_bases=tuple(gram_bases),
@@ -269,7 +253,7 @@ def solve_moment_sdp(
     cert = None
     if want_certificate:
         grams = [extract_dual_gram(sol, j) for j in range(len(ms.block_bases))]
-        cert = _certificate(prob, prob.objective, f_d, ms.basis, 2 * ms.order,
+        cert = _certificate(prob, prob.objective, f_d, ms.basis,
                             ms.block_bases, ms.block_weights, grams)
     return RelaxationResult(ms.d, m_d, y, f_d, cert, sol.status, sol.loose)
 
@@ -306,8 +290,8 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
     cols, sizes = [], [len(rows) for rows, _ in blocks]
     for (rows, g), sdim in zip(blocks, sizes):
         iu, ju = np.triu_indices(sdim)
-        V = _localizing_map(basis, rows, g)
-        cols.append((np.where(iu == ju, 1.0, 2.0)[:, None] * V[iu * sdim + ju]).T)
+        V = basis.localizing_map(rows, g).gather(np.eye(len(basis)))
+        cols.append((np.where(iu == ju, 1.0, 2.0)[:, None] * V[iu, ju]).T)
     A = np.hstack(cols)
     if project is None:
         Aeq, beq = A, target
@@ -371,14 +355,14 @@ def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int):
     gram_bases = [tuple(monomials_upto(n, (d - g.degree) // 2)) for g in weights]
 
     project = None
-    rel_rows, _ = _relation_rows(prob, d, basis)
+    rel_rows, _ = _relation_rows(prob, basis)
     if rel_rows:
         # orthonormal complement of the multiplier span: the null space of the rows
         _, project, _ = affine_solutions(np.array(rel_rows), np.zeros(len(rel_rows)))
     grams = phase1_gram(basis, list(zip(gram_bases, weights)), q.coeff_vector(basis), project)
     if grams is None:
         return False, None
-    return True, _certificate(prob, q, 0.0, basis, d, gram_bases, weights, grams)
+    return True, _certificate(prob, q, 0.0, basis, gram_bases, weights, grams)
 
 
 def compute_d0(prob: SemialgebraicProblem, d_max: int):

@@ -6,7 +6,12 @@ broken lexicographically with x1 before x2 before x3...  Every matrix in the
 package indexes rows/columns by this order, so "row k" always means the k-th
 monomial of the ambient basis.  `MonomialBasis` is the only code that maps
 exponents to indices and evaluates monomials at points; every other module
-goes through its `indices` and `eval_matrix`.
+goes through its `indices` and `eval_matrix`.  Its `localizing_map` is the one
+localizing map: entry (i, j) of the localizing matrix of g is
+sum_gamma c_gamma y[alpha_i + alpha_j + gamma], applied to y or to every column
+of a matrix (`gather`) and transposed into the coefficients of (v'Gv)*g
+(`adjoint`).  The relaxation SDP, its certificates, `moment_matrix`,
+`localizing_matrix` and the upper-bound pencil all use it.
 """
 
 from __future__ import annotations
@@ -96,7 +101,11 @@ class MonomialBasis:
         return iter(self.exponents)
 
     def index_of(self, alpha) -> int:
-        return self._index[tuple(alpha)]
+        alpha = tuple(alpha)
+        if alpha not in self._index:
+            raise ValueError(f"exponent {alpha} outside the degree-{self.d} basis "
+                             f"in {self.n} variables")
+        return self._index[alpha]
 
     def __contains__(self, alpha):
         return tuple(alpha) in self._index
@@ -123,6 +132,14 @@ class MonomialBasis:
             idx = idx + self._below[j, tail[..., j]]
         return idx
 
+    def localizing_map(self, rows, g: "Polynomial") -> "LocalizingMap":
+        """y -> localizing matrix of g over `rows`, one term of g at a time to bound peak memory."""
+        E = np.asarray(rows, dtype=np.int64).reshape(-1, self.n)
+        idx = np.empty((len(g.terms), len(E), len(E)), dtype=np.int64)
+        for t, gamma in enumerate(g.terms):
+            idx[t] = self.indices(E[:, None] + E[None, :] + gamma)
+        return LocalizingMap(len(self), np.array(list(g.terms.values())), idx)
+
     def eval_matrix(self, points) -> np.ndarray:
         """Every basis monomial (columns) at every point (rows): shape (m, len(self)).
 
@@ -140,6 +157,26 @@ class MonomialBasis:
     def eval_vector(self, x) -> np.ndarray:
         """Vector v(x) of all basis monomials evaluated at the point x."""
         return self.eval_matrix(np.reshape(x, (1, -1)))[0]
+
+
+@dataclass(frozen=True)
+class LocalizingMap:
+    """Entry (i, j) is sum_t coeffs[t] y[idx[t, i, j]], idx[t] indexing a_i + a_j + gamma_t."""
+
+    size: int  # length of y
+    coeffs: np.ndarray  # (T,) coefficients of g
+    idx: np.ndarray  # (T, s, s) basis indices
+
+    def gather(self, vals) -> np.ndarray:
+        """The map along the first axis of `vals` (y, or N: one (s, s) matrix per column)."""
+        out = np.zeros(self.idx.shape[1:] + vals.shape[1:])
+        for c, idx in zip(self.coeffs, self.idx):
+            out += c * vals[idx]
+        return out
+
+    def adjoint(self, G) -> np.ndarray:
+        """Coefficients of (v' G v) * g over the basis, v the row monomials."""
+        return np.bincount(self.idx.ravel(), np.outer(self.coeffs, G).ravel(), self.size)
 
 
 @dataclass(frozen=True)

@@ -140,19 +140,14 @@ class UpperBoundResult:
 
 def _moment_pencil(f: Polynomial, mu: ReferenceMeasure, k: int):
     basis = MonomialBasis(mu.n, k)
-    E = basis.exps
-    pair_exps = E[:, None] + E[None, :]
     full = MonomialBasis(mu.n, 2 * k + f.degree)
-    idx_B = full.indices(pair_exps)
-    idx_A = [(c, full.indices(pair_exps + gamma)) for gamma, c in f.terms.items()]
+    loc_A = full.localizing_map(basis.exps, f)
+    loc_B = full.localizing_map(basis.exps, Polynomial.constant(1.0, mu.n))
     # ask the measure only for the moments the pencil uses
     moments = np.zeros(len(full))
-    for j in np.unique(np.concatenate([idx_B.ravel()] + [idx.ravel() for _, idx in idx_A])):
+    for j in np.unique(np.concatenate([loc_A.idx, loc_B.idx])):
         moments[j] = mu.moment(full[j])
-    A = np.zeros(idx_B.shape)
-    for c, idx in idx_A:
-        A += c * moments[idx]
-    return A, moments[idx_B], basis
+    return loc_A.gather(moments), loc_B.gather(moments), basis
 
 
 def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBoundResult:
@@ -243,7 +238,7 @@ def is_sos_convex(f: Polynomial, d_cert: int | None = None):
         return False, None
     # the Hessian form has no equality constraints, so no multipliers enter
     hess = SemialgebraicProblem(n=2 * n, objective=target)
-    return True, _certificate(hess, target, 0.0, basis, basis.d, (tuple(rows),), (one,), grams)
+    return True, _certificate(hess, target, 0.0, basis, (tuple(rows),), (one,), grams)
 
 
 def convex_cost_bound(prob: SemialgebraicProblem, d: int, f_star: float | None = None) -> dict:

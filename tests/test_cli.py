@@ -7,7 +7,7 @@ import momlab.cli
 import momlab.hierarchy
 import momlab.sdp
 from momlab.cli import main
-from momlab.cone import PseudoMomentSequence, SemialgebraicProblem
+from momlab.cone import PseudoMomentSequence, SemialgebraicProblem, normalize
 from momlab.poly import Polynomial
 
 
@@ -93,6 +93,22 @@ def test_extract_subcommand(capsys, corner_json):
     assert atoms == {(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
     assert all(abs(v + 1.0) <= 1e-5 for v in out["atom_f_values"])
     assert all(out["atom_in_K"])
+
+
+def test_extract_reports_original_coordinates(capsys, tmp_path):
+    # min (x - 1)^2 on [-2, 2]: x* = 1, which is u* = 1/2 after normalization by R = 2
+    x = Polynomial.variable(0, 1)
+    prob = SemialgebraicProblem(n=1, objective=(x - 1) ** 2, constraints=(4 - x * x,),
+                                ball_radius=2.0)
+    path = tmp_path / "normalized.json"
+    normalize(prob).save(path)
+    assert main(["extract", "--problem", str(path), "--level", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["candidate_minimizer"] == pytest.approx([1.0], abs=1e-4)
+    assert out["candidate_in_K"]
+    assert out["flatness"]["is_flat"]
+    assert np.array(out["atoms"]) == pytest.approx(np.array([[1.0]]), abs=1e-4)
+    assert out["atom_f_values"] == pytest.approx([0.0], abs=1e-6)
 
 
 def test_upper_subcommand(capsys, line_json):

@@ -35,6 +35,21 @@ def test_problem_json_roundtrip(tmp_path, corner_problem):
     assert back.equalities[0].terms == corner_problem.equalities[0].terms
 
 
+def test_normalized_problem_json_roundtrip(tmp_path):
+    x = Polynomial.variable(0, 2)
+    prob = SemialgebraicProblem(n=2, objective=x * x, constraints=(3 - x,), ball_radius=2.5)
+    q = normalize(prob)
+    path = tmp_path / "normalized.json"
+    q.save(path)
+    back = SemialgebraicProblem.load(path)
+    assert back.scale == ScaleRecord((0.0, 0.0), (2.5, 2.5))
+    assert back == q
+    bad = q.to_json_dict()
+    bad["scale"]["radius"] = [2.5]
+    with pytest.raises(ValueError, match="scale record dimension mismatch"):
+        SemialgebraicProblem.from_json_dict(bad)
+
+
 def test_membership_and_contains(line_problem):
     assert line_problem.contains([0.5])
     assert line_problem.contains([1.0])

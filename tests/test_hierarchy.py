@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from momlab.cone import SemialgebraicProblem, normalize
+from momlab.cone import PseudoMomentSequence, SemialgebraicProblem, localizing_matrix, normalize
 from momlab import hierarchy, sdp
 from momlab.extraction import candidate_minimizer
 from momlab.hierarchy import (
@@ -75,6 +75,30 @@ def test_certificate_expansion_identity(line_problem):
         combo = combo + sigma * g
     diff = line_problem.objective - combo - cert.residual
     assert diff.coeff_norm() <= 1e-8
+
+
+def _ball_problem():
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    return SemialgebraicProblem(
+        n=2, objective=x1**4 - 0.7 * x1 * x2**2 + 0.3 * x2 + x1 * x2,
+        constraints=(1 - x1 * x1 - x2 * x2, 0.5 + x1 - 0.2 * x2**3),
+    )
+
+
+@pytest.mark.parametrize("which", ["binary-corner", "ball"])
+def test_moment_sdp_blocks_are_the_localizing_matrices(which, corner_problem):
+    # corner_problem is the builtin binary-corner problem (equalities, dense null basis)
+    prob = corner_problem if which == "binary-corner" else _ball_problem()
+    rng = np.random.default_rng(0)
+    for d in (4, 5):
+        ms = build_moment_sdp(prob, d)
+        z = rng.normal(size=ms.problem.n_vars)
+        y = PseudoMomentSequence(prob.n, 2 * ms.order, ms.y_particular + ms.nullbasis @ z, ms.basis)
+        for blk, g, rows in zip(ms.problem.blocks, ms.block_weights, ms.block_bases):
+            L = localizing_matrix(y, g, 2 * ms.order)
+            keep = L.basis.indices(np.array(rows))
+            np.testing.assert_allclose(blk.assemble(z), L.M[np.ix_(keep, keep)],
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_membership_trivial_and_negative():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momlab.cone import PseudoMomentSequence
+from momlab.extraction import candidate_minimizer
 from momlab.poly import MonomialBasis, Polynomial, grlex_key, monomials_upto, r_dim
 
 
@@ -56,6 +58,60 @@ def test_indices_and_eval_matrix_match_definitions(data, n, d):
     for bad in (too_high, negative):
         with pytest.raises(ValueError, match="outside"):
             basis.indices(np.array([bad]))
+
+
+def test_index_of_outside_basis_raises_value_error():
+    basis = MonomialBasis(1, 2)
+    x = Polynomial.variable(0, 1)
+    y = PseudoMomentSequence.from_atoms([[0.5]], [1.0], 2)
+    for call in (lambda: basis.index_of((3,)), lambda: y.apply(x**3), lambda: y.value((3,)),
+                 lambda: (x**3).coeff_vector(basis),
+                 lambda: candidate_minimizer(PseudoMomentSequence(1, 0, [1.0]))):
+        with pytest.raises(ValueError, match=r"exponent \((3|1),\) outside the degree-(2|0) basis"):
+            call()
+
+
+def _random_localizing_problem(n, seed):
+    """A multi-term g, monomial rows of degree <= 2 and a random y over a basis wide enough."""
+    rng = np.random.default_rng(seed)
+    g = Polynomial(n, {tuple(a): rng.normal() for a in monomials_upto(n, 2) if rng.random() < 0.7})
+    g = g + Polynomial.constant(1.0, n) + 0.5 * Polynomial.variable(n - 1, n) ** 2
+    rows = monomials_upto(n, 2)
+    basis = MonomialBasis(n, 4 + g.degree)
+    return g, rows, basis, rng.normal(size=len(basis)), rng
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_localizing_map_gather_matches_definition(n):
+    g, rows, basis, y, rng = _random_localizing_problem(n, n)
+    loc = basis.localizing_map(rows, g)
+    expected = np.zeros((len(rows), len(rows)))
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            for gamma, c in g.terms.items():
+                expected[i, j] += c * y[basis.index_of(tuple(np.add(a, b) + gamma))]
+    np.testing.assert_array_equal(loc.gather(y), expected)
+    N = rng.normal(size=(len(basis), 3))
+    stacked = np.stack([loc.gather(N[:, k]) for k in range(3)], axis=-1)
+    np.testing.assert_array_equal(loc.gather(N), stacked)
+    zero = basis.localizing_map(rows, Polynomial.zero(n))
+    np.testing.assert_array_equal(zero.gather(y), np.zeros((len(rows), len(rows))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_localizing_map_adjoint(n):
+    g, rows, basis, y, rng = _random_localizing_problem(n, 10 + n)
+    loc = basis.localizing_map(rows, g)
+    G = rng.normal(size=(len(rows), len(rows)))
+    # <L(y), G> = <y, L'(G)>
+    assert np.sum(loc.gather(y) * G) == pytest.approx(y @ loc.adjoint(G), rel=1e-12)
+    # L'(G) is the coefficient vector of (v' G v) * g
+    vGv = Polynomial.zero(n)
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            vGv = vGv + G[i, j] * Polynomial(n, {tuple(np.add(a, b)): 1.0})
+    np.testing.assert_allclose(loc.adjoint(G), (vGv * g).coeff_vector(basis),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_zero_polynomial_conventions():
