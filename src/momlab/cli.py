@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 from .bench import builtin_corpus, load_corpus, run_suite
 from .cone import PseudoMomentSequence, ScaleRecord, SemialgebraicProblem
@@ -44,13 +45,18 @@ def _cmd_solve(args):
     if args.export_sdpa:
         export_sdpa(ms.problem, args.export_sdpa)
     res = solve_moment_sdp(prob, ms)
+    y = res.pseudo_moments
+    if prob.scale is not None:
+        y = y.map_affine(prob.scale)  # report in original coordinates
     report = {
         "level": res.d,
         "m_d_star": res.m_d_star,
         "f_d_star": res.f_d_star,
         "status": res.status,
         "retried": res.retried,
-        "pseudo_moments": res.pseudo_moments.to_json_dict(),
+        "pseudo_moments": y.to_json_dict(),
+        # the certificate stays in the saved problem's normalized coordinates
+        "scale": None if prob.scale is None else asdict(prob.scale),
         "certificate_residual": (
             None if res.certificate is None else res.certificate.residual_norm
         ),

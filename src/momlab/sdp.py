@@ -14,7 +14,8 @@ rank rule `sv_rank`.
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
 (<F_ji, W^-1 F_jk W^-1>) are the only code in the iteration that reads
-`mats`.
+`mats`.  `adjoint` is one matrix-vector product and `schur` one GEMM over
+the flattened (m, s*s) `mats`.
 
 The solver is an infeasible-start path-following method with Nesterov-Todd
 scaling and a Mehrotra-style adaptive centering step (predictor solve fixes
@@ -25,7 +26,12 @@ fully deterministic: fixed order, no randomized pivoting.
 Stopping rule: `Optimal` at the first iterate with relative residuals and
 gap <= TOL (1e-8).  A run that ends any other way returns its first iterate
 within LOOSE_TOL (1e-7), if it had one, as `Optimal` with `loose=True`; no
-second solve runs, and `iterations` and `trace` cover the whole run.
+second solve runs, and `iterations` and `trace` cover the whole run.  A run
+that ends MaxIter or IllConditioned with no such iterate gets a dual snap:
+its best iterate's Z is moved by the minimum-norm correction that makes
+A*(Z) = c exactly, and if every block stays positive definite and the
+residuals and gap are then within LOOSE_TOL, that dual-feasible (up to
+round-off) iterate is returned as `Optimal` with `loose=True`.
 """
 
 from __future__ import annotations
@@ -66,7 +72,8 @@ class SdpBlock:
     def __post_init__(self):
         self.F0 = np.asarray(self.F0, dtype=float)
         self.var_idx = np.asarray(self.var_idx, dtype=int)
-        self.mats = np.asarray(self.mats, dtype=float)
+        # C order once, so the flattened (m_act, s*s) view below never copies
+        self.mats = np.ascontiguousarray(self.mats, dtype=float)
         if self.mats.ndim == 2:
             self.mats = self.mats.reshape((0,) + self.F0.shape)
 
@@ -74,18 +81,26 @@ class SdpBlock:
     def size(self) -> int:
         return self.F0.shape[0]
 
+    @property
+    def flat_mats(self) -> np.ndarray:
+        """mats as an (m_act, s*s) matrix; explicit sizes, since m_act may be 0."""
+        return self.mats.reshape(self.mats.shape[0], self.size * self.size)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """sum over k of x[var_idx[k]] * mats[k]."""
         return np.tensordot(x[self.var_idx], self.mats, axes=1)
 
     def adjoint(self, Z: np.ndarray) -> np.ndarray:
         """<mats[k], Z> for every k: the block's share of A*(Z) on var_idx."""
-        return np.einsum("kab,ab->k", self.mats, Z)
+        return self.flat_mats @ Z.ravel()
 
     def schur(self, W_inv: np.ndarray) -> np.ndarray:
-        """<mats[i], W_inv mats[j] W_inv>: the block's Schur complement on var_idx."""
-        U = np.einsum("ab,kbc,cd->kad", W_inv, self.mats, W_inv)
-        return np.einsum("iab,jab->ij", self.mats, U)
+        """<mats[i], W_inv mats[j] W_inv>: the block's Schur complement on var_idx.
+
+        One batched product and one GEMM (Fujisawa, Kojima & Nakata 1997).
+        """
+        U = (W_inv @ self.mats @ W_inv).reshape(self.flat_mats.shape)
+        return self.flat_mats @ U.T
 
     def assemble(self, x: np.ndarray) -> np.ndarray:
         return self.F0 + self.apply(x)
@@ -270,6 +285,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
         """Largest fraction-to-boundary step keeping every block of Xs + a*dXs PSD."""
         return min(_max_step(Xj, dXj, STEP_FRAC) for Xj, dXj in zip(Xs, dXs))
 
+    def schur(W_inv):
+        """M[i, k] = sum over blocks of <F_ji, W_j^-1 F_jk W_j^-1>."""
+        M = np.zeros((nv, nv))
+        for blk, Wj_inv in zip(blocks, W_inv):
+            M[np.ix_(blk.var_idx, blk.var_idx)] += blk.schur(Wj_inv)
+        return _sym(M)
+
     for it in range(1, MAX_ITER + 1):
         Rp, rd, pobj, dobj, pres, dres = measure(x, S, Z)
         gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z))
@@ -305,10 +327,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # Nesterov-Todd scalings and Schur complement
         W_inv = [_nt_scaling_inv(Sj, Zj) for Sj, Zj in zip(S, Z)]
-        M = np.zeros((nv, nv))
-        for blk, Wj_inv in zip(blocks, W_inv):
-            M[np.ix_(blk.var_idx, blk.var_idx)] += blk.schur(Wj_inv)
-        M = _sym(M)
+        M = schur(W_inv)
 
         # dense Cholesky with escalating jitter on near-singularity
         scale = max(1.0, float(np.trace(M)) / max(nv, 1))
@@ -376,6 +395,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
         status = "Optimal"
     elif status != "Optimal" and status != "Infeasible" and best is not None:
         _, x, S, Z = best
+        # Stalls end with pres and gap tiny but A*(Z) drifted from c.  Snap Z
+        # back with the minimum-norm correction sum_i w_i F_i, (A A*) w = rd;
+        # if every block stays positive definite, Z is dual feasible.
+        w, _, _ = affine_solutions(schur([np.eye(blk.size) for blk in blocks]), c - adjoint(Z))
+        Z_snap = [_sym(Zj + blk.apply(w)) for blk, Zj in zip(blocks, Z)]
+        _, _, pobj, dobj, pres, dres = measure(x, S, Z_snap)
+        gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z_snap))
+        if (max(pres, dres, gap / (1.0 + abs(pobj) + abs(dobj))) <= LOOSE_TOL
+                and all(np.linalg.eigvalsh(Zj)[0] > 0.0 for Zj in Z_snap)):
+            Z, status, accepted_loose = Z_snap, "Optimal", True
     gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z))
     if status == "Optimal":
         # dual identifies the optimal face; snap the primal iterate onto it

@@ -111,6 +111,21 @@ def test_extract_reports_original_coordinates(capsys, tmp_path):
     assert out["atom_f_values"] == pytest.approx([0.0], abs=1e-6)
 
 
+def test_solve_reports_pseudo_moments_in_original_coordinates(capsys, tmp_path):
+    # min (x - 1)^2 on [-2, 2]: L(x) -> x* = 1, not the normalized u* = 1/2
+    x = Polynomial.variable(0, 1)
+    prob = SemialgebraicProblem(n=1, objective=(x - 1) ** 2, constraints=(4 - x * x,),
+                                ball_radius=2.0)
+    path = tmp_path / "normalized.json"
+    normalize(prob).save(path)
+    assert main(["solve", "--problem", str(path), "--level", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    y = PseudoMomentSequence.from_json_dict(out["pseudo_moments"])
+    assert y.value((1,)) == pytest.approx(1.0, abs=1e-3)
+    assert y.value((2,)) == pytest.approx(1.0, abs=1e-3)
+    assert out["scale"] == {"center": [0.0], "radius": [2.0]}
+
+
 def test_upper_subcommand(capsys, line_json):
     assert (
         main(["upper", "--problem", line_json, "--measure", "box", "--levels", "0:2:4"])

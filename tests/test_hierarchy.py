@@ -204,8 +204,10 @@ def test_first_time_solve_is_not_retried(monkeypatch, line_problem):
 
 
 def test_stalled_solve_accepted_in_one_run(monkeypatch):
-    # dense quartic (seed 1) on the unit disc at level 8: the run ends
-    # IllConditioned at iteration 31 after first meeting 1e-7 at iteration 23
+    # dense quartic (seed 1) on the unit disc at level 8: no iterate meets
+    # 1e-7 (at iteration 21 pres and gap do, dres is 1.1e-7); dres then drifts
+    # up to 6e-5 and the run ends IllConditioned at iteration 33, and the dual
+    # snap of the iteration-21 iterate is accepted as the loose solution
     rng = np.random.default_rng(1)
     f = Polynomial(2, {a: rng.standard_normal() for a in MonomialBasis(2, 4)})
     x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
@@ -218,6 +220,41 @@ def test_stalled_solve_accepted_in_one_run(monkeypatch):
     assert res.status == "Optimal" and res.retried is True
     assert sols[0].iterations > 23
     assert max(sols[0].primal_residual, sols[0].dual_residual, sols[0].gap) <= 1e-7
+
+
+def _sweep_problem(n, seed, domain):
+    rng = np.random.default_rng(seed)
+    f = Polynomial(n, {a: rng.standard_normal() for a in MonomialBasis(n, 4)})
+    xs = [Polynomial.variable(i, n) for i in range(n)]
+    if domain == "ball":
+        cons = (Polynomial.constant(1.0, n) - sum((x * x for x in xs), Polynomial.zero(n)),)
+    else:
+        cons = tuple(1 - x * x for x in xs)
+    return SemialgebraicProblem(n=n, objective=f, constraints=cons)
+
+
+def test_wide_seeded_sweep():
+    # 72 seeded problems (seeds 12-23, disjoint from the benchmark's pinned
+    # 0-11): 16 failed before the GEMM Schur kernel and the dual snap, 6 after;
+    # the bound leaves room for round-off on other CPUs.  Keep seeds and size.
+    failed = []
+    for n, d in ((1, 8), (2, 8), (3, 6)):
+        for domain in ("ball", "box"):
+            for seed in range(12, 24):
+                prob = _sweep_problem(n, seed, domain)
+                try:
+                    res = solve_moment_relaxation(prob, d, want_certificate=False)
+                except RuntimeError:
+                    failed.append((n, d, domain, seed))
+                    continue
+                # every bound sits below f at seeded feasible points
+                pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (256, n))
+                if domain == "ball":
+                    pts = pts[np.sum(pts * pts, axis=1) <= 1.0]
+                f_min = min(prob.objective(p) for p in pts)
+                assert res.m_d_star <= f_min + 1e-6, (n, d, domain, seed)
+                assert res.f_d_star <= f_min + 1e-6, (n, d, domain, seed)
+    assert len(failed) <= 8, failed
 
 
 def test_scale_invariance_through_normalize():

@@ -5,6 +5,9 @@ import pytest
 from scipy.optimize import linprog
 
 from momlab import sdp
+from momlab.cone import SemialgebraicProblem
+from momlab.hierarchy import build_moment_sdp
+from momlab.poly import MonomialBasis, Polynomial
 from momlab.sdp import (
     SdpBlock,
     SdpProblem,
@@ -215,6 +218,26 @@ def test_loose_acceptance_keeps_first_iterate_within_loose_tol(monkeypatch):
     assert sol.dual_value == sol.trace[within[0]][1]
     assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= sdp.LOOSE_TOL
     assert sol.value == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_stalled_solve_snaps_dual_to_exact_feasibility():
+    # dense quartic (seed 1) on the unit disc at level 8: no iterate meets
+    # LOOSE_TOL (the dual residual stops at 1.1e-7 and then drifts up), so the
+    # minimum-norm correction of the best dual is what makes the run Optimal
+    rng = np.random.default_rng(1)
+    f = Polynomial(2, {a: rng.standard_normal() for a in MonomialBasis(2, 4)})
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    disc = SemialgebraicProblem(n=2, objective=f, constraints=(1 - x1 * x1 - x2 * x2,))
+    prob = build_moment_sdp(disc, 8).problem
+    sol = solve(prob)
+    assert sol.status == "Optimal" and sol.loose
+    assert all(np.min(np.linalg.eigvalsh(Zj)) > 0.0 for Zj in sol.block_duals)
+    A_Z = np.zeros(prob.n_vars)
+    for blk, Zj in zip(prob.blocks, sol.block_duals):
+        for k, Fk in zip(blk.var_idx, blk.mats):
+            A_Z[k] += np.tensordot(Fk, Zj)
+    assert np.linalg.norm(prob.c - A_Z) / (1.0 + np.linalg.norm(prob.c)) <= 1e-12
+    assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= sdp.LOOSE_TOL
 
 
 def test_export_sdpa_format(tmp_path):
