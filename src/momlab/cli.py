@@ -54,6 +54,7 @@ def _cmd_solve(args):
         "f_d_star": res.f_d_star,
         "status": res.status,
         "retried": res.retried,
+        "iterations": res.iterations,
         "pseudo_moments": y.to_json_dict(),
         # the certificate stays in the saved problem's normalized coordinates
         "scale": None if prob.scale is None else asdict(prob.scale),

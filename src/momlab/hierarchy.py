@@ -78,6 +78,7 @@ class RelaxationResult:
     certificate: SosCertificate | None
     status: str
     retried: bool = False  # accepted iterate met only the loosened 1e-7 tolerance (sdp.LOOSE_TOL)
+    iterations: int = 0  # interior-point iterations of the solve; 0 when no SDP ran
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,9 @@ def solve_moment_sdp(
     The SDP is solved once, with no re-solve.  When the iteration misses the
     1e-8 tolerances, `sdp.solve` accepts its first iterate within 1e-7 if
     there is one; `retried` on the result says whether that happened (the
-    solution's `loose` flag).  Any other non-Optimal status raises.
+    solution's `loose` flag), and `iterations` how many iterations the solve
+    took.  Any other non-Optimal status raises RuntimeError with the status,
+    iteration count and residuals (`SdpSolution.describe`).
     """
     if ms.problem.n_vars == 0:
         # equalities pin every pseudo-moment; nothing to optimize
@@ -245,7 +248,7 @@ def solve_moment_sdp(
         return RelaxationResult(ms.d, val, y, val, None, "Optimal")
     sol = solve(ms.problem)
     if sol.status != "Optimal":
-        raise RuntimeError(f"level {ms.d}: moment SDP ended with status {sol.status}")
+        raise RuntimeError(f"level {ms.d}: moment SDP ended with {sol.describe()}")
     y_vec = ms.y_particular + ms.nullbasis @ sol.x
     y = PseudoMomentSequence(prob.n, 2 * ms.order, y_vec, ms.basis)
     m_d = sol.value + ms.offset
@@ -255,7 +258,7 @@ def solve_moment_sdp(
         grams = [extract_dual_gram(sol, j) for j in range(len(ms.block_bases))]
         cert = _certificate(prob, prob.objective, f_d, ms.basis,
                             ms.block_bases, ms.block_weights, grams)
-    return RelaxationResult(ms.d, m_d, y, f_d, cert, sol.status, sol.loose)
+    return RelaxationResult(ms.d, m_d, y, f_d, cert, sol.status, sol.loose, sol.iterations)
 
 
 def solve_sos_tightening(prob: SemialgebraicProblem, d: int):
@@ -284,7 +287,8 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
     solve: the Gram entries range over x_p + N z and the SDP is over (z, t).
     Returns the Grams, shifted by t* and eigenvalue-floored, or None when the
     matching is inconsistent, the SDP is infeasible or t* > MEMBERSHIP_TOL.
-    Any other non-Optimal status raises RuntimeError naming `what`.
+    Any other non-Optimal status raises RuntimeError naming `what`, the status,
+    iteration count and residuals.
     """
     # coefficient matching over the upper-triangular Gram entries
     cols, sizes = [], [len(rows) for rows, _ in blocks]
@@ -320,7 +324,7 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
     if sol.status == "Infeasible":
         return None
     if sol.status != "Optimal":
-        raise RuntimeError(f"{what} ended with status {sol.status}")
+        raise RuntimeError(f"{what} ended with {sol.describe()}")
     t_star = float(sol.x[t_idx])
     if t_star > MEMBERSHIP_TOL:
         return None

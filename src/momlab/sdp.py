@@ -14,14 +14,18 @@ rank rule `sv_rank`.
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
 (<F_ji, W^-1 F_jk W^-1>) are the only code in the iteration that reads
-`mats`.  `adjoint` is one matrix-vector product and `schur` one GEMM over
-the flattened (m, s*s) `mats`.
+`mats`.  `apply` and `adjoint` are one matrix-vector product each and
+`schur` one GEMM over the flattened (m, s*s) `mats`.
 
 The solver is an infeasible-start path-following method with Nesterov-Todd
 scaling and a Mehrotra-style adaptive centering step (predictor solve fixes
 sigma, corrector solve reuses the same Schur factorization).  Everything is
 dense; blocks at desk scale are at most a few hundred rows.  The iteration is
-fully deterministic: fixed order, no randomized pivoting.
+fully deterministic: fixed order, no randomized pivoting.  Each iterate's
+S_j and Z_j are Cholesky-factored once, and the predictor's and the
+corrector's step lengths both reuse those factors.  A block whose
+factorization fails has left the positive definite cone: no step can move it
+again, so the run ends there `IllConditioned`.
 
 Stopping rule: `Optimal` at the first iterate with relative residuals and
 gap <= TOL (1e-8).  A run that ends any other way returns its first iterate
@@ -88,7 +92,7 @@ class SdpBlock:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """sum over k of x[var_idx[k]] * mats[k]."""
-        return np.tensordot(x[self.var_idx], self.mats, axes=1)
+        return (x[self.var_idx] @ self.flat_mats).reshape(self.size, self.size)
 
     def adjoint(self, Z: np.ndarray) -> np.ndarray:
         """<mats[k], Z> for every k: the block's share of A*(Z) on var_idx."""
@@ -142,6 +146,12 @@ class SdpSolution:
     trace: list = field(default_factory=list)  # (pobj, dobj, pres, dres, mu) per iterate
     loose: bool = False  # Optimal only at LOOSE_TOL: the first iterate that met it
 
+    def describe(self) -> str:
+        """How the run ended, for error messages: status, iterations and residuals."""
+        return (f"status {self.status} after {self.iterations} iterations "
+                f"(pres {self.primal_residual:.2e}; dres {self.dual_residual:.2e}; "
+                f"gap {self.gap:.2e})")
+
 
 def _sym(A):
     return 0.5 * (A + A.T)
@@ -182,12 +192,11 @@ def affine_solutions(E: np.ndarray, h: np.ndarray):
     return x_p, vt[r:].T, float(np.linalg.norm(E @ x_p - h))
 
 
-def _max_step(S, dS, frac):
-    """Largest alpha <= 1 with S + alpha*dS still positive definite (fraction-to-boundary)."""
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return 0.0
+def _max_step(L, dS, frac):
+    """Largest alpha <= 1 with S + alpha*dS still positive definite (fraction-to-boundary).
+
+    L is the lower Cholesky factor of S.
+    """
     A = sla.solve_triangular(L, dS, lower=True)
     A = sla.solve_triangular(L, A.T, lower=True)
     lam_min = float(np.min(np.linalg.eigvalsh(_sym(A))))
@@ -281,9 +290,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dres = np.linalg.norm(rd) / c_scale
         return Rp, rd, pobj, dobj, pres, dres
 
-    def step(Xs, dXs):
-        """Largest fraction-to-boundary step keeping every block of Xs + a*dXs PSD."""
-        return min(_max_step(Xj, dXj, STEP_FRAC) for Xj, dXj in zip(Xs, dXs))
+    def step(Ls, dXs):
+        """Largest fraction-to-boundary step keeping every block of Xs + a*dXs PSD.
+
+        Ls are the Cholesky factors of the blocks of Xs.
+        """
+        return min(_max_step(Lj, dXj, STEP_FRAC) for Lj, dXj in zip(Ls, dXs))
 
     def schur(W_inv):
         """M[i, k] = sum over blocks of <F_ji, W_j^-1 F_jk W_j^-1>."""
@@ -324,6 +336,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if stall_count >= 3:
             status = "Infeasible" if pres > 1e2 * TOL else "IllConditioned"
             break
+        # one factorization per block and iterate, shared by both step lengths;
+        # a block that has left the PD cone would take step 0 from here on
+        try:
+            LS = [np.linalg.cholesky(Sj) for Sj in S]
+            LZ = [np.linalg.cholesky(Zj) for Zj in Z]
+        except np.linalg.LinAlgError:
+            status = "IllConditioned"
+            break
 
         # Nesterov-Todd scalings and Schur complement
         W_inv = [_nt_scaling_inv(Sj, Zj) for Sj, Zj in zip(S, Z)]
@@ -360,7 +380,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # predictor: pure Newton step toward the boundary fixes the centering weight
         dx_a, dS_a, dZ_a = direction([-Sj for Sj in S])
-        ap, ad = step(S, dS_a), step(Z, dZ_a)
+        ap, ad = step(LS, dS_a), step(LZ, dZ_a)
         gap_aff = sum(
             float(np.tensordot(Sj + ap * dSj, Zj + ad * dZj))
             for Sj, dSj, Zj, dZj in zip(S, dS_a, Z, dZ_a)
@@ -378,7 +398,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status = "IllConditioned"
             break
         dx, dS, dZ = direction(Rc)
-        ap, ad = step(S, dS), step(Z, dZ)
+        ap, ad = step(LS, dS), step(LZ, dZ)
 
         if max(ap, ad) < 1e-8:
             stall_count += 1

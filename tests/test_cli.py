@@ -50,6 +50,15 @@ def test_solve_reports_retry(capsys, line_json, monkeypatch):
     assert len(calls) == 2
 
 
+def test_solve_reports_iterations(capsys, line_json, monkeypatch):
+    real, sols = momlab.hierarchy.solve, []
+    monkeypatch.setattr(momlab.hierarchy, "solve", lambda p: sols.append(real(p)) or sols[-1])
+    assert main(["solve", "--problem", line_json, "--level", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(sols) == 1
+    assert out["iterations"] == sols[0].iterations > 0
+
+
 def test_solve_with_certificate_and_sdpa(capsys, tmp_path, line_json, monkeypatch):
     sdpa = tmp_path / "line.dat-s"
     builds = []

@@ -206,8 +206,9 @@ def test_first_time_solve_is_not_retried(monkeypatch, line_problem):
 def test_stalled_solve_accepted_in_one_run(monkeypatch):
     # dense quartic (seed 1) on the unit disc at level 8: no iterate meets
     # 1e-7 (at iteration 21 pres and gap do, dres is 1.1e-7); dres then drifts
-    # up to 6e-5 and the run ends IllConditioned at iteration 33, and the dual
-    # snap of the iteration-21 iterate is accepted as the loose solution
+    # up and the run ends IllConditioned at iteration 29, when a block leaves
+    # the PD cone, and the dual snap of the iteration-21 iterate is accepted
+    # as the loose solution
     rng = np.random.default_rng(1)
     f = Polynomial(2, {a: rng.standard_normal() for a in MonomialBasis(2, 4)})
     x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
@@ -231,6 +232,22 @@ def _sweep_problem(n, seed, domain):
     else:
         cons = tuple(1 - x * x for x in xs)
     return SemialgebraicProblem(n=n, objective=f, constraints=cons)
+
+
+def test_block_off_the_cone_ends_the_solve():
+    # the dual moment block of this wide-sweep problem stops being
+    # Cholesky-factorable (at iteration 22 here); with its step pinned at 0 the
+    # run used to iterate on to MaxIter (200) and return the same iterate
+    sol = sdp.solve(build_moment_sdp(_sweep_problem(2, 17, "box"), 8).problem)
+    assert sol.status != "MaxIter"
+    assert sol.iterations < sdp.MAX_ITER
+
+
+def test_failed_solve_says_how_it_ended(monkeypatch, line_problem):
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
+    with pytest.raises(RuntimeError, match=r"level 2: moment SDP ended with status MaxIter "
+                                           r"after 2 iterations \(pres .*; dres .*; gap .*\)"):
+        solve_moment_relaxation(line_problem, 2)
 
 
 def test_wide_seeded_sweep():
