@@ -154,8 +154,8 @@ def _cmd_support(args):
     else:
         family = default_power_family(y.n)
         budget = 2 * args.degree
-        for pt in box_grid(box, args.res):
-            margin = power_method_margin(y, budget, family, pt)
+        pts = box_grid(box, args.res)
+        for pt, margin in zip(pts, power_method_margin(y, budget, family, pts)):
             writer.writerow(list(pt) + [f"{margin:.10g}", int(margin >= 0)])
 
 

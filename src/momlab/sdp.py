@@ -25,7 +25,11 @@ fully deterministic: fixed order, no randomized pivoting.  Each iterate's
 S_j and Z_j are Cholesky-factored once, and the predictor's and the
 corrector's step lengths both reuse those factors.  A block whose
 factorization fails has left the positive definite cone: no step can move it
-again, so the run ends there `IllConditioned`.
+again, so the run ends there `IllConditioned`.  The blocks are small, so the
+loop's cost is per-call overhead more than arithmetic: every triangular solve
+is one direct LAPACK `trtrs` call (`_tri_solve`) that keeps scipy's checks (a
+non-finite operand raises ValueError, a zero pivot LinAlgError), and every
+Frobenius inner product one dot product (`_inner`).
 
 Stopping rule: `Optimal` at the first iterate with relative residuals and
 gap <= TOL (1e-8).  A run that ends any other way returns its first iterate
@@ -44,7 +48,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
     "SdpBlock",
@@ -158,18 +162,51 @@ def _sym(A):
 
 
 def _eigh_sqrt(A):
+    """(U, r) with A^(1/2) = U diag(r) U', eigenvalues floored at 1e-14 of the largest."""
     w, U = np.linalg.eigh(A)
     floor = max(w[-1], 1e-300) * 1e-14
-    w = np.clip(w, floor, None)
-    return (U * np.sqrt(w)) @ U.T, (U / np.sqrt(w)) @ U.T
+    return U, np.sqrt(np.clip(w, floor, None))
 
 
 def _nt_scaling_inv(S, Z):
     """Inverse of the Nesterov-Todd scaling point W with W Z W = S."""
-    Sh, Sh_inv = _eigh_sqrt(S)
-    T = _sym(Sh @ Z @ Sh)
-    Th, _ = _eigh_sqrt(T)
-    return _sym(Sh_inv @ Th @ Sh_inv)
+    U, r = _eigh_sqrt(S)
+    Sh, Sh_inv = (U * r) @ U.T, (U / r) @ U.T
+    V, t = _eigh_sqrt(_sym(Sh @ Z @ Sh))
+    return _sym(Sh_inv @ ((V * t) @ V.T) @ Sh_inv)
+
+
+def _inner(A, B):
+    """Frobenius inner product <A, B> as one (1, n) by (n, 1) dot product."""
+    return float(np.dot(A.reshape(1, -1), B.reshape(-1, 1))[0, 0])
+
+
+_trtrs, = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
+
+
+def _tri_solve(L, B, trans=0):
+    """L^-1 B (trans=0) or L^-T B (trans=1) for lower-triangular L, by LAPACK trtrs.
+
+    The same LAPACK call scipy.linalg's triangular solver makes for L (lower)
+    or L.T (upper), without its per-call wrapper, and with its checks: a
+    non-finite operand raises ValueError, a zero on the diagonal LinAlgError.
+    LAPACK reads Fortran order, so a matrix that is not Fortran-contiguous
+    goes in as its transpose, with the triangle and `trans` flipped.
+    """
+    if not (np.isfinite(L).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if B.size == 0:
+        return np.empty_like(B)
+    A, lower = (L.T, 0) if trans else (L, 1)
+    if A.flags.f_contiguous:
+        X, info = _trtrs(A, B, lower=lower, trans=0)
+    else:
+        X, info = _trtrs(A.T, B, lower=1 - lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return X
 
 
 def sv_rank(s: np.ndarray, tol: float) -> int:
@@ -197,8 +234,8 @@ def _max_step(L, dS, frac):
 
     L is the lower Cholesky factor of S.
     """
-    A = sla.solve_triangular(L, dS, lower=True)
-    A = sla.solve_triangular(L, A.T, lower=True)
+    A = _tri_solve(L, dS)
+    A = _tri_solve(L, A.T)
     lam_min = float(np.min(np.linalg.eigvalsh(_sym(A))))
     if not np.isfinite(lam_min):
         return 0.0
@@ -285,7 +322,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         Rp = [blk.assemble(x) - Sj for blk, Sj in zip(blocks, S)]
         rd = c - adjoint(Z)
         pobj = float(c @ x)
-        dobj = -sum(float(np.tensordot(blk.F0, Zj)) for blk, Zj in zip(blocks, Z))
+        dobj = -sum(_inner(blk.F0, Zj) for blk, Zj in zip(blocks, Z))
         pres = max(np.linalg.norm(R) / fs for R, fs in zip(Rp, f0_scale))
         dres = np.linalg.norm(rd) / c_scale
         return Rp, rd, pobj, dobj, pres, dres
@@ -297,16 +334,18 @@ def solve(problem: SdpProblem) -> SdpSolution:
         """
         return min(_max_step(Lj, dXj, STEP_FRAC) for Lj, dXj in zip(Ls, dXs))
 
+    schur_idx = [np.ix_(blk.var_idx, blk.var_idx) for blk in blocks]
+
     def schur(W_inv):
         """M[i, k] = sum over blocks of <F_ji, W_j^-1 F_jk W_j^-1>."""
         M = np.zeros((nv, nv))
-        for blk, Wj_inv in zip(blocks, W_inv):
-            M[np.ix_(blk.var_idx, blk.var_idx)] += blk.schur(Wj_inv)
+        for blk, idx, Wj_inv in zip(blocks, schur_idx, W_inv):
+            M[idx] += blk.schur(Wj_inv)
         return _sym(M)
 
     for it in range(1, MAX_ITER + 1):
         Rp, rd, pobj, dobj, pres, dres = measure(x, S, Z)
-        gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z))
+        gap = sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z))
         mu = gap / dim_total
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         trace.append((pobj, dobj, pres, dres, mu))
@@ -364,8 +403,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             break
 
         def m_solve(rhs):
-            u = sla.solve_triangular(Lm, rhs, lower=True)
-            return sla.solve_triangular(Lm.T, u, lower=False)
+            return _tri_solve(Lm, _tri_solve(Lm, rhs), trans=1)
 
         def direction(Rc):
             g = adjoint([_sym(Wj_inv @ (Rcj - Rpj) @ Wj_inv)
@@ -382,7 +420,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dx_a, dS_a, dZ_a = direction([-Sj for Sj in S])
         ap, ad = step(LS, dS_a), step(LZ, dZ_a)
         gap_aff = sum(
-            float(np.tensordot(Sj + ap * dSj, Zj + ad * dZj))
+            _inner(Sj + ap * dSj, Zj + ad * dZj)
             for Sj, dSj, Zj, dZj in zip(S, dS_a, Z, dZ_a)
         )
         sigma = min(1.0, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
@@ -421,11 +459,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
         w, _, _ = affine_solutions(schur([np.eye(blk.size) for blk in blocks]), c - adjoint(Z))
         Z_snap = [_sym(Zj + blk.apply(w)) for blk, Zj in zip(blocks, Z)]
         _, _, pobj, dobj, pres, dres = measure(x, S, Z_snap)
-        gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z_snap))
+        gap = sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z_snap))
         if (max(pres, dres, gap / (1.0 + abs(pobj) + abs(dobj))) <= LOOSE_TOL
                 and all(np.linalg.eigvalsh(Zj)[0] > 0.0 for Zj in Z_snap)):
             Z, status, accepted_loose = Z_snap, "Optimal", True
-    gap = sum(float(np.tensordot(Sj, Zj)) for Sj, Zj in zip(S, Z))
+    gap = sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z))
     if status == "Optimal":
         # dual identifies the optimal face; snap the primal iterate onto it
         x = _refine_primal(problem, x, Z, LOOSE_TOL if accepted_loose else TOL, gap)

@@ -134,17 +134,22 @@ def power_method_margin(
     family: list,
     x,
     tol: float = 1e-9,
-) -> float:
+) -> float | np.ndarray:
     """min over the family of [sup over admissible n of L(q^{2n})^{1/2n}] - |q(x)|.
 
     Nonnegative margin means x survives every even-power moment-growth test
     the degree budget d allows; the set of such x contains the support of any
-    representing measure.
+    representing measure.  `x` is one point (n,), for which the margin is a
+    float, or m points (m, n), for which it is an array of m margins; the
+    bounds L(q^{2n})^{1/2n} do not depend on x and are computed once per call.
     """
     if d > y.order:
         raise ValueError(f"degree budget {d} needs moments to degree {d} > {y.order}")
     x = np.asarray(x, dtype=float)
-    margin = math.inf
+    if x.ndim not in (1, 2) or x.shape[-1] != y.n:
+        raise ValueError(f"x must have shape ({y.n},) or (m, {y.n}), got {x.shape}")
+    pts = x.reshape(-1, y.n)
+    margin = np.full(pts.shape[0], math.inf)
     for q in family:
         dq = q.degree
         if dq == 0:
@@ -164,5 +169,5 @@ def power_method_margin(
                         f"negative even pseudo-moment L(q^{2*k}) = {val}; invalid input"
                     )
                 bound = max(bound, max(val, 0.0) ** (1.0 / (2 * k)))
-        margin = min(margin, bound - abs(q(x)))
-    return float(margin)
+        margin = np.minimum(margin, bound - np.abs(q.eval_grid(pts)))
+    return float(margin[0]) if x.ndim == 1 else margin

@@ -144,8 +144,10 @@ def _moment_pencil(f: Polynomial, mu: ReferenceMeasure, k: int):
     loc_A = full.localizing_map(basis.exps, f)
     loc_B = full.localizing_map(basis.exps, Polynomial.constant(1.0, mu.n))
     # ask the measure only for the moments the pencil uses
+    used = np.zeros(len(full), dtype=bool)
+    used[loc_A.idx] = used[loc_B.idx] = True
     moments = np.zeros(len(full))
-    for j in np.unique(np.concatenate([loc_A.idx, loc_B.idx])):
+    for j in np.flatnonzero(used):
         moments[j] = mu.moment(full[j])
     return loc_A.gather(moments), loc_B.gather(moments), basis
 

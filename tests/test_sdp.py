@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
 from momlab import sdp
@@ -26,6 +27,45 @@ def _lp_as_sdp(c, A_ub, b_ub):
         mats = np.array([[[-row[i]]] for i in idx])
         blocks.append(SdpBlock(F0=np.array([[bi]]), var_idx=idx, mats=mats))
     return SdpProblem(n_vars=len(c), c=np.asarray(c, float), blocks=blocks)
+
+
+@pytest.mark.parametrize("size", [1, 10, 35])
+def test_tri_solve_matches_scipy_bitwise(size):
+    rng = np.random.default_rng(size)
+    G = rng.standard_normal((size, size))
+    L = np.linalg.cholesky(G @ G.T + size * np.eye(size))
+    D = rng.standard_normal((size, size))
+    # the operands the solver passes: a matrix, its transpose (not C-ordered) and a vector
+    for B in (D, D.T, D[:, 0].copy()):
+        assert (sdp._tri_solve(L, B).tobytes()
+                == solve_triangular(L, B, lower=True).tobytes())
+        assert (sdp._tri_solve(L, B, trans=1).tobytes()
+                == solve_triangular(L.T, B, lower=False).tobytes())
+
+
+def test_tri_solve_checks():
+    L = np.linalg.cholesky(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    B = np.eye(2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sdp._tri_solve(L, np.array([[1.0, bad], [0.0, 1.0]]))
+        L_bad = L.copy()
+        L_bad[1, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sdp._tri_solve(L_bad, B, trans=1)
+    L_sing = L.copy()
+    L_sing[1, 1] = 0.0
+    for trans in (0, 1):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            sdp._tri_solve(L_sing, B, trans=trans)
+
+
+def test_inner_matches_tensordot_bitwise():
+    rng = np.random.default_rng(3)
+    for size in (1, 10, 35):
+        A, B = rng.standard_normal((2, size, size))
+        for X, Y in ((A, B), (A.T, B), (A, A)):
+            assert sdp._inner(X, Y).hex() == float(np.tensordot(X, Y)).hex()
 
 
 def test_simple_2x2_bound():

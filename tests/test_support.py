@@ -149,3 +149,17 @@ def test_power_margin_default_family_soundness():
     family = default_power_family(2)
     for a in atoms:
         assert power_method_margin(y, 8, family, a) >= -1e-10
+
+
+def test_power_margin_batch_equals_per_point():
+    rng = np.random.default_rng(5)
+    y = PseudoMomentSequence.from_atoms(rng.uniform(-1, 1, (4, 2)), rng.uniform(1.0, 2.0, 4), 12)
+    family = default_power_family(2) + [Polynomial(2, {(3, 0): 1.0, (1, 2): -0.5, (0, 0): 0.25})]
+    pts = np.vstack([rng.uniform(-1.5, 1.5, (200, 2)), np.zeros((1, 2))])
+    loop = [power_method_margin(y, 12, family, p) for p in pts]
+    assert all(type(m) is float for m in loop)
+    batch = power_method_margin(y, 12, family, pts)
+    assert batch.shape == (len(pts),)
+    assert batch.tobytes() == np.array(loop).tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        power_method_margin(y, 12, family, np.zeros((4, 3)))
