@@ -322,7 +322,7 @@ def _run_problem(bp: BenchProblem, r_dist: int = 2) -> RateReport:
         f_vals.append(res.f_d_star)
         m_gaps.append(f_star - res.m_d_star)
         y = res.pseudo_moments
-        x_d = candidate_minimizer(y, bp.problem.scale)
+        x_d = candidate_minimizer(y)
         est_errs.append(float(np.linalg.norm(x_d - x_star)))
         mom_dists.append(moment_distance_to_optimal(y, s_star, r=r_dist))
         k = y.order // 2

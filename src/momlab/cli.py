@@ -9,10 +9,10 @@ import sys
 from dataclasses import asdict
 
 from .bench import builtin_corpus, load_corpus, run_suite
-from .cone import PseudoMomentSequence, ScaleRecord, SemialgebraicProblem
+from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import candidate_minimizer, check_flatness, extract_atoms
 from .hierarchy import build_moment_sdp, solve_moment_relaxation, solve_moment_sdp
-from .poly import box_grid, grlex_key
+from .poly import box_grid
 from .sdp import export_sdpa
 from .support import cd_kernel, cd_support_grid, default_power_family, power_method_margin
 from .upperbound import ReferenceMeasure, solve_upper_bound
@@ -35,8 +35,17 @@ def _parse_box(spec: str):
     return lo, hi
 
 
-def _poly_json(p):
-    return p.to_json_dict()
+def _to_original(prob, value):
+    """Points or a PseudoMomentSequence of `prob`, in original coordinates.
+
+    The library answers in the problem's own coordinates; a normalized problem
+    carries the ScaleRecord that maps those answers back for the reports.
+    """
+    if prob.scale is None:
+        return value
+    if isinstance(value, PseudoMomentSequence):
+        return value.map_affine(prob.scale)
+    return prob.scale.to_original(value)
 
 
 def _cmd_solve(args):
@@ -45,9 +54,6 @@ def _cmd_solve(args):
     if args.export_sdpa:
         export_sdpa(ms.problem, args.export_sdpa)
     res = solve_moment_sdp(prob, ms)
-    y = res.pseudo_moments
-    if prob.scale is not None:
-        y = y.map_affine(prob.scale)  # report in original coordinates
     report = {
         "level": res.d,
         "m_d_star": res.m_d_star,
@@ -55,7 +61,7 @@ def _cmd_solve(args):
         "status": res.status,
         "retried": res.retried,
         "iterations": res.iterations,
-        "pseudo_moments": y.to_json_dict(),
+        "pseudo_moments": _to_original(prob, res.pseudo_moments).to_json_dict(),
         # the certificate stays in the saved problem's normalized coordinates
         "scale": None if prob.scale is None else asdict(prob.scale),
         "certificate_residual": (
@@ -69,7 +75,7 @@ def _cmd_solve(args):
             "gram_bases": [
                 [list(a) for a in rows] for rows in res.certificate.gram_bases
             ],
-            "multipliers": [_poly_json(m) for m in res.certificate.multipliers],
+            "multipliers": [m.to_json_dict() for m in res.certificate.multipliers],
         }
     json.dump(report, sys.stdout, indent=2)
     print()
@@ -83,7 +89,6 @@ def _cmd_extract(args):
     r = max(1, prob.max_constraint_degree)
     rep = check_flatness(y, k, min(r, k), tol=args.rank_tol)
     x = candidate_minimizer(y)
-    scale = prob.scale or ScaleRecord.identity(prob.n)  # report in original coordinates
     report = {
         "level": args.level,
         "m_d_star": res.m_d_star,
@@ -97,13 +102,13 @@ def _cmd_extract(args):
             "singular_values_truncated": rep.singular_values_truncated.tolist(),
             "tol": rep.tol,
         },
-        "candidate_minimizer": scale.to_original(x).tolist(),
+        "candidate_minimizer": _to_original(prob, x).tolist(),
         "candidate_in_K": bool(prob.contains(x, tol=1e-6)),
     }
     if rep.is_flat:
         try:
             mu = extract_atoms(y, k, rank_tol=args.rank_tol)
-            report["atoms"] = scale.to_original(mu.atoms).tolist()
+            report["atoms"] = _to_original(prob, mu.atoms).tolist()
             report["weights"] = mu.weights.tolist()
             report["atom_f_values"] = [float(prob.objective(a)) for a in mu.atoms]
             report["atom_in_K"] = [bool(prob.contains(a, tol=1e-6)) for a in mu.atoms]
@@ -122,13 +127,14 @@ def _cmd_upper(args):
     out = []
     for d in _parse_levels(args.levels):
         r = solve_upper_bound(prob.objective, mu, d)
-        sigma_terms = sorted(r.sigma.terms.items(), key=lambda kv: grlex_key(kv[0]))
         out.append(
             {
                 "level": d,
                 "u_d_star": r.u_d_star,
-                "sigma": [{"alpha": list(a), "c": c} for a, c in sigma_terms],
-                "x_check": r.x_check.tolist(),
+                "sigma": r.sigma.to_json_dict()["terms"],
+                "x_check": _to_original(prob, r.x_check).tolist(),
+                # sigma stays in the saved problem's normalized coordinates
+                "scale": None if prob.scale is None else asdict(prob.scale),
                 "feasible": r.feasible,
                 "cost": r.cost,
             }

@@ -143,14 +143,15 @@ class SemialgebraicProblem:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def normalize(prob: SemialgebraicProblem, grid_per_axis: int = 64) -> SemialgebraicProblem:
+def normalize(prob: SemialgebraicProblem) -> SemialgebraicProblem:
     """Rescale a problem so the effective-degree-bound hypotheses hold.
 
     Applies the affine map x = R*u (taking the R-ball into the unit box),
-    rescales every constraint so its grid-estimated sup norm on [-1,1]^n is
-    at most 0.45 (target 1/2 with a 0.9 safety factor on the estimate), and
-    appends the unit-ball constraint 1 - ||u||^2.  Positive rescaling leaves
-    K invariant; the returned scale record maps answers back.
+    rescales every constraint so the l1 norm of its coefficients is at most
+    0.45, and appends the unit-ball constraint 1 - ||u||^2.  Since |u^alpha| <= 1
+    on [-1,1]^n, the l1 norm bounds the sup there, so sup |g| <= 1/2 holds with
+    a 0.9 margin.  Positive rescaling leaves K invariant; the returned scale
+    record maps answers back.
     """
     if prob.ball_radius is None:
         raise ValueError("normalization needs ball_radius (a known bound K within the R-ball)")
@@ -160,9 +161,9 @@ def normalize(prob: SemialgebraicProblem, grid_per_axis: int = 64) -> Semialgebr
 
     def rescale(p: Polynomial) -> Polynomial:
         q = p.compose_affine(scale.center, scale.radius)
-        sup = q.sup_norm_box(grid_per_axis)
-        if sup > 0.45:
-            q = q * (0.45 / sup)
+        l1 = sum(abs(c) for c in q.terms.values())
+        if l1 > 0.45:
+            q = q * (0.45 / l1)
         return q
 
     constraints = [rescale(p) for p in prob.constraints]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .cone import PseudoMomentSequence, ScaleRecord, moment_matrix
+from .cone import PseudoMomentSequence, moment_matrix
 from .poly import MonomialBasis
 from .sdp import affine_solutions, sv_rank
 
@@ -175,17 +175,14 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
     raise last_err or ValueError("atom extraction failed")
 
 
-def candidate_minimizer(y: PseudoMomentSequence, scale: ScaleRecord | None = None) -> np.ndarray:
-    """First-order pseudo-moments (L(X_1),...,L(X_n)), mapped to original coordinates.
+def candidate_minimizer(y: PseudoMomentSequence) -> np.ndarray:
+    """First-order pseudo-moments (L(X_1),...,L(X_n)), in the coordinates of y.
 
     No feasibility is implied; low levels routinely place this point outside K.
     """
     if abs(y.value((0,) * y.n) - 1.0) > 1e-6:
         raise ValueError("candidate minimizer needs a normalized sequence (y_0 = 1)")
-    x = np.array([y.value(tuple(int(i == j) for j in range(y.n))) for i in range(y.n)])
-    if scale is not None:
-        x = scale.to_original(x)
-    return x
+    return np.array([y.value(tuple(int(i == j) for j in range(y.n))) for i in range(y.n)])
 
 
 def tchakaloff_prune(mu: AtomicMeasure, t: int) -> AtomicMeasure:

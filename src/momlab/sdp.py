@@ -123,10 +123,6 @@ class SdpProblem:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
 
-    @property
-    def block_sizes(self):
-        return [blk.size for blk in self.blocks]
-
 
 MAX_ITER = 200
 STEP_FRAC = 0.99  # fraction of the distance to the PSD boundary a step may cover

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .cone import ScaleRecord, SemialgebraicProblem
+from .cone import SemialgebraicProblem
 from .hierarchy import _certificate, phase1_gram, solve_moment_relaxation
 from .extraction import candidate_minimizer
 from .poly import MonomialBasis, Polynomial, monomials_upto
@@ -184,12 +184,7 @@ def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBound
     )
 
 
-def estimator_from_density(
-    f: Polynomial,
-    sigma: Polynomial,
-    mu: ReferenceMeasure,
-    scale: ScaleRecord | None = None,
-):
+def estimator_from_density(f: Polynomial, sigma: Polynomial, mu: ReferenceMeasure):
     """Density-weighted barycenter x_check, its cost, and a conv(supp) flag."""
     mass = mu.integrate(sigma)
     if abs(mass - 1.0) > 1e-8:
@@ -199,8 +194,6 @@ def estimator_from_density(
     )
     cost = mu.integrate(f * sigma)
     in_hull = mu.in_support_hull(x_check)
-    if scale is not None:
-        x_check = scale.to_original(x_check)
     return x_check, cost, in_hull
 
 
@@ -248,16 +241,15 @@ def convex_cost_bound(prob: SemialgebraicProblem, d: int, f_star: float | None =
 
     For convex problems the first-order pseudo-moments of the level-d
     relaxation are already a near-minimizer; the report carries the candidate,
-    its objective value, the lower bound, and the gap to a known optimum.
+    its objective value, the lower bound, and the gap to a known optimum, all
+    in the problem's own coordinates.
     """
     convex, cert = is_sos_convex(prob.objective)
     if not convex:
         raise ValueError("objective is not SOS-convex")
     res = solve_moment_relaxation(prob, d)
-    x_cand = candidate_minimizer(res.pseudo_moments, prob.scale)
-    f_at = prob.objective(
-        x_cand if prob.scale is None else prob.scale.to_normalized(x_cand)
-    )
+    x_cand = candidate_minimizer(res.pseudo_moments)
+    f_at = prob.objective(x_cand)
     if not f_at <= res.m_d_star + 1e-6:
         raise RuntimeError("convex candidate exceeded the lower bound")
     return {

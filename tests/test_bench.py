@@ -9,6 +9,7 @@ import pytest
 
 import momlab
 from momlab.bench import (
+    BenchProblem,
     brute_force_oracle,
     builtin_corpus,
     fit_rate,
@@ -16,8 +17,9 @@ from momlab.bench import (
     moment_distance_to_optimal,
     run_suite,
 )
-from momlab.cone import PseudoMomentSequence, SemialgebraicProblem
+from momlab.cone import PseudoMomentSequence, SemialgebraicProblem, normalize
 from momlab.poly import Polynomial
+from momlab.upperbound import ReferenceMeasure
 
 
 def test_oracle_interval_linear(line_problem):
@@ -171,6 +173,19 @@ def test_run_suite_isolates_bad_problem():
     assert reports[0].statuses[0].startswith("Failed")
     assert reports[1].m_values[0] == pytest.approx(-1.0, abs=1e-6)
     assert "ok,2," in csv_text
+
+
+def test_run_suite_on_normalized_problem_compares_in_its_coordinates():
+    # min (x - 1)^2 on [-2, 2], normalized by R = 2: oracle and candidate both see u* = 1/2
+    x = Polynomial.variable(0, 1)
+    prob = normalize(SemialgebraicProblem(n=1, objective=(x - 1) ** 2,
+                                          constraints=(4 - x * x,), ball_radius=2.0))
+    bp = BenchProblem(id="normalized", problem=prob, d_min=2, d_max=4, upper_levels=(),
+                      measure=ReferenceMeasure.box(1), unique_minimizer=True)
+    (rep,), _ = run_suite([bp])
+    assert rep.statuses == ["Optimal"] * 3
+    assert rep.x_star == pytest.approx([0.5])
+    assert all(err <= 1e-4 for err in rep.est_errors), rep.est_errors
 
 
 def test_full_suite_reports(suite_run):

@@ -9,6 +9,7 @@ import momlab.sdp
 from momlab.cli import main
 from momlab.cone import PseudoMomentSequence, SemialgebraicProblem, normalize
 from momlab.poly import Polynomial
+from momlab.upperbound import ReferenceMeasure, solve_upper_bound
 
 
 @pytest.fixture()
@@ -146,6 +147,21 @@ def test_upper_subcommand(capsys, line_json):
     vals = [e["u_d_star"] for e in out]
     assert all(hi <= lo + 1e-10 for lo, hi in zip(vals, vals[1:]))
     assert out[0]["feasible"]
+
+
+def test_upper_reports_x_check_in_original_coordinates(capsys, tmp_path):
+    # min (x - 1)^2 on [-2, 2]: x_check approaches x* = 1, not the normalized u* = 1/2
+    x = Polynomial.variable(0, 1)
+    prob = normalize(SemialgebraicProblem(n=1, objective=(x - 1) ** 2,
+                                          constraints=(4 - x * x,), ball_radius=2.0))
+    path = tmp_path / "normalized.json"
+    prob.save(path)
+    assert main(["upper", "--problem", str(path), "--measure", "box", "--levels", "8"]) == 0
+    (out,) = json.loads(capsys.readouterr().out)
+    u_check = solve_upper_bound(prob.objective, ReferenceMeasure.box(1), 8).x_check
+    assert out["x_check"] == pytest.approx(2.0 * u_check, rel=1e-12)
+    assert out["x_check"] == pytest.approx([1.0], abs=0.1)
+    assert out["scale"] == {"center": [0.0], "radius": [2.0]}
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from momlab.cone import (
     vector_integral_check,
 )
 from momlab.extraction import AtomicMeasure
-from momlab.poly import Polynomial
+from momlab.poly import Polynomial, monomials_upto
 
 
 def test_scale_record_roundtrip():
@@ -79,13 +80,38 @@ def test_normalize_rescales_and_appends_ball():
     assert len(norm.constraints) == 2
     ball = norm.constraints[-1]
     assert ball.terms == {(0,): 1.0, (2,): -1.0}
-    # all rescaled constraints have grid sup <= 0.45 (+ tiny numerical slack)
-    assert norm.constraints[0].sup_norm_box() <= 0.45 + 1e-12
+    # all rescaled constraints have coefficient l1 norm, a bound on the sup over the box,
+    # <= 0.45 (+ tiny numerical slack)
+    assert sum(abs(c) for c in norm.constraints[0].terms.values()) <= 0.45 + 1e-12
     # K is preserved: u = 1 is the boundary point corresponding to x = 2
     assert norm.constraints[0]([1.0]) == pytest.approx(0.0, abs=1e-12)
     assert norm.scale.to_original([1.0])[0] == pytest.approx(2.0)
     # objective is only recoordinatized, never rescaled
     assert norm.objective([0.5]) == pytest.approx(prob.objective([1.0]))
+
+
+def test_normalize_dense_n5_quartic_is_fast_and_certified():
+    # the time bound rules out a grid estimate: 64 points per axis of [-1,1]^5 take about 43 GB
+    rng = np.random.default_rng(0)
+    n = 5
+
+    def dense():
+        return Polynomial(n, {a: rng.standard_normal() for a in monomials_upto(n, 4)})
+
+    ball = Polynomial.constant(4.0, n)
+    for i in range(n):
+        ball = ball - Polynomial.variable(i, n) ** 2
+    prob = SemialgebraicProblem(n=n, objective=dense(), constraints=(dense(), ball),
+                                equalities=(dense(),), ball_radius=2.0)
+    start = time.perf_counter()
+    norm = normalize(prob)
+    assert time.perf_counter() - start < 1.0
+    pts = rng.uniform(-1.0, 1.0, size=(2000, n))
+    for g in norm.constraints[:-1] + norm.equalities:
+        l1 = sum(abs(c) for c in g.terms.values())
+        assert l1 <= 0.45 + 1e-12
+        # the l1 norm bounds |g| everywhere on the box
+        assert np.max(np.abs(g.eval_grid(pts))) <= l1
 
 
 def test_moment_sequence_from_atoms_and_apply():

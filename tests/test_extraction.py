@@ -94,7 +94,7 @@ def test_candidate_minimizer_and_scale():
     # candidate stays in the convex hull of the atoms
     assert atoms[:, 0].min() <= cand[0] <= atoms[:, 0].max()
     sc = ScaleRecord((1.0, 0.0), (2.0, 1.0))
-    np.testing.assert_allclose(candidate_minimizer(y, sc), [1.8, 0.2], atol=1e-12)
+    np.testing.assert_allclose(sc.to_original(candidate_minimizer(y)), [1.8, 0.2], atol=1e-12)
 
 
 def test_candidate_minimizer_requires_normalization():

@@ -283,7 +283,7 @@ def test_scale_invariance_through_normalize():
     res = solve_moment_relaxation(norm, 2)
     # minimum of x over [-2, 2] seen through the normalized coordinates
     assert res.m_d_star == pytest.approx(-2.0, abs=1e-6)
-    cand = candidate_minimizer(res.pseudo_moments, norm.scale)
+    cand = norm.scale.to_original(candidate_minimizer(res.pseudo_moments))
     assert cand[0] == pytest.approx(-2.0, abs=1e-4)
 
 

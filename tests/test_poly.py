@@ -197,14 +197,6 @@ def test_coeff_norm():
     assert p.coeff_norm() == pytest.approx(5.0)
 
 
-def test_sup_norm_box_monotone_in_resolution():
-    p = Polynomial(2, {(4, 0): 1.0, (0, 3): -2.0})
-    coarse = p.sup_norm_box(grid_per_axis=8)
-    fine = p.sup_norm_box(grid_per_axis=64)
-    assert fine >= coarse
-    assert fine <= 3.0 + 1e-12  # true sup on the box
-
-
 def test_degree_and_coeff_vector():
     basis = MonomialBasis(2, 2)
     p = Polynomial(2, {(1, 1): 2.0})
