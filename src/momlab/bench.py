@@ -19,7 +19,8 @@ import numpy as np
 
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import candidate_minimizer, check_flatness, extract_atoms
-from .hierarchy import solve_moment_relaxation
+# solve_moment_relaxation is not called here; perfbench/tracing.py wraps it under this name
+from .hierarchy import _solve_levels, relaxation_order, solve_moment_relaxation  # noqa: F401
 from .poly import MonomialBasis, Polynomial, box_grid
 from .upperbound import ReferenceMeasure, solve_upper_bound
 
@@ -305,33 +306,35 @@ def _run_problem(bp: BenchProblem, r_dist: int = 2) -> RateReport:
     levels, statuses, m_vals, f_vals, m_gaps = [], [], [], [], []
     est_errs, mom_dists, flat_levels = [], [], []
     r_flat = max(2, bp.problem.max_constraint_degree)
-    for d in range(bp.d_min, bp.d_max + 1):
-        levels.append(d)
-        try:
-            res = solve_moment_relaxation(bp.problem, d)
-        except Exception as exc:  # noqa: BLE001 - per-problem isolation
-            statuses.append(f"Failed: {exc}")
-            m_vals.append(math.nan)
-            f_vals.append(math.nan)
-            m_gaps.append(math.nan)
-            est_errs.append(math.nan)
-            mom_dists.append(math.nan)
-            continue
+    analysed = {}  # relaxation order -> (est_err, mom_dist, flat)
+    for res in _solve_levels(bp.problem, range(bp.d_min, bp.d_max + 1)):
+        levels.append(res.d)
         statuses.append(res.status)
         m_vals.append(res.m_d_star)
         f_vals.append(res.f_d_star)
         m_gaps.append(f_star - res.m_d_star)
         y = res.pseudo_moments
-        x_d = candidate_minimizer(y)
-        est_errs.append(float(np.linalg.norm(x_d - x_star)))
-        mom_dists.append(moment_distance_to_optimal(y, s_star, r=r_dist))
-        k = y.order // 2
-        if k >= r_flat and check_flatness(y, k, r_flat).is_flat:
-            try:
-                extract_atoms(y, k)
-                flat_levels.append(d)
-            except ValueError:
-                pass
+        if y is None:
+            est_errs.append(math.nan)
+            mom_dists.append(math.nan)
+            continue
+        k = relaxation_order(res.d)
+        if k not in analysed:
+            est_err = float(np.linalg.norm(candidate_minimizer(y) - x_star))
+            mom_dist = moment_distance_to_optimal(y, s_star, r=r_dist)
+            flat = False
+            if k >= r_flat and check_flatness(y, k, r_flat).is_flat:
+                try:
+                    extract_atoms(y, k)
+                    flat = True
+                except ValueError:
+                    pass
+            analysed[k] = (est_err, mom_dist, flat)
+        est_err, mom_dist, flat = analysed[k]
+        est_errs.append(est_err)
+        mom_dists.append(mom_dist)
+        if flat:
+            flat_levels.append(res.d)
 
     upper_levels, u_vals, u_gaps, x_check_errs = [], [], [], []
     for d in bp.upper_levels:
@@ -375,7 +378,12 @@ def _run_problem(bp: BenchProblem, r_dist: int = 2) -> RateReport:
 
 
 def run_suite(corpus: list, out_dir: str | None = None, r_dist: int = 2):
-    """Run the full pipeline per problem; returns reports and the CSV text."""
+    """Run the full pipeline per problem; returns reports and the CSV text.
+
+    Levels 2k-1 and 2k share the order-k moment SDP, which is solved and
+    analysed once: their relaxation results share one pseudo-moment object
+    and one certificate object, and report the same bounds and distances.
+    """
     reports = []
     for bp in corpus:
         try:

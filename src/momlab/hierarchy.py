@@ -11,7 +11,7 @@ which keeps the remaining SDP strictly feasible even when K is finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,6 +96,14 @@ class MomentSdp:
     block_bases: tuple             # kept monomial rows of each block
 
 
+class MomentSdpError(RuntimeError):
+    """A moment SDP that ended non-Optimal; the message names the level and how it ended."""
+
+    def __init__(self, d: int, how: str):
+        super().__init__(f"level {d}: moment SDP ended with {how}")
+        self.how = how
+
+
 def _relation_rows(prob: SemialgebraicProblem, basis: MonomialBasis):
     """Coefficient rows of h * X^gamma for every equality h, deg(h*X^gamma) <= basis.d."""
     rows = []
@@ -121,20 +129,30 @@ def _dedup_rows(F0: np.ndarray, FN: np.ndarray):
     """
     s = F0.shape[0]
     sigs = np.concatenate([F0, FN.reshape(s, -1)], axis=1)
-    scale = 1.0 + float(np.max(np.abs(sigs)))
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(sigs))))
+    # The leading entries F0[i] and FN[i, 0] tell nearly all distinct rows
+    # apart, so only the kept rows that match there get the full-row test,
+    # which alone decides.
+    lead = sigs[:, : s + FN.shape[2]]
     keep = []
     for i in range(s):
-        dup = any(np.max(np.abs(sigs[i] - sigs[j])) <= 1e-12 * scale for j in keep)
-        if not dup:
+        near = np.array(keep, dtype=int)
+        near = near[np.max(np.abs(lead[near] - lead[i]), axis=1) <= tol]
+        if not np.any(np.max(np.abs(sigs[near] - sigs[i]), axis=1) <= tol):
             keep.append(i)
     return keep
 
 
-def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
-    """Assemble the level-d moment relaxation as an explicit SDP over z."""
+def _check_level(prob: SemialgebraicProblem, d: int) -> None:
+    """Raise ValueError when level d is below the degree of f or of a constraint."""
     deg_needed = max(prob.objective.degree, prob.max_constraint_degree)
     if d < deg_needed:
         raise ValueError(f"level {d} below problem degree {deg_needed}")
+
+
+def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
+    """Assemble the level-d moment relaxation as an explicit SDP over z."""
+    _check_level(prob, d)
     n = prob.n
     k = relaxation_order(d)
     budget = 2 * k
@@ -238,8 +256,9 @@ def solve_moment_sdp(
     1e-8 tolerances, `sdp.solve` accepts its first iterate within 1e-7 if
     there is one; `retried` on the result says whether that happened (the
     solution's `loose` flag), and `iterations` how many iterations the solve
-    took.  Any other non-Optimal status raises RuntimeError with the status,
-    iteration count and residuals (`SdpSolution.describe`).
+    took.  Any other non-Optimal status raises MomentSdpError, a RuntimeError
+    naming the level, status, iteration count and residuals
+    (`SdpSolution.describe`).
     """
     if ms.problem.n_vars == 0:
         # equalities pin every pseudo-moment; nothing to optimize
@@ -248,7 +267,7 @@ def solve_moment_sdp(
         return RelaxationResult(ms.d, val, y, val, None, "Optimal")
     sol = solve(ms.problem)
     if sol.status != "Optimal":
-        raise RuntimeError(f"level {ms.d}: moment SDP ended with {sol.describe()}")
+        raise MomentSdpError(ms.d, sol.describe())
     y_vec = ms.y_particular + ms.nullbasis @ sol.x
     y = PseudoMomentSequence(prob.n, 2 * ms.order, y_vec, ms.basis)
     m_d = sol.value + ms.offset
@@ -384,16 +403,47 @@ def compute_d0(prob: SemialgebraicProblem, d_max: int):
     return None
 
 
-def run_hierarchy(prob: SemialgebraicProblem, d_min: int, d_max: int):
-    """Solve levels d_min..d_max; failures are recorded, monotonicity checked."""
-    results = []
-    for d in range(d_min, d_max + 1):
+def _failed(d: int, exc: Exception) -> RelaxationResult:
+    """Level d's record of a solve of its order that raised `exc`."""
+    if isinstance(exc, MomentSdpError):
+        exc = MomentSdpError(d, exc.how)
+    return RelaxationResult(d, math.nan, None, math.nan, None, f"Failed: {exc}")
+
+
+def _solve_levels(prob: SemialgebraicProblem, levels) -> list:
+    """`solve_moment_relaxation` at each level, with each relaxation order solved once.
+
+    Levels of one `relaxation_order` build the same SDP, so the first of them
+    at or above the problem degree is built, solved and certified, and each
+    level of the order reports that result under its own d.  A level below the
+    problem degree fails alone.  A level whose order failed gets the status
+    "Failed: <message>" with the message its own solve would raise.
+    """
+    results, by_order = [], {}
+    for d in levels:
         try:
-            results.append(solve_moment_relaxation(prob, d))
-        except Exception as exc:  # noqa: BLE001 - per-level isolation is the contract
-            results.append(
-                RelaxationResult(d, math.nan, None, math.nan, None, f"Failed: {exc}")
-            )
+            _check_level(prob, d)
+        except ValueError as exc:
+            results.append(_failed(d, exc))
+            continue
+        k = relaxation_order(d)
+        if k not in by_order:
+            try:
+                by_order[k] = solve_moment_relaxation(prob, d)
+            except Exception as exc:  # noqa: BLE001 - per-level isolation is the contract
+                by_order[k] = exc
+        got = by_order[k]
+        results.append(_failed(d, got) if isinstance(got, Exception) else replace(got, d=d))
+    return results
+
+
+def run_hierarchy(prob: SemialgebraicProblem, d_min: int, d_max: int):
+    """Solve levels d_min..d_max; failures are recorded, monotonicity checked.
+
+    Levels 2k-1 and 2k share the order-k SDP, which is solved once: their
+    results share one pseudo-moment object and one certificate object.
+    """
+    results = _solve_levels(prob, range(d_min, d_max + 1))
     solved = [r.m_d_star for r in results if r.status == "Optimal"]
     for lo, hi in zip(solved, solved[1:]):
         if not hi >= lo - 1e-6:

@@ -20,7 +20,6 @@ coefficients of (v'Gv)*g (`adjoint`).  The relaxation SDP, its certificates,
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from momlab.bench import builtin_corpus, run_suite
 from momlab.cone import PseudoMomentSequence, SemialgebraicProblem, localizing_matrix, normalize
 from momlab import hierarchy, sdp
 from momlab.extraction import candidate_minimizer
@@ -27,6 +29,63 @@ def test_relaxation_order():
 def test_level_below_problem_degree_raises(line_problem):
     with pytest.raises(ValueError, match="below problem degree"):
         build_moment_sdp(line_problem, 1)
+
+
+def _moment_sdp_arrays(ms):
+    arrays = [ms.problem.c, ms.y_particular, ms.nullbasis]
+    for blk in ms.problem.blocks:
+        arrays += [blk.F0, blk.var_idx, blk.mats]
+    return arrays
+
+
+def test_levels_of_one_order_build_the_same_sdp():
+    # levels 2k-1 and 2k share relaxation_order k, which is why a sweep solves them once
+    probs = [(bp.problem, range(bp.d_min, bp.d_max + 1)) for bp in builtin_corpus()]
+    probs += [(_sweep_problem(2, 0, domain), range(4, 9)) for domain in ("ball", "box")]
+    pairs = 0
+    for prob, levels in probs:
+        for d in levels:
+            if d % 2 == 0 and d - 1 in levels:
+                odd, even = build_moment_sdp(prob, d - 1), build_moment_sdp(prob, d)
+                assert odd.order == even.order == relaxation_order(d)
+                assert odd.offset == even.offset
+                a, b = _moment_sdp_arrays(odd), _moment_sdp_arrays(even)
+                assert len(a) == len(b)
+                assert all(np.array_equal(u, v) for u, v in zip(a, b)), (prob, d)
+                pairs += 1
+    assert pairs == 12
+    # two-well: level 4 builds, level 3 of the same order is below the degree
+    two_well = builtin_corpus()[3].problem
+    build_moment_sdp(two_well, 4)
+    with pytest.raises(ValueError, match="level 3 below problem degree 4"):
+        build_moment_sdp(two_well, 3)
+
+
+def _dedup_rows_reference(F0, FN):
+    """The pair-loop form of hierarchy._dedup_rows: one row pair at a time."""
+    s = F0.shape[0]
+    sigs = np.concatenate([F0, FN.reshape(s, -1)], axis=1)
+    scale = 1.0 + float(np.max(np.abs(sigs)))
+    keep = []
+    for i in range(s):
+        dup = any(np.max(np.abs(sigs[i] - sigs[j])) <= 1e-12 * scale for j in keep)
+        if not dup:
+            keep.append(i)
+    return keep
+
+
+def test_dedup_rows_matches_pair_loop(monkeypatch, corner_problem):
+    # the idempotent relations x_i = x_i^2 of binary-corner make duplicate rows
+    seen, real = [], hierarchy._dedup_rows
+    monkeypatch.setattr(hierarchy, "_dedup_rows", lambda F0, FN: seen.append((F0, FN)) or real(F0, FN))
+    for d in (2, 4, 6):
+        build_moment_sdp(corner_problem, d)
+    dropped = 0
+    for F0, FN in seen:
+        keep = real(F0, FN)
+        assert keep == _dedup_rows_reference(F0, FN)
+        dropped += F0.shape[0] - len(keep)
+    assert dropped > 0
 
 
 def test_constant_objective():
@@ -149,18 +208,48 @@ def test_compute_d0_examples():
     assert compute_d0(tight, 3) is None
 
 
-def test_run_hierarchy_records_failures_and_monotone():
+def test_run_hierarchy_records_failures_and_monotone(monkeypatch):
     x = Polynomial.variable(0, 1)
     prob = SemialgebraicProblem(
         n=1, objective=x**4 - x * x, constraints=(1 - x * x,)
     )
-    results = run_hierarchy(prob, 2, 5)
-    assert [r.d for r in results] == [2, 3, 4, 5]
-    # levels below the objective degree fail but are still reported
+    sols = _record_solves(monkeypatch)
+    results = run_hierarchy(prob, 2, 7)
+    assert [r.d for r in results] == [2, 3, 4, 5, 6, 7]
+    # levels below the objective degree fail but are still reported; level 3
+    # fails alone although level 4 of its order solves
     assert results[0].status.startswith("Failed")
+    assert results[1].status == "Failed: level 3 below problem degree 4"
     assert math.isnan(results[0].m_d_star)
     assert results[2].status == "Optimal"
     assert results[2].m_d_star == pytest.approx(-0.25, abs=1e-6)
+    # one solve per order at or above the degree: orders 2, 3 and 4
+    assert len(sols) == 3
+    r5, r6 = results[3], results[4]
+    assert r6.d == 6 and r5.status == "Optimal"
+    assert all(getattr(r5, f.name) is getattr(r6, f.name) for f in fields(RelaxationResult)
+               if f.name != "d")
+
+
+def test_failed_order_fails_each_level_with_its_own_status(monkeypatch, line_problem):
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
+    own = []
+    for d in (3, 4):
+        with pytest.raises(RuntimeError, match=f"level {d}: moment SDP ended with") as err:
+            solve_moment_relaxation(line_problem, d)
+        own.append(f"Failed: {err.value}")
+    sols = _record_solves(monkeypatch)
+    results = run_hierarchy(line_problem, 3, 4)
+    assert len(sols) == 1
+    assert [r.status for r in results] == own
+
+
+def test_run_suite_solves_each_order_once(monkeypatch):
+    # 21 builtin levels over 13 distinct relaxation orders
+    sols = _record_solves(monkeypatch)
+    reports, _ = run_suite(builtin_corpus())
+    assert sum(len(rep.levels) for rep in reports) == 21
+    assert len(sols) == 13
 
 
 def test_run_hierarchy_raises_when_bounds_decrease(monkeypatch, line_problem):
