@@ -159,10 +159,9 @@ def power_method_margin(
             if n_max < 1:
                 raise ValueError(f"family member of degree {dq} exceeds budget {d}")
             bound = 0.0
-            power = Polynomial.constant(1.0, y.n)
             q2 = q * q
             for k in range(1, n_max + 1):
-                power = power * q2
+                power = q2 if k == 1 else power * q2
                 val = y.apply(power)
                 if val < -tol * (1.0 + abs(val)):
                     raise ValueError(

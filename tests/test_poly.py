@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from momlab.cone import PseudoMomentSequence
 from momlab.extraction import candidate_minimizer
-from momlab.poly import MonomialBasis, Polynomial, grlex_key, monomials_upto, r_dim
+from momlab.poly import (
+    _ARRAY_PRODUCT_MIN_TERMS,
+    MonomialBasis,
+    Polynomial,
+    grlex_key,
+    monomials_upto,
+    r_dim,
+)
 
 
 def test_r_dim_matches_binomial():
@@ -58,6 +65,14 @@ def test_indices_and_eval_matrix_match_definitions(data, n, d):
     for bad in (too_high, negative):
         with pytest.raises(ValueError, match="outside"):
             basis.indices(np.array([bad]))
+
+
+def test_indices_outside_basis_raises_value_error_in_many_variables():
+    # ranking exponent 4 in each of 20 variables would need C(99, 20) > 2**63
+    basis = MonomialBasis(20, 4)
+    with pytest.raises(ValueError, match="outside"):
+        basis.indices(np.full((1, 20), 4))
+    assert basis.indices(np.eye(20, dtype=np.int64)).tolist() == list(range(1, 21))
 
 
 def test_index_of_outside_basis_raises_value_error():
@@ -204,3 +219,74 @@ def test_degree_and_coeff_vector():
     assert v[basis.index_of((1, 1))] == 2.0
     assert np.count_nonzero(v) == 1
     assert Polynomial.from_coeffs(basis, v).terms == p.terms
+
+
+def _term_bits(p):
+    """Exponents in term order and the coefficients' bytes: equal only if bit for bit equal."""
+    return list(p.terms), np.array(list(p.terms.values()), dtype=float).tobytes()
+
+
+def _random_poly(rng, n, degree, size):
+    mons = monomials_upto(n, degree)
+    pick = rng.choice(len(mons), size=min(size, len(mons)), replace=False)
+    return Polynomial(n, {mons[i]: rng.normal() for i in pick})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_paths_agree_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    sizes = (1, 2, _ARRAY_PRODUCT_MIN_TERMS - 1, _ARRAY_PRODUCT_MIN_TERMS,
+             _ARRAY_PRODUCT_MIN_TERMS + 1, 40)
+    for k1 in sizes:
+        for k2 in sizes:
+            a = _random_poly(rng, n, 12 // n + 2, k1)
+            b = _random_poly(rng, n, 12 // n + 2, k2)
+            ref = _term_bits(a._product_dict(b))
+            assert _term_bits(a._product_arrays(b)) == ref
+            assert _term_bits(a * b) == ref
+    # a dense square with many coinciding exponent sums, as sigma = q * q
+    q = Polynomial.from_coeffs(MonomialBasis(n, 3), rng.normal(size=r_dim(n, 3)))
+    assert _term_bits(q._product_arrays(q)) == _term_bits(q._product_dict(q))
+    assert MonomialBasis.rank(MonomialBasis(n, 5).exps).tolist() == list(range(r_dim(n, 5)))
+
+
+def test_product_paths_agree_sparse_in_many_variables():
+    # degree 16 in 6 variables: r(6, 16) = 74613 ranks for 1600 pairs
+    rng = np.random.default_rng(7)
+    a = _random_poly(rng, 6, 8, 40)
+    b = _random_poly(rng, 6, 8, 40)
+    assert (a * b).degree >= 16
+    assert _term_bits(a._product_arrays(b)) == _term_bits(a._product_dict(b))
+    # 30 variables: graded-lex ranks of the products would overflow int64, so
+    # `*` takes the dict loop although both operands are above the crossover
+    a, b = (Polynomial(30, {tuple(rng.integers(0, 3, 30)): rng.normal() for _ in range(k)})
+            for k in (15, 14))
+    assert r_dim(30, a.degree + b.degree) >= 2**63
+    assert _term_bits(a * b) == _term_bits(a._product_dict(b))
+
+
+def test_product_paths_on_cancellation_zero_and_constants():
+    x = Polynomial.variable(0, 1)
+    one = Polynomial.constant(1.0, 1)
+    for a, b in [(x + 1, x - 1), (Polynomial.zero(1), x + 1), (x + 1, Polynomial.zero(1)),
+                 (Polynomial.constant(2.5, 1), x - 3), (one, one), (x - 1, x - 1),
+                 (Polynomial.constant(2.0, 0), Polynomial.constant(3.0, 0))]:
+        ref = a._product_dict(b)
+        assert _term_bits(a._product_arrays(b)) == _term_bits(ref)
+    assert (x + 1)._product_arrays(x - 1).terms == {(2,): 1.0, (0,): -1.0}
+    assert Polynomial.zero(1)._product_arrays(x).is_zero()
+
+
+def test_polynomial_is_not_hashable():
+    with pytest.raises(TypeError):
+        hash(Polynomial.variable(0, 1))
+
+
+def test_non_integer_exponent_raises():
+    with pytest.raises(ValueError, match=r"exponent \(1\.5,\)"):
+        Polynomial(1, {(1.5,): 1.0})
+    with pytest.raises(ValueError, match=r"exponent \(0\.7, 2\)"):
+        Polynomial.from_json_dict({"n": 2, "terms": [{"alpha": [0.7, 2], "c": 1.0}]})
+    p = Polynomial.from_json_dict({"n": 2, "terms": [{"alpha": [1.0, 2], "c": 1.0}]})
+    assert p.terms == {(1, 2): 1.0}
+    assert all(type(a) is int for a in next(iter(p.terms)))
