@@ -281,8 +281,10 @@ def load_corpus(data) -> list:
         prob = SemialgebraicProblem.from_json_dict(e["problem"])
         mkind = e.get("measure", "box")
         if isinstance(mkind, dict):
-            table = {tuple(t["alpha"]): float(t["y"]) for t in mkind["values"]}
-            measure = ReferenceMeasure("table", prob.n, table=table)
+            measure = ReferenceMeasure.from_json(mkind)
+            if measure.n != prob.n:
+                raise ValueError(f"corpus entry {e['id']!r}: moment table has n = {measure.n}, "
+                                 f"problem has n = {prob.n}")
         else:
             measure = ReferenceMeasure(mkind, prob.n)
         box = tuple(tuple(b) for b in e.get("box", [[-1.0, 1.0]] * prob.n))

@@ -21,13 +21,20 @@ __all__ = ["main"]
 
 
 def _parse_levels(spec: str):
-    parts = [int(p) for p in spec.split(":")]
-    if len(parts) == 1:
-        return [parts[0]]
-    if len(parts) == 2:
-        return list(range(parts[0], parts[1] + 1))
-    start, step, stop = parts
-    return list(range(start, stop + 1, step))
+    """Levels of `start`, `start:stop` or `start:step:stop` (stop inclusive), an argparse type."""
+    try:
+        parts = [int(p) for p in spec.split(":")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 3:
+        raise argparse.ArgumentTypeError(f"expected start[:step]:stop integers, got {spec!r}")
+    start, step, stop = parts if len(parts) == 3 else (parts[0], 1, parts[-1])
+    if step <= 0 or start < 0:
+        raise argparse.ArgumentTypeError(f"{spec!r}: levels must be >= 0 and the step > 0")
+    levels = list(range(start, stop + 1, step))
+    if not levels:
+        raise argparse.ArgumentTypeError(f"{spec!r} gives no levels")
+    return levels
 
 
 def _parse_box(spec: str):
@@ -125,7 +132,7 @@ def _cmd_upper(args):
     else:
         mu = ReferenceMeasure.from_json(args.measure)
     out = []
-    for d in _parse_levels(args.levels):
+    for d in args.levels:
         r = solve_upper_bound(prob.objective, mu, d)
         out.append(
             {
@@ -200,7 +207,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("upper", help="measure-based upper bounds")
     p.add_argument("--problem", required=True)
     p.add_argument("--measure", default="box", help="box | ball | moment-table JSON path")
-    p.add_argument("--levels", default="0:2:8", help="start:step:stop (inclusive)")
+    p.add_argument("--levels", type=_parse_levels, default="0:2:8",
+                   help="start:step:stop (inclusive)")
     p.set_defaults(func=_cmd_upper)
 
     p = sub.add_parser("support", help="support estimation grid from moments")

@@ -18,14 +18,10 @@ applied to y or to every column of a matrix (`gather`) and transposed into the
 coefficients of (v'Gv)*g (`adjoint`).  The relaxation SDP, its certificates,
 `moment_matrix`, `localizing_matrix` and the upper-bound pencil all use it.
 
-A product of polynomials has two paths that give the same terms, in the same
-order, bit for bit.  The dict loop adds c1*c2 into a term map pair by pair.
-When the smaller operand has at least `_ARRAY_PRODUCT_MIN_TERMS` terms and
-r(n, deg) of the product is at most 4 times the pair count, the
-pairs are laid out as exponent and coefficient arrays in the same order,
-grouped by the graded-lex rank of their exponent sum and summed per group by
-`np.bincount`, which adds in pair order as the dict loop does.  Arithmetic
-results are built by `Polynomial._result`, which only drops zero
+A product of polynomials is one dict loop that adds c1*c2 into a term map
+pair by pair.  The upper-bound density and its integrals form no products:
+they come from the localizing map and moment gathers (`upperbound.py`).
+Arithmetic results are built by `Polynomial._result`, which only drops zero
 coefficients; `Polynomial(n, terms)` validates.
 """
 
@@ -47,18 +43,6 @@ __all__ = [
     "monomials_upto",
     "r_dim",
 ]
-
-
-# Products whose smaller operand has at least this many terms run on exponent
-# arrays (`Polynomial._product_arrays`) unless they are sparse in a large basis
-# (r(n, deg) above 4x the pair count, where the arrays over all graded-lex ranks
-# would be large or the ranks overflow int64); the rest run the dict loop
-# (`Polynomial._product_dict`).  Both give the same terms bit for bit.  On k x k
-# products of random polynomials in n = 1..6 variables the two paths break even
-# at k = 10-12 (dict/array time 0.96-1.23 at k = 12, 0.57-0.79 at k = 8); with
-# 12 terms against 165 or 969 the array path is 4x faster (one Xeon core,
-# NumPy 2.4).
-_ARRAY_PRODUCT_MIN_TERMS = 12
 
 
 def grlex_key(alpha):
@@ -260,7 +244,8 @@ class Polynomial:
         """Polynomial from (exponent, coefficient) pairs of an arithmetic result.
 
         Only zero coefficients are dropped: the exponents come from terms that
-        were already validated, so the checks of `Polynomial(n, terms)` are skipped.
+        were already validated or from a basis, so the checks of
+        `Polynomial(n, terms)` are skipped.
         """
         p = object.__new__(Polynomial)
         object.__setattr__(p, "n", n)
@@ -285,7 +270,8 @@ class Polynomial:
 
     @staticmethod
     def from_coeffs(basis: MonomialBasis, vec) -> "Polynomial":
-        return Polynomial(basis.n, {a: c for a, c in zip(basis.exponents, vec)})
+        coeffs = np.asarray(vec, dtype=float).tolist()
+        return Polynomial._result(basis.n, zip(basis.exponents, coeffs))
 
     @property
     def degree(self) -> int:
@@ -339,16 +325,7 @@ class Polynomial:
             s = float(other)
             return Polynomial._result(self.n, ((a, c * s) for a, c in self.terms.items()))
         self._check_dim(other)
-        pairs = len(self.terms) * len(other.terms)
-        if (min(len(self.terms), len(other.terms)) >= _ARRAY_PRODUCT_MIN_TERMS
-                and r_dim(self.n, self.degree + other.degree) <= 4 * pairs):
-            return self._product_arrays(other)
-        return self._product_dict(other)
-
-    __rmul__ = __mul__
-
-    def _product_dict(self, other: "Polynomial") -> "Polynomial":
-        """The product term pair by term pair: self's terms outer, other's inner."""
+        # term pair by term pair: self's terms outer, other's inner
         terms = {}
         get = terms.get
         for a1, c1 in self.terms.items():
@@ -357,32 +334,7 @@ class Polynomial:
                 terms[key] = get(key, 0.0) + c1 * c2
         return Polynomial._result(self.n, terms.items())
 
-    def _product_arrays(self, other: "Polynomial") -> "Polynomial":
-        """`_product_dict` on exponent arrays, equal to it bit for bit.
-
-        The term pairs are laid out in the dict loop's order and grouped by the
-        graded-lex rank of their exponent sum.  `np.bincount` adds each group's
-        coefficient products in pair order starting from 0.0, as the dict loop
-        does, and the terms come out in order of first occurrence.  `np.bincount`
-        makes one slot per rank up to the largest, so `__mul__` takes this path
-        only when r(n, deg) is at most 4x the pair count.
-        """
-        n = self.n
-        if not (self.terms and other.terms):
-            return Polynomial.zero(n)
-        e1 = np.array(list(self.terms), dtype=np.int64).reshape(len(self.terms), n)
-        e2 = np.array(list(other.terms), dtype=np.int64).reshape(len(other.terms), n)
-        pairs = len(e1) * len(e2)
-        exps = (e1[:, None, :] + e2[None, :, :]).reshape(pairs, n)
-        prods = np.outer(list(self.terms.values()), list(other.terms.values())).ravel()
-        group = MonomialBasis.rank(exps)
-        sums = np.bincount(group, prods)
-        first = np.full(len(sums), pairs)
-        np.minimum.at(first, group, np.arange(pairs))
-        keep = np.flatnonzero(sums)
-        keep = keep[np.argsort(first[keep])]
-        return Polynomial._result(
-            n, zip(map(tuple, exps[first[keep]].tolist()), sums[keep].tolist()))
+    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:

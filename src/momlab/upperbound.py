@@ -75,7 +75,11 @@ class ReferenceMeasure:
         if kind == "table":
             if table is None:
                 raise ValueError("table kind needs a moment table")
-            self.table = {tuple(a): float(v) for a, v in table.items()}
+            for a in table:
+                if len(a) != n or any(x < 0 or x != int(x) for x in a):
+                    raise ValueError(f"moment table exponent {tuple(a)} needs {n} "
+                                     f"nonnegative integer entries")
+            self.table = {tuple(int(x) for x in a): float(v) for a, v in table.items()}
             self.max_degree = max_degree if max_degree is not None else max(
                 sum(a) for a in self.table
             )
@@ -138,6 +142,15 @@ class UpperBoundResult:
     cost: float              # expected objective under sigma (equals u_d_star)
 
 
+def _moments(mu: ReferenceMeasure, exps) -> np.ndarray:
+    """mu's moment at each exponent of an integer array (..., n), asked once per distinct one."""
+    exps = np.asarray(exps, dtype=np.int64)
+    ranks = MonomialBasis.rank(exps).ravel()
+    _, first, inverse = np.unique(ranks, return_index=True, return_inverse=True)
+    distinct = np.array([mu.moment(a) for a in exps.reshape(-1, mu.n)[first].tolist()])
+    return distinct[inverse].reshape(exps.shape[:-1])
+
+
 def _moment_pencil(f: Polynomial, mu: ReferenceMeasure, k: int):
     basis = MonomialBasis(mu.n, k)
     full = MonomialBasis(mu.n, 2 * k + f.degree)
@@ -147,9 +160,8 @@ def _moment_pencil(f: Polynomial, mu: ReferenceMeasure, k: int):
     used = np.zeros(len(full), dtype=bool)
     used[loc_A.idx] = used[loc_B.idx] = True
     moments = np.zeros(len(full))
-    for j in np.flatnonzero(used):
-        moments[j] = mu.moment(full[j])
-    return loc_A.gather(moments), loc_B.gather(moments), basis
+    moments[used] = _moments(mu, full.exps[used])
+    return loc_A.gather(moments), loc_B.gather(moments), loc_B, full
 
 
 def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBoundResult:
@@ -160,10 +172,9 @@ def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBound
     """
     if f.n != mu.n:
         raise ValueError("dimension mismatch")
-    k = d // 2
-    A, B, basis = _moment_pencil(f, mu, k)
+    A, B, loc_B, full = _moment_pencil(f, mu, d // 2)
     try:
-        np.linalg.cholesky(B + 1e-12 * np.eye(len(basis)))
+        np.linalg.cholesky(B + 1e-12 * np.eye(len(B)))
     except np.linalg.LinAlgError:
         raise ValueError("reference moment matrix is not positive definite") from None
     w, V = sla.eigh(A, B)
@@ -171,8 +182,8 @@ def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBound
     q = V[:, 0]
     norm2 = float(q @ B @ q)
     q = q / math.sqrt(norm2)
-    q_poly = Polynomial.from_coeffs(basis, q)
-    sigma = q_poly * q_poly
+    # sigma = q(x)^2 = v'(q q')v: the adjoint of the g = 1 localizing map
+    sigma = Polynomial.from_coeffs(full, loc_B.adjoint(np.outer(q, q)))
     x_check, cost, in_hull = estimator_from_density(f, sigma, mu)
     return UpperBoundResult(
         d=d,
@@ -185,14 +196,25 @@ def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBound
 
 
 def estimator_from_density(f: Polynomial, sigma: Polynomial, mu: ReferenceMeasure):
-    """Density-weighted barycenter x_check, its cost, and a conv(supp) flag."""
-    mass = mu.integrate(sigma)
+    """Density-weighted barycenter x_check, its cost, and a conv(supp) flag.
+
+    Every integral of g * sigma (g = 1, x_1..x_n and the terms of f) is a sum
+    over term pairs of coefficient products times the moment at the exponent sum.
+    """
+    if f.n != mu.n or sigma.n != mu.n:
+        raise ValueError("dimension mismatch")
+    n = mu.n
+    exps = np.array(list(sigma.terms), dtype=np.int64).reshape(-1, n)
+    coeffs = np.array(list(sigma.terms.values()), dtype=float)
+    # integrals[t] = integral of x^rows[t] * sigma: rows are 1, x_1..x_n, then f's terms
+    rows = np.concatenate([np.zeros((1, n), dtype=np.int64), np.eye(n, dtype=np.int64),
+                           np.array(list(f.terms), dtype=np.int64).reshape(-1, n)])
+    integrals = _moments(mu, rows[:, None, :] + exps[None, :, :]) @ coeffs
+    mass = float(integrals[0])
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"density is not normalized: integral {mass}")
-    x_check = np.array(
-        [mu.integrate(Polynomial.variable(i, mu.n) * sigma) for i in range(mu.n)]
-    )
-    cost = mu.integrate(f * sigma)
+    x_check = integrals[1:n + 1]
+    cost = float(np.array(list(f.terms.values()), dtype=float) @ integrals[n + 1:])
     in_hull = mu.in_support_hull(x_check)
     return x_check, cost, in_hull
 

@@ -134,6 +134,22 @@ def test_load_corpus_roundtrip():
     assert corpus[0].d_max == 4
 
 
+def test_load_corpus_inline_moment_table():
+    x = Polynomial.variable(0, 1)
+    prob = SemialgebraicProblem(n=1, objective=x, constraints=(1 - x * x,))
+    table = {"n": 1, "order": 2, "values": [{"alpha": [0], "y": 2.0}, {"alpha": [1], "y": 0.0},
+                                            {"alpha": [2], "y": 2 / 3}]}
+    entry = {"id": "tab", "problem": prob.to_json_dict(), "measure": table}
+    (bp,) = load_corpus([entry])
+    assert bp.measure.kind == "table"
+    assert bp.measure.moment((2,)) == pytest.approx(2 / 3)
+    with pytest.raises(ValueError, match="'tab': moment table has n = 2, problem has n = 1"):
+        load_corpus([dict(entry, measure={"n": 2, "values": [{"alpha": [0, 0], "y": 4.0}]})])
+    bad = dict(table, values=[{"alpha": [0, 0], "y": 1.0}])
+    with pytest.raises(ValueError, match=r"exponent \(0, 0\) needs 1"):
+        load_corpus([dict(entry, measure=bad)])
+
+
 def test_run_suite_empty_corpus(tmp_path):
     reports, csv_text = run_suite([], out_dir=str(tmp_path))
     assert reports == []

@@ -164,6 +164,20 @@ def test_upper_reports_x_check_in_original_coordinates(capsys, tmp_path):
     assert out["scale"] == {"center": [0.0], "radius": [2.0]}
 
 
+@pytest.mark.parametrize("spec", ["8:2", "0:0:4", "0:-2:4", "-2:4", "a:b", "1.5", "", "1:2:3:4"])
+def test_upper_rejects_bad_levels(capsys, line_json, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["upper", "--problem", line_json, f"--levels={spec}"])
+    assert exc.value.code == 2
+    assert "argument --levels" in capsys.readouterr().err
+
+
+def test_upper_level_forms(capsys, line_json):
+    for spec, levels in [("2", [2]), ("1:3", [1, 2, 3]), ("0:4:10", [0, 4, 8])]:
+        assert main(["upper", "--problem", line_json, "--levels", spec]) == 0
+        assert [e["level"] for e in json.loads(capsys.readouterr().out)] == levels
+
+
 @pytest.fixture()
 def moments_json(tmp_path):
     y = PseudoMomentSequence.from_atoms([[-1.0], [1.0]], [0.5, 0.5], 8)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from momlab.cone import PseudoMomentSequence
 from momlab.extraction import candidate_minimizer
 from momlab.poly import (
-    _ARRAY_PRODUCT_MIN_TERMS,
     MonomialBasis,
     Polynomial,
     grlex_key,
@@ -37,6 +36,9 @@ def test_basis_index_lookup_roundtrip():
         assert basis.index_of(alpha) == k
     assert (1, 1, 1) in basis
     assert (4, 0, 0) not in basis
+    for n in range(1, 5):
+        exps = MonomialBasis(n, 5).exps
+        assert MonomialBasis.rank(exps).tolist() == list(range(r_dim(n, 5)))
 
 
 def test_eval_vector_at_point():
@@ -135,6 +137,8 @@ def test_zero_polynomial_conventions():
     assert z.degree == 0
     assert z([0.3, 0.4]) == 0.0
     assert (z + z).is_zero()
+    x1 = Polynomial.variable(0, 2)
+    assert (z * (x1 + 1)).is_zero() and ((x1 + 1) * z).is_zero()
 
 
 def test_arithmetic_small_example():
@@ -144,6 +148,12 @@ def test_arithmetic_small_example():
     assert p.coeff((2,)) == -1.0
     assert p.coeff((1,)) == 0.0
     assert ((1 + x) ** 2).coeff((1,)) == 2.0
+    # the cancelled x term is dropped, not stored as 0.0
+    assert ((x + 1) * (x - 1)).terms == {(2,): 1.0, (0,): -1.0}
+    one = Polynomial.constant(1.0, 1)
+    assert (Polynomial.constant(2.5, 1) * (x - 3)).terms == {(1,): 2.5, (0,): -7.5}
+    assert (one * one).terms == {(0,): 1.0}
+    assert (Polynomial.constant(2.0, 0) * Polynomial.constant(3.0, 0)).terms == {(): 6.0}
 
 
 @settings(max_examples=50, deadline=None)
@@ -226,55 +236,15 @@ def _term_bits(p):
     return list(p.terms), np.array(list(p.terms.values()), dtype=float).tobytes()
 
 
-def _random_poly(rng, n, degree, size):
-    mons = monomials_upto(n, degree)
-    pick = rng.choice(len(mons), size=min(size, len(mons)), replace=False)
-    return Polynomial(n, {mons[i]: rng.normal() for i in pick})
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_product_paths_agree_bit_for_bit(n):
-    rng = np.random.default_rng(40 + n)
-    sizes = (1, 2, _ARRAY_PRODUCT_MIN_TERMS - 1, _ARRAY_PRODUCT_MIN_TERMS,
-             _ARRAY_PRODUCT_MIN_TERMS + 1, 40)
-    for k1 in sizes:
-        for k2 in sizes:
-            a = _random_poly(rng, n, 12 // n + 2, k1)
-            b = _random_poly(rng, n, 12 // n + 2, k2)
-            ref = _term_bits(a._product_dict(b))
-            assert _term_bits(a._product_arrays(b)) == ref
-            assert _term_bits(a * b) == ref
-    # a dense square with many coinciding exponent sums, as sigma = q * q
-    q = Polynomial.from_coeffs(MonomialBasis(n, 3), rng.normal(size=r_dim(n, 3)))
-    assert _term_bits(q._product_arrays(q)) == _term_bits(q._product_dict(q))
-    assert MonomialBasis.rank(MonomialBasis(n, 5).exps).tolist() == list(range(r_dim(n, 5)))
-
-
-def test_product_paths_agree_sparse_in_many_variables():
-    # degree 16 in 6 variables: r(6, 16) = 74613 ranks for 1600 pairs
-    rng = np.random.default_rng(7)
-    a = _random_poly(rng, 6, 8, 40)
-    b = _random_poly(rng, 6, 8, 40)
-    assert (a * b).degree >= 16
-    assert _term_bits(a._product_arrays(b)) == _term_bits(a._product_dict(b))
-    # 30 variables: graded-lex ranks of the products would overflow int64, so
-    # `*` takes the dict loop although both operands are above the crossover
-    a, b = (Polynomial(30, {tuple(rng.integers(0, 3, 30)): rng.normal() for _ in range(k)})
-            for k in (15, 14))
-    assert r_dim(30, a.degree + b.degree) >= 2**63
-    assert _term_bits(a * b) == _term_bits(a._product_dict(b))
-
-
-def test_product_paths_on_cancellation_zero_and_constants():
-    x = Polynomial.variable(0, 1)
-    one = Polynomial.constant(1.0, 1)
-    for a, b in [(x + 1, x - 1), (Polynomial.zero(1), x + 1), (x + 1, Polynomial.zero(1)),
-                 (Polynomial.constant(2.5, 1), x - 3), (one, one), (x - 1, x - 1),
-                 (Polynomial.constant(2.0, 0), Polynomial.constant(3.0, 0))]:
-        ref = a._product_dict(b)
-        assert _term_bits(a._product_arrays(b)) == _term_bits(ref)
-    assert (x + 1)._product_arrays(x - 1).terms == {(2,): 1.0, (0,): -1.0}
-    assert Polynomial.zero(1)._product_arrays(x).is_zero()
+def test_adjoint_of_outer_product_is_the_square_bit_for_bit(n):
+    # sigma = q^2 of the upper bounds: the g = 1 map's adjoint at q q' against the product
+    q = np.random.default_rng(40 + n).normal(size=r_dim(n, 3))
+    basis, full = MonomialBasis(n, 3), MonomialBasis(n, 6)
+    loc = full.localizing_map(basis.exps, Polynomial.constant(1.0, n))
+    q_poly = Polynomial.from_coeffs(basis, q)
+    square = Polynomial.from_coeffs(full, loc.adjoint(np.outer(q, q)))
+    assert _term_bits(square) == _term_bits(q_poly * q_poly)
 
 
 def test_polynomial_is_not_hashable():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momlab.cone import SemialgebraicProblem
-from momlab.poly import Polynomial
+from momlab.poly import MonomialBasis, Polynomial, r_dim
 from momlab.upperbound import (
     ReferenceMeasure,
     convex_cost_bound,
@@ -91,6 +91,38 @@ def test_estimator_from_density():
     assert in_hull
     with pytest.raises(ValueError, match="not normalized"):
         estimator_from_density(f, 2.0 * res.sigma, mu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["box", "ball", "table"])
+def test_estimator_matches_per_term_integrals(n, kind):
+    rng = np.random.default_rng(10 * n + len(kind))
+    k = 3 if n < 3 else 2
+    mu = (ReferenceMeasure("table", n, table=lebesgue_box_moments(n, 2 * k + 5))
+          if kind == "table" else ReferenceMeasure(kind, n))
+    q = Polynomial.from_coeffs(MonomialBasis(n, k), rng.normal(size=r_dim(n, k)))
+    sigma = (1.0 / mu.integrate(q * q)) * (q * q)
+    quartic = Polynomial(n, {a: rng.normal() for a in MonomialBasis(n, 4)})
+    for f in (quartic, Polynomial.zero(n), Polynomial.constant(-2.5, n)):
+        x_check, cost, _ = estimator_from_density(f, sigma, mu)
+        x_ref = [mu.integrate(Polynomial.variable(i, n) * sigma) for i in range(n)]
+        np.testing.assert_allclose(x_check, x_ref, rtol=0, atol=1e-12)
+        assert cost == pytest.approx(mu.integrate(f * sigma), rel=1e-12, abs=1e-12)
+    assert estimator_from_density(Polynomial.zero(n), sigma, mu)[1] == 0.0
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        estimator_from_density(Polynomial.zero(n + 1), sigma, mu)
+
+
+def test_table_measure_rejects_malformed_exponents():
+    with pytest.raises(ValueError, match=r"exponent \(0,\) needs 2 nonnegative integer"):
+        ReferenceMeasure("table", 2, table={(0,): 1.0})
+    with pytest.raises(ValueError, match=r"exponent \(1, -1\) needs 2"):
+        ReferenceMeasure("table", 2, table={(0, 0): 1.0, (1, -1): 0.5})
+    with pytest.raises(ValueError, match=r"exponent \(1.5,\) needs 1"):
+        ReferenceMeasure.from_json({"n": 1, "values": [{"alpha": [1.5], "y": 0.5}]})
+    mu = ReferenceMeasure.from_json({"n": 1, "values": [{"alpha": [0], "y": 2.0},
+                                                        {"alpha": [2.0], "y": 0.5}]})
+    assert mu.moment((2,)) == 0.5 and mu.max_degree == 2
 
 
 def test_is_sos_convex_verdicts():
