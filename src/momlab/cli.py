@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -38,8 +39,27 @@ def _parse_levels(spec: str):
 
 
 def _parse_box(spec: str):
-    lo, hi = (float(v) for v in spec.split(":"))
+    """Finite interval `lo:hi` with lo < hi, an argparse type."""
+    try:
+        lo, hi = (float(v) for v in spec.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi numbers, got {spec!r}") from None
+    if not -math.inf < lo < hi < math.inf:
+        raise argparse.ArgumentTypeError(f"{spec!r}: needs finite lo < hi")
     return lo, hi
+
+
+def _int_at_least(low: int):
+    """argparse type of the integers >= low."""
+    def parse(spec: str) -> int:
+        try:
+            value = int(spec)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {spec!r}")
+        return value
+    return parse
 
 
 def _to_original(prob, value):
@@ -153,8 +173,7 @@ def _cmd_upper(args):
 def _cmd_support(args):
     with open(args.moments) as fh:
         y = PseudoMomentSequence.from_json_dict(json.load(fh))
-    lo, hi = _parse_box(args.box)
-    box = [(lo, hi)] * y.n
+    box = [args.box] * y.n
     writer = csv.writer(sys.stdout)
     header = [f"x{i+1}" for i in range(y.n)] + ["value", "included"]
     writer.writerow(header)
@@ -214,9 +233,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("support", help="support estimation grid from moments")
     p.add_argument("--moments", required=True)
     p.add_argument("--method", choices=("cd", "power"), default="cd")
-    p.add_argument("--box", default="-1:1")
-    p.add_argument("--res", type=int, default=201)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--box", type=_parse_box, default="-1:1", help="lo:hi per axis, lo < hi")
+    p.add_argument("--res", type=_int_at_least(1), default=201, help="grid points per axis")
+    p.add_argument("--degree", type=_int_at_least(0), required=True)
     p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=_cmd_support)
 

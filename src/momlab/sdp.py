@@ -304,6 +304,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     status = "MaxIter"
     stall_count = 0
     it = 0
+    # the loop rebinds x, S and Z each step, so best and loose hold references
     best = None  # (score, x, S, Z) of the most feasible/converged iterate seen
     loose = None  # (x, S, Z) of the first iterate within LOOSE_TOL
 
@@ -350,7 +351,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         score = max(pres, dres, relgap)
         if np.isfinite(score) and (best is None or score < best[0]):
-            best = (score, x.copy(), [Sj.copy() for Sj in S], [Zj.copy() for Zj in Z])
+            best = (score, x, S, Z)
 
         if pres <= TOL and dres <= TOL and relgap <= TOL:
             status = "Optimal"

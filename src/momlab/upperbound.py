@@ -1,9 +1,11 @@
 """Measure-based upper bounds: SOS densities against a fixed reference measure.
 
 u_d* minimizes the expected objective over degree-d SOS densities normalized
-against a reference measure supported on K; it reduces to the smallest
-generalized eigenvalue of the pair (A, B) of f-weighted and plain moment
-matrices.  The optimal density is the square of the corresponding
+against a reference measure mu supported on K; it reduces to the smallest
+generalized eigenvalue of the pencil (M_k(f mu), M_k(mu)), k = floor(d/2): the
+moment matrices of the measures f*mu and mu.  One g = 1 localizing map gathers
+both; their moments, and every integral of the density, come from
+`_integrals`.  The optimal density is the square of the corresponding
 eigenvector, and its first moments give a candidate point in conv(K).
 """
 
@@ -66,29 +68,32 @@ class ReferenceMeasure:
 
     Kinds: 'box' (Lebesgue on [-1,1]^n), 'ball' (Lebesgue on the unit ball),
     'table' (user-supplied finite moment table).  Closed-form kinds answer any
-    degree; tables raise beyond their stated degree.
+    degree; tables raise beyond their stated degree.  Every kind rejects an
+    exponent that is not n nonnegative integers.
     """
 
-    def __init__(self, kind: str, n: int, table: dict | None = None, max_degree: int | None = None):
+    def __init__(self, kind: str, n: int, table: dict | None = None):
         if kind not in ("box", "ball", "table"):
             raise ValueError(f"unknown reference measure kind {kind!r}")
+        self.kind = kind
+        self.n = n
         if kind == "table":
             if table is None:
                 raise ValueError("table kind needs a moment table")
-            for a in table:
-                if len(a) != n or any(x < 0 or x != int(x) for x in a):
-                    raise ValueError(f"moment table exponent {tuple(a)} needs {n} "
-                                     f"nonnegative integer entries")
-            self.table = {tuple(int(x) for x in a): float(v) for a, v in table.items()}
-            self.max_degree = max_degree if max_degree is not None else max(
-                sum(a) for a in self.table
-            )
+            self.table = {self._exponent(a, "moment table exponent"): float(v)
+                          for a, v in table.items()}
+            self.max_degree = max(sum(a) for a in self.table)
         else:
             self.table = None
             self.max_degree = math.inf
-        self.kind = kind
-        self.n = n
         self._cache = {}
+
+    def _exponent(self, alpha, what: str) -> tuple:
+        """alpha as a tuple of ints; ValueError unless it is n nonnegative integers."""
+        key = tuple(map(int, alpha))
+        if len(key) != self.n or key != tuple(alpha) or min(key, default=0) < 0:
+            raise ValueError(f"{what} {tuple(alpha)} needs {self.n} nonnegative integer entries")
+        return key
 
     @staticmethod
     def box(n: int) -> "ReferenceMeasure":
@@ -108,16 +113,18 @@ class ReferenceMeasure:
         return ReferenceMeasure("table", int(d["n"]), table=table)
 
     def moment(self, alpha) -> float:
-        alpha = tuple(int(a) for a in alpha)
-        if sum(alpha) > self.max_degree:
-            raise ValueError(f"moment table covers degree {self.max_degree}, asked {sum(alpha)}")
-        if alpha not in self._cache:
+        key = tuple(alpha)
+        if key not in self._cache:
+            alpha = self._exponent(key, "moment exponent")
+            if sum(alpha) > self.max_degree:
+                raise ValueError(f"moment table covers degree {self.max_degree}, "
+                                 f"asked {sum(alpha)}")
             closed_form = _CLOSED_FORM.get(self.kind)
             if closed_form is None and alpha not in self.table:
                 raise ValueError(f"moment table of degree {self.max_degree} has no entry "
                                  f"for exponent {alpha}")
-            self._cache[alpha] = closed_form(alpha) if closed_form else self.table[alpha]
-        return self._cache[alpha]
+            self._cache[key] = closed_form(alpha) if closed_form else self.table[alpha]
+        return self._cache[key]
 
     def integrate(self, p: Polynomial) -> float:
         return float(sum(c * self.moment(a) for a, c in p.terms.items()))
@@ -142,48 +149,46 @@ class UpperBoundResult:
     cost: float              # expected objective under sigma (equals u_d_star)
 
 
-def _moments(mu: ReferenceMeasure, exps) -> np.ndarray:
-    """mu's moment at each exponent of an integer array (..., n), asked once per distinct one."""
-    exps = np.asarray(exps, dtype=np.int64)
+def _integrals(mu: ReferenceMeasure, rows, p: Polynomial) -> np.ndarray:
+    """Integral of x^row * p against mu for each row of an integer exponent array (m, n).
+
+    mu is asked once per distinct exponent sum row + term; one matrix-vector
+    product with p's coefficients sums the terms.
+    """
+    exps = rows[:, None, :] + np.array(list(p.terms), dtype=np.int64).reshape(1, -1, mu.n)
     ranks = MonomialBasis.rank(exps).ravel()
     _, first, inverse = np.unique(ranks, return_index=True, return_inverse=True)
     distinct = np.array([mu.moment(a) for a in exps.reshape(-1, mu.n)[first].tolist()])
-    return distinct[inverse].reshape(exps.shape[:-1])
-
-
-def _moment_pencil(f: Polynomial, mu: ReferenceMeasure, k: int):
-    basis = MonomialBasis(mu.n, k)
-    full = MonomialBasis(mu.n, 2 * k + f.degree)
-    loc_A = full.localizing_map(basis.exps, f)
-    loc_B = full.localizing_map(basis.exps, Polynomial.constant(1.0, mu.n))
-    # ask the measure only for the moments the pencil uses
-    used = np.zeros(len(full), dtype=bool)
-    used[loc_A.idx] = used[loc_B.idx] = True
-    moments = np.zeros(len(full))
-    moments[used] = _moments(mu, full.exps[used])
-    return loc_A.gather(moments), loc_B.gather(moments), loc_B, full
+    moments = distinct[inverse].reshape(exps.shape[:-1])
+    return moments @ np.array(list(p.terms.values()), dtype=float)
 
 
 def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBoundResult:
     """Best degree-d SOS-density upper bound on min f over supp(mu).
 
-    Smallest generalized eigenvalue of (A, B) over the monomial basis of
-    degree floor(d/2); the eigenvector squared (B-normalized) is the density.
+    Smallest generalized eigenvalue of the pencil (M_k(f mu), M_k(mu)), k =
+    floor(d/2): the g = 1 localizing map gathers both moment matrices from the
+    moments of f*mu and of mu.  The eigenvector squared (B-normalized) is the
+    density.
     """
     if f.n != mu.n:
         raise ValueError("dimension mismatch")
-    A, B, loc_B, full = _moment_pencil(f, mu, d // 2)
+    k, one = d // 2, Polynomial.constant(1.0, mu.n)
+    pairs = MonomialBasis(mu.n, 2 * k)
+    loc = pairs.localizing_map(MonomialBasis(mu.n, k).exps, one)
+    A = loc.gather(_integrals(mu, pairs.exps, f))
+    B = loc.gather(_integrals(mu, pairs.exps, one))
     try:
-        np.linalg.cholesky(B + 1e-12 * np.eye(len(B)))
+        # eigh's own Cholesky of B is the positive-definiteness test
+        w, V = sla.eigh(A, B)
     except np.linalg.LinAlgError:
         raise ValueError("reference moment matrix is not positive definite") from None
-    w, V = sla.eigh(A, B)
     u_star = float(w[0])
     q = V[:, 0]
     norm2 = float(q @ B @ q)
     q = q / math.sqrt(norm2)
     # sigma = q(x)^2 = v'(q q')v: the adjoint of the g = 1 localizing map
-    sigma = Polynomial.from_coeffs(full, loc_B.adjoint(np.outer(q, q)))
+    sigma = Polynomial.from_coeffs(pairs, loc.adjoint(np.outer(q, q)))
     x_check, cost, in_hull = estimator_from_density(f, sigma, mu)
     return UpperBoundResult(
         d=d,
@@ -196,20 +201,14 @@ def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBound
 
 
 def estimator_from_density(f: Polynomial, sigma: Polynomial, mu: ReferenceMeasure):
-    """Density-weighted barycenter x_check, its cost, and a conv(supp) flag.
-
-    Every integral of g * sigma (g = 1, x_1..x_n and the terms of f) is a sum
-    over term pairs of coefficient products times the moment at the exponent sum.
-    """
+    """Density-weighted barycenter x_check, its cost, and a conv(supp) flag."""
     if f.n != mu.n or sigma.n != mu.n:
         raise ValueError("dimension mismatch")
     n = mu.n
-    exps = np.array(list(sigma.terms), dtype=np.int64).reshape(-1, n)
-    coeffs = np.array(list(sigma.terms.values()), dtype=float)
     # integrals[t] = integral of x^rows[t] * sigma: rows are 1, x_1..x_n, then f's terms
     rows = np.concatenate([np.zeros((1, n), dtype=np.int64), np.eye(n, dtype=np.int64),
                            np.array(list(f.terms), dtype=np.int64).reshape(-1, n)])
-    integrals = _moments(mu, rows[:, None, :] + exps[None, :, :]) @ coeffs
+    integrals = _integrals(mu, rows, sigma)
     mass = float(integrals[0])
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"density is not normalized: integral {mass}")

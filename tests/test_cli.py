@@ -237,6 +237,24 @@ def test_support_power_csv(capsys, moments_json):
     assert margins[0.0] >= -1e-9  # 0 is inside the outer approximation
 
 
+@pytest.mark.parametrize("flag, spec", [
+    ("--box", "abc"), ("--box", "1:-1"), ("--box", "1:1"), ("--box", "0:nan"), ("--box", "0:1:2"),
+    ("--res", "-3"), ("--res", "0"), ("--res", "2.5"), ("--degree", "-1"), ("--degree", "two"),
+])
+def test_support_rejects_bad_arguments(capsys, moments_json, flag, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["support", "--moments", moments_json, "--degree", "2", f"{flag}={spec}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_support_box_bounds_the_grid(capsys, moments_json):
+    assert main(["support", "--moments", moments_json, "--degree", "2", "--res", "3",
+                 "--box=-2:0.5"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [-2.0, -0.75, 0.5]
+
+
 def test_bench_subcommand(capsys, tmp_path, line_json):
     x = Polynomial.variable(0, 1)
     corpus = [

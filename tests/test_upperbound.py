@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from momlab.cone import SemialgebraicProblem
 from momlab.poly import MonomialBasis, Polynomial, r_dim
@@ -73,12 +75,36 @@ def test_upper_bounds_nonincreasing_and_above_minimum():
     assert vals[0] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["box", "ball", "table"])
+def test_upper_bound_matches_term_by_term_pencil(n, kind):
+    # A_ij = integral of x^(a_i + a_j) f, B_ij = integral of x^(a_i + a_j), term by term
+    rng = np.random.default_rng(7 * n + len(kind))
+    mu = (ReferenceMeasure("table", n, table=lebesgue_box_moments(n, 8))
+          if kind == "table" else ReferenceMeasure(kind, n))
+    quartic = Polynomial(n, {a: rng.normal() for a in MonomialBasis(n, 4)})
+    corner = [1] + [0] * (n - 1)
+    corner[-1] += 3
+    monomial = Polynomial(n, {tuple(corner): 1.0})  # x_1 x_n^3
+    for f in (quartic, monomial, Polynomial.zero(n), Polynomial.constant(-2.5, n)):
+        for d in (2, 4):
+            rows = MonomialBasis(n, d // 2)
+            mono = [[Polynomial(n, {tuple(np.add(a, b)): 1.0}) for b in rows] for a in rows]
+            A = np.array([[mu.integrate(m * f) for m in row] for row in mono])
+            B = np.array([[mu.integrate(m) for m in row] for row in mono])
+            u_ref = sla.eigh(A, B, eigvals_only=True)[0]
+            u = solve_upper_bound(f, mu, d).u_d_star
+            assert abs(u - u_ref) <= 1e-10 * (1 + abs(u_ref))
+
+
 def test_upper_bound_singular_reference_raises():
     # a Dirac moment table yields a singular order-1 moment matrix
     tab = {(k,): 0.5**k for k in range(5)}
     mu = ReferenceMeasure("table", 1, table=tab)
-    with pytest.raises(ValueError, match="positive definite"):
+    with pytest.raises(ValueError) as exc:
         solve_upper_bound(Polynomial.variable(0, 1), mu, 2)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "reference moment matrix is not positive definite"
 
 
 def test_estimator_from_density():
@@ -123,6 +149,17 @@ def test_table_measure_rejects_malformed_exponents():
     mu = ReferenceMeasure.from_json({"n": 1, "values": [{"alpha": [0], "y": 2.0},
                                                         {"alpha": [2.0], "y": 0.5}]})
     assert mu.moment((2,)) == 0.5 and mu.max_degree == 2
+
+
+@pytest.mark.parametrize("kind, n, alpha", [
+    ("box", 2, (2,)), ("ball", 2, (2, 0, 0)), ("box", 1, (-2,)), ("box", 1, (1.5,)),
+    ("box", 1, (-1,)), ("table", 1, (0.5,)),
+])
+def test_measure_rejects_malformed_exponents(kind, n, alpha):
+    mu = ReferenceMeasure(kind, n, table={(0,): 1.0} if kind == "table" else None)
+    with pytest.raises(ValueError, match=rf"exponent {re.escape(str(alpha))} needs {n} nonneg"):
+        mu.moment(alpha)
+    assert mu.moment((0,) * n) > 0 and mu.moment(np.zeros(n)) > 0
 
 
 def test_is_sos_convex_verdicts():
