@@ -12,7 +12,7 @@ from dataclasses import asdict
 from .bench import builtin_corpus, load_corpus, run_suite
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import candidate_minimizer, check_flatness, extract_atoms
-from .hierarchy import build_moment_sdp, solve_moment_relaxation, solve_moment_sdp
+from .hierarchy import _check_level, build_moment_sdp, solve_moment_relaxation, solve_moment_sdp
 from .poly import box_grid
 from .sdp import export_sdpa
 from .support import cd_kernel, cd_support_grid, default_power_family, power_method_margin
@@ -62,6 +62,21 @@ def _int_at_least(low: int):
     return parse
 
 
+def _usage_error(flag: str, message: str):
+    """A usage error naming `flag`; `main` reports it as argparse does (exit 2)."""
+    return argparse.ArgumentError(None, f"argument {flag}: {message}")
+
+
+def _load_problem(args) -> SemialgebraicProblem:
+    """The problem of `--problem`; a usage error when `--level` is below its degree."""
+    prob = SemialgebraicProblem.load(args.problem)
+    try:
+        _check_level(prob, args.level)
+    except ValueError as exc:
+        raise _usage_error("--level", str(exc)) from None
+    return prob
+
+
 def _to_original(prob, value):
     """Points or a PseudoMomentSequence of `prob`, in original coordinates.
 
@@ -76,7 +91,7 @@ def _to_original(prob, value):
 
 
 def _cmd_solve(args):
-    prob = SemialgebraicProblem.load(args.problem)
+    prob = _load_problem(args)
     ms = build_moment_sdp(prob, args.level)
     if args.export_sdpa:
         export_sdpa(ms.problem, args.export_sdpa)
@@ -109,7 +124,7 @@ def _cmd_solve(args):
 
 
 def _cmd_extract(args):
-    prob = SemialgebraicProblem.load(args.problem)
+    prob = _load_problem(args)
     res = solve_moment_relaxation(prob, args.level, want_certificate=False)
     y = res.pseudo_moments
     k = y.order // 2
@@ -173,6 +188,13 @@ def _cmd_upper(args):
 def _cmd_support(args):
     with open(args.moments) as fh:
         y = PseudoMomentSequence.from_json_dict(json.load(fh))
+    if 2 * args.degree > y.order:
+        raise _usage_error("--degree", f"degree {args.degree} needs moments to degree "
+                                       f"{2 * args.degree} > {y.order}")
+    family = default_power_family(y.n)
+    need = max(q.degree for q in family)  # each member's q^2 must fit in budget 2*degree
+    if args.method == "power" and args.degree < need:
+        raise _usage_error("--degree", f"the power method's test family needs degree >= {need}")
     box = [args.box] * y.n
     writer = csv.writer(sys.stdout)
     header = [f"x{i+1}" for i in range(y.n)] + ["value", "included"]
@@ -184,7 +206,6 @@ def _cmd_support(args):
         for pt, val, inc in zip(grid.points, grid.values, grid.included):
             writer.writerow(list(pt) + [f"{val:.10g}", int(inc)])
     else:
-        family = default_power_family(y.n)
         budget = 2 * args.degree
         pts = box_grid(box, args.res)
         for pt, margin in zip(pts, power_method_margin(y, budget, family, pts)):
@@ -212,14 +233,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="solve a moment relaxation at one level")
     p.add_argument("--problem", required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int_at_least(0), required=True)
     p.add_argument("--sos", action="store_true", help="include the SOS certificate")
     p.add_argument("--export-sdpa", default=None, help="write the SDP in sparse SDPA format")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("extract", help="flatness check and atom extraction")
     p.add_argument("--problem", required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int_at_least(0), required=True)
     p.add_argument("--rank-tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_extract)
 
@@ -246,7 +267,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except argparse.ArgumentError as exc:
+        sub.choices[args.command].error(str(exc))
     return 0
 
 

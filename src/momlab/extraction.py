@@ -118,13 +118,9 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
     n = y.n
     M = moment_matrix(y, d)
     basis = M.basis
-    w, U = np.linalg.eigh((M.M + M.M.T) / 2)
-    lam_max = max(float(w[-1]), 0.0)
-    if lam_max == 0.0:
-        raise ValueError("zero moment matrix")
-    keep = w > rank_tol * lam_max
-    rank = int(np.sum(keep))
-    P = (np.sqrt(w[keep])[:, None]) * U[:, keep].T  # (rank, size), M = P'P
+    root, Ut = M._eigen_factor(rank_tol, "zero moment matrix")
+    rank = len(root)
+    P = root * Ut  # (rank, size), M = P'P
 
     low = [i for i, a in enumerate(basis) if sum(a) <= d - 1]
     if len(low) < rank:

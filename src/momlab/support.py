@@ -58,13 +58,9 @@ class CdKernel:
 def cd_kernel(y: PseudoMomentSequence, d: int, pinv_tol: float = 1e-8) -> CdKernel:
     """Kernel of the order-d moment matrix, pseudo-inverted below pinv_tol (relative)."""
     M = moment_matrix(y, d)
-    w, U = np.linalg.eigh((M.M + M.M.T) / 2)
-    lam_max = float(w[-1]) if w.size else 0.0
-    if lam_max <= 0.0:
-        raise ValueError("moment matrix is zero; kernel undefined")
-    keep = w > pinv_tol * lam_max
-    rank = int(np.sum(keep))
-    F = (1.0 / np.sqrt(w[keep]))[:, None] * U[:, keep].T
+    root, Ut = M._eigen_factor(pinv_tol, "moment matrix is zero; kernel undefined")
+    rank = len(root)
+    F = (1.0 / root) * Ut
     return CdKernel(d=d, factor=F, basis=M.basis, rank=rank, singular=rank < M.size)
 
 

@@ -5,8 +5,9 @@ against a reference measure mu supported on K; it reduces to the smallest
 generalized eigenvalue of the pencil (M_k(f mu), M_k(mu)), k = floor(d/2): the
 moment matrices of the measures f*mu and mu.  One g = 1 localizing map gathers
 both; their moments, and every integral of the density, come from
-`_integrals`.  The optimal density is the square of the corresponding
-eigenvector, and its first moments give a candidate point in conv(K).
+`_integrals`, one `ReferenceMeasure.moments` gather over an exponent array.
+The optimal density is the square of the corresponding eigenvector, and its
+first moments give a candidate point in conv(K).
 """
 
 from __future__ import annotations
@@ -35,41 +36,27 @@ __all__ = [
 ]
 
 
-def _box_moment(alpha) -> float:
-    val = 1.0
-    for a in alpha:
-        val *= (1.0 + (-1.0) ** a) / (a + 1)
-    return val
-
-
-def _ball_moment(alpha) -> float:
-    if any(a % 2 for a in alpha):
-        return 0.0
-    beta = [(a + 1) / 2 for a in alpha]
-    num = 2.0 * math.prod(math.gamma(bi) for bi in beta)
-    return num / ((sum(alpha) + len(alpha)) * math.gamma(sum(beta)))
-
-
-_CLOSED_FORM = {"box": _box_moment, "ball": _ball_moment}
-
-
 def lebesgue_box_moments(n: int, degree: int) -> dict:
     """Exact moments of Lebesgue measure on [-1,1]^n up to total degree `degree`."""
-    return {alpha: _box_moment(alpha) for alpha in monomials_upto(n, degree)}
+    basis = MonomialBasis(n, degree)
+    return dict(zip(basis.exponents, ReferenceMeasure.box(n).moments(basis.exps).tolist()))
 
 
 def unit_ball_moments(n: int, degree: int) -> dict:
     """Exact moments of Lebesgue measure on the unit ball (Gamma-ratio closed form)."""
-    return {alpha: _ball_moment(alpha) for alpha in monomials_upto(n, degree)}
+    basis = MonomialBasis(n, degree)
+    return dict(zip(basis.exponents, ReferenceMeasure.ball(n).moments(basis.exps).tolist()))
 
 
 class ReferenceMeasure:
-    """Moment oracle for the reference measure of the upper-bound hierarchy.
+    """Moments of the reference measure of the upper-bound hierarchy.
 
     Kinds: 'box' (Lebesgue on [-1,1]^n), 'ball' (Lebesgue on the unit ball),
-    'table' (user-supplied finite moment table).  Closed-form kinds answer any
-    degree; tables raise beyond their stated degree.  Every kind rejects an
-    exponent that is not n nonnegative integers.
+    'table' (user-supplied finite moment table, searched by graded-lex rank).
+    Box and ball moments multiply one per-degree factor table over the
+    coordinates (the ball's then divide by a total-degree factor) in any degree;
+    tables raise beyond their stated degree.  Every kind rejects an exponent
+    that is not n nonnegative integers.
     """
 
     def __init__(self, kind: str, n: int, table: dict | None = None):
@@ -77,16 +64,15 @@ class ReferenceMeasure:
             raise ValueError(f"unknown reference measure kind {kind!r}")
         self.kind = kind
         self.n = n
+        self.max_degree = math.inf
         if kind == "table":
-            if table is None:
-                raise ValueError("table kind needs a moment table")
-            self.table = {self._exponent(a, "moment table exponent"): float(v)
-                          for a, v in table.items()}
-            self.max_degree = max(sum(a) for a in self.table)
-        else:
-            self.table = None
-            self.max_degree = math.inf
-        self._cache = {}
+            if not table:
+                raise ValueError("table kind needs a nonempty moment table")
+            exps = np.array([self._exponent(a, "moment table exponent") for a in table])
+            self.max_degree = int(exps.sum(-1).max())
+            ranks = MonomialBasis.rank(exps)
+            order = np.argsort(ranks)
+            self._ranks, self._values = ranks[order], np.array(list(table.values()), float)[order]
 
     def _exponent(self, alpha, what: str) -> tuple:
         """alpha as a tuple of ints; ValueError unless it is n nonnegative integers."""
@@ -112,22 +98,41 @@ class ReferenceMeasure:
         table = {tuple(t["alpha"]): float(t["y"]) for t in d["values"]}
         return ReferenceMeasure("table", int(d["n"]), table=table)
 
-    def moment(self, alpha) -> float:
-        key = tuple(alpha)
-        if key not in self._cache:
-            alpha = self._exponent(key, "moment exponent")
-            if sum(alpha) > self.max_degree:
+    def moments(self, exps) -> np.ndarray:
+        """Moments at every row of a nonnegative integer exponent array of shape (..., n)."""
+        e = np.asarray(exps)
+        if e.dtype.kind not in "iu" or e.shape[-1:] != (self.n,) or e.min(initial=0) < 0:
+            raise ValueError(f"exponents need a nonnegative integer array of shape (..., {self.n})")
+        degree = e.sum(-1)
+        if self.kind == "table":
+            if degree.max(initial=0) > self.max_degree:
                 raise ValueError(f"moment table covers degree {self.max_degree}, "
-                                 f"asked {sum(alpha)}")
-            closed_form = _CLOSED_FORM.get(self.kind)
-            if closed_form is None and alpha not in self.table:
+                                 f"asked {degree.max()}")
+            ranks = MonomialBasis.rank(e)
+            pos = np.searchsorted(self._ranks, ranks)
+            missing = self._ranks.take(pos, mode="clip") != ranks
+            if missing.any():
                 raise ValueError(f"moment table of degree {self.max_degree} has no entry "
-                                 f"for exponent {alpha}")
-            self._cache[key] = closed_form(alpha) if closed_form else self.table[alpha]
-        return self._cache[key]
+                                 f"for exponent {tuple(e[missing][0].tolist())}")
+            return self._values[pos]
+        a = np.arange(e.max(initial=0) + 1)
+        if self.kind == "box":
+            factor = np.where(a % 2, 0.0, 2.0 / (a + 1))
+        else:
+            factor = np.array([0.0 if k % 2 else math.gamma((k + 1) / 2) for k in a.tolist()])
+        values = factor[e[..., 0]]
+        for i in range(1, self.n):
+            values *= factor[e[..., i]]
+        if self.kind == "ball":
+            t = np.arange(self.n, self.n + degree.max(initial=0) + 1)
+            values = 2.0 * values / (t * np.array([math.gamma(s / 2) for s in t.tolist()]))[degree]
+        return values
+
+    def moment(self, alpha) -> float:
+        return float(self.moments(np.array([self._exponent(alpha, "moment exponent")]))[0])
 
     def integrate(self, p: Polynomial) -> float:
-        return float(sum(c * self.moment(a) for a, c in p.terms.items()))
+        return float(_integrals(self, np.zeros((1, self.n), dtype=np.int64), p)[0])
 
     def in_support_hull(self, x, tol: float = 1e-6):
         """Membership of x in conv(supp) for the closed-form kinds, None for tables."""
@@ -152,15 +157,13 @@ class UpperBoundResult:
 def _integrals(mu: ReferenceMeasure, rows, p: Polynomial) -> np.ndarray:
     """Integral of x^row * p against mu for each row of an integer exponent array (m, n).
 
-    mu is asked once per distinct exponent sum row + term; one matrix-vector
-    product with p's coefficients sums the terms.
+    One `mu.moments` gather over the (row, term) exponent sums, then one
+    matrix-vector product with p's coefficients.
     """
+    if p.n != mu.n:
+        raise ValueError("dimension mismatch")
     exps = rows[:, None, :] + np.array(list(p.terms), dtype=np.int64).reshape(1, -1, mu.n)
-    ranks = MonomialBasis.rank(exps).ravel()
-    _, first, inverse = np.unique(ranks, return_index=True, return_inverse=True)
-    distinct = np.array([mu.moment(a) for a in exps.reshape(-1, mu.n)[first].tolist()])
-    moments = distinct[inverse].reshape(exps.shape[:-1])
-    return moments @ np.array(list(p.terms.values()), dtype=float)
+    return mu.moments(exps) @ np.array(list(p.terms.values()), dtype=float)
 
 
 def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBoundResult:
@@ -173,6 +176,8 @@ def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBound
     """
     if f.n != mu.n:
         raise ValueError("dimension mismatch")
+    if d < 0:
+        raise ValueError(f"level {d} is negative")
     k, one = d // 2, Polynomial.constant(1.0, mu.n)
     pairs = MonomialBasis(mu.n, 2 * k)
     loc = pairs.localizing_map(MonomialBasis(mu.n, k).exps, one)

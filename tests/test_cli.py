@@ -285,3 +285,18 @@ def test_bench_subcommand(capsys, tmp_path, line_json):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("command", [
+    "support --method power --degree 0", "support --method power --degree 1",
+    "support --method power --degree 5", "support --method cd --degree 5",
+    "solve --level -1", "extract --level -3", "solve --level 1", "extract --level 1",
+])
+def test_rejects_level_or_degree_the_input_cannot_take(capsys, line_json, moments_json, command):
+    # moments_json has order 8, so --degree 5 needs moments it lacks; line_json has degree 2
+    name, *rest = command.split()
+    source = ["--moments", moments_json] if name == "support" else ["--problem", line_json]
+    with pytest.raises(SystemExit) as exc:
+        main([name, *source, *rest])
+    assert exc.value.code == 2
+    assert f"argument {rest[-2]}" in capsys.readouterr().err

@@ -1,9 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momlab.cone import SemialgebraicProblem
 from momlab.poly import MonomialBasis, Polynomial, r_dim
@@ -209,3 +212,95 @@ def test_table_measure_missing_moment_raises_value_error():
     mu = ReferenceMeasure("table", 1, table={(0,): 1.0, (2,): 1 / 3, (4,): 0.2})
     with pytest.raises(ValueError, match=r"degree 4 has no entry for exponent \(1,\)"):
         solve_upper_bound(x, mu, 2)
+
+
+def _closed_form_moment(kind, alpha):
+    """One box or ball moment, term by term in Python floats."""
+    if kind == "box":
+        val = 1.0
+        for a in alpha:
+            val *= (1.0 + (-1.0) ** a) / (a + 1)
+        return val
+    if any(a % 2 for a in alpha):
+        return 0.0
+    num = 2.0 * math.prod(math.gamma((a + 1) / 2) for a in alpha)
+    half = (sum(alpha) + len(alpha)) / 2
+    return num / ((sum(alpha) + len(alpha)) * math.gamma(half))
+
+
+@st.composite
+def _exponent_arrays(draw, max_degree=24):
+    """(m, 1, n) nonnegative integer arrays, n = 1..4, each row of total degree <= max_degree."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = []
+        for _ in range(n):
+            row.append(draw(st.integers(0, max_degree - sum(row))))
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, 1, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exps=_exponent_arrays(), kind=st.sampled_from(["box", "ball"]))
+def test_moments_match_closed_form_bit_for_bit(exps, kind):
+    got = ReferenceMeasure(kind, exps.shape[-1]).moments(exps)
+    assert got.shape == exps.shape[:-1]
+    rows = exps.reshape(-1, exps.shape[-1]).tolist()
+    want = np.array([_closed_form_moment(kind, tuple(r)) for r in rows])
+    assert got.ravel().tobytes() == want.tobytes()
+
+
+def test_table_moments_answer_arrays_as_the_dict_does():
+    rng = np.random.default_rng(3)
+    table = {a: float(rng.normal()) for a in MonomialBasis(3, 5)}
+    mu = ReferenceMeasure("table", 3, table=table)
+    exps = np.array(list(table), dtype=np.int64)[rng.permutation(len(table))].reshape(4, -1, 3)
+    got = mu.moments(exps)
+    assert got.shape == exps.shape[:-1]
+    assert got.ravel().tolist() == [table[tuple(a)] for a in exps.reshape(-1, 3).tolist()]
+    assert mu.moments(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+
+
+def test_table_moments_raise_the_lookup_errors():
+    mu = ReferenceMeasure("table", 1, table={(0,): 1.0, (2,): 1 / 3, (4,): 0.2})
+    with pytest.raises(ValueError, match="moment table covers degree 4, asked 5"):
+        mu.moments(np.array([[0], [5]]))
+    with pytest.raises(ValueError, match=r"degree 4 has no entry for exponent \(3,\)"):
+        mu.moments(np.array([[2], [3], [4]]))
+    with pytest.raises(ValueError, match=r"degree 4 has no entry for exponent \(1,\)"):
+        mu.moment((1,))
+
+
+def test_sparse_high_degree_table_stays_small():
+    # a dense vector over the degree-60 basis in 6 variables would hold about 90 M floats
+    tracemalloc.start()
+    try:
+        mu = ReferenceMeasure("table", 6, table={(0,) * 6: 1.0, (0, 0, 0, 0, 0, 60): 0.5})
+        assert mu.moments(np.array([[0, 0, 0, 0, 0, 60], [0] * 6])).tolist() == [0.5, 1.0]
+        with pytest.raises(ValueError, match="has no entry"):
+            mu.moment((60, 0, 0, 0, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "table"])
+@pytest.mark.parametrize("exps", [
+    np.array([[1, -1]]), np.array([[0.5, 0.0]]), np.array([[1.0, 0.0]]), np.array([[0, 0, 0]]),
+    np.array([0]), np.array(0),
+])
+def test_moments_reject_malformed_arrays(kind, exps):
+    mu = ReferenceMeasure(kind, 2, table={(0, 0): 1.0} if kind == "table" else None)
+    with pytest.raises(ValueError, match=r"nonnegative integer array of shape \(\.\.\., 2\)"):
+        mu.moments(exps)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mu.integrate(Polynomial.variable(0, 3))
+
+
+def test_upper_bound_input_errors_name_the_input():
+    with pytest.raises(ValueError, match="nonempty moment table"):
+        ReferenceMeasure("table", 2, table={})
+    with pytest.raises(ValueError, match="level -2 is negative"):
+        solve_upper_bound(Polynomial.variable(0, 1), ReferenceMeasure.box(1), -2)
