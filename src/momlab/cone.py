@@ -184,27 +184,41 @@ def normalize(prob: SemialgebraicProblem) -> SemialgebraicProblem:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoMomentSequence:
     """Values y_alpha for |alpha| <= order, indexed by the graded-lex basis.
 
     `order` is the total-degree cap (even for hierarchy output).  y need not
     be moments of any measure; sequences produced by the moment relaxation
     satisfy y_0 = L(1) = 1.
+
+    A sequence is an immutable value: the constructor copies y into a
+    read-only array, so neither the caller's array nor a write through `y`
+    can change it.  Two sequences are equal when n, order and every value
+    agree; sequences are not hashable.  Quantities derived from the values
+    alone, such as the power method's even-power bounds, may therefore be
+    kept on the sequence (`_power_bounds`, filled by `support.py`).
     """
 
     n: int
     order: int
     y: np.ndarray
     basis: MonomialBasis = field(compare=False, default=None)
+    _power_bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = self.basis or MonomialBasis(self.n, self.order)
         object.__setattr__(self, "basis", basis)
-        y = np.asarray(self.y, dtype=float)
+        y = np.array(self.y, dtype=float)
         if y.shape != (len(basis),):
             raise ValueError(f"expected {len(basis)} values for degree {self.order}, got {y.shape}")
+        y.flags.writeable = False
         object.__setattr__(self, "y", y)
+
+    def __eq__(self, other):
+        if not isinstance(other, PseudoMomentSequence):
+            return NotImplemented
+        return self.n == other.n and self.order == other.order and np.array_equal(self.y, other.y)
 
     @staticmethod
     def from_atoms(atoms, weights, order: int) -> "PseudoMomentSequence":

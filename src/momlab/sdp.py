@@ -331,7 +331,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
         """
         return min(_max_step(Lj, dXj, STEP_FRAC) for Lj, dXj in zip(Ls, dXs))
 
-    schur_idx = [np.ix_(blk.var_idx, blk.var_idx) for blk in blocks]
+    # a block on every variable (each moment-SDP block) adds into all of M in place
+    schur_idx = [np.s_[:, :] if np.array_equal(blk.var_idx, np.arange(nv))
+                 else np.ix_(blk.var_idx, blk.var_idx) for blk in blocks]
 
     def schur(W_inv):
         """M[i, k] = sum over blocks of <F_ji, W_j^-1 F_jk W_j^-1>."""
@@ -391,7 +393,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         jitter = 0.0
         for attempt in range(8):
             try:
-                Lm = np.linalg.cholesky(M + jitter * np.eye(nv))
+                Lm = np.linalg.cholesky(M if jitter == 0.0 else M + jitter * np.eye(nv))
                 break
             except np.linalg.LinAlgError:
                 jitter = 1e-14 * scale if jitter == 0.0 else jitter * 100.0

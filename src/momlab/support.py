@@ -124,6 +124,27 @@ def default_power_family(n: int) -> list:
     return [Polynomial(n, {tuple(a): 1.0}) for a in monomials_upto(n, 2)]
 
 
+def _even_power_bound(y: PseudoMomentSequence, d: int, q: Polynomial, tol: float) -> float:
+    """sup over admissible n of L(q^{2n})^{1/2n} for one family member."""
+    dq = q.degree
+    if dq == 0:
+        return abs(q(np.zeros(y.n)))
+    n_max = d // (2 * dq)
+    if n_max < 1:
+        raise ValueError(f"family member of degree {dq} exceeds budget {d}")
+    bound = 0.0
+    q2 = q * q
+    for k in range(1, n_max + 1):
+        power = q2 if k == 1 else power * q2
+        val = y.apply(power)
+        if val < -tol * (1.0 + abs(val)):
+            raise ValueError(
+                f"negative even pseudo-moment L(q^{2*k}) = {val}; invalid input"
+            )
+        bound = max(bound, max(val, 0.0) ** (1.0 / (2 * k)))
+    return bound
+
+
 def power_method_margin(
     y: PseudoMomentSequence,
     d: int,
@@ -136,8 +157,10 @@ def power_method_margin(
     Nonnegative margin means x survives every even-power moment-growth test
     the degree budget d allows; the set of such x contains the support of any
     representing measure.  `x` is one point (n,), for which the margin is a
-    float, or m points (m, n), for which it is an array of m margins; the
-    bounds L(q^{2n})^{1/2n} do not depend on x and are computed once per call.
+    float, or m points (m, n), for which it is an array of m margins.  The
+    bounds L(q^{2n})^{1/2n} do not depend on x: each is computed once per
+    sequence, keyed on d, tol and the terms of q, and kept on `y`, so a repeat
+    call only evaluates |q(x)|.  A call that raises keeps no bound.
     """
     if d > y.order:
         raise ValueError(f"degree budget {d} needs moments to degree {d} > {y.order}")
@@ -146,23 +169,12 @@ def power_method_margin(
         raise ValueError(f"x must have shape ({y.n},) or (m, {y.n}), got {x.shape}")
     pts = x.reshape(-1, y.n)
     margin = np.full(pts.shape[0], math.inf)
+    new = {}
     for q in family:
-        dq = q.degree
-        if dq == 0:
-            bound = abs(q(np.zeros(y.n)))
-        else:
-            n_max = d // (2 * dq)
-            if n_max < 1:
-                raise ValueError(f"family member of degree {dq} exceeds budget {d}")
-            bound = 0.0
-            q2 = q * q
-            for k in range(1, n_max + 1):
-                power = q2 if k == 1 else power * q2
-                val = y.apply(power)
-                if val < -tol * (1.0 + abs(val)):
-                    raise ValueError(
-                        f"negative even pseudo-moment L(q^{2*k}) = {val}; invalid input"
-                    )
-                bound = max(bound, max(val, 0.0) ** (1.0 / (2 * k)))
+        key = (d, tol, frozenset(q.terms.items()))
+        bound = y._power_bounds.get(key)
+        if bound is None:
+            bound = new[key] = _even_power_bound(y, d, q, tol)
         margin = np.minimum(margin, bound - np.abs(q.eval_grid(pts)))
+    y._power_bounds.update(new)
     return float(margin[0]) if x.ndim == 1 else margin

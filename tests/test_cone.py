@@ -196,3 +196,27 @@ def test_moment_table_missing_exponent_raises_value_error():
     d = {"n": 1, "order": 2, "values": [{"alpha": [0], "y": 1.0}, {"alpha": [2], "y": 0.5}]}
     with pytest.raises(ValueError, match=r"degree 2 has no entry for exponent \(1,\)"):
         PseudoMomentSequence.from_json_dict(d)
+
+
+def test_moment_sequence_is_immutable_and_unaliased():
+    arr = np.array([1.0, 0.5, 0.25])
+    y = PseudoMomentSequence(1, 2, arr)
+    arr[1] = 9.0
+    assert arr.flags.writeable
+    assert y.value((1,)) == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        y.y[1] = 9.0
+    assert y.truncate(1).y.tolist() == [1.0, 0.5]
+
+
+def test_moment_sequence_equality_is_by_value():
+    y = PseudoMomentSequence(1, 2, [1.0, 0.5, 0.25])
+    same = PseudoMomentSequence(1, 2, np.array([1.0, 0.5, 0.25]))
+    assert (y == same) is True
+    assert (y != same) is False
+    assert y != PseudoMomentSequence(1, 2, [1.0, 0.5, 0.3])
+    assert y != PseudoMomentSequence(1, 1, [1.0, 0.5])
+    assert y != PseudoMomentSequence(2, 1, [1.0, 0.5, 0.25])
+    assert y != [1.0, 0.5, 0.25]
+    with pytest.raises(TypeError, match="PseudoMomentSequence"):
+        hash(y)

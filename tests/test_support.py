@@ -151,11 +151,20 @@ def test_power_margin_default_family_soundness():
         assert power_method_margin(y, 8, family, a) >= -1e-10
 
 
-def test_power_margin_batch_equals_per_point():
+def _batch_family():
+    return default_power_family(2) + [Polynomial(2, {(3, 0): 1.0, (1, 2): -0.5, (0, 0): 0.25})]
+
+
+def _batch_case():
     rng = np.random.default_rng(5)
     y = PseudoMomentSequence.from_atoms(rng.uniform(-1, 1, (4, 2)), rng.uniform(1.0, 2.0, 4), 12)
-    family = default_power_family(2) + [Polynomial(2, {(3, 0): 1.0, (1, 2): -0.5, (0, 0): 0.25})]
     pts = np.vstack([rng.uniform(-1.5, 1.5, (200, 2)), np.zeros((1, 2))])
+    return y, pts
+
+
+def test_power_margin_batch_equals_per_point():
+    y, pts = _batch_case()
+    family = _batch_family()
     loop = [power_method_margin(y, 12, family, p) for p in pts]
     assert all(type(m) is float for m in loop)
     batch = power_method_margin(y, 12, family, pts)
@@ -163,3 +172,45 @@ def test_power_margin_batch_equals_per_point():
     assert batch.tobytes() == np.array(loop).tobytes()
     with pytest.raises(ValueError, match="shape"):
         power_method_margin(y, 12, family, np.zeros((4, 3)))
+
+
+def test_power_margin_warm_sequence_equals_fresh(monkeypatch):
+    y, pts = _batch_case()
+    # a fresh family per call: bounds are found by the content of q, not its identity
+    warm = [power_method_margin(y, 12, _batch_family(), p) for p in pts]
+    fresh = [power_method_margin(PseudoMomentSequence(2, 12, y.y), 12, _batch_family(), p)
+             for p in pts]
+    assert np.array(warm).tobytes() == np.array(fresh).tobytes()
+    # once warm, a call only evaluates |q(x)|; another budget is another bound
+    applied = []
+    apply = PseudoMomentSequence.apply
+    monkeypatch.setattr(PseudoMomentSequence, "apply",
+                        lambda self, p: applied.append(p) or apply(self, p))
+    again = power_method_margin(y, 12, _batch_family(), pts)
+    assert again.tobytes() == np.array(fresh).tobytes()
+    assert applied == []
+    power_method_margin(y, 8, _batch_family(), pts)
+    assert applied
+
+
+def test_power_margin_tolerance_is_part_of_the_bound():
+    # L(x^2) = -1e-8 passes a loose tolerance and fails a strict one, in either order
+    y = PseudoMomentSequence.from_table(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1e-8})
+    family = [Polynomial.variable(0, 1)]
+    assert power_method_margin(y, 2, family, [0.0], tol=1e-6) == 0.0
+    with pytest.raises(ValueError, match="negative even"):
+        power_method_margin(y, 2, family, [0.0], tol=1e-9)
+    assert power_method_margin(y, 2, family, [0.0], tol=1e-6) == 0.0
+
+
+def test_power_margin_errors_repeat_and_keep_nothing():
+    y = PseudoMomentSequence.from_atoms([[0.5]], [1.0], 2)
+    x = Polynomial.variable(0, 1)
+    bad = PseudoMomentSequence.from_table(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceeds budget"):
+            power_method_margin(y, 2, [x, Polynomial(1, {(2,): 1.0})], [0.0])
+        with pytest.raises(ValueError, match="negative even"):
+            power_method_margin(bad, 2, [x], [0.0])
+    assert y._power_bounds == {} and bad._power_bounds == {}
+    assert power_method_margin(y, 2, [x], [0.0]) == 0.5
