@@ -14,8 +14,12 @@ rank rule `sv_rank`.
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
 (<F_ji, W^-1 F_jk W^-1>) are the only code in the iteration that reads
-`mats`.  `apply` and `adjoint` are one matrix-vector product each and
-`schur` one GEMM over the flattened (m, s*s) `mats`.
+`mats`.  `apply` and `adjoint` are one dense matrix-vector product each over
+the flattened (m, s*s) `mats`.  `schur` has a dense first stage, every
+W^-1 F_jk W^-1 in one batched product, and a sparse second stage: a CSR copy
+of the flattened `mats`, built once per block, sums each inner product over
+the nonzeros of F_ji only.  A block's arrays are read-only, so that copy
+cannot go stale, and a malformed block is rejected when it is built.
 
 The solver is an infeasible-start path-following method with Nesterov-Todd
 scaling and a Mehrotra-style adaptive centering step (predictor solve fixes
@@ -65,25 +69,43 @@ __all__ = [
 log = logging.getLogger("momlab.sdp")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SdpBlock:
     """One affine PSD block: F0 + sum over k of x[var_idx[k]] * mats[k].
 
     A block with no variables (empty `var_idx`, `mats` of shape (0, s, s)) is
-    a constant PSD constraint.
+    a constant PSD constraint.  The block keeps read-only copies of its
+    arrays; F0 and every mats[k] must be exactly symmetric, and `var_idx`
+    must hold distinct nonnegative indices, one per coefficient matrix.
     """
 
     F0: np.ndarray
     var_idx: np.ndarray  # (m_act,) indices into the decision vector
     mats: np.ndarray  # (m_act, s, s) symmetric coefficient matrices
+    _sparse: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.F0 = np.asarray(self.F0, dtype=float)
-        self.var_idx = np.asarray(self.var_idx, dtype=int)
-        # C order once, so the flattened (m_act, s*s) view below never copies
-        self.mats = np.ascontiguousarray(self.mats, dtype=float)
-        if self.mats.ndim == 2:
-            self.mats = self.mats.reshape((0,) + self.F0.shape)
+        import scipy.sparse  # here, so that importing momlab does not load it
+
+        # copies, C-ordered, so the flattened (m_act, s*s) view never copies and
+        # marking them read-only leaves the caller's arrays writable
+        F0 = np.array(self.F0, dtype=float)
+        var_idx = np.array(self.var_idx, dtype=int)
+        mats = np.array(self.mats, dtype=float, order="C")
+        if mats.ndim != 3 and mats.size == 0:
+            mats = mats.reshape((0,) + F0.shape)
+        _check_block(F0, var_idx, mats)
+        for name, arr in (("F0", F0), ("var_idx", var_idx), ("mats", mats)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        # CSR from the flat nonzero positions: scipy's own dense-to-CSR conversion
+        # takes several times as long on the moment blocks
+        flat = self.flat_mats
+        nz = np.flatnonzero(flat != 0)
+        width = flat.shape[1]
+        indptr = np.searchsorted(nz, width * np.arange(len(flat) + 1))
+        object.__setattr__(self, "_sparse", scipy.sparse.csr_array(
+            (flat.ravel()[nz], nz % width, indptr), shape=flat.shape))
 
     @property
     def size(self) -> int:
@@ -105,13 +127,40 @@ class SdpBlock:
     def schur(self, W_inv: np.ndarray) -> np.ndarray:
         """<mats[i], W_inv mats[j] W_inv>: the block's Schur complement on var_idx.
 
-        One batched product and one GEMM (Fujisawa, Kojima & Nakata 1997).
+        Fujisawa, Kojima & Nakata (1997): U_j = W_inv mats[j] W_inv for every j
+        in one dense batched product, then <mats[i], U_j> summed over the
+        nonzeros of mats[i] only, as one sparse (CSR) by dense product.  That
+        costs nnz * m_act instead of m_act^2 * s^2.
         """
         U = (W_inv @ self.mats @ W_inv).reshape(self.flat_mats.shape)
-        return self.flat_mats @ U.T
+        return self._sparse @ U.T
 
     def assemble(self, x: np.ndarray) -> np.ndarray:
         return self.F0 + self.apply(x)
+
+
+def _check_block(F0: np.ndarray, var_idx: np.ndarray, mats: np.ndarray) -> None:
+    """Raise ValueError naming the first way in which a block's arrays are malformed."""
+    if F0.ndim != 2 or F0.shape[0] != F0.shape[1]:
+        raise ValueError(f"SdpBlock F0 must be a square matrix, got shape {F0.shape}")
+    if var_idx.ndim != 1:
+        raise ValueError(f"SdpBlock var_idx must be one-dimensional, got shape {var_idx.shape}")
+    if mats.shape != (len(var_idx),) + F0.shape:
+        raise ValueError(f"SdpBlock mats has shape {mats.shape}; {len(var_idx)} variables "
+                         f"and a {F0.shape[0]}x{F0.shape[1]} F0 need "
+                         f"{(len(var_idx),) + F0.shape}")
+    if not (np.isfinite(F0).all() and np.isfinite(mats).all()):
+        raise ValueError("SdpBlock F0 or mats has non-finite entries")
+    if np.any(var_idx < 0):
+        raise ValueError(f"SdpBlock var_idx has negative entries: {var_idx[var_idx < 0]}")
+    uniq, counts = np.unique(var_idx, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"SdpBlock var_idx has repeated entries: {uniq[counts > 1]}")
+    if not np.array_equal(F0, F0.T):
+        raise ValueError("SdpBlock F0 is not symmetric")
+    if not np.array_equal(mats, np.swapaxes(mats, 1, 2)):
+        k = np.flatnonzero(np.any(mats != np.swapaxes(mats, 1, 2), axis=(1, 2)))[0]
+        raise ValueError(f"SdpBlock mats[{k}] (variable {var_idx[k]}) is not symmetric")
 
 
 @dataclass
@@ -122,6 +171,13 @@ class SdpProblem:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
+        if self.c.shape != (self.n_vars,):
+            raise ValueError(f"SdpProblem c has shape {self.c.shape}, "
+                             f"expected ({self.n_vars},) for n_vars={self.n_vars}")
+        for j, blk in enumerate(self.blocks):
+            if blk.var_idx.size and blk.var_idx.max() >= self.n_vars:
+                raise ValueError(f"SdpProblem block {j} refers to variable "
+                                 f"{blk.var_idx.max()}, but n_vars is {self.n_vars}")
 
 
 MAX_ITER = 200

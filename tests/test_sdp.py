@@ -1,13 +1,19 @@
+import dataclasses
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
-from momlab import sdp
+import momlab
+from momlab import hierarchy, sdp
 from momlab.cone import SemialgebraicProblem
-from momlab.hierarchy import build_moment_sdp
+from momlab.hierarchy import build_moment_sdp, compute_d0
 from momlab.poly import MonomialBasis, Polynomial
 from momlab.sdp import (
     SdpBlock,
@@ -116,6 +122,137 @@ def test_block_operator_identities():
             [[np.tensordot(Fi, W_inv @ Fj @ W_inv) for Fj in blk.mats] for Fi in blk.mats]
         ).reshape(m, m)
         np.testing.assert_allclose(blk.schur(W_inv), expected, rtol=1e-12, atol=1e-10)
+
+
+def _check_schur_against_reference(blk, seed=0):
+    """blk.schur(W_inv) against <F_i, W_inv F_j W_inv> by np.tensordot, for a random SPD W_inv."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((blk.size, blk.size))
+    W_inv = B @ B.T + blk.size * np.eye(blk.size)
+    expected = np.tensordot(blk.mats, W_inv @ blk.mats @ W_inv, axes=([1, 2], [1, 2]))
+    got = blk.schur(W_inv)
+    assert got.shape == expected.shape == (len(blk.var_idx),) * 2
+    np.testing.assert_allclose(got, expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max(initial=0.0))
+
+
+def _ball_quartic(n, seed):
+    rng = np.random.default_rng(seed)
+    f = Polynomial(n, {a: rng.standard_normal() for a in MonomialBasis(n, 4)})
+    ball = 1 - sum((Polynomial.variable(i, n) ** 2 for i in range(n)), Polynomial.constant(0.0, n))
+    return SemialgebraicProblem(n=n, objective=f, constraints=(ball,))
+
+
+def test_schur_on_sparse_moment_blocks():
+    # Hankel and localizing blocks: each F_i has a handful of nonzeros
+    blocks = build_moment_sdp(_ball_quartic(3, 0), 6).problem.blocks
+    assert len(blocks) == 2
+    for seed, blk in enumerate(blocks):
+        assert np.count_nonzero(blk.mats) < 0.1 * blk.mats.size
+        _check_schur_against_reference(blk, seed)
+
+
+def test_schur_on_dense_equality_eliminated_blocks(corner_problem):
+    # binary-corner's equalities are eliminated through a dense null basis
+    (blk,) = build_moment_sdp(corner_problem, 4).problem.blocks
+    assert np.count_nonzero(blk.mats) > 0.5 * blk.mats.size
+    _check_schur_against_reference(blk)
+
+
+def test_schur_on_phase1_gram_blocks(monkeypatch):
+    problems = []
+
+    def capture(problem):
+        problems.append(problem)
+        return sdp.solve(problem)
+
+    monkeypatch.setattr(hierarchy, "solve", capture)
+    x = Polynomial.variable(0, 1)
+    half_ring = SemialgebraicProblem(n=1, objective=x, constraints=(0.5 * (1 - x * x),))
+    assert compute_d0(half_ring, 4) == 2
+    assert problems
+    for seed, blk in enumerate(problems[-1].blocks):
+        _check_schur_against_reference(blk, seed)
+
+
+def test_schur_with_an_all_zero_coefficient_matrix():
+    # mats[1] = 0 is an empty row of the block's sparse form
+    rng = np.random.default_rng(5)
+    mats = _random_sym(rng, 3, 4, 4)
+    mats[1] = 0.0
+    blk = SdpBlock(F0=np.eye(4), var_idx=np.array([0, 2, 3]), mats=mats)
+    _check_schur_against_reference(blk)
+    B = rng.standard_normal((4, 4))
+    M = blk.schur(B @ B.T + np.eye(4))
+    assert not M[1].any() and not M[:, 1].any()
+
+
+def test_schur_of_a_constant_block_is_empty():
+    blk = SdpBlock(F0=np.eye(3), var_idx=np.array([], dtype=int), mats=np.zeros((0, 3, 3)))
+    _check_schur_against_reference(blk)
+
+
+_NOT_SYM = [[1.0, 2.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    pytest.param({"F0": np.eye(2), "var_idx": [0], "mats": np.zeros((2, 2, 2))},
+                 "mats has shape", id="more-mats-than-variables"),
+    pytest.param({"F0": np.eye(2), "var_idx": [0], "mats": np.zeros((1, 3, 3))},
+                 "mats has shape", id="mats-larger-than-F0"),
+    pytest.param({"F0": np.ones(2), "var_idx": [0], "mats": np.zeros((1, 2, 2))},
+                 "square matrix", id="F0-not-square"),
+    pytest.param({"F0": np.eye(2), "var_idx": [0, 0], "mats": np.array([np.eye(2), np.eye(2)])},
+                 "repeated entries", id="duplicate-var-idx"),
+    pytest.param({"F0": np.eye(2), "var_idx": [-1], "mats": np.eye(2)[None]},
+                 "negative entries", id="negative-var-idx"),
+    pytest.param({"F0": np.array(_NOT_SYM), "var_idx": [0], "mats": np.eye(2)[None]},
+                 "F0 is not symmetric", id="F0-not-symmetric"),
+    pytest.param({"F0": np.eye(2), "var_idx": [0, 1], "mats": np.array([np.eye(2), _NOT_SYM])},
+                 r"mats\[1\] \(variable 1\) is not symmetric", id="mat-not-symmetric"),
+    pytest.param({"F0": np.eye(2), "var_idx": [0], "mats": np.full((1, 2, 2), np.nan)},
+                 "non-finite", id="non-finite-mats"),
+])
+def test_block_rejects_malformed_input(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SdpBlock(**kwargs)
+
+
+def test_problem_rejects_variable_beyond_n_vars():
+    blk = SdpBlock(F0=np.eye(2), var_idx=np.array([5]), mats=np.eye(2)[None])
+    with pytest.raises(ValueError, match="block 0 refers to variable 5, but n_vars is 1"):
+        SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk])
+    SdpProblem(n_vars=6, c=np.ones(6), blocks=[blk])
+
+
+def test_problem_rejects_cost_of_wrong_length():
+    with pytest.raises(ValueError, match=r"c has shape \(2,\), expected \(3,\)"):
+        SdpProblem(n_vars=3, c=np.ones(2), blocks=[])
+
+
+def test_block_arrays_are_read_only_copies():
+    F0, var_idx, mats = np.eye(2), np.array([0]), np.array([[[0.0, 1.0], [1.0, 0.0]]])
+    blk = SdpBlock(F0=F0, var_idx=var_idx, mats=mats)
+    for arr in (blk.F0, blk.var_idx, blk.mats):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        blk.mats = np.zeros((1, 2, 2))
+    # the caller's arrays stay writable and are not shared with the block
+    mats[0, 0, 0] = 3.0
+    F0[1, 1] = 3.0
+    var_idx[0] = 4
+    assert blk.mats[0, 0, 0] == 0.0 and blk.F0[1, 1] == 1.0 and blk.var_idx[0] == 0
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # only building an SdpBlock needs scipy.sparse (the Schur product's CSR form)
+    src = str(Path(momlab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, momlab; print('scipy.sparse' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_3x3_arrow_sdp_exact_face():
