@@ -67,25 +67,28 @@ class RateFit:
 
 @dataclass
 class RateReport:
+    """Per-problem record of `run_suite`. Every field after `problem_id` defaults to empty;
+    a problem that failed sets only its id and one "Failed: ..." status."""
+
     problem_id: str
-    levels: list
-    statuses: list
-    m_values: list
-    f_values: list
-    m_gaps: list            # f* - m_d
-    upper_levels: list
-    u_values: list
-    u_gaps: list            # u_d - f*
-    est_errors: list        # ||x^(d) - x*||
-    x_check_errors: list    # ||x_check - x*|| on the upper side
-    mom_dists: list
-    flat_levels: list
-    lower_fit: RateFit | None
-    upper_fit: RateFit | None
-    f_star: float
-    x_star: np.ndarray
-    s_star: np.ndarray
-    grid_resolution: int
+    levels: list = field(default_factory=list)
+    statuses: list = field(default_factory=list)
+    m_values: list = field(default_factory=list)
+    f_values: list = field(default_factory=list)
+    m_gaps: list = field(default_factory=list)          # f* - m_d
+    upper_levels: list = field(default_factory=list)
+    u_values: list = field(default_factory=list)
+    u_gaps: list = field(default_factory=list)          # u_d - f*
+    est_errors: list = field(default_factory=list)      # ||x^(d) - x*||
+    x_check_errors: list = field(default_factory=list)  # ||x_check - x*|| on the upper side
+    mom_dists: list = field(default_factory=list)
+    flat_levels: list = field(default_factory=list)
+    lower_fit: RateFit | None = None
+    upper_fit: RateFit | None = None
+    f_star: float = math.nan
+    x_star: np.ndarray = field(default_factory=lambda: np.array([]))
+    s_star: np.ndarray = field(default_factory=lambda: np.array([]))
+    grid_resolution: int = 0
 
 
 def _default_resolution(n: int) -> int:
@@ -305,20 +308,20 @@ def load_corpus(data) -> list:
 
 def _run_problem(bp: BenchProblem, r_dist: int = 2) -> RateReport:
     f_star, x_star, s_star = brute_force_oracle(bp.problem, box=bp.box)
-    levels, statuses, m_vals, f_vals, m_gaps = [], [], [], [], []
-    est_errs, mom_dists, flat_levels = [], [], []
+    rep = RateReport(problem_id=bp.id, f_star=f_star, x_star=np.asarray(x_star), s_star=s_star,
+                     grid_resolution=_default_resolution(bp.problem.n))
     r_flat = max(2, bp.problem.max_constraint_degree)
     analysed = {}  # relaxation order -> (est_err, mom_dist, flat)
     for res in _solve_levels(bp.problem, range(bp.d_min, bp.d_max + 1)):
-        levels.append(res.d)
-        statuses.append(res.status)
-        m_vals.append(res.m_d_star)
-        f_vals.append(res.f_d_star)
-        m_gaps.append(f_star - res.m_d_star)
+        rep.levels.append(res.d)
+        rep.statuses.append(res.status)
+        rep.m_values.append(res.m_d_star)
+        rep.f_values.append(res.f_d_star)
+        rep.m_gaps.append(f_star - res.m_d_star)
         y = res.pseudo_moments
         if y is None:
-            est_errs.append(math.nan)
-            mom_dists.append(math.nan)
+            rep.est_errors.append(math.nan)
+            rep.mom_dists.append(math.nan)
             continue
         k = relaxation_order(res.d)
         if k not in analysed:
@@ -333,21 +336,20 @@ def _run_problem(bp: BenchProblem, r_dist: int = 2) -> RateReport:
                     pass
             analysed[k] = (est_err, mom_dist, flat)
         est_err, mom_dist, flat = analysed[k]
-        est_errs.append(est_err)
-        mom_dists.append(mom_dist)
+        rep.est_errors.append(est_err)
+        rep.mom_dists.append(mom_dist)
         if flat:
-            flat_levels.append(res.d)
+            rep.flat_levels.append(res.d)
 
-    upper_levels, u_vals, u_gaps, x_check_errs = [], [], [], []
     for d in bp.upper_levels:
         try:
             ub = solve_upper_bound(bp.problem.objective, bp.measure, d)
         except ValueError:
             continue
-        upper_levels.append(d)
-        u_vals.append(ub.u_d_star)
-        u_gaps.append(ub.u_d_star - f_star)
-        x_check_errs.append(float(np.linalg.norm(ub.x_check - x_star)))
+        rep.upper_levels.append(d)
+        rep.u_values.append(ub.u_d_star)
+        rep.u_gaps.append(ub.u_d_star - f_star)
+        rep.x_check_errors.append(float(np.linalg.norm(ub.x_check - x_star)))
 
     def safe_fit(lv, gp):
         try:
@@ -356,27 +358,9 @@ def _run_problem(bp: BenchProblem, r_dist: int = 2) -> RateReport:
         except ValueError:
             return None
 
-    return RateReport(
-        problem_id=bp.id,
-        levels=levels,
-        statuses=statuses,
-        m_values=m_vals,
-        f_values=f_vals,
-        m_gaps=m_gaps,
-        upper_levels=upper_levels,
-        u_values=u_vals,
-        u_gaps=u_gaps,
-        est_errors=est_errs,
-        x_check_errors=x_check_errs,
-        mom_dists=mom_dists,
-        flat_levels=flat_levels,
-        lower_fit=safe_fit(levels, m_gaps),
-        upper_fit=safe_fit(upper_levels, u_gaps),
-        f_star=f_star,
-        x_star=np.asarray(x_star),
-        s_star=s_star,
-        grid_resolution=_default_resolution(bp.problem.n),
-    )
+    rep.lower_fit = safe_fit(rep.levels, rep.m_gaps)
+    rep.upper_fit = safe_fit(rep.upper_levels, rep.u_gaps)
+    return rep
 
 
 def run_suite(corpus: list, out_dir: str | None = None, r_dist: int = 2):
@@ -391,29 +375,7 @@ def run_suite(corpus: list, out_dir: str | None = None, r_dist: int = 2):
         try:
             reports.append(_run_problem(bp, r_dist=r_dist))
         except Exception as exc:  # noqa: BLE001 - isolate per-problem failures
-            reports.append(
-                RateReport(
-                    problem_id=bp.id,
-                    levels=[],
-                    statuses=[f"Failed: {exc}"],
-                    m_values=[],
-                    f_values=[],
-                    m_gaps=[],
-                    upper_levels=[],
-                    u_values=[],
-                    u_gaps=[],
-                    est_errors=[],
-                    x_check_errors=[],
-                    mom_dists=[],
-                    flat_levels=[],
-                    lower_fit=None,
-                    upper_fit=None,
-                    f_star=math.nan,
-                    x_star=np.array([]),
-                    s_star=np.array([]),
-                    grid_resolution=0,
-                )
-            )
+            reports.append(RateReport(problem_id=bp.id, statuses=[f"Failed: {exc}"]))
 
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -62,6 +62,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _open_unit_float(spec: str) -> float:
+    """argparse type of the numbers in the open interval (0, 1)."""
+    try:
+        value = float(spec)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {spec!r}")
+    return value
+
+
 def _usage_error(flag: str, message: str):
     """A usage error naming `flag`; `main` reports it as argparse does (exit 2)."""
     return argparse.ArgumentError(None, f"argument {flag}: {message}")
@@ -165,7 +176,14 @@ def _cmd_upper(args):
     if args.measure in ("box", "ball"):
         mu = ReferenceMeasure(args.measure, prob.n)
     else:
-        mu = ReferenceMeasure.from_json(args.measure)
+        try:
+            mu = ReferenceMeasure.from_json(args.measure)
+        except OSError as exc:
+            raise _usage_error("--measure", f"expected box, ball or a moment-table JSON path, "
+                                            f"got {args.measure!r} ({exc.strerror})") from None
+        if mu.n != prob.n:
+            raise _usage_error("--measure", f"moment table has n = {mu.n}, "
+                                            f"problem has n = {prob.n}")
     out = []
     for d in args.levels:
         r = solve_upper_bound(prob.objective, mu, d)
@@ -240,8 +258,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("extract", help="flatness check and atom extraction")
     p.add_argument("--problem", required=True)
-    p.add_argument("--level", type=_int_at_least(0), required=True)
-    p.add_argument("--rank-tol", type=float, default=1e-6)
+    p.add_argument("--level", type=_int_at_least(1), required=True)
+    p.add_argument("--rank-tol", type=_open_unit_float, default=1e-6,
+                   help="relative rank threshold in (0, 1)")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("upper", help="measure-based upper bounds")
@@ -263,7 +282,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("bench", help="run the benchmark suite")
     p.add_argument("--corpus", default="builtin", help="corpus JSON path or 'builtin'")
     p.add_argument("--out", default="report")
-    p.add_argument("--r", type=int, default=2, help="moment-distance truncation degree")
+    p.add_argument("--r", type=_int_at_least(0), default=2,
+                   help="moment-distance truncation degree")
     p.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)

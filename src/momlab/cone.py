@@ -61,7 +61,8 @@ class SemialgebraicProblem:
     """Minimize `objective` over K = {x : p_i(x) >= 0, h_j(x) = 0}.
 
     `ball_radius` (optional) states a known bound K subset of the R-ball and
-    enables the Archimedean augmentation during normalization.  Equality
+    enables the Archimedean augmentation during normalization; it must be
+    None or a finite value > 0 (ValueError otherwise).  Equality
     constraints are kept in their own list; where quadratic-module semantics
     require inequality pairs, (h, -h) is formed on the fly.
     """
@@ -79,6 +80,9 @@ class SemialgebraicProblem:
         for p in (self.objective, *self.constraints, *self.equalities):
             if p.n != self.n:
                 raise ValueError("constraint dimension mismatch")
+        r = self.ball_radius
+        if r is not None and not (math.isfinite(r) and r > 0):
+            raise ValueError(f"ball_radius must be None or a finite value > 0, got {r!r}")
         if self.scale is not None and not len(self.scale.center) == len(self.scale.radius) == self.n:
             raise ValueError("scale record dimension mismatch")
 

@@ -79,13 +79,27 @@ class FlatnessReport:
     tol: float
 
 
+def _check_rank_tol(name: str, tol: float) -> None:
+    """Raise ValueError naming `name` unless 0 < tol < 1 (a relative rank threshold)."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"{name}={tol} must lie in (0, 1)")
+
+
 def check_flatness(y: PseudoMomentSequence, d: int, r: int, tol: float = 1e-6) -> FlatnessReport:
     """Compare rank of the order-d moment matrix against the (r-step) truncation.
 
     The truncated matrix drops ceil(r/2) orders, so its certified products lose
     total degree r; equal numerical ranks mean the sequence extends flatly and
-    an atomic representing measure exists.
+    an atomic representing measure exists.  Singular values above tol times
+    the largest count toward a rank.
+
+    Raises ValueError for a step r < 1 (the two matrices would be the same
+    or the truncation larger) or r > d, and for a tol outside (0, 1), where
+    both ranks would be 0.
     """
+    if r < 1:
+        raise ValueError(f"flatness step r={r} must be at least 1")
+    _check_rank_tol("tol", tol)
     if r > d:
         raise ValueError(f"flatness step r={r} exceeds matrix order d={d}")
     if 2 * d > y.order:
@@ -114,7 +128,10 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
     atoms off a joint diagonalization: the Schur vectors of one seeded random
     convex combination of the shifts.  Weights then solve the moment system.
     Retries with fresh combinations (deterministic seeds) up to 5 times.
+    Eigenvalues of M above rank_tol times the largest span the column space;
+    a rank_tol outside (0, 1) raises ValueError.
     """
+    _check_rank_tol("rank_tol", rank_tol)
     n = y.n
     M = moment_matrix(y, d)
     basis = M.basis

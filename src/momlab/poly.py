@@ -51,7 +51,12 @@ def grlex_key(alpha):
 
 
 def r_dim(n: int, d: int) -> int:
-    """Dimension r(n,d) = C(n+d,d) of polynomials of degree <= d in n variables."""
+    """Dimension r(n,d) = C(n+d,d) of polynomials of degree <= d in n variables.
+
+    Raises ValueError naming d when the degree d is negative.
+    """
+    if d < 0:
+        raise ValueError(f"polynomial degree d = {d} is negative")
     return math.comb(n + d, d)
 
 
@@ -217,7 +222,8 @@ class Polynomial:
     Zero coefficients are never stored; the zero polynomial has an empty term
     map and degree 0 by convention.  Instances are immutable, so they can be
     shared freely, but not hashable: `terms` is a dict.  Exponents must be
-    integral (2.0 is read as 2, 1.5 raises ValueError).
+    integral (2.0 is read as 2, 1.5 raises ValueError) and coefficients
+    finite (NaN or inf raises ValueError).
     """
 
     n: int
@@ -235,6 +241,8 @@ class Polynomial:
             if any(a < 0 for a in alpha):
                 raise ValueError(f"negative exponent in {alpha}")
             c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient {c} of {alpha} is not finite")
             if c != 0.0:
                 clean[alpha] = c
         object.__setattr__(self, "terms", clean)

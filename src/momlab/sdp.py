@@ -174,6 +174,8 @@ class SdpProblem:
         if self.c.shape != (self.n_vars,):
             raise ValueError(f"SdpProblem c has shape {self.c.shape}, "
                              f"expected ({self.n_vars},) for n_vars={self.n_vars}")
+        if not np.all(np.isfinite(self.c)):
+            raise ValueError("SdpProblem c has non-finite entries")
         for j, blk in enumerate(self.blocks):
             if blk.var_idx.size and blk.var_idx.max() >= self.n_vars:
                 raise ValueError(f"SdpProblem block {j} refers to variable "

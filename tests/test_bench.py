@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import momlab
 from momlab.bench import (
     BenchProblem,
+    RateReport,
     brute_force_oracle,
     builtin_corpus,
     fit_rate,
@@ -229,3 +231,55 @@ def test_import_leaves_scipy_optimize_unloaded():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _same_value(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and np.array_equal(a, b)
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+def test_rate_report_defaults_are_empty():
+    rep = RateReport(problem_id="p")
+    for f in dataclasses.fields(RateReport):
+        if f.type == "list":
+            assert getattr(rep, f.name) == [], f.name
+    assert rep.lower_fit is None and rep.upper_fit is None
+    assert math.isnan(rep.f_star)
+    assert rep.x_star.shape == (0,) and rep.s_star.shape == (0,)
+    assert rep.grid_resolution == 0
+
+
+def test_rate_reports_never_share_a_list():
+    a, b = RateReport(problem_id="a"), RateReport(problem_id="b")
+    a.levels.append(2)
+    a.statuses.append("Optimal")
+    assert b.levels == [] and b.statuses == []
+    lists = [getattr(r, f.name) for r in (a, b) for f in dataclasses.fields(RateReport)
+             if f.type == "list"]
+    assert len({id(v) for v in lists}) == len(lists) == 24
+
+
+def test_run_suite_records_failed_problem_as_bare_report():
+    x = Polynomial.variable(0, 1)
+    bad = BenchProblem(
+        id="infeasible",
+        problem=SemialgebraicProblem(
+            n=1, objective=x, constraints=(Polynomial.constant(-1.0, 1),)
+        ),
+        d_min=2,
+        d_max=2,
+        upper_levels=(),
+        measure=ReferenceMeasure.box(1),
+        unique_minimizer=False,
+        box=((-1.0, 1.0),),
+    )
+    (got,), _ = run_suite([bad])
+    want = RateReport(
+        problem_id="infeasible",
+        statuses=["Failed: no feasible grid point; raise the resolution"],
+    )
+    for f in dataclasses.fields(RateReport):
+        assert _same_value(getattr(got, f.name), getattr(want, f.name)), f.name

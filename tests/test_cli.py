@@ -300,3 +300,29 @@ def test_rejects_level_or_degree_the_input_cannot_take(capsys, line_json, moment
         main([name, *source, *rest])
     assert exc.value.code == 2
     assert f"argument {rest[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("bench --r -1", "--r"),
+    ("extract --level 2 --rank-tol 1", "--rank-tol"),
+    ("extract --level 2 --rank-tol 0", "--rank-tol"),
+    ("upper --measure MOMENTS", "--measure"),
+    ("upper --measure cube", "--measure"),
+])
+def test_rejects_bad_numeric_or_measure_argument(capsys, tmp_path, corner_json, line_json,
+                                                 moments_json, command, flag):
+    # MOMENTS is an n=1 moment table against the n=2 corner problem
+    name, *rest = command.split()
+    rest = [moments_json if a == "MOMENTS" else a for a in rest]
+    if name == "bench":
+        rest += ["--out", str(tmp_path / "report")]
+    else:
+        rest += ["--problem", corner_json if name == "upper" else line_json]
+    with pytest.raises(SystemExit) as exc:
+        main([name, *rest])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    if "MOMENTS" in command:
+        assert "moment table has n = 1, problem has n = 2" in err
+    assert not (tmp_path / "report").exists()

@@ -220,3 +220,14 @@ def test_moment_sequence_equality_is_by_value():
     assert y != [1.0, 0.5, 0.25]
     with pytest.raises(TypeError, match="PseudoMomentSequence"):
         hash(y)
+
+
+@pytest.mark.parametrize("radius", [0, 0.0, -2.0, float("nan"), float("inf")])
+def test_problem_rejects_ball_radius_that_is_not_finite_positive(radius):
+    x = Polynomial.variable(0, 1)
+    with pytest.raises(ValueError, match="ball_radius must be None or a finite value > 0"):
+        SemialgebraicProblem(n=1, objective=x, constraints=(1 - x * x,), ball_radius=radius)
+    d = SemialgebraicProblem(n=1, objective=x, constraints=(1 - x * x,)).to_json_dict()
+    d["ball_radius"] = radius
+    with pytest.raises(ValueError, match="ball_radius"):
+        SemialgebraicProblem.from_json_dict(d)

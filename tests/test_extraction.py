@@ -147,3 +147,21 @@ def test_roundtrip_random_measures_2d():
         mu = extract_atoms(y, 3)
         assert mu.n_atoms == atoms.shape[0]
         assert _match_atoms(mu.atoms, atoms) <= 1e-7
+
+
+@pytest.mark.parametrize("r", [0, -2])
+def test_flatness_rejects_step_below_one(r):
+    # r = 0 compared M_3 with itself, r = -2 compared M_2 with the larger M_3
+    y = PseudoMomentSequence.from_atoms([[0.3, -0.7]], [1.0], 6)
+    with pytest.raises(ValueError, match=f"flatness step r={r} must be at least 1"):
+        check_flatness(y, 3 if r == 0 else 2, r)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, 1.0, 2.0, float("nan")])
+def test_flatness_and_extraction_reject_rank_tol_outside_unit_interval(tol):
+    # a tol >= 1 made both ranks 0, so the sequence was reported flat
+    y = PseudoMomentSequence.from_atoms([[0.3, -0.7], [-0.5, 0.2]], [0.5, 0.5], 6)
+    with pytest.raises(ValueError, match=r"tol=.* must lie in \(0, 1\)"):
+        check_flatness(y, 2, 1, tol=tol)
+    with pytest.raises(ValueError, match=r"rank_tol=.* must lie in \(0, 1\)"):
+        extract_atoms(y, 2, rank_tol=tol)

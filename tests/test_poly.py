@@ -260,3 +260,34 @@ def test_non_integer_exponent_raises():
     p = Polynomial.from_json_dict({"n": 2, "terms": [{"alpha": [1.0, 2], "c": 1.0}]})
     assert p.terms == {(1, 2): 1.0}
     assert all(type(a) is int for a in next(iter(p.terms)))
+
+
+def _negative_degree_entry_points():
+    from momlab.bench import moment_distance_to_optimal
+    from momlab.cone import op_norm_distance
+    from momlab.extraction import AtomicMeasure, tchakaloff_prune
+
+    y = PseudoMomentSequence.from_atoms([[0.5, -0.5]], [1.0], 4)
+    mu = AtomicMeasure(atoms=np.array([[0.5, -0.5]]), weights=np.array([1.0]))
+    return [
+        lambda: r_dim(2, -1),
+        lambda: MonomialBasis(2, -1),
+        lambda: y.truncate(-1),
+        lambda: tchakaloff_prune(mu, -1),
+        lambda: moment_distance_to_optimal(y, [[0.5, -0.5]], r=-1),
+        lambda: op_norm_distance(y, y, -1),
+    ]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_negative_degree_is_named(k):
+    with pytest.raises(ValueError, match="polynomial degree d = -1 is negative"):
+        _negative_degree_entry_points()[k]()
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+def test_polynomial_rejects_non_finite_coefficient(c):
+    with pytest.raises(ValueError, match=r"coefficient .* of \(1, 0\) is not finite"):
+        Polynomial(2, {(0, 0): 1.0, (1, 0): c})
+    with pytest.raises(ValueError, match="not finite"):
+        Polynomial.from_json_dict({"n": 1, "terms": [{"alpha": [2], "c": c}]})

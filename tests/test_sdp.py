@@ -477,3 +477,10 @@ def test_affine_solutions_parametrize_the_solution_set(case):
     np.testing.assert_array_equal(N_q, N)
     np.testing.assert_allclose(E @ x_q, h, atol=1e-12)  # least-squares solution
     assert residual == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_cost(bad):
+    blk = SdpBlock(F0=np.eye(2), var_idx=np.array([0, 1]), mats=np.array([np.eye(2), np.eye(2)]))
+    with pytest.raises(ValueError, match="c has non-finite entries"):
+        SdpProblem(n_vars=2, c=np.array([1.0, bad]), blocks=[blk])
