@@ -248,10 +248,9 @@ class PseudoMomentSequence:
 
     def apply(self, p: Polynomial) -> float:
         """L(p) for a polynomial of degree <= order."""
-        total = 0.0
-        for alpha, c in p.terms.items():
-            total += c * self.value(alpha)
-        return total
+        exps = np.array(list(p.terms), dtype=np.int64).reshape(-1, p.n)
+        terms = np.array(list(p.terms.values())) * self.y[self.basis.indices(exps)]
+        return float(np.cumsum(np.append(0.0, terms))[-1])  # a running sum in term order
 
     def truncate(self, order: int) -> "PseudoMomentSequence":
         if order > self.order:

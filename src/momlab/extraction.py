@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cone import PseudoMomentSequence, moment_matrix
-from .poly import MonomialBasis
+from .poly import MonomialBasis, r_dim
 from .sdp import affine_solutions, sv_rank
 
 __all__ = [
@@ -133,23 +133,21 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
     """
     _check_rank_tol("rank_tol", rank_tol)
     n = y.n
-    M = moment_matrix(y, d)
-    basis = M.basis
-    root, Ut = M._eigen_factor(rank_tol, "zero moment matrix")
+    root, Ut = moment_matrix(y, d)._eigen_factor(rank_tol, "zero moment matrix")
     rank = len(root)
-    P = root * Ut  # (rank, size), M = P'P
+    P = root * Ut  # (rank, r(n, d)), M = P'P; columns are the leading rows of y.basis
 
-    low = [i for i, a in enumerate(basis) if sum(a) <= d - 1]
-    if len(low) < rank:
+    low = r_dim(n, d - 1) if d > 0 else 0  # columns of degree <= d - 1 lead the rest
+    if low < rank:
         raise ValueError("column space exceeds the shift-closed monomials; not flat")
-    _, _, piv = sla.qr(P[:, low], pivoting=True)
-    pivots = [low[j] for j in piv[:rank]]
+    _, _, piv = sla.qr(P[:, :low], pivoting=True)
+    pivots = piv[:rank]
     V = P[:, pivots]
     if np.linalg.cond(V) > 1e10:
         raise ValueError("ill-conditioned pivot basis (borderline flatness)")
 
     shifts = [
-        np.linalg.solve(V, P[:, basis.indices(basis.exps[pivots] + unit)])
+        np.linalg.solve(V, P[:, y.basis.indices(y.basis.exps[pivots] + unit)])
         for unit in np.eye(n, dtype=np.int64)
     ]
 
@@ -160,7 +158,6 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
     if comm > 1e-5 * scale * scale:
         raise ValueError("shift matrices do not commute; flatness precondition violated")
 
-    mom_basis = MonomialBasis(n, y.order)
     y_full = y.y
     last_err = None
     for attempt in range(5):
@@ -176,7 +173,7 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
         atoms = np.array(
             [[float(Q[:, j] @ Ni @ Q[:, j]) for Ni in shifts] for j in range(rank)]
         )
-        Phi = mom_basis.eval_matrix(atoms).T
+        Phi = y.basis.eval_matrix(atoms).T
         weights, *_ = np.linalg.lstsq(Phi, y_full, rcond=None)
         resid = float(np.linalg.norm(Phi @ weights - y_full))
         if resid > 1e-5 * (1.0 + np.linalg.norm(y_full)) or np.any(weights <= 1e-10):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cone import PseudoMomentSequence, SemialgebraicProblem
-from .poly import MonomialBasis, Polynomial, monomials_upto
+from .poly import MonomialBasis, Polynomial, r_dim
 from .sdp import SdpBlock, SdpProblem, affine_solutions, extract_dual_gram, psd_floor, solve
 
 __all__ = [
@@ -109,14 +109,14 @@ def _relation_rows(prob: SemialgebraicProblem, basis: MonomialBasis):
     rows = []
     owners = []  # (equality index, gamma) for multiplier recovery
     for j, h in enumerate(prob.equalities):
-        gammas = monomials_upto(prob.n, basis.d - h.degree)
-        if h.is_zero() or not gammas:
+        if h.is_zero() or h.degree > basis.d:
             continue
-        shifted = np.array(gammas)[:, None] + np.array(list(h.terms))[None]
-        block = np.zeros((len(gammas), len(basis)))
-        block[np.arange(len(gammas))[:, None], basis.indices(shifted)] = list(h.terms.values())
+        m = r_dim(prob.n, basis.d - h.degree)  # the multipliers X^gamma lead the basis
+        shifted = basis.exps[:m, None] + np.array(list(h.terms))[None]
+        block = np.zeros((m, len(basis)))
+        block[np.arange(m)[:, None], basis.indices(shifted)] = list(h.terms.values())
         rows.extend(block)
-        owners.extend((j, gamma) for gamma in gammas)
+        owners.extend((j, gamma) for gamma in basis.exponents[:m])
     return rows, owners
 
 
@@ -177,8 +177,7 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
         kg = (budget - g.degree) // 2
         if kg < 0:
             continue
-        rows = MonomialBasis(n, kg)
-        loc = basis.localizing_map(rows.exps, g)
+        loc = basis.localizing_map(basis.exps[:r_dim(n, kg)], g)
         F0 = loc.gather(y_p)
         FN = loc.gather(N)
         keep = _dedup_rows(F0, FN)
@@ -187,7 +186,7 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
         mats = np.transpose(FN, (2, 0, 1))
         blocks.append(SdpBlock(F0=F0, var_idx=np.arange(nv), mats=mats))
         block_weights.append(g)
-        block_bases.append(tuple(rows[i] for i in keep))
+        block_bases.append(tuple(basis.exponents[i] for i in keep))
 
     f_vec = prob.objective.coeff_vector(basis)
     c = N.T @ f_vec
@@ -375,7 +374,7 @@ def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int):
     basis = MonomialBasis(n, d)
     weights = [g for g in [Polynomial.constant(1.0, n)] + list(prob.constraints)
                if (d - g.degree) // 2 >= 0]
-    gram_bases = [tuple(monomials_upto(n, (d - g.degree) // 2)) for g in weights]
+    gram_bases = [tuple(basis.exponents[:r_dim(n, (d - g.degree) // 2)]) for g in weights]
 
     project = None
     rel_rows, _ = _relation_rows(prob, basis)

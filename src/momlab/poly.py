@@ -28,6 +28,7 @@ coefficients; `Polynomial(n, terms)` validates.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -46,8 +47,8 @@ __all__ = [
 
 
 def grlex_key(alpha):
-    """Sort key realizing graded-lex order (degree first, then x1 > x2 > ...)."""
-    return (sum(alpha), tuple(-a for a in alpha))
+    """Sort key realizing graded-lex order: the exponent's rank (`MonomialBasis.rank`)."""
+    return int(MonomialBasis.rank(np.asarray(alpha, dtype=np.int64)))
 
 
 def r_dim(n: int, d: int) -> int:
@@ -68,40 +69,56 @@ def box_grid(box, resolution: int) -> np.ndarray:
 
 def monomials_upto(n: int, d: int):
     """All exponent tuples with |alpha| <= d in graded-lex order."""
-    out = []
-    for total in range(d + 1):
-        out.extend(_monomials_of_degree(n, total))
-    return out
+    return MonomialBasis(n, d).exponents
 
 
-def _monomials_of_degree(n, total):
-    # lexicographic within a degree block, largest x1-exponent first
-    if n == 1:
-        return [(total,)]
-    block = []
-    for first in range(total, -1, -1):
-        for rest in _monomials_of_degree(n - 1, total - first):
-            block.append((first,) + rest)
-    return block
+def exponent_array(exps, n: int, d: int | None = None) -> np.ndarray:
+    """`exps` as an int64 array of shape (..., n), after the one exponent check.
+
+    Each row must be n nonnegative integers (an integer array) and, when d is
+    given, of total degree <= d; a ValueError names the first row that is not.
+    """
+    e = np.asarray(exps)
+    if e.dtype.kind in "iu" and e.shape[-1:] == (n,):
+        e = e.astype(np.int64, copy=False)
+        if e.min(initial=0) >= 0 and (d is None or e.sum(-1).max(initial=0) <= d):
+            return e
+        e = e[(e < 0).any(-1) | (e.sum(-1) > (math.inf if d is None else d))]
+        if d is not None:
+            raise ValueError(f"exponent {tuple(e[0].tolist())} outside the degree-{d} basis "
+                             f"in {n} variables")
+    first = tuple(e.reshape(-1, e.shape[-1])[0].tolist()) if e.ndim and e.size else e.tolist()
+    raise ValueError(f"exponent {first} needs {n} nonnegative integer entries "
+                     f"(exponents form a nonnegative integer array of shape (..., {n}))")
+
+
+def _exponent_row(alpha) -> np.ndarray:
+    """One exponent as a (1, len) array; integral floats such as 2.0 read as integers."""
+    e = np.reshape(alpha, (1, -1))
+    if e.dtype.kind == "f" and np.isfinite(e).all() and (e == np.round(e)).all():
+        e = e.astype(np.int64)
+    return e
 
 
 class MonomialBasis:
     """Ordered basis of all monomials of degree <= d in n variables.
 
-    Provides O(1) index lookup; the ordering is stable across the whole
-    program (graded-lex), so indices can be exchanged between modules.
-    `exps` holds the exponents as an (len, n) integer array.
+    Row k holds the exponent of rank k (`rank`); the ordering is stable
+    across the whole program (graded-lex), so indices can be exchanged between
+    modules.  `exps` holds the exponents as an (len, n) integer array.
     """
 
     def __init__(self, n: int, d: int):
         self.n = n
         self.d = d
-        self.exponents = monomials_upto(n, d)
-        self._index = {a: k for k, a in enumerate(self.exponents)}
-        if len(self.exponents) != r_dim(n, d):
-            raise RuntimeError(f"graded-lex enumeration gave {len(self.exponents)} monomials, "
-                               f"expected r({n},{d}) = {r_dim(n, d)}")
-        self.exps = np.array(self.exponents, dtype=np.int64).reshape(-1, n)
+        # stars and bars: n bars among n + d slots; the stars between bars are the exponents
+        size = r_dim(n, d)
+        bars = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(range(n + d), n)), np.int64, size * n).reshape(size, n)
+        exps = np.diff(bars, axis=1, prepend=-1) - 1
+        self.exps = np.empty_like(exps)
+        self.exps[MonomialBasis.rank(exps)] = exps
+        self.exponents = list(map(tuple, self.exps.tolist()))
 
     def __len__(self):
         return len(self.exponents)
@@ -113,28 +130,22 @@ class MonomialBasis:
         return iter(self.exponents)
 
     def index_of(self, alpha) -> int:
-        alpha = tuple(alpha)
-        if alpha not in self._index:
-            raise ValueError(f"exponent {alpha} outside the degree-{self.d} basis "
-                             f"in {self.n} variables")
-        return self._index[alpha]
+        """Row of the exponent alpha; ValueError naming it unless it lies in the basis."""
+        return int(self.indices(_exponent_row(alpha))[0])
 
     def __contains__(self, alpha):
-        return tuple(alpha) in self._index
+        try:
+            self.index_of(alpha)
+        except ValueError:
+            return False
+        return True
 
     def indices(self, exps) -> np.ndarray:
         """Basis indices of an integer exponent array of shape (..., n).
 
-        Raises ValueError when any exponent lies outside the basis.
+        Raises ValueError naming the first exponent that lies outside the basis.
         """
-        e = np.asarray(exps)
-        if e.dtype.kind not in "iu" or e.shape[-1:] != (self.n,):
-            raise ValueError(f"expected an integer exponent array of shape (..., {self.n})")
-        if e.size == 0:
-            return np.zeros(e.shape[:-1], dtype=np.int64)
-        if e.min() >= 0 and e.sum(-1).max() <= self.d:
-            return MonomialBasis.rank(e)
-        raise ValueError(f"exponent outside the degree-{self.d} basis in {self.n} variables")
+        return MonomialBasis.rank(exponent_array(exps, self.n, self.d))
 
     @staticmethod
     def rank(exps) -> np.ndarray:
@@ -292,8 +303,8 @@ class Polynomial:
 
     def coeff_vector(self, basis: MonomialBasis) -> np.ndarray:
         v = np.zeros(len(basis))
-        for alpha, c in self.terms.items():
-            v[basis.index_of(alpha)] = c
+        exps = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.n)
+        v[basis.indices(exps)] = list(self.terms.values())
         return v
 
     def is_zero(self) -> bool:

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 from .cone import SemialgebraicProblem
 from .hierarchy import _certificate, phase1_gram, solve_moment_relaxation
 from .extraction import candidate_minimizer
-from .poly import MonomialBasis, Polynomial, monomials_upto
+from .poly import MonomialBasis, Polynomial, _exponent_row, exponent_array, monomials_upto, r_dim
 
 __all__ = [
     "ReferenceMeasure",
@@ -56,7 +56,7 @@ class ReferenceMeasure:
     Box and ball moments multiply one per-degree factor table over the
     coordinates (the ball's then divide by a total-degree factor) in any degree;
     tables raise beyond their stated degree.  Every kind rejects an exponent
-    that is not n nonnegative integers.
+    that is not n nonnegative integers (`poly.exponent_array`).
     """
 
     def __init__(self, kind: str, n: int, table: dict | None = None):
@@ -68,18 +68,11 @@ class ReferenceMeasure:
         if kind == "table":
             if not table:
                 raise ValueError("table kind needs a nonempty moment table")
-            exps = np.array([self._exponent(a, "moment table exponent") for a in table])
+            exps = np.concatenate([exponent_array(_exponent_row(a), n) for a in table])
             self.max_degree = int(exps.sum(-1).max())
             ranks = MonomialBasis.rank(exps)
             order = np.argsort(ranks)
             self._ranks, self._values = ranks[order], np.array(list(table.values()), float)[order]
-
-    def _exponent(self, alpha, what: str) -> tuple:
-        """alpha as a tuple of ints; ValueError unless it is n nonnegative integers."""
-        key = tuple(map(int, alpha))
-        if len(key) != self.n or key != tuple(alpha) or min(key, default=0) < 0:
-            raise ValueError(f"{what} {tuple(alpha)} needs {self.n} nonnegative integer entries")
-        return key
 
     @staticmethod
     def box(n: int) -> "ReferenceMeasure":
@@ -100,9 +93,7 @@ class ReferenceMeasure:
 
     def moments(self, exps) -> np.ndarray:
         """Moments at every row of a nonnegative integer exponent array of shape (..., n)."""
-        e = np.asarray(exps)
-        if e.dtype.kind not in "iu" or e.shape[-1:] != (self.n,) or e.min(initial=0) < 0:
-            raise ValueError(f"exponents need a nonnegative integer array of shape (..., {self.n})")
+        e = exponent_array(exps, self.n)
         degree = e.sum(-1)
         if self.kind == "table":
             if degree.max(initial=0) > self.max_degree:
@@ -129,7 +120,7 @@ class ReferenceMeasure:
         return values
 
     def moment(self, alpha) -> float:
-        return float(self.moments(np.array([self._exponent(alpha, "moment exponent")]))[0])
+        return float(self.moments(_exponent_row(alpha))[0])
 
     def integrate(self, p: Polynomial) -> float:
         return float(_integrals(self, np.zeros((1, self.n), dtype=np.int64), p)[0])
@@ -180,7 +171,7 @@ def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBound
         raise ValueError(f"level {d} is negative")
     k, one = d // 2, Polynomial.constant(1.0, mu.n)
     pairs = MonomialBasis(mu.n, 2 * k)
-    loc = pairs.localizing_map(MonomialBasis(mu.n, k).exps, one)
+    loc = pairs.localizing_map(pairs.exps[:r_dim(mu.n, k)], one)
     A = loc.gather(_integrals(mu, pairs.exps, f))
     B = loc.gather(_integrals(mu, pairs.exps, one))
     try:
