@@ -78,9 +78,28 @@ def _usage_error(flag: str, message: str):
     return argparse.ArgumentError(None, f"argument {flag}: {message}")
 
 
+def _read_input(flag: str, path: str, parse, expected: str):
+    """parse(the JSON held in `path`), the input file named by `flag`.
+
+    An unreadable file (OSError), bad JSON or content the library rejects
+    (ValueError) and a missing entry (KeyError) are usage errors naming the
+    flag; an unreadable one says what the flag `expected`.
+    """
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except OSError as exc:
+        raise _usage_error(flag, f"expected {expected}, got {path!r} ({exc.strerror})") from None
+    except ValueError as exc:
+        raise _usage_error(flag, f"{path!r}: {exc}") from None
+    except KeyError as exc:
+        raise _usage_error(flag, f"{path!r} has no entry {exc}") from None
+
+
 def _load_problem(args) -> SemialgebraicProblem:
     """The problem of `--problem`; a usage error when `--level` is below its degree."""
-    prob = SemialgebraicProblem.load(args.problem)
+    prob = _read_input("--problem", args.problem, SemialgebraicProblem.from_json_dict,
+                       "a problem JSON path")
     try:
         _check_level(prob, args.level)
     except ValueError as exc:
@@ -172,15 +191,13 @@ def _cmd_extract(args):
 
 
 def _cmd_upper(args):
-    prob = SemialgebraicProblem.load(args.problem)
+    prob = _read_input("--problem", args.problem, SemialgebraicProblem.from_json_dict,
+                       "a problem JSON path")
     if args.measure in ("box", "ball"):
         mu = ReferenceMeasure(args.measure, prob.n)
     else:
-        try:
-            mu = ReferenceMeasure.from_json(args.measure)
-        except OSError as exc:
-            raise _usage_error("--measure", f"expected box, ball or a moment-table JSON path, "
-                                            f"got {args.measure!r} ({exc.strerror})") from None
+        mu = _read_input("--measure", args.measure, ReferenceMeasure.from_json,
+                         "box, ball or a moment-table JSON path")
         if mu.n != prob.n:
             raise _usage_error("--measure", f"moment table has n = {mu.n}, "
                                             f"problem has n = {prob.n}")
@@ -204,8 +221,8 @@ def _cmd_upper(args):
 
 
 def _cmd_support(args):
-    with open(args.moments) as fh:
-        y = PseudoMomentSequence.from_json_dict(json.load(fh))
+    y = _read_input("--moments", args.moments, PseudoMomentSequence.from_json_dict,
+                    "a moment JSON path")
     if 2 * args.degree > y.order:
         raise _usage_error("--degree", f"degree {args.degree} needs moments to degree "
                                        f"{2 * args.degree} > {y.order}")
@@ -234,8 +251,8 @@ def _cmd_bench(args):
     if args.corpus == "builtin":
         corpus = builtin_corpus()
     else:
-        with open(args.corpus) as fh:
-            corpus = load_corpus(json.load(fh))
+        corpus = _read_input("--corpus", args.corpus, load_corpus,
+                             "a corpus JSON path or 'builtin'")
     reports, _ = run_suite(corpus, out_dir=args.out, r_dist=args.r)
     print(f"wrote {args.out}/report.csv and {args.out}/summary.md "
           f"({len(reports)} problems)")

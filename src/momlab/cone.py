@@ -198,7 +198,8 @@ class PseudoMomentSequence:
 
     A sequence is an immutable value: the constructor copies y into a
     read-only array, so neither the caller's array nor a write through `y`
-    can change it.  Two sequences are equal when n, order and every value
+    can change it; a NaN or infinite value raises ValueError naming its
+    exponent.  Two sequences are equal when n, order and every value
     agree; sequences are not hashable.  Quantities derived from the values
     alone, such as the power method's even-power bounds, may therefore be
     kept on the sequence (`_power_bounds`, filled by `support.py`).
@@ -216,6 +217,10 @@ class PseudoMomentSequence:
         y = np.array(self.y, dtype=float)
         if y.shape != (len(basis),):
             raise ValueError(f"expected {len(basis)} values for degree {self.order}, got {y.shape}")
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise ValueError(f"pseudo-moment of exponent {basis[bad[0]]} "
+                             f"is not finite: {y[bad[0]]}")
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
 

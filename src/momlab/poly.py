@@ -4,9 +4,14 @@ Exponent vectors (multi-indices) are plain tuples of nonnegative ints.  The
 single global monomial order is graded-lex: lower total degree first, ties
 broken lexicographically with x1 before x2 before x3...  Every matrix in the
 package indexes rows/columns by this order, so "row k" always means the k-th
-monomial of the ambient basis.  `MonomialBasis` is the only code that maps
-exponents to indices (`MonomialBasis.rank` needs no basis), and every module
-evaluates basis monomials at points through its `eval_matrix`.
+monomial of the ambient basis.  `MonomialBasis.rank` is the only map from
+exponents to rows; it needs no basis, and a basis of degree k is the first
+r(n, k) rows of any larger one.  A basis builds its exponent table by putting
+every exponent at its rank, and every lookup (`index_of`, `in`, `indices`,
+`Polynomial.coeff_vector`, pseudo-moment and reference-measure moments) first
+passes `exponent_array`, the one check: n nonnegative integers, plus total
+degree <= d for a basis; a bad exponent raises one ValueError that names it.
+Every module evaluates basis monomials at points through `eval_matrix`.
 `Polynomial.eval_grid` stays term by term on purpose: it touches only the
 polynomial's own terms, and on a dense quartic over a 201^2 grid it takes
 17 ms against 31 ms through power tables and a matrix product (one Xeon core,
@@ -62,7 +67,12 @@ def r_dim(n: int, d: int) -> int:
 
 
 def box_grid(box, resolution: int) -> np.ndarray:
-    """(m, n) grid on the box ((lo, hi), ...): `resolution` points per axis, first slowest."""
+    """(m, n) grid on the box ((lo, hi), ...): `resolution` points per axis, first slowest.
+
+    Raises ValueError for a resolution below 1, which would give an empty grid.
+    """
+    if resolution < 1:
+        raise ValueError(f"grid resolution {resolution} must be at least 1")
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 

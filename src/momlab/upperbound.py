@@ -56,7 +56,8 @@ class ReferenceMeasure:
     Box and ball moments multiply one per-degree factor table over the
     coordinates (the ball's then divide by a total-degree factor) in any degree;
     tables raise beyond their stated degree.  Every kind rejects an exponent
-    that is not n nonnegative integers (`poly.exponent_array`).
+    that is not n nonnegative integers (`poly.exponent_array`), and a table
+    rejects a NaN or infinite moment; each ValueError names the exponent.
     """
 
     def __init__(self, kind: str, n: int, table: dict | None = None):
@@ -69,10 +70,15 @@ class ReferenceMeasure:
             if not table:
                 raise ValueError("table kind needs a nonempty moment table")
             exps = np.concatenate([exponent_array(_exponent_row(a), n) for a in table])
+            values = np.array(list(table.values()), float)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"moment of exponent {tuple(exps[bad[0]].tolist())} "
+                                 f"is not finite: {values[bad[0]]}")
             self.max_degree = int(exps.sum(-1).max())
             ranks = MonomialBasis.rank(exps)
             order = np.argsort(ranks)
-            self._ranks, self._values = ranks[order], np.array(list(table.values()), float)[order]
+            self._ranks, self._values = ranks[order], values[order]
 
     @staticmethod
     def box(n: int) -> "ReferenceMeasure":
@@ -225,17 +231,18 @@ def is_sos_convex(f: Polynomial, d_cert: int | None = None):
         return True, None
     if d_cert is None:
         d_cert = f.degree
-    # scalarized Hessian over doubled variables (x_1..x_n, y_1..y_n)
-    target = Polynomial.zero(2 * n)
+    # scalarized Hessian over doubled variables (x_1..x_n, y_1..y_n), summed in one term map
+    grads = [f.partial(i) for i in range(n)]
+    terms = {}
     for i in range(n):
         for j in range(n):
-            hij = f.partial(i).partial(j)
-            for alpha, c in hij.terms.items():
+            for alpha, c in grads[i].partial(j).terms.items():
                 key = list(alpha) + [0] * n
                 key[n + i] += 1
                 key[n + j] += 1
                 t = tuple(key)
-                target = target + Polynomial(2 * n, {t: c})
+                terms[t] = terms.get(t, 0.0) + c
+    target = Polynomial._result(2 * n, terms.items())
     if target.is_zero():
         return True, None
     kx = max(0, (d_cert - 2 + 1) // 2)

@@ -326,3 +326,35 @@ def test_rejects_bad_numeric_or_measure_argument(capsys, tmp_path, corner_json, 
     if "MOMENTS" in command:
         assert "moment table has n = 1, problem has n = 2" in err
     assert not (tmp_path / "report").exists()
+
+
+_NAN_MOMENTS = json.dumps({"n": 1, "order": 2, "values": [
+    {"alpha": [0], "y": 1.0}, {"alpha": [1], "y": 0.0}, {"alpha": [2], "y": float("nan")}]})
+
+
+@pytest.mark.parametrize("command, flag, content, says", [
+    ("support --moments FILE --degree 1", "--moments", None, "No such file"),
+    ("support --moments FILE --degree 1", "--moments", "{not json", "Expecting property name"),
+    ("support --moments FILE --degree 1", "--moments", '{"n": 2}', "has no entry 'values'"),
+    ("support --moments FILE --degree 1 --method power", "--moments", _NAN_MOMENTS, "not finite"),
+    ("support --moments FILE --degree 1 --method cd", "--moments", _NAN_MOMENTS, "not finite"),
+    ("solve --problem FILE --level 2", "--problem", None, "No such file"),
+    ("extract --problem FILE --level 2", "--problem", '{"n": 1}', "has no entry 'objective'"),
+    ("upper --problem LINE --measure FILE", "--measure",
+     '{"n": 1, "values": [{"alpha": [0], "y": 1.0}, {"alpha": [2], "y": Infinity}]}', "not finite"),
+    ("bench --corpus FILE", "--corpus", "[{}]", "has no entry 'problem'"),
+])
+def test_unreadable_or_malformed_input_file_is_a_usage_error(capsys, tmp_path, line_json,
+                                                             command, flag, content, says):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    name, *rest = command.split()
+    rest = [str(path) if a == "FILE" else line_json if a == "LINE" else a for a in rest]
+    if name == "bench":
+        rest += ["--out", str(tmp_path / "report")]
+    with pytest.raises(SystemExit) as exc:
+        main([name, *rest])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and says in err

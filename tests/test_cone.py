@@ -231,3 +231,15 @@ def test_problem_rejects_ball_radius_that_is_not_finite_positive(radius):
     d["ball_radius"] = radius
     with pytest.raises(ValueError, match="ball_radius"):
         SemialgebraicProblem.from_json_dict(d)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_pseudo_moment_sequence_rejects_non_finite_values(bad):
+    y = PseudoMomentSequence.from_atoms([[0.5, -0.25], [-0.5, 0.5]], [0.5, 0.5], 4).y.copy()
+    y[3] = bad  # the moment of x1^2
+    with pytest.raises(ValueError, match=r"pseudo-moment of exponent \(2, 0\) is not finite"):
+        PseudoMomentSequence(2, 4, y)
+    table = {"n": 1, "order": 2, "values": [{"alpha": [0], "y": 1.0}, {"alpha": [1], "y": bad},
+                                            {"alpha": [2], "y": 0.5}]}
+    with pytest.raises(ValueError, match=r"pseudo-moment of exponent \(1,\) is not finite"):
+        PseudoMomentSequence.from_json_dict(table)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from momlab.extraction import candidate_minimizer
 from momlab.poly import (
     MonomialBasis,
     Polynomial,
+    box_grid,
     grlex_key,
     monomials_upto,
     r_dim,
 )
+from momlab.support import cd_kernel, cd_support_grid
 
 
 def test_r_dim_matches_binomial():
@@ -291,3 +294,52 @@ def test_polynomial_rejects_non_finite_coefficient(c):
         Polynomial(2, {(0, 0): 1.0, (1, 0): c})
     with pytest.raises(ValueError, match="not finite"):
         Polynomial.from_json_dict({"n": 1, "terms": [{"alpha": [2], "c": c}]})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_smaller_basis_is_a_prefix_of_every_larger_one(n):
+    tables = [MonomialBasis(n, d).exps for d in range(9)]
+    for d, table in enumerate(tables):
+        for k in range(d + 1):
+            np.testing.assert_array_equal(tables[k], table[: r_dim(n, k)])
+
+
+@pytest.mark.parametrize("alpha, named", [
+    ((1, 2), None), ((2.0, 0), None), (np.array([0, 3]), None),
+    ((3, 1), "(3, 1) outside"), ((-1, 0), "(-1, 0) outside"), ((1,), "(1,) needs 2"),
+    ((1, 0, 0), "(1, 0, 0) needs 2"), ((0.5, 1), "(0.5, 1.0) needs 2"), ("ab", "('ab',) needs 2"),
+])
+def test_membership_index_of_and_indices_agree(alpha, named):
+    basis = MonomialBasis(2, 3)
+    assert (alpha in basis) is (named is None)
+    if named is None:
+        k = basis.index_of(alpha)
+        assert basis.exponents[k] == tuple(int(a) for a in alpha)
+        assert basis.indices(np.array([alpha], dtype=np.int64)).tolist() == [k]
+        return
+    with pytest.raises(ValueError, match=re.escape(f"exponent {named}")):
+        basis.index_of(alpha)
+    with pytest.raises(ValueError, match=re.escape(f"exponent {named}")):
+        basis.indices(np.array([(0, 0), alpha]) if named.endswith("outside") else np.array([alpha]))
+
+
+def test_indices_names_the_first_bad_exponent():
+    basis = MonomialBasis(2, 3)
+    with pytest.raises(ValueError, match=r"exponent \(2, 2\) outside the degree-3 basis in 2"):
+        basis.indices(np.array([[[0, 1], [2, 2]], [[0, -1], [1, 1]]]))
+    with pytest.raises(ValueError, match=r"exponent \(0, -1\) outside the degree-3 basis"):
+        basis.indices(np.array([[0, 1], [0, -1], [2, 2]]))
+    with pytest.raises(ValueError, match=r"exponent \(0\.5, 1\.0\) needs 2 nonnegative integer"):
+        basis.indices(np.array([[0.5, 1.0]]))
+    with pytest.raises(ValueError, match=r"exponent \(0, 1, 0\) needs 2 nonnegative integer"):
+        basis.indices(np.zeros((4, 3), dtype=np.int64) + [0, 1, 0])
+    assert basis.indices(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("resolution", [0, -2])
+def test_box_grid_rejects_resolution_below_one(resolution):
+    with pytest.raises(ValueError, match=f"grid resolution {resolution} must be at least 1"):
+        box_grid([(-1.0, 1.0)], resolution)
+    kernel = cd_kernel(PseudoMomentSequence.from_atoms([[0.0], [0.5]], [0.5, 0.5], 4), 1)
+    with pytest.raises(ValueError, match="grid resolution"):
+        cd_support_grid(kernel, (-1.0, 1.0), resolution, 1.0)

@@ -304,3 +304,12 @@ def test_upper_bound_input_errors_name_the_input():
         ReferenceMeasure("table", 2, table={})
     with pytest.raises(ValueError, match="level -2 is negative"):
         solve_upper_bound(Polynomial.variable(0, 1), ReferenceMeasure.box(1), -2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_table_measure_rejects_non_finite_moments(bad):
+    with pytest.raises(ValueError, match=r"moment of exponent \(0, 2\) is not finite"):
+        ReferenceMeasure("table", 2, table={(0, 0): 1.0, (0, 2): bad, (2, 0): 0.5})
+    with pytest.raises(ValueError, match=r"moment of exponent \(2,\) is not finite"):
+        ReferenceMeasure.from_json({"n": 1, "values": [{"alpha": [0], "y": 1.0},
+                                                       {"alpha": [2], "y": bad}]})
