@@ -82,7 +82,8 @@ def _read_input(flag: str, path: str, parse, expected: str):
     """parse(the JSON held in `path`), the input file named by `flag`.
 
     An unreadable file (OSError), bad JSON or content the library rejects
-    (ValueError) and a missing entry (KeyError) are usage errors naming the
+    (ValueError), a missing entry (KeyError) and JSON of the wrong shape, such
+    as a list where an object belongs (TypeError), are usage errors naming the
     flag; an unreadable one says what the flag `expected`.
     """
     try:
@@ -94,6 +95,8 @@ def _read_input(flag: str, path: str, parse, expected: str):
         raise _usage_error(flag, f"{path!r}: {exc}") from None
     except KeyError as exc:
         raise _usage_error(flag, f"{path!r} has no entry {exc}") from None
+    except TypeError as exc:
+        raise _usage_error(flag, f"{path!r} has the wrong JSON shape ({exc})") from None
 
 
 def _load_problem(args) -> SemialgebraicProblem:
@@ -134,6 +137,11 @@ def _cmd_solve(args):
         "retried": res.retried,
         "iterations": res.iterations,
         "pseudo_moments": _to_original(prob, res.pseudo_moments).to_json_dict(),
+        # the polished atoms whose moments pseudo_moments are, when the solve was rounded
+        "rounded": None if res.rounded is None else {
+            "atoms": _to_original(prob, res.rounded.atoms).tolist(),
+            "weights": res.rounded.weights.tolist(),
+        },
         # the certificate stays in the saved problem's normalized coordinates
         "scale": None if prob.scale is None else asdict(prob.scale),
         "certificate_residual": (

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .poly import MonomialBasis, Polynomial, r_dim
+from .poly import MonomialBasis, Polynomial, _exponent_row, exponent_array, r_dim
 from .sdp import sv_rank
 
 __all__ = [
@@ -239,13 +239,27 @@ class PseudoMomentSequence:
         return PseudoMomentSequence(n, order, weights @ basis.eval_matrix(atoms), basis)
 
     @staticmethod
-    def from_table(n: int, order: int, table: dict) -> "PseudoMomentSequence":
+    def from_table(n: int, order: int, table) -> "PseudoMomentSequence":
+        """The sequence of a moment table: a dict {alpha: y_alpha} or (alpha, y_alpha) pairs.
+
+        Each key must be an exponent of the degree-`order` basis in n variables
+        (one `poly.exponent_array` check) and appear once, and every exponent
+        of that basis needs an entry.  A ValueError names the first key or
+        exponent that breaks this.
+        """
+        pairs = list(table.items() if isinstance(table, dict) else table)
         basis = MonomialBasis(n, order)
-        missing = [a for a in basis if a not in table]
-        if missing:
+        exps = [exponent_array(_exponent_row(alpha), n, order) for alpha, _ in pairs]
+        ranks = MonomialBasis.rank(np.concatenate(exps)) if exps else np.zeros(0, np.int64)
+        counts = np.bincount(ranks, minlength=len(basis))
+        if np.any(counts > 1):
+            raise ValueError(f"moment table has {counts.max()} entries for exponent "
+                             f"{basis[int(np.argmax(counts))]}")
+        if not np.all(counts):
             raise ValueError(f"moment table of degree {order} has no entry "
-                             f"for exponent {missing[0]}")
-        y = np.array([float(table[a]) for a in basis])
+                             f"for exponent {basis[int(np.argmin(counts))]}")
+        y = np.empty(len(basis))
+        y[ranks] = [float(v) for _, v in pairs]
         return PseudoMomentSequence(n, order, y, basis)
 
     def value(self, alpha) -> float:
@@ -285,8 +299,8 @@ class PseudoMomentSequence:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PseudoMomentSequence":
-        table = {tuple(t["alpha"]): t["y"] for t in d["values"]}
-        return PseudoMomentSequence.from_table(int(d["n"]), int(d["order"]), table)
+        pairs = [(t["alpha"], t["y"]) for t in d["values"]]
+        return PseudoMomentSequence.from_table(int(d["n"]), int(d["order"]), pairs)
 
 
 @dataclass(frozen=True)

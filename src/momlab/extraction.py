@@ -1,9 +1,11 @@
-"""Flatness detection, atom extraction, candidate minimizers, atom pruning.
+"""Flatness detection, atom extraction, atom polishing, candidate minimizers, pruning.
 
 A flat pseudo-moment sequence is the moment sequence of an atomic measure;
 the atoms are recovered through the eigenstructure of multiplication (shift)
 matrices on the column space of the moment matrix, and the weights by solving
-the resulting Vandermonde moment system.
+the resulting Vandermonde moment system.  Atoms read off an epsilon-optimal
+relaxation are only as accurate as the solve; `polish_atoms` moves them onto
+nearby KKT points of the problem.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .cone import PseudoMomentSequence, moment_matrix
+from .cone import PseudoMomentSequence, SemialgebraicProblem, moment_matrix
 from .poly import MonomialBasis, r_dim
 from .sdp import affine_solutions, sv_rank
 
@@ -22,6 +24,7 @@ __all__ = [
     "FlatnessReport",
     "check_flatness",
     "extract_atoms",
+    "polish_atoms",
     "candidate_minimizer",
     "tchakaloff_prune",
     "rank_profile",
@@ -183,6 +186,66 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
             continue
         return AtomicMeasure(atoms=atoms, weights=weights)
     raise last_err or ValueError("atom extraction failed")
+
+
+ACTIVE_TOL = 1e-3  # an inequality g with g(atom) <= ACTIVE_TOL is held at g = 0
+
+
+def polish_atoms(prob: SemialgebraicProblem, atoms) -> np.ndarray:
+    """Each row of `atoms` moved to a nearby KKT point of min f over K.
+
+    The active set is read at the atom: every equality h, and every
+    inequality g with g(atom) <= ACTIVE_TOL.  Newton's method then solves
+    grad f = sum_a lam_a grad c_a, c_a = 0 over the active c_a for (x, lam),
+    from the atom and the least-squares multipliers there.  Each step is a
+    least-squares solve, so a singular KKT matrix (more active constraints
+    than variables, a degenerate minimizer) does not stop it; it stops when
+    the KKT residual no longer falls, or after 20 steps, and keeps the
+    iterate of smallest residual.  From an atom that is epsilon-optimal, the
+    iteration reaches round-off where a first-order method stops near
+    sqrt(epsilon).
+
+    The value, gradient and Hessian of f and of every constraint are
+    coefficient rows over one monomial basis, formed once per call, so an
+    iterate costs one basis evaluation and one matrix product.  Nothing here
+    checks that a polished point lies in K or improves f; callers decide.
+    """
+    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    n = prob.n
+    polys = [prob.objective, *prob.constraints, *prob.equalities]
+    basis = MonomialBasis(n, max(p.degree for p in polys))
+    rows = []  # per polynomial: itself, its n first and n*n second partials
+    for p in polys:
+        grad = [p.partial(i) for i in range(n)]
+        rows.append([p, *grad, *(gi.partial(j) for gi in grad for j in range(n))])
+    C = np.array([[q.coeff_vector(basis) for q in r] for r in rows])  # (P, 1 + n + n*n, len)
+    n_ineq = len(prob.constraints)
+
+    def derivs(x):
+        T = C @ basis.eval_matrix(x[None])[0]
+        return T[:, 0], T[:, 1:1 + n], T[:, 1 + n:].reshape(-1, n, n)
+
+    out = atoms.copy()
+    for k, x0 in enumerate(atoms):
+        val, grad, _ = derivs(x0)
+        # polynomial 0 is f; the active constraints are polynomials 1 + act
+        act = 1 + np.flatnonzero((val[1:] <= ACTIVE_TOL) | (np.arange(len(polys) - 1) >= n_ineq))
+        lam = np.linalg.lstsq(grad[act].T, grad[0], rcond=None)[0]
+        x, best, best_res = x0, x0, np.inf
+        for _ in range(20):  # from an atom the residual stops falling in 2-13 steps
+            val, grad, hess = derivs(x)
+            G = grad[act]
+            F = np.concatenate([grad[0] - lam @ G, val[act]])
+            res = float(np.linalg.norm(F))
+            if not res < best_res:
+                break
+            best, best_res = x, res
+            H = hess[0] - np.tensordot(lam, hess[act], axes=1)
+            J = np.block([[H, -G.T], [G, np.zeros((len(act), len(act)))]])
+            step = np.linalg.lstsq(J, -F, rcond=None)[0]
+            x, lam = x + step[:n], lam + step[n:]
+        out[k] = best
+    return out
 
 
 def candidate_minimizer(y: PseudoMomentSequence) -> np.ndarray:

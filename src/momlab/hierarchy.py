@@ -5,7 +5,9 @@ minimizes L(f) over pseudo-moment sequences with PSD moment and localizing
 matrices and L(h * X^gamma) = 0 for equality constraints h; the SOS side is
 its SDP dual, read off the same solve.  Equality relations are eliminated
 up front (the pseudo-moment vector is parametrized over an affine subspace),
-which keeps the remaining SDP strictly feasible even when K is finite.
+which keeps the remaining SDP strictly feasible even when K is finite.  A
+flat solution is rounded to the moments of its polished atoms
+(`solve_moment_sdp`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cone import PseudoMomentSequence, SemialgebraicProblem
+from .extraction import AtomicMeasure, check_flatness, extract_atoms, polish_atoms
 from .poly import MonomialBasis, Polynomial, r_dim
 from .sdp import SdpBlock, SdpProblem, affine_solutions, extract_dual_gram, psd_floor, solve
 
@@ -79,6 +82,7 @@ class RelaxationResult:
     status: str
     retried: bool = False  # accepted iterate met only the loosened 1e-7 tolerance (sdp.LOOSE_TOL)
     iterations: int = 0  # interior-point iterations of the solve; 0 when no SDP ran
+    rounded: AtomicMeasure | None = None  # polished atoms whose moments are pseudo_moments
 
 
 @dataclass(frozen=True)
@@ -258,6 +262,18 @@ def solve_moment_sdp(
     took.  Any other non-Optimal status raises MomentSdpError, a RuntimeError
     naming the level, status, iteration count and residuals
     (`SdpSolution.describe`).
+
+    An Optimal result whose order-k moment matrix is flat is rounded
+    (`_round`): its atoms are extracted, polished onto KKT points of min f
+    over K (`polish_atoms`) and given weights that sum to 1.  When every
+    polished atom lies in K and the measure's cost sum_j w_j f(x_j) is at
+    most m_d + 1e-7 (1 + |m_d|), `pseudo_moments` are that measure's moments
+    and `rounded` is the measure; otherwise `rounded` is None and the SDP's
+    pseudo-moments stay.  An interior-point solution is only epsilon-optimal,
+    so its atoms sit about sqrt(epsilon) from the minimizers where f grows
+    quadratically; the polished ones reach round-off.  `m_d_star`, `f_d_star`
+    and the certificate are always the SDP's.  Every measure on K costs at
+    least f*, so rounding fires only when m_d is within the tolerance of f*.
     """
     if ms.problem.n_vars == 0:
         # equalities pin every pseudo-moment; nothing to optimize
@@ -276,7 +292,35 @@ def solve_moment_sdp(
         grams = [extract_dual_gram(sol, j) for j in range(len(ms.block_bases))]
         cert = _certificate(prob, prob.objective, f_d, ms.basis,
                             ms.block_bases, ms.block_weights, grams)
-    return RelaxationResult(ms.d, m_d, y, f_d, cert, sol.status, sol.loose, sol.iterations)
+    rounded = _round(prob, y, ms.order, m_d)
+    if rounded is not None:
+        y = PseudoMomentSequence(prob.n, 2 * ms.order,
+                                 rounded.weights @ ms.basis.eval_matrix(rounded.atoms), ms.basis)
+    return RelaxationResult(ms.d, m_d, y, f_d, cert, sol.status, sol.loose, sol.iterations,
+                            rounded)
+
+
+def _round(prob: SemialgebraicProblem, y: PseudoMomentSequence, k: int,
+           m_d: float) -> AtomicMeasure | None:
+    """The polished atomic measure of a flat order-k y, or None (see `solve_moment_sdp`).
+
+    Flatness uses the step max(2, max constraint degree), as `run_suite` does.
+    """
+    r = max(2, prob.max_constraint_degree)
+    if k < r or not check_flatness(y, k, r).is_flat:
+        return None
+    try:
+        mu = extract_atoms(y, k)
+    except ValueError:
+        return None
+    atoms = polish_atoms(prob, mu.atoms)
+    weights = mu.weights / mu.mass
+    cost = float(weights @ prob.objective.eval_grid(atoms))
+    # polished atoms are in K to round-off, or not at all
+    if (all(prob.contains(x, tol=1e-12) for x in atoms)
+            and cost <= m_d + 1e-7 * (1.0 + abs(m_d))):
+        return AtomicMeasure(atoms, weights)
+    return None
 
 
 def solve_sos_tightening(prob: SemialgebraicProblem, d: int):
@@ -300,9 +344,13 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
 
     `blocks` pairs monomial rows v_j (exponent tuples) with weights g_j;
     `target` is a coefficient vector over `basis`.  Minimizes t subject to
-    G_j + t*I PSD and exact coefficient matching (left-multiplied by
+    G_j + t*I PSD, t >= -1 and exact coefficient matching (left-multiplied by
     `project` when given).  The matching equations are eliminated before the
     solve: the Gram entries range over x_p + N z and the SDP is over (z, t).
+    The verdict reads only whether t* <= MEMBERSHIP_TOL, so any lower bound
+    on t below 0 gives the same answer; -1 keeps the SDP well scaled (with
+    -1e6, the Gram SDPs of `compute_d0` on the builtin corpus took up to 82
+    iterations, where -1 takes at most 14).
     Returns the Grams, shifted by t* and eigenvalue-floored, or None when the
     matching is inconsistent, the SDP is infeasible or t* > MEMBERSHIP_TOL.
     Any other non-Optimal status raises RuntimeError naming `what`, the status,
@@ -332,9 +380,9 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
         sdp_blocks.append(SdpBlock(F0=_sym_from_triu(x_p[lo:hi], sdim),
                                    var_idx=np.arange(nz + 1), mats=mats))
         lo = hi
-    # safeguard keeping t bounded below even on inconsistent numerics
+    # t >= -1 keeps the SDP bounded; any bound below 0 gives the same verdict
     sdp_blocks.append(
-        SdpBlock(F0=np.array([[1e6]]), var_idx=np.array([t_idx]), mats=np.array([[[1.0]]]))
+        SdpBlock(F0=np.array([[1.0]]), var_idx=np.array([t_idx]), mats=np.array([[[1.0]]]))
     )
     c = np.zeros(nz + 1)
     c[t_idx] = 1.0

@@ -35,15 +35,21 @@ is one direct LAPACK `trtrs` call (`_tri_solve`) that keeps scipy's checks (a
 non-finite operand raises ValueError, a zero pivot LinAlgError), and every
 Frobenius inner product one dot product (`_inner`).
 
+Every search direction keeps the dual residual exactly.  A*(Z) = c - rd is
+linear in Z, and the Newton system asks A*(dZ) = rd, but the dZ that the
+Schur solve gives meets it only up to the solve's error, which the jittered
+Cholesky of a near-singular Schur matrix makes large.  So each dZ is
+corrected by the minimum-norm change sum_i w_i F_i with
+(AA*) w = rd - A*(dZ).  AA* is the Schur matrix at W = I; it is formed and
+pseudo-inverted once per solve, from one `eigh` with the `sv_rank` rule, so
+a variable that appears in no block (a zero row of AA*) is simply left out
+of the correction.  A step of length ad then scales the dual residual by
+1 - ad up to round-off, and once it has reached round-off it stays there.
+
 Stopping rule: `Optimal` at the first iterate with relative residuals and
 gap <= TOL (1e-8).  A run that ends any other way returns its first iterate
 within LOOSE_TOL (1e-7), if it had one, as `Optimal` with `loose=True`; no
-second solve runs, and `iterations` and `trace` cover the whole run.  A run
-that ends MaxIter or IllConditioned with no such iterate gets a dual snap:
-its best iterate's Z is moved by the minimum-norm correction that makes
-A*(Z) = c exactly, and if every block stays positive definite and the
-residuals and gap are then within LOOSE_TOL, that dual-feasible (up to
-round-off) iterate is returned as `Optimal` with `loose=True`.
+second solve runs, and `iterations` and `trace` cover the whole run.
 """
 
 from __future__ import annotations
@@ -283,6 +289,17 @@ def affine_solutions(E: np.ndarray, h: np.ndarray):
     return x_p, vt[r:].T, float(np.linalg.norm(E @ x_p - h))
 
 
+def _psd_pinv(A: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of a symmetric PSD matrix from one eigh, rank by the `sv_rank` rule.
+
+    Eigenvalues at or below max(size * eps, 1e-12) times the largest count as
+    zero, the tolerance `affine_solutions` uses.
+    """
+    lam, U = np.linalg.eigh(A)
+    k = len(lam) - sv_rank(lam[::-1], max(len(lam) * np.finfo(float).eps, 1e-12))
+    return (U[:, k:] / lam[k:]) @ U[:, k:].T
+
+
 def _max_step(L, dS, frac):
     """Largest alpha <= 1 with S + alpha*dS still positive definite (fraction-to-boundary).
 
@@ -362,8 +379,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     status = "MaxIter"
     stall_count = 0
     it = 0
-    # the loop rebinds x, S and Z each step, so best and loose hold references
-    best = None  # (score, x, S, Z) of the most feasible/converged iterate seen
+    # the loop rebinds x, S and Z each step, so loose holds references
     loose = None  # (x, S, Z) of the first iterate within LOOSE_TOL
 
     def adjoint(Zs):
@@ -400,6 +416,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
             M[idx] += blk.schur(Wj_inv)
         return _sym(M)
 
+    # the dual projection of every search direction
+    AA_pinv = _psd_pinv(schur([np.eye(blk.size) for blk in blocks]))
+
     for it in range(1, MAX_ITER + 1):
         Rp, rd, pobj, dobj, pres, dres = measure(x, S, Z)
         gap = sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z))
@@ -408,10 +427,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
         trace.append((pobj, dobj, pres, dres, mu))
         log.debug("iter %3d  pobj %+.6e  dobj %+.6e  pres %.2e  dres %.2e  gap %.2e",
                   it, pobj, dobj, pres, dres, relgap)
-
-        score = max(pres, dres, relgap)
-        if np.isfinite(score) and (best is None or score < best[0]):
-            best = (score, x, S, Z)
 
         if pres <= TOL and dres <= TOL and relgap <= TOL:
             status = "Optimal"
@@ -471,6 +486,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 dSj = Rpj + blk.apply(dx)
                 dZ.append(_sym(Wj_inv @ (Rcj - dSj) @ Wj_inv))
                 dS.append(_sym(dSj))
+            # minimum-norm correction to A*(dZ) = rd exactly
+            w = AA_pinv @ (rd - adjoint(dZ))
+            dZ = [dZj + blk.apply(w) for blk, dZj in zip(blocks, dZ)]
             return dx, dS, dZ
 
         # predictor: pure Newton step toward the boundary fixes the centering weight
@@ -508,21 +526,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
     if accepted_loose:
         x, S, Z = loose
         status = "Optimal"
-    elif status != "Optimal" and status != "Infeasible" and best is not None:
-        _, x, S, Z = best
-        # Stalls end with pres and gap tiny but A*(Z) drifted from c.  Snap Z
-        # back with the minimum-norm correction sum_i w_i F_i, (A A*) w = rd;
-        # if every block stays positive definite, Z is dual feasible.
-        w, _, _ = affine_solutions(schur([np.eye(blk.size) for blk in blocks]), c - adjoint(Z))
-        Z_snap = [_sym(Zj + blk.apply(w)) for blk, Zj in zip(blocks, Z)]
-        _, _, pobj, dobj, pres, dres = measure(x, S, Z_snap)
-        gap = sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z_snap))
-        if (max(pres, dres, gap / (1.0 + abs(pobj) + abs(dobj))) <= LOOSE_TOL
-                and all(np.linalg.eigvalsh(Zj)[0] > 0.0 for Zj in Z_snap)):
-            Z, status, accepted_loose = Z_snap, "Optimal", True
     gap = sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z))
     if status == "Optimal":
-        # dual identifies the optimal face; snap the primal iterate onto it
+        # dual identifies the optimal face; project the primal iterate onto it
         x = _refine_primal(problem, x, Z, LOOSE_TOL if accepted_loose else TOL, gap)
         S = [_sym(blk.assemble(x)) for blk in blocks]
     _, _, pobj, dobj, pres, dres = measure(x, S, Z)

@@ -211,6 +211,19 @@ def test_moment_distance_monotone_on_unique_minimizer_problems(suite_run):
     assert parab.est_errors[-1] <= 1e-3
 
 
+def test_rounded_levels_reach_the_minimizer(suite_run):
+    # from level 3 on, both moment matrices are flat and the relaxation is
+    # rounded to its polished atom: the pseudo-moments are those of the minimizer
+    reports, _, _ = suite_run
+    by_id = {r.problem_id: r for r in reports}
+    for pid in ("line-min", "shifted-paraboloid"):
+        rep = by_id[pid]
+        assert rep.flat_levels == [3, 4, 5, 6], pid
+        for d, est, dist in zip(rep.levels, rep.est_errors, rep.mom_dists):
+            if d >= 3:
+                assert est <= 1e-12 and dist == 0.0, (pid, d, est, dist)
+
+
 # 8 ---------------------------------------------------------------------------
 
 

@@ -60,6 +60,21 @@ def test_solve_reports_iterations(capsys, line_json, monkeypatch):
     assert out["iterations"] == sols[0].iterations > 0
 
 
+def test_solve_reports_rounded_atoms(capsys, tmp_path):
+    # min (x - 1)^2 over [-2, 2], saved normalized: the atom is reported at x* = 1
+    x = Polynomial.variable(0, 1)
+    path = tmp_path / "normalized.json"
+    normalize(SemialgebraicProblem(n=1, objective=(x - 1) ** 2, constraints=(4 - x * x,),
+                                   ball_radius=2.0)).save(path)
+    assert main(["solve", "--problem", str(path), "--level", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["rounded"]["weights"] == [1.0]
+    assert out["rounded"]["atoms"][0][0] == pytest.approx(1.0, abs=1e-14)
+    assert out["pseudo_moments"]["values"][1] == {"alpha": [1], "y": out["rounded"]["atoms"][0][0]}
+    assert main(["solve", "--problem", str(path), "--level", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["rounded"] is None
+
+
 def test_solve_with_certificate_and_sdpa(capsys, tmp_path, line_json, monkeypatch):
     sdpa = tmp_path / "line.dat-s"
     builds = []
@@ -336,6 +351,7 @@ _NAN_MOMENTS = json.dumps({"n": 1, "order": 2, "values": [
     ("support --moments FILE --degree 1", "--moments", None, "No such file"),
     ("support --moments FILE --degree 1", "--moments", "{not json", "Expecting property name"),
     ("support --moments FILE --degree 1", "--moments", '{"n": 2}', "has no entry 'values'"),
+    ("support --moments FILE --degree 1", "--moments", "[1, 2]", "has the wrong JSON shape"),
     ("support --moments FILE --degree 1 --method power", "--moments", _NAN_MOMENTS, "not finite"),
     ("support --moments FILE --degree 1 --method cd", "--moments", _NAN_MOMENTS, "not finite"),
     ("solve --problem FILE --level 2", "--problem", None, "No such file"),

@@ -198,6 +198,30 @@ def test_moment_table_missing_exponent_raises_value_error():
         PseudoMomentSequence.from_json_dict(d)
 
 
+_TABLE = [{"alpha": [0], "y": 1.0}, {"alpha": [1], "y": 0.5}, {"alpha": [2], "y": 0.5}]
+
+
+@pytest.mark.parametrize("extra, says", [
+    ({"alpha": [1, -1], "y": 7.0}, r"exponent \(1, -1\) needs 1 nonnegative integer entries"),
+    ({"alpha": [-1], "y": 7.0}, r"exponent \(-1,\) outside the degree-2 basis"),
+    ({"alpha": [9], "y": float("nan")}, r"exponent \(9,\) outside the degree-2 basis"),
+    ({"alpha": [1], "y": 3.0}, r"moment table has 2 entries for exponent \(1,\)"),
+])
+def test_moment_table_checks_its_own_keys(extra, says):
+    # each bad entry used to be dropped, or to overwrite a valid one, in silence
+    with pytest.raises(ValueError, match=says):
+        PseudoMomentSequence.from_json_dict({"n": 1, "order": 2, "values": _TABLE + [extra]})
+    pairs = [(t["alpha"], t["y"]) for t in _TABLE + [extra]]
+    with pytest.raises(ValueError, match=says):
+        PseudoMomentSequence.from_table(1, 2, pairs)
+
+
+def test_moment_table_entries_may_come_in_any_order():
+    y = PseudoMomentSequence.from_json_dict({"n": 1, "order": 2, "values": _TABLE[::-1]})
+    assert y.y.tolist() == [1.0, 0.5, 0.5]
+    assert PseudoMomentSequence.from_table(1, 2, {(2,): 0.5, (0,): 1.0, (1,): 0.5}) == y
+
+
 def test_moment_sequence_is_immutable_and_unaliased():
     arr = np.array([1.0, 0.5, 0.25])
     y = PseudoMomentSequence(1, 2, arr)

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from momlab.cone import PseudoMomentSequence, ScaleRecord
+from momlab.cone import PseudoMomentSequence, ScaleRecord, SemialgebraicProblem
 from momlab.extraction import (
     AtomicMeasure,
     candidate_minimizer,
     check_flatness,
     extract_atoms,
+    polish_atoms,
     rank_profile,
     tchakaloff_prune,
 )
-from momlab.poly import r_dim
+from momlab.poly import Polynomial, r_dim
 
 from conftest import random_atomic
 
@@ -165,3 +166,22 @@ def test_flatness_and_extraction_reject_rank_tol_outside_unit_interval(tol):
         check_flatness(y, 2, 1, tol=tol)
     with pytest.raises(ValueError, match=r"rank_tol=.* must lie in \(0, 1\)"):
         extract_atoms(y, 2, rank_tol=tol)
+
+
+def test_polish_atoms_reaches_kkt_points():
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    box = (1 - x1 * x1, 1 - x2 * x2)
+    # interior minimizer: no constraint active, Newton on grad f = 0
+    parab = SemialgebraicProblem(n=2, objective=(x1 - 0.3) ** 2 + (x2 + 0.2) ** 2,
+                                 constraints=box)
+    np.testing.assert_allclose(polish_atoms(parab, [[0.3001, -0.2002]]), [[0.3, -0.2]],
+                               rtol=0, atol=1e-15)
+    # boundary minimizer: the nearly active constraint is held at 0
+    line = SemialgebraicProblem(n=1, objective=Polynomial.variable(0, 1),
+                                constraints=(1 - Polynomial.variable(0, 1) ** 2,))
+    np.testing.assert_allclose(polish_atoms(line, [[-0.99999]]), [[-1.0]], rtol=0, atol=1e-15)
+    # equalities are always active; one atom per row
+    corner = SemialgebraicProblem(n=2, objective=-x1 - x2 + x1 * x2,
+                                  equalities=(x1 - x1 * x1, x2 - x2 * x2))
+    got = polish_atoms(corner, [[1e-6, 0.99999], [1.00001, 1e-5]])
+    np.testing.assert_allclose(got, [[0.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-15)

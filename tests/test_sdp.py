@@ -377,19 +377,23 @@ def test_extract_dual_gram_psd_and_status_guard():
         extract_dual_gram(bad, 0)
 
 
+def _line_sdp():
+    """Level-2 moment SDP of min x on [-1, 1] (optimum -1)."""
+    x = Polynomial.variable(0, 1)
+    return build_moment_sdp(SemialgebraicProblem(n=1, objective=x, constraints=(1 - x * x,)),
+                            2).problem
+
+
 def test_loose_acceptance_keeps_first_iterate_within_loose_tol(monkeypatch):
-    # an interior iterate has a positive gap, so TOL = 0 is never met
+    # an interior iterate of this SDP has a positive gap, so TOL = 0 is never met
     monkeypatch.setattr(sdp, "TOL", 0.0)
-    blk = SdpBlock(
-        F0=np.eye(2),
-        var_idx=np.array([0]),
-        mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
-    )
-    sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]))
+    prob = _line_sdp()
+    dim = sum(blk.size for blk in prob.blocks)
+    sol = solve(prob)
     assert sol.status == "Optimal" and sol.loose
     assert len(sol.trace) == sol.iterations
     within = [k for k, (pobj, dobj, pres, dres, mu) in enumerate(sol.trace)
-              if max(pres, dres, 2 * mu / (1 + abs(pobj) + abs(dobj))) <= sdp.LOOSE_TOL]
+              if max(pres, dres, dim * mu / (1 + abs(pobj) + abs(dobj))) <= sdp.LOOSE_TOL]
     # the run went on past the accepted iterate, whose dual is returned as is
     assert within and within[0] < sol.iterations - 1
     assert sol.dual_value == sol.trace[within[0]][1]
@@ -397,24 +401,39 @@ def test_loose_acceptance_keeps_first_iterate_within_loose_tol(monkeypatch):
     assert sol.value == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_stalled_solve_snaps_dual_to_exact_feasibility():
-    # dense quartic (seed 1) on the unit disc at level 8: no iterate meets
-    # LOOSE_TOL (the dual residual stops at 1.1e-7 and then drifts up), so the
-    # minimum-norm correction of the best dual is what makes the run Optimal
+def _disc_sdp():
+    """Level-8 moment SDP of a dense quartic (seed 1) on the unit disc."""
     rng = np.random.default_rng(1)
     f = Polynomial(2, {a: rng.standard_normal() for a in MonomialBasis(2, 4)})
     x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     disc = SemialgebraicProblem(n=2, objective=f, constraints=(1 - x1 * x1 - x2 * x2,))
-    prob = build_moment_sdp(disc, 8).problem
+    return build_moment_sdp(disc, 8).problem
+
+
+def test_disc_solve_ends_optimal_with_exact_dual_feasibility():
+    # this solve used to stall with the dual residual stuck near 1e-7; every
+    # search direction now keeps A*(Z) = c - rd, so the run meets TOL outright
+    prob = _disc_sdp()
     sol = solve(prob)
-    assert sol.status == "Optimal" and sol.loose
-    assert all(np.min(np.linalg.eigvalsh(Zj)) > 0.0 for Zj in sol.block_duals)
+    assert sol.status == "Optimal" and not sol.loose
     A_Z = np.zeros(prob.n_vars)
     for blk, Zj in zip(prob.blocks, sol.block_duals):
         for k, Fk in zip(blk.var_idx, blk.mats):
             A_Z[k] += np.tensordot(Fk, Zj)
     assert np.linalg.norm(prob.c - A_Z) / (1.0 + np.linalg.norm(prob.c)) <= 1e-12
-    assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= sdp.LOOSE_TOL
+    assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= sdp.TOL
+
+
+def test_variable_in_no_block():
+    # variable 1 appears in no block, so AA* is singular; its pseudo-inverse
+    # leaves that variable out of the dual correction
+    blk = SdpBlock(F0=np.eye(2), var_idx=np.array([0]), mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+    sol = solve(SdpProblem(n_vars=2, c=np.array([1.0, 0.0]), blocks=[blk]))
+    assert sol.status == "Optimal"
+    assert sol.value == pytest.approx(-1.0, abs=1e-7)
+    # a cost on the free variable makes the SDP unbounded: no Optimal, no exception
+    sol = solve(SdpProblem(n_vars=2, c=np.array([1.0, 1.0]), blocks=[blk]))
+    assert sol.status != "Optimal"
 
 
 def test_export_sdpa_format(tmp_path):
