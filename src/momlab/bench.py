@@ -1,7 +1,8 @@
 """Benchmark corpus, brute-force oracles, rate fitting and reporting.
 
 Every derived reference value in the test-suite comes from the grid oracle
-here: dense feasibility-filtered minimization over a box containing K.
+here: dense feasibility-filtered minimization over a box containing K, its
+near-optimal samples polished onto KKT points of the problem.
 The suite runs the lower (moment) and upper (density) hierarchies side by
 side, measures candidate-minimizer and moment-space convergence, and fits
 log-log rates where the gaps stay bounded away from zero.
@@ -18,8 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import PseudoMomentSequence, SemialgebraicProblem
-from .extraction import candidate_minimizer, check_flatness, extract_atoms
-# solve_moment_relaxation is not called here; perfbench/tracing.py wraps it under this name
+from .extraction import candidate_minimizer, polish_atoms
+# check_flatness, extract_atoms and solve_moment_relaxation are not called here (flatness is
+# read from RelaxationResult.rounded); perfbench/tracing.py wraps them under these names
+from .extraction import check_flatness, extract_atoms  # noqa: F401
 from .hierarchy import _solve_levels, relaxation_order, solve_moment_relaxation  # noqa: F401
 from .poly import MonomialBasis, Polynomial, box_grid
 from .upperbound import ReferenceMeasure, solve_upper_bound
@@ -96,10 +99,16 @@ def _default_resolution(n: int) -> int:
 
 
 def brute_force_oracle(prob: SemialgebraicProblem, resolution: int | None = None, box=None):
-    """Dense-grid minimum of the objective over K (the oracle for derived values).
+    """Polished dense-grid minimum of the objective over K (the oracle for derived values).
 
     Returns (f_star, x_star, near-optimal sample set).  Grid points are kept
-    when every inequality exceeds -1e-9 and every equality vanishes to 1e-9.
+    when every inequality exceeds -1e-9 and every equality vanishes to 1e-9;
+    those within 1e-6 of the grid minimum are the samples.  Each sample is
+    polished onto a nearby KKT point (`polish_atoms`), which replaces it when
+    it lies in K to 1e-12 and costs no more than the sample: a grid places a
+    minimizer off its nodes only to its spacing, and f* to about its square.
+    f_star, x_star and the sample set (within 1e-6 of f_star) then come from
+    these points.
     """
     n = prob.n
     if n > 3:
@@ -118,10 +127,15 @@ def brute_force_oracle(prob: SemialgebraicProblem, resolution: int | None = None
     if pts.shape[0] == 0:
         raise ValueError("no feasible grid point; raise the resolution")
     vals = prob.objective.eval_grid(pts)
+    near = vals <= np.min(vals) + 1e-6
+    pts, vals = pts[near], vals[near]
+    polished = polish_atoms(prob, pts)
+    p_vals = prob.objective.eval_grid(polished)
+    better = (p_vals <= vals) & np.array([prob.contains(x, tol=1e-12) for x in polished])
+    pts[better], vals[better] = polished[better], p_vals[better]
     j = int(np.argmin(vals))
     f_star = float(vals[j])
-    s_star = pts[vals <= f_star + 1e-6]
-    return f_star, pts[j], s_star
+    return f_star, pts[j], pts[vals <= f_star + 1e-6]
 
 
 def fit_rate(levels, gaps, floor: float = 1e-9) -> RateFit:
@@ -310,8 +324,7 @@ def _run_problem(bp: BenchProblem, r_dist: int = 2) -> RateReport:
     f_star, x_star, s_star = brute_force_oracle(bp.problem, box=bp.box)
     rep = RateReport(problem_id=bp.id, f_star=f_star, x_star=np.asarray(x_star), s_star=s_star,
                      grid_resolution=_default_resolution(bp.problem.n))
-    r_flat = max(2, bp.problem.max_constraint_degree)
-    analysed = {}  # relaxation order -> (est_err, mom_dist, flat)
+    analysed = {}  # relaxation order -> (est_err, mom_dist)
     for res in _solve_levels(bp.problem, range(bp.d_min, bp.d_max + 1)):
         rep.levels.append(res.d)
         rep.statuses.append(res.status)
@@ -326,19 +339,11 @@ def _run_problem(bp: BenchProblem, r_dist: int = 2) -> RateReport:
         k = relaxation_order(res.d)
         if k not in analysed:
             est_err = float(np.linalg.norm(candidate_minimizer(y) - x_star))
-            mom_dist = moment_distance_to_optimal(y, s_star, r=r_dist)
-            flat = False
-            if k >= r_flat and check_flatness(y, k, r_flat).is_flat:
-                try:
-                    extract_atoms(y, k)
-                    flat = True
-                except ValueError:
-                    pass
-            analysed[k] = (est_err, mom_dist, flat)
-        est_err, mom_dist, flat = analysed[k]
+            analysed[k] = (est_err, moment_distance_to_optimal(y, s_star, r=r_dist))
+        est_err, mom_dist = analysed[k]
         rep.est_errors.append(est_err)
         rep.mom_dists.append(mom_dist)
-        if flat:
+        if res.rounded is not None:
             rep.flat_levels.append(res.d)
 
     for d in bp.upper_levels:

@@ -11,8 +11,9 @@ from dataclasses import asdict
 
 from .bench import builtin_corpus, load_corpus, run_suite
 from .cone import PseudoMomentSequence, SemialgebraicProblem
-from .extraction import candidate_minimizer, check_flatness, extract_atoms
-from .hierarchy import _check_level, build_moment_sdp, solve_moment_relaxation, solve_moment_sdp
+from .extraction import candidate_minimizer, check_flatness
+from .hierarchy import (_check_level, _flatness_step, build_moment_sdp, solve_moment_relaxation,
+                        solve_moment_sdp)
 from .poly import box_grid
 from .sdp import export_sdpa
 from .support import cd_kernel, cd_support_grid, default_power_family, power_method_margin
@@ -165,14 +166,14 @@ def _cmd_extract(args):
     prob = _load_problem(args)
     res = solve_moment_relaxation(prob, args.level, want_certificate=False)
     y = res.pseudo_moments
-    k = y.order // 2
-    r = max(1, prob.max_constraint_degree)
-    rep = check_flatness(y, k, min(r, k), tol=args.rank_tol)
+    k, r = y.order // 2, _flatness_step(prob)
+    # the library checks flatness, and rounds, only from order r on
+    rep = check_flatness(y, k, r, tol=args.rank_tol) if k >= r else None
     x = candidate_minimizer(y)
     report = {
         "level": args.level,
         "m_d_star": res.m_d_star,
-        "flatness": {
+        "flatness": None if rep is None else {
             "d": rep.d,
             "r": rep.r,
             "rank_full": rep.rank_full,
@@ -185,15 +186,12 @@ def _cmd_extract(args):
         "candidate_minimizer": _to_original(prob, x).tolist(),
         "candidate_in_K": bool(prob.contains(x, tol=1e-6)),
     }
-    if rep.is_flat:
-        try:
-            mu = extract_atoms(y, k, rank_tol=args.rank_tol)
-            report["atoms"] = _to_original(prob, mu.atoms).tolist()
-            report["weights"] = mu.weights.tolist()
-            report["atom_f_values"] = [float(prob.objective(a)) for a in mu.atoms]
-            report["atom_in_K"] = [bool(prob.contains(a, tol=1e-6)) for a in mu.atoms]
-        except ValueError as exc:
-            report["extraction_error"] = str(exc)
+    mu = res.rounded  # the polished atoms, when the library rounded this level
+    if mu is not None:
+        report["atoms"] = _to_original(prob, mu.atoms).tolist()
+        report["weights"] = mu.weights.tolist()
+        report["atom_f_values"] = [float(prob.objective(a)) for a in mu.atoms]
+        report["atom_in_K"] = [bool(prob.contains(a, tol=1e-6)) for a in mu.atoms]
     json.dump(report, sys.stdout, indent=2)
     print()
 
@@ -281,11 +279,11 @@ def main(argv=None) -> int:
     p.add_argument("--export-sdpa", default=None, help="write the SDP in sparse SDPA format")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("extract", help="flatness check and atom extraction")
+    p = sub.add_parser("extract", help="flatness report and the rounded atoms")
     p.add_argument("--problem", required=True)
     p.add_argument("--level", type=_int_at_least(1), required=True)
     p.add_argument("--rank-tol", type=_open_unit_float, default=1e-6,
-                   help="relative rank threshold in (0, 1)")
+                   help="relative rank threshold of the flatness report, in (0, 1)")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("upper", help="measure-based upper bounds")

@@ -300,13 +300,18 @@ def solve_moment_sdp(
                             rounded)
 
 
+def _flatness_step(prob: SemialgebraicProblem) -> int:
+    """The step r of the flatness check that decides rounding: max(2, max constraint degree)."""
+    return max(2, prob.max_constraint_degree)
+
+
 def _round(prob: SemialgebraicProblem, y: PseudoMomentSequence, k: int,
            m_d: float) -> AtomicMeasure | None:
     """The polished atomic measure of a flat order-k y, or None (see `solve_moment_sdp`).
 
-    Flatness uses the step max(2, max constraint degree), as `run_suite` does.
+    Flatness uses the step `_flatness_step(prob)`; an order k below it is not rounded.
     """
-    r = max(2, prob.max_constraint_degree)
+    r = _flatness_step(prob)
     if k < r or not check_flatness(y, k, r).is_flat:
         return None
     try:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import momlab
+import momlab.bench
 from momlab.bench import (
     BenchProblem,
     RateReport,
@@ -38,6 +39,25 @@ def test_oracle_corner_problem(corner_problem):
     assert s_star.shape[0] == 3
     rows = {tuple(np.round(p, 6)) for p in s_star}
     assert rows == {(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
+
+
+def test_oracle_polishes_two_well_minimizers():
+    # the grid's nearest nodes are +-0.71; polishing reaches +-1/sqrt(2) and f* = -1/4
+    x = Polynomial.variable(0, 1)
+    prob = SemialgebraicProblem(n=1, objective=x**4 - x * x, constraints=(1 - x * x,))
+    f_star, x_star, s_star = brute_force_oracle(prob)
+    assert abs(f_star + 0.25) <= 1e-12
+    assert abs(abs(x_star[0]) - math.sqrt(0.5)) <= 1e-9
+    assert sorted(s_star[:, 0]) == pytest.approx([-math.sqrt(0.5), math.sqrt(0.5)], abs=1e-9)
+
+
+@pytest.mark.parametrize("shift", [-1e-9, 1e-3])
+def test_oracle_keeps_grid_sample_when_polished_point_leaves_k_or_costs_more(
+        monkeypatch, line_problem, shift):
+    # min x on [-1, 1]: x - 1e-9 costs less but leaves K, x + 1e-3 stays in K but costs more
+    monkeypatch.setattr(momlab.bench, "polish_atoms", lambda prob, pts: pts + shift)
+    f_star, x_star, s_star = brute_force_oracle(line_problem)
+    assert f_star == -1.0 and x_star.tolist() == [-1.0] and s_star.tolist() == [[-1.0]]
 
 
 def test_oracle_guards():
@@ -221,6 +241,29 @@ def test_full_suite_reports(suite_run):
     assert by_id["line-min"].flat_levels  # exact already at low levels
     # rate fits exist wherever enough positive gaps survive
     assert by_id["shifted-paraboloid"].upper_fit is not None
+
+
+def test_suite_reads_flatness_from_rounded_results(monkeypatch, suite_run):
+    # run_suite reports a level flat when the library rounded it, and checks nothing itself
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_suite must read flatness from RelaxationResult.rounded")
+
+    monkeypatch.setattr(momlab.bench, "check_flatness", refuse)
+    monkeypatch.setattr(momlab.bench, "extract_atoms", refuse)
+    real, solved = momlab.bench._solve_levels, []
+    monkeypatch.setattr(momlab.bench, "_solve_levels",
+                        lambda prob, levels: solved.append(real(prob, levels)) or solved[-1])
+    reports, _ = run_suite(builtin_corpus())
+    assert {r.problem_id: r.flat_levels for r in reports} == {
+        "binary-corner": [3, 4],
+        "line-min": [3, 4, 5, 6],
+        "shifted-paraboloid": [3, 4, 5, 6],
+        "two-well": [4, 5, 6, 7, 8],
+        "motzkin-box": [6, 7, 8],
+    }
+    assert [r.flat_levels for r in reports] == [r.flat_levels for r in suite_run[0]]
+    for rep, results in zip(reports, solved, strict=True):
+        assert rep.flat_levels == [r.d for r in results if r.rounded is not None], rep.problem_id
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -136,6 +136,29 @@ def test_extract_reports_original_coordinates(capsys, tmp_path):
     assert out["atom_f_values"] == pytest.approx([0.0], abs=1e-6)
 
 
+def test_extract_reports_the_atoms_solve_rounds(capsys, tmp_path, line_json):
+    # one flatness verdict: extract's atoms and weights are solve's `rounded`, bit for bit
+    x = Polynomial.variable(0, 1)
+    normalized = tmp_path / "normalized.json"
+    normalize(SemialgebraicProblem(n=1, objective=(x - 1) ** 2, constraints=(4 - x * x,),
+                                   ball_radius=2.0)).save(normalized)
+    runs = [(line_json, d) for d in range(2, 7)] + [(str(normalized), d) for d in (2, 4)]
+    for path, level in runs:
+        outs = []
+        for command in ("solve", "extract"):
+            assert main([command, "--problem", path, "--level", str(level)]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        rounded, extracted = outs[0]["rounded"], outs[1]
+        if level == 2:
+            # order 1 lies below the flatness step 2: no check, no rounding, no atoms
+            assert rounded is None and extracted["flatness"] is None, path
+            assert "atoms" not in extracted and "weights" not in extracted, path
+        else:
+            assert extracted["atoms"] == rounded["atoms"], (path, level)
+            assert extracted["weights"] == rounded["weights"], (path, level)
+            assert extracted["flatness"]["is_flat"], (path, level)
+
+
 def test_solve_reports_pseudo_moments_in_original_coordinates(capsys, tmp_path):
     # min (x - 1)^2 on [-2, 2]: L(x) -> x* = 1, not the normalized u* = 1/2
     x = Polynomial.variable(0, 1)
