@@ -184,9 +184,11 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
         loc = basis.localizing_map(basis.exps[:r_dim(n, kg)], g)
         F0 = loc.gather(y_p)
         FN = loc.gather(N)
-        keep = _dedup_rows(F0, FN)
-        F0 = F0[np.ix_(keep, keep)]
-        FN = FN[np.ix_(keep, keep)]
+        keep = range(len(F0))
+        if rel_rows:  # only equality relations can make two rows of a block coincide
+            keep = _dedup_rows(F0, FN)
+            F0 = F0[np.ix_(keep, keep)]
+            FN = FN[np.ix_(keep, keep)]
         mats = np.transpose(FN, (2, 0, 1))
         blocks.append(SdpBlock(F0=F0, var_idx=np.arange(nv), mats=mats))
         block_weights.append(g)

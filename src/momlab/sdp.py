@@ -25,15 +25,19 @@ The solver is an infeasible-start path-following method with Nesterov-Todd
 scaling and a Mehrotra-style adaptive centering step (predictor solve fixes
 sigma, corrector solve reuses the same Schur factorization).  Everything is
 dense; blocks at desk scale are at most a few hundred rows.  The iteration is
-fully deterministic: fixed order, no randomized pivoting.  Each iterate's
-S_j and Z_j are Cholesky-factored once, and the predictor's and the
-corrector's step lengths both reuse those factors.  A block whose
-factorization fails has left the positive definite cone: no step can move it
-again, so the run ends there `IllConditioned`.  The blocks are small, so the
-loop's cost is per-call overhead more than arithmetic: every triangular solve
-is one direct LAPACK `trtrs` call (`_tri_solve`) that keeps scipy's checks (a
-non-finite operand raises ValueError, a zero pivot LinAlgError), and every
-Frobenius inner product one dot product (`_inner`).
+fully deterministic: fixed order, no randomized pivoting.  The Cholesky
+factors LS_j of S_j and LZ_j of Z_j are the only factorizations of a block
+per iterate, and every per-block kernel reads them: the NT scaling W_j^-1
+from one SVD of LZ_j' LS_j (`_nt_w_inv`), both step lengths from one `sygst`
+and one smallest-eigenvalue `syevr` call (`_max_step`), and the corrector's
+Z_j^-1 from `potri` (`_chol_inv`).  The Schur solves are `potrs` calls on the
+Schur matrix's factor (`_chol_solve`).  A block whose factorization fails has
+left the positive definite cone: no step can move it again, so the run ends
+there `IllConditioned`.  The blocks are small, so the loop's cost is per-call
+overhead more than arithmetic: each of these kernels is a direct LAPACK call
+that keeps scipy's checks (a non-finite operand raises ValueError, a failure
+LAPACK reports LinAlgError), with a factor checked once, when `_chol` makes
+it; and every Frobenius inner product is one dot product (`_inner`).
 
 Every search direction keeps the dual residual exactly.  A*(Z) = c - rd is
 linear in Z, and the Newton system asks A*(dZ) = rd, but the dZ that the
@@ -88,6 +92,8 @@ class SdpBlock:
     F0: np.ndarray
     var_idx: np.ndarray  # (m_act,) indices into the decision vector
     mats: np.ndarray  # (m_act, s, s) symmetric coefficient matrices
+    # mats as an (m_act, s*s) matrix, a read-only view; explicit sizes, since m_act may be 0
+    flat_mats: np.ndarray = field(init=False, repr=False, compare=False)
     _sparse: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -104,9 +110,10 @@ class SdpBlock:
         for name, arr in (("F0", F0), ("var_idx", var_idx), ("mats", mats)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        flat = mats.reshape(len(var_idx), F0.shape[0] * F0.shape[0])
+        object.__setattr__(self, "flat_mats", flat)
         # CSR from the flat nonzero positions: scipy's own dense-to-CSR conversion
         # takes several times as long on the moment blocks
-        flat = self.flat_mats
         nz = np.flatnonzero(flat != 0)
         width = flat.shape[1]
         indptr = np.searchsorted(nz, width * np.arange(len(flat) + 1))
@@ -116,11 +123,6 @@ class SdpBlock:
     @property
     def size(self) -> int:
         return self.F0.shape[0]
-
-    @property
-    def flat_mats(self) -> np.ndarray:
-        """mats as an (m_act, s*s) matrix; explicit sizes, since m_act may be 0."""
-        return self.mats.reshape(self.mats.shape[0], self.size * self.size)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """sum over k of x[var_idx[k]] * mats[k]."""
@@ -221,52 +223,68 @@ def _sym(A):
     return 0.5 * (A + A.T)
 
 
-def _eigh_sqrt(A):
-    """(U, r) with A^(1/2) = U diag(r) U', eigenvalues floored at 1e-14 of the largest."""
-    w, U = np.linalg.eigh(A)
-    floor = max(w[-1], 1e-300) * 1e-14
-    return U, np.sqrt(np.clip(w, floor, None))
-
-
-def _nt_scaling_inv(S, Z):
-    """Inverse of the Nesterov-Todd scaling point W with W Z W = S."""
-    U, r = _eigh_sqrt(S)
-    Sh, Sh_inv = (U * r) @ U.T, (U / r) @ U.T
-    V, t = _eigh_sqrt(_sym(Sh @ Z @ Sh))
-    return _sym(Sh_inv @ ((V * t) @ V.T) @ Sh_inv)
-
-
 def _inner(A, B):
     """Frobenius inner product <A, B> as one (1, n) by (n, 1) dot product."""
     return float(np.dot(A.reshape(1, -1), B.reshape(-1, 1))[0, 0])
 
 
-_trtrs, = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
+_potrf, _potrs, _potri, _sygst, _syevr, _gesdd = get_lapack_funcs(
+    ("potrf", "potrs", "potri", "sygst", "syevr", "gesdd"), (np.empty((1, 1)),))
 
 
-def _tri_solve(L, B, trans=0):
-    """L^-1 B (trans=0) or L^-T B (trans=1) for lower-triangular L, by LAPACK trtrs.
-
-    The same LAPACK call scipy.linalg's triangular solver makes for L (lower)
-    or L.T (upper), without its per-call wrapper, and with its checks: a
-    non-finite operand raises ValueError, a zero on the diagonal LinAlgError.
-    LAPACK reads Fortran order, so a matrix that is not Fortran-contiguous
-    goes in as its transpose, with the triangle and `trans` flipped.
-    """
-    if not (np.isfinite(L).all() and np.isfinite(B).all()):
+def _check_finite(A):
+    """scipy's operand check, made once per factor (`_chol`), not on every use of one."""
+    if not np.isfinite(A).all():
         raise ValueError("array must not contain infs or NaNs")
-    if B.size == 0:
-        return np.empty_like(B)
-    A, lower = (L.T, 0) if trans else (L, 1)
-    if A.flags.f_contiguous:
-        X, info = _trtrs(A, B, lower=lower, trans=0)
-    else:
-        X, info = _trtrs(A.T, B, lower=1 - lower, trans=1)
+
+
+def _check_info(info, routine, failure):
     if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        raise np.linalg.LinAlgError(failure)
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return X
+        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
+
+
+def _chol(A):
+    """Lower Cholesky factor of symmetric A (lower triangle read) by LAPACK potrf."""
+    _check_finite(A)
+    L, info = _potrf(A, lower=1)
+    _check_info(info, "potrf", f"matrix not positive definite: leading minor {info} fails")
+    return L
+
+
+def _chol_solve(L, b):
+    """A^-1 b from the lower Cholesky factor L of A (`_chol`), by LAPACK potrs."""
+    _check_finite(b)
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = _potrs(L, b, lower=1)
+    _check_info(info, "potrs", "potrs failed")
+    return x
+
+
+def _chol_inv(L):
+    """A^-1 from the lower Cholesky factor L of A (`_chol`), by LAPACK potri."""
+    Ainv, info = _potri(L, lower=1)
+    _check_info(info, "potri", f"singular matrix: zero on the factor's diagonal at {info - 1}")
+    # potri fills the lower triangle only; above it stay the zeros of L
+    return Ainv + np.tril(Ainv, -1).T
+
+
+def _nt_w_inv(LS, LZ):
+    """Inverse of the Nesterov-Todd scaling point W (W Z W = S) from S = LS LS', Z = LZ LZ'.
+
+    Todd, Toh & Tutuncu (1998): with the SVD LZ' LS = U D V',
+    W^-1 = (LZ U) D^-1 (LZ U)'.  D is floored at 1e-7 of its largest value,
+    the square root of a 1e-14 eigenvalue floor on S and Z.
+    """
+    A = LZ.T @ LS
+    _check_finite(A)
+    U, d, _, info = _gesdd(A, compute_uv=1, full_matrices=0)
+    _check_info(info, "gesdd", "SVD did not converge")
+    d = np.maximum(d, max(d[0], 1e-300) * 1e-7)
+    R = LZ @ U
+    return _sym((R / d) @ R.T)
 
 
 def sv_rank(s: np.ndarray, tol: float) -> int:
@@ -303,13 +321,18 @@ def _psd_pinv(A: np.ndarray) -> np.ndarray:
 def _max_step(L, dS, frac):
     """Largest alpha <= 1 with S + alpha*dS still positive definite (fraction-to-boundary).
 
-    L is the lower Cholesky factor of S.
+    L is the lower Cholesky factor of S (`_chol`).  LAPACK sygst forms
+    L^-1 dS L^-T in one call, and syevr finds its smallest eigenvalue only.
+    Both read the lower triangle of symmetric dS.
     """
-    A = _tri_solve(L, dS)
-    A = _tri_solve(L, A.T)
-    lam_min = float(np.min(np.linalg.eigvalsh(_sym(A))))
-    if not np.isfinite(lam_min):
-        return 0.0
+    _check_finite(dS)
+    C, info = _sygst(dS, L, itype=1, lower=1)
+    _check_info(info, "sygst", "sygst failed")
+    if not np.isfinite(C).all():
+        return 0.0  # L^-1 dS L^-T overflowed: no finite smallest eigenvalue
+    lam, _, _, _, info = _syevr(C, compute_v=0, range="I", il=1, iu=1, lower=1)
+    _check_info(info, "syevr", "syevr failed")
+    lam_min = float(lam[0])
     if lam_min >= -1e-14:
         return 1.0
     return min(1.0, -frac / lam_min)
@@ -346,11 +369,9 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
     # move back toward the iterate within the null space of the face equations
     x_ref = x_p + null @ (null.T @ (x - x_p))
 
-    # accept only if feasibility and objective survive
+    # accept only if every block stays PSD to feas_tol and the objective survives
     for blk in problem.blocks:
-        if np.min(np.linalg.eigvalsh(_sym(blk.assemble(x_ref)))) < -10 * feas_tol * (
-            1.0 + np.linalg.norm(blk.F0)
-        ):
+        if np.min(np.linalg.eigvalsh(_sym(blk.assemble(x_ref)))) < -feas_tol:
             return x
     # projecting a feasible iterate onto the optimal face can only lower the
     # objective (up to residual noise); a rise means the face was misread
@@ -447,17 +468,18 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if stall_count >= 3:
             status = "Infeasible" if pres > 1e2 * TOL else "IllConditioned"
             break
-        # one factorization per block and iterate, shared by both step lengths;
-        # a block that has left the PD cone would take step 0 from here on
+        # the only factorizations per block and iterate: the NT scaling, both
+        # step lengths and Z^-1 all read them; a block that has left the PD
+        # cone would take step 0 from here on
         try:
-            LS = [np.linalg.cholesky(Sj) for Sj in S]
-            LZ = [np.linalg.cholesky(Zj) for Zj in Z]
+            LS = [_chol(Sj) for Sj in S]
+            LZ = [_chol(Zj) for Zj in Z]
         except np.linalg.LinAlgError:
             status = "IllConditioned"
             break
 
         # Nesterov-Todd scalings and Schur complement
-        W_inv = [_nt_scaling_inv(Sj, Zj) for Sj, Zj in zip(S, Z)]
+        W_inv = [_nt_w_inv(LSj, LZj) for LSj, LZj in zip(LS, LZ)]
         M = schur(W_inv)
 
         # dense Cholesky with escalating jitter on near-singularity
@@ -466,7 +488,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         jitter = 0.0
         for attempt in range(8):
             try:
-                Lm = np.linalg.cholesky(M if jitter == 0.0 else M + jitter * np.eye(nv))
+                Lm = _chol(M if jitter == 0.0 else M + jitter * np.eye(nv))
                 break
             except np.linalg.LinAlgError:
                 jitter = 1e-14 * scale if jitter == 0.0 else jitter * 100.0
@@ -474,13 +496,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status = "IllConditioned"
             break
 
-        def m_solve(rhs):
-            return _tri_solve(Lm, _tri_solve(Lm, rhs), trans=1)
-
         def direction(Rc):
             g = adjoint([_sym(Wj_inv @ (Rcj - Rpj) @ Wj_inv)
                          for Wj_inv, Rcj, Rpj in zip(W_inv, Rc, Rp)])
-            dx = m_solve(g - rd)
+            dx = _chol_solve(Lm, g - rd)
             dS, dZ = [], []
             for blk, Wj_inv, Rcj, Rpj in zip(blocks, W_inv, Rc, Rp):
                 dSj = Rpj + blk.apply(dx)
@@ -506,7 +525,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # corrector: recentered step, Schur factorization reused
         try:
-            Rc = [_sym(sigma * mu * np.linalg.inv(Zj) - Sj) for Sj, Zj in zip(S, Z)]
+            Rc = [sigma * mu * _chol_inv(LZj) - Sj for Sj, LZj in zip(S, LZ)]
         except np.linalg.LinAlgError:
             status = "IllConditioned"
             break

@@ -88,6 +88,20 @@ def test_dedup_rows_matches_pair_loop(monkeypatch, corner_problem):
     assert dropped > 0
 
 
+def test_dedup_runs_only_with_equality_relations(monkeypatch):
+    # without equalities the rows of a block are distinct monomials' rows:
+    # build_moment_sdp keeps them all without scanning, and a scan would agree
+    seen, real = [], hierarchy._dedup_rows
+    monkeypatch.setattr(hierarchy, "_dedup_rows", lambda F0, FN: seen.append(1) or real(F0, FN))
+    prob = _sweep_problem(2, 0, "box")
+    assert not prob.equalities
+    ms = build_moment_sdp(prob, 6)
+    assert not seen
+    for blk, rows in zip(ms.problem.blocks, ms.block_bases):
+        assert blk.size == len(rows)
+        assert real(blk.F0, np.transpose(blk.mats, (1, 2, 0))) == list(range(blk.size))
+
+
 def test_constant_objective():
     prob = SemialgebraicProblem(
         n=1,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import linprog
 
 import momlab
@@ -35,35 +35,90 @@ def _lp_as_sdp(c, A_ub, b_ub):
     return SdpProblem(n_vars=len(c), c=np.asarray(c, float), blocks=blocks)
 
 
+def _spd(rng, size, cond=None):
+    """Random symmetric positive definite matrix, with condition number `cond` if given."""
+    Q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    lam = np.geomspace(1.0, cond, size) if cond else rng.uniform(0.5, 2.0, size) * size
+    return (Q * lam) @ Q.T
+
+
 @pytest.mark.parametrize("size", [1, 10, 35])
-def test_tri_solve_matches_scipy_bitwise(size):
+def test_chol_solve_matches_scipy_bitwise(size):
     rng = np.random.default_rng(size)
-    G = rng.standard_normal((size, size))
-    L = np.linalg.cholesky(G @ G.T + size * np.eye(size))
+    A = _spd(rng, size)
+    L = sdp._chol(A)
+    assert not np.triu(L, 1).any()
+    np.testing.assert_allclose(L @ L.T, A, rtol=0, atol=1e-13 * np.abs(A).max())
     D = rng.standard_normal((size, size))
-    # the operands the solver passes: a matrix, its transpose (not C-ordered) and a vector
-    for B in (D, D.T, D[:, 0].copy()):
-        assert (sdp._tri_solve(L, B).tobytes()
-                == solve_triangular(L, B, lower=True).tobytes())
-        assert (sdp._tri_solve(L, B, trans=1).tobytes()
-                == solve_triangular(L.T, B, lower=False).tobytes())
+    # the operand the solver passes (a vector), and matrices in both memory orders
+    for B in (D[:, 0].copy(), D, D.T):
+        assert (sdp._chol_solve(L, B).tobytes()
+                == cho_solve((L, True), B).tobytes())
 
 
-def test_tri_solve_checks():
-    L = np.linalg.cholesky(np.array([[4.0, 1.0], [1.0, 3.0]]))
-    B = np.eye(2)
+def test_chol_checks():
+    A = np.array([[4.0, 1.0], [1.0, 3.0]])
+    L = sdp._chol(A)
     for bad in (np.nan, np.inf):
+        A_bad = A.copy()
+        A_bad[1, 0] = A_bad[0, 1] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            sdp._tri_solve(L, np.array([[1.0, bad], [0.0, 1.0]]))
-        L_bad = L.copy()
-        L_bad[1, 0] = bad
+            sdp._chol(A_bad)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            sdp._tri_solve(L_bad, B, trans=1)
+            sdp._chol_solve(L, np.array([1.0, bad]))
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        sdp._chol(np.array([[1.0, 2.0], [2.0, 1.0]]))
     L_sing = L.copy()
     L_sing[1, 1] = 0.0
-    for trans in (0, 1):
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            sdp._tri_solve(L_sing, B, trans=trans)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        sdp._chol_inv(L_sing)
+
+
+def _nt_pairs():
+    """(S, Z) pairs for the kernel tests: well conditioned, and S with cond 1e8."""
+    rng = np.random.default_rng(11)
+    for size in (1, 4, 15, 35):
+        yield _spd(rng, size), _spd(rng, size)
+        yield _spd(rng, size, cond=1e8), _spd(rng, size)
+
+
+def test_nt_scaling_from_factors():
+    for S, Z in _nt_pairs():
+        W = np.linalg.inv(sdp._nt_w_inv(sdp._chol(S), sdp._chol(Z)))
+        assert np.linalg.norm(W @ Z @ W - S) <= 1e-12 * np.linalg.norm(S)
+
+
+def _eigvalsh_step(S, dS, frac):
+    """The fraction-to-boundary rule by a full eigvalsh of L^-1 dS L^-T (two triangular solves)."""
+    L = np.linalg.cholesky(S)
+    A = solve_triangular(L, solve_triangular(L, dS, lower=True).T, lower=True)
+    lam = np.linalg.eigvalsh(0.5 * (A + A.T))[0]
+    return 1.0 if lam >= -1e-14 else min(1.0, -frac / lam)
+
+
+def test_max_step_matches_eigvalsh():
+    # both forms round at about eps * cond(L) relative: at cond(S) = 1e8 the
+    # reference itself is up to 6e-10 off the step computed to 50 digits
+    rng = np.random.default_rng(12)
+    for S, _ in _nt_pairs():
+        rel = 1e-12 * max(1.0, np.sqrt(np.linalg.cond(S) / len(S)))
+        for scale in (1e-3, 1.0, 1e3):
+            dS = scale * _random_sym(rng, len(S), len(S))
+            got = sdp._max_step(sdp._chol(S), dS, 0.99)
+            assert got == pytest.approx(_eigvalsh_step(S, dS, 0.99), rel=rel)
+        # a PSD direction never hits the boundary
+        assert sdp._max_step(sdp._chol(S), np.eye(len(S)), 0.99) == 1.0
+        bad = np.eye(len(S))
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sdp._max_step(sdp._chol(S), bad, 0.99)
+
+
+def test_chol_inv_inverts():
+    for _, Z in _nt_pairs():
+        Zi = sdp._chol_inv(sdp._chol(Z))
+        np.testing.assert_array_equal(Zi, Zi.T)
+        np.testing.assert_allclose(Zi @ Z, np.eye(len(Z)), atol=1e-12 * np.linalg.cond(Z))
 
 
 def test_inner_matches_tensordot_bitwise():
@@ -233,9 +288,11 @@ def test_problem_rejects_cost_of_wrong_length():
 def test_block_arrays_are_read_only_copies():
     F0, var_idx, mats = np.eye(2), np.array([0]), np.array([[[0.0, 1.0], [1.0, 0.0]]])
     blk = SdpBlock(F0=F0, var_idx=var_idx, mats=mats)
-    for arr in (blk.F0, blk.var_idx, blk.mats):
+    for arr in (blk.F0, blk.var_idx, blk.mats, blk.flat_mats):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 7
+    # flat_mats is stored once, as a view of mats
+    assert blk.flat_mats is blk.flat_mats and np.shares_memory(blk.flat_mats, blk.mats)
     with pytest.raises(dataclasses.FrozenInstanceError):
         blk.mats = np.zeros((1, 2, 2))
     # the caller's arrays stay writable and are not shared with the block
@@ -277,7 +334,7 @@ def test_singular_dual_ends_ill_conditioned(monkeypatch):
     def singular(_):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(sdp, "_chol_inv", singular)
     blk = SdpBlock(
         F0=np.eye(2),
         var_idx=np.array([0]),

@@ -185,6 +185,25 @@ def test_is_sos_convex_verdicts():
         assert convex and cert.residual_norm <= 1e-6
 
 
+def test_sos_convex_phase1_primal_is_feasible(monkeypatch):
+    # the refined primal point of each phase-I Gram SDP is accepted only if
+    # every block stays PSD to the solver's tolerance, not to 10x that scaled by |F0|
+    from momlab import hierarchy
+
+    real, solved = hierarchy.solve, []
+    monkeypatch.setattr(hierarchy, "solve",
+                        lambda problem: solved.append((problem, real(problem))) or solved[-1][1])
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    z1, z2, z3 = (Polynomial.variable(i, 3) for i in range(3))
+    for f in [(z1 + z2 + z3) ** 4, (x1 - 0.5 * x2) ** 4 + x1 * x1]:
+        solved.clear()
+        assert is_sos_convex(f)[0]
+        ((problem, sol),) = solved
+        assert sol.status == "Optimal"
+        for blk in problem.blocks:
+            assert np.linalg.eigvalsh(blk.assemble(sol.x))[0] >= -1e-8
+
+
 def test_convex_cost_bound_report():
     x = Polynomial.variable(0, 1)
     prob = SemialgebraicProblem(
