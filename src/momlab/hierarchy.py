@@ -427,18 +427,22 @@ def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int):
         return False, None
     n = prob.n
     basis = MonomialBasis(n, d)
-    weights = [g for g in [Polynomial.constant(1.0, n)] + list(prob.constraints)
-               if (d - g.degree) // 2 >= 0]
-    gram_bases = [tuple(basis.exponents[:r_dim(n, (d - g.degree) // 2)]) for g in weights]
+    weights = [Polynomial.constant(1.0, n)] + list(prob.constraints)
+    # a constraint of degree above d gets no block: an empty basis and a 0 x 0 Gram
+    gram_bases = [tuple(basis.exponents[:r_dim(n, (d - g.degree) // 2)]) if g.degree <= d else ()
+                  for g in weights]
 
     project = None
     rel_rows, _ = _relation_rows(prob, basis)
     if rel_rows:
         # orthonormal complement of the multiplier span: the null space of the rows
         _, project, _ = affine_solutions(np.array(rel_rows), np.zeros(len(rel_rows)))
-    grams = phase1_gram(basis, list(zip(gram_bases, weights)), q.coeff_vector(basis), project)
+    grams = phase1_gram(basis, [(rows, g) for rows, g in zip(gram_bases, weights) if rows],
+                        q.coeff_vector(basis), project)
     if grams is None:
         return False, None
+    found = iter(grams)
+    grams = [next(found) if rows else np.zeros((0, 0)) for rows in gram_bases]
     return True, _certificate(prob, q, 0.0, basis, gram_bases, weights, grams)
 
 

@@ -9,7 +9,8 @@ There are no linear equality constraints: callers eliminate them before the
 solve by affine substitution x = x_p + N z, which keeps the blocks strictly
 feasible.  Every such elimination, and every null space in the package, comes
 from the one helper `affine_solutions` (one SVD gives x_p and N) with the one
-rank rule `sv_rank`.
+rank rule `sv_rank` and cutoff `_rank_cutoff`; the final projection onto the
+optimal face (`_refine_primal`) is one least-squares step at that cutoff.
 
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
@@ -292,17 +293,22 @@ def sv_rank(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
 
 
+def _rank_cutoff(A: np.ndarray) -> float:
+    """The package's relative rank cutoff for A: max(max(A.shape) * eps, 1e-12)."""
+    return max(max(A.shape) * np.finfo(float).eps, 1e-12)
+
+
 def affine_solutions(E: np.ndarray, h: np.ndarray):
     """Solutions of E x = h as x_p + N z: returns (x_p, N, ||E x_p - h||).
 
     One SVD of E gives both parts.  With r the numerical rank (singular
-    values above max(max(E.shape) * eps, 1e-12) times the largest),
+    values above `_rank_cutoff(E)` times the largest),
     x_p = V_r S_r^-1 U_r' h is the minimum-norm least-squares solution and the
     orthonormal columns of N = V[:, r:] span the null space of E.  A residual
     above round-off means E x = h has no solution.
     """
     u, s, vt = np.linalg.svd(E, full_matrices=E.shape[0] < E.shape[1])
-    r = sv_rank(s, max(max(E.shape) * np.finfo(float).eps, 1e-12))
+    r = sv_rank(s, _rank_cutoff(E))
     x_p = vt[:r].T @ ((u[:, :r].T @ h) / s[:r])
     return x_p, vt[r:].T, float(np.linalg.norm(E @ x_p - h))
 
@@ -310,11 +316,11 @@ def affine_solutions(E: np.ndarray, h: np.ndarray):
 def _psd_pinv(A: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a symmetric PSD matrix from one eigh, rank by the `sv_rank` rule.
 
-    Eigenvalues at or below max(size * eps, 1e-12) times the largest count as
-    zero, the tolerance `affine_solutions` uses.
+    Eigenvalues at or below `_rank_cutoff(A)` times the largest count as zero,
+    the tolerance `affine_solutions` uses.
     """
     lam, U = np.linalg.eigh(A)
-    k = len(lam) - sv_rank(lam[::-1], max(len(lam) * np.finfo(float).eps, 1e-12))
+    k = len(lam) - sv_rank(lam[::-1], _rank_cutoff(A))
     return (U[:, k:] / lam[k:]) @ U[:, k:].T
 
 
@@ -341,33 +347,26 @@ def _max_step(L, dS, frac):
 def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float, gap: float):
     """Project the primal iterate onto the optimal face identified by the dual.
 
-    At optimality every primal block annihilates the range of its dual block,
-    so the equations A_j(x) v = 0 (v an eigenvector of Z_j with non-vanishing
-    eigenvalue) cut out the optimal face.  Projecting the iterate onto that
-    affine set removes the O(sqrt(gap)) normal error while keeping the
-    tangential (face) position.  The refined point is returned only if it
-    stays feasible and does not move the objective.
+    At optimality every primal block annihilates the range of its dual block:
+    A_j(x) V_j = 0, V_j the eigenvectors of Z_j with non-vanishing eigenvalue,
+    cuts out the optimal face E x = h.  The projection x - E^+ (E x - h)
+    removes the O(sqrt(gap)) normal error but keeps the face position; it is
+    returned only if it stays feasible and does not move the objective.
     """
-    nv = problem.n_vars
     rows, rhs = [], []
     for blk, Zj in zip(problem.blocks, Z):
         w, U = np.linalg.eigh(_sym(Zj))
-        lam_max = w[-1]
-        if lam_max <= 1e-7:
+        if w[-1] <= 1e-7:
             continue
-        V = U[:, w > 1e-4 * lam_max]
-        # rows: for each active eigenvector v, (F_ji v) coefficients, rhs -F_j0 v
-        for k in range(V.shape[1]):
-            v = V[:, k]
-            E = np.zeros((blk.size, nv))
-            E[:, blk.var_idx] = (blk.mats @ v).T
-            rows.append(E)
-            rhs.append(-blk.F0 @ v)
+        V = U[:, w > 1e-4 * w[-1]]
+        E = np.zeros((V.size, problem.n_vars))
+        E[:, blk.var_idx] = (blk.mats @ V).reshape(len(blk.var_idx), V.size).T
+        rows.append(E)
+        rhs.append(-(blk.F0 @ V).ravel())
     if not rows:
         return x
-    x_p, null, _ = affine_solutions(np.vstack(rows), np.concatenate(rhs))
-    # move back toward the iterate within the null space of the face equations
-    x_ref = x_p + null @ (null.T @ (x - x_p))
+    E = np.vstack(rows)
+    x_ref = x - np.linalg.lstsq(E, E @ x - np.concatenate(rhs), rcond=_rank_cutoff(E))[0]
 
     # accept only if every block stays PSD to feas_tol and the objective survives
     for blk in problem.blocks:
@@ -596,11 +595,8 @@ def export_sdpa(problem: SdpProblem, path) -> None:
     lines.append(" ".join(repr(float(v)) for v in problem.c))
 
     def emit(k, blk_no, mat):
-        for i in range(mat.shape[0]):
-            for j in range(i, mat.shape[1]):
-                v = mat[i, j]
-                if v != 0.0:
-                    lines.append(f"{k} {blk_no} {i+1} {j+1} {float(v)!r}")
+        for i, j in zip(*np.nonzero(np.triu(mat))):
+            lines.append(f"{k} {blk_no} {i+1} {j+1} {float(mat[i, j])!r}")
 
     for jb, blk in enumerate(problem.blocks, start=1):
         emit(0, jb, -blk.F0)

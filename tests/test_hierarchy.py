@@ -189,6 +189,18 @@ def test_membership_trivial_and_negative():
     assert cert.residual_norm <= 1e-7
 
 
+def test_membership_grams_pair_with_constraints():
+    # 1 - x^4 has degree above 2: it keeps its slot with an empty basis and a 0 x 0 Gram
+    x = Polynomial.variable(0, 1)
+    prob = SemialgebraicProblem(n=1, objective=x, constraints=(1 - x**4, 1 - x * x))
+    ok, cert = qmodule_membership(1 - x * x, prob, 2)
+    assert ok
+    assert [G.shape for G in cert.grams] == [(2, 2), (0, 0), (1, 1)]
+    assert cert.gram_bases[1] == ()
+    assert cert.residual_norm <= 1e-8
+    assert [compute_d0(bp.problem, bp.d_max) for bp in builtin_corpus()] == [2] * 5
+
+
 def test_membership_below_degree():
     x = Polynomial.variable(0, 1)
     prob = SemialgebraicProblem(n=1, objective=x, constraints=(1 - x * x,))
@@ -391,6 +403,18 @@ def test_dual_residual_stays_at_round_off():
                     reached += 1
                     assert max(dres[first:]) <= 1e-11, (n, domain, seed)
     assert reached >= 40
+
+
+@pytest.mark.parametrize("n, d", [(3, 10), (2, 16)])
+def test_reach_problems_solve_and_round(n, d):
+    # two of the reach set's problems (seeds 0-2 of (n, d) = (2, 12), (2, 16),
+    # (3, 10), (4, 8), (5, 6) on the ball); n = 2, d = 16 may end loose
+    prob = _sweep_problem(n, 0, "ball")
+    res = solve_moment_relaxation(prob, d, want_certificate=False)
+    assert res.status == "Optimal" and res.rounded is not None
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (256, n))
+    pts = pts[np.sum(pts * pts, axis=1) <= 1.0]
+    assert res.m_d_star <= min(prob.objective(p) for p in pts) + 1e-6
 
 
 @pytest.mark.parametrize("domain, seed", [("ball", 0), ("ball", 4), ("ball", 10),

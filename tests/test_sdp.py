@@ -312,7 +312,7 @@ def test_import_leaves_scipy_sparse_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_3x3_arrow_sdp_exact_face():
+def _arrow_sdp():
     # min -a - b + c over PSD [[1, a, b], [a, a, c], [b, c, b]];
     # optimum -1.125 at (0.75, 0.75, 0.375) (det = 0 face, see test derivation:
     # with a = b the binding face is c = 2a^2 - a, objective 2a^2 - 3a)
@@ -322,7 +322,11 @@ def test_3x3_arrow_sdp_exact_face():
     Eb = np.zeros((3, 3)); Eb[0, 2] = Eb[2, 0] = Eb[2, 2] = 1.0
     Ec = np.zeros((3, 3)); Ec[1, 2] = Ec[2, 1] = 1.0
     blk = SdpBlock(F0=F0, var_idx=np.arange(3), mats=np.array([Ea, Eb, Ec]))
-    sol = solve(SdpProblem(n_vars=3, c=np.array([-1.0, -1.0, 1.0]), blocks=[blk]))
+    return SdpProblem(n_vars=3, c=np.array([-1.0, -1.0, 1.0]), blocks=[blk])
+
+
+def test_3x3_arrow_sdp_exact_face():
+    sol = solve(_arrow_sdp())
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(-1.125, abs=1e-8)
     # face projection should push the iterate well past sqrt(gap) accuracy
@@ -515,6 +519,103 @@ def test_export_sdpa_format(tmp_path):
         float(parts[4])
     # F0 is written negated under the SDPA sign convention
     assert "0 1 1 1 -1.0" in lines
+
+
+def test_export_sdpa_round_trips_a_moment_sdp(tmp_path):
+    # the binary corner with an inequality added: dense equality-eliminated
+    # coefficient matrices in a moment block and a localizing block
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    prob = SemialgebraicProblem(n=2, objective=-x1 - x2 + x1 * x2,
+                                constraints=(2 - x1 * x1 - x2 * x2,),
+                                equalities=(x1 - x1 * x1, x2 - x2 * x2))
+    sp = build_moment_sdp(prob, 4).problem
+    assert len(sp.blocks) == 2
+    path = tmp_path / "moment.dat-s"
+    export_sdpa(sp, path)
+    lines = path.read_text().splitlines()
+    m, nblock = int(lines[0].split()[0]), int(lines[1].split()[0])
+    sizes = [int(t) for t in lines[2].split()[:-2]]
+    assert (m, nblock, sizes) == (sp.n_vars, len(sp.blocks), [b.size for b in sp.blocks])
+    assert [float(t) for t in lines[3].split()] == list(sp.c)
+    # F[k][b]: SDPA's F_k of block b (k = 0 the negated constant), upper triangle mirrored
+    F = np.zeros((m + 1, nblock) + (max(sizes),) * 2)
+    for ln in lines[4:]:
+        k, b, i, j, v = ln.split()
+        k, b, i, j = int(k), int(b) - 1, int(i) - 1, int(j) - 1
+        assert i <= j and F[k, b, i, j] == 0.0
+        F[k, b, i, j] = F[k, b, j, i] = float(v)
+    for b, blk in enumerate(sp.blocks):
+        s_b = blk.size
+        assert np.array_equal(F[0, b, :s_b, :s_b], -blk.F0)
+        want = np.zeros((m, s_b, s_b))
+        want[blk.var_idx] = blk.mats
+        assert np.array_equal(F[1:, b, :s_b, :s_b], want)
+        assert not F[:, b, s_b:].any() and not F[:, b, :, s_b:].any()
+
+
+def _face_projection_reference(problem, x, Z):
+    """x_p + N N'(x - x_p) from `affine_solutions`, the face equations one eigenvector at a time."""
+    rows, rhs = [], []
+    for blk, Zj in zip(problem.blocks, Z):
+        w, U = np.linalg.eigh((Zj + Zj.T) / 2)
+        if w[-1] <= 1e-7:
+            continue
+        for v in U[:, w > 1e-4 * w[-1]].T:
+            E = np.zeros((blk.size, problem.n_vars))
+            E[:, blk.var_idx] = (blk.mats @ v).T
+            rows.append(E)
+            rhs.append(-blk.F0 @ v)
+    x_p, N, _ = affine_solutions(np.vstack(rows), np.concatenate(rhs))
+    return x_p + N @ (N.T @ (x - x_p))
+
+
+def _refinements(monkeypatch, run):
+    """(problem, x, Z, refined) of every `_refine_primal` call that `run()` makes."""
+    calls, refine = [], sdp._refine_primal
+
+    def wrapped(problem, x, Z, *args):
+        out = refine(problem, x, Z, *args)
+        calls.append((problem, x, Z, out))
+        return out
+
+    monkeypatch.setattr(sdp, "_refine_primal", wrapped)
+    run()
+    return calls
+
+
+def _corpus_problem(name):
+    return next(bp.problem for bp in momlab.builtin_corpus() if bp.id == name)
+
+
+def _solve_moment_sdp(name, d):
+    return solve(build_moment_sdp(_corpus_problem(name), d).problem)
+
+
+# runs whose one `_refine_primal` call is on a face the projection is accepted on
+_ACCEPTED_FACES = {
+    "arrow": lambda: solve(_arrow_sdp()),
+    "binary-corner level 2": lambda: _solve_moment_sdp("binary-corner", 2),
+    "two-well level 4": lambda: _solve_moment_sdp("two-well", 4),
+    "line-min phase-I Gram": lambda: compute_d0(_corpus_problem("line-min"), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_ACCEPTED_FACES))
+def test_face_projection_matches_svd_reference(monkeypatch, case):
+    # the least-squares step lands on the point the SVD null basis gives
+    calls = _refinements(monkeypatch, _ACCEPTED_FACES[case])
+    assert len(calls) == 1
+    problem, x, Z, out = calls[0]
+    assert out is not x
+    np.testing.assert_allclose(out, _face_projection_reference(problem, x, Z), rtol=0, atol=1e-12)
+
+
+def test_face_projection_rejected_returns_the_iterate(monkeypatch):
+    # the line-min level-4 face fails the acceptance checks: the iterate comes back
+    calls = _refinements(monkeypatch, lambda: _solve_moment_sdp("line-min", 4))
+    assert len(calls) == 1
+    _, x, _, out = calls[0]
+    assert out is x
 
 
 def _affine_cases():
