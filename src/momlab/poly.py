@@ -11,11 +11,12 @@ every exponent at its rank, and every lookup (`index_of`, `in`, `indices`,
 `Polynomial.coeff_vector`, pseudo-moment and reference-measure moments) first
 passes `exponent_array`, the one check: n nonnegative integers, plus total
 degree <= d for a basis; a bad exponent raises one ValueError that names it.
-Every module evaluates basis monomials at points through `eval_matrix`.
-`Polynomial.eval_grid` stays term by term on purpose: it touches only the
-polynomial's own terms, and on a dense quartic over a 201^2 grid it takes
-17 ms against 31 ms through power tables and a matrix product (one Xeon core,
-NumPy 2.4).
+`eval_monomials` is the one monomial evaluator: x^alpha for every row of an
+exponent array at every point, gathered from per-variable power tables that
+are built by repeated multiplication.  `MonomialBasis.eval_matrix` is its
+transpose over the basis, `Polynomial.eval_grid` sums it against the
+polynomial's coefficients in blocks of `EVAL_BLOCK` points, and the power
+method (`support.py`) evaluates its whole test family with one call.
 
 `MonomialBasis.localizing_map` is the one localizing map: entry (i, j) of the
 localizing matrix of g is sum_gamma c_gamma y[alpha_i + alpha_j + gamma],
@@ -45,10 +46,16 @@ __all__ = [
     "MonomialBasis",
     "Polynomial",
     "box_grid",
+    "eval_monomials",
     "grlex_key",
     "monomials_upto",
     "r_dim",
 ]
+
+# Points per block of `eval_monomials` and `Polynomial.eval_grid`: a block's
+# power tables and gathered rows stay in cache, and `eval_grid` holds one
+# block's monomial rows however large the grid.
+EVAL_BLOCK = 4096
 
 
 def grlex_key(alpha):
@@ -110,6 +117,38 @@ def _exponent_row(alpha) -> np.ndarray:
     return e
 
 
+def eval_monomials(exps: np.ndarray, points) -> np.ndarray:
+    """x^alpha for every row alpha of `exps` at every point: shape (len(exps), m).
+
+    `exps` is a checked (k, n) int64 exponent array and `points` has shape
+    (m, n).  The points go in blocks of `EVAL_BLOCK`, so the tables and
+    gathers of a block stay in cache.  Row a of variable i's power table is
+    x_i^a = x_i^(a-1) * x_i, built row by row (a `np.multiply.accumulate`
+    down the rows gives the same bits but runs its inner loop down each short
+    column: 8x slower on a block of degree 6 in 2 variables); each monomial
+    row is a product of table rows gathered over the variables.  Every point
+    is computed on its own, so a point's values do not depend on the others.
+    """
+    x = np.asarray(points, dtype=float)
+    k, n = exps.shape
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"points must have shape (m, {n}), got {x.shape}")
+    depth = int(exps.max(initial=0)) + 1
+    V = np.empty((k, x.shape[0]))
+    for start in range(0, x.shape[0], EVAL_BLOCK):
+        block = x[start:start + EVAL_BLOCK]
+        table = np.empty((depth, n, block.shape[0]))
+        table[0] = 1.0
+        table[1:2] = block.T  # a slice: there is no row 1 when every exponent is 0
+        for a in range(2, depth):
+            np.multiply(table[a - 1], table[1], out=table[a])
+        out = V[:, start:start + EVAL_BLOCK]
+        out[...] = table[exps[:, 0], 0]
+        for i in range(1, n):
+            out *= table[exps[:, i], i]
+    return V
+
+
 class MonomialBasis:
     """Ordered basis of all monomials of degree <= d in n variables.
 
@@ -128,10 +167,14 @@ class MonomialBasis:
         exps = np.diff(bars, axis=1, prepend=-1) - 1
         self.exps = np.empty_like(exps)
         self.exps[MonomialBasis.rank(exps)] = exps
-        self.exponents = list(map(tuple, self.exps.tolist()))
+
+    @functools.cached_property
+    def exponents(self) -> list:
+        """The rows of `exps` as tuples, built on first use."""
+        return list(map(tuple, self.exps.tolist()))
 
     def __len__(self):
-        return len(self.exponents)
+        return len(self.exps)
 
     def __getitem__(self, k):
         return self.exponents[k]
@@ -189,16 +232,9 @@ class MonomialBasis:
     def eval_matrix(self, points) -> np.ndarray:
         """Every basis monomial (columns) at every point (rows): shape (m, len(self)).
 
-        Built from per-variable power tables x_i^0 .. x_i^d.
+        The transpose of `eval_monomials` over the basis exponents.
         """
-        x = np.asarray(points, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n:
-            raise ValueError(f"points must have shape (m, {self.n}), got {x.shape}")
-        powers = x[:, :, None] ** np.arange(self.d + 1)
-        V = powers[:, 0, self.exps[:, 0]]
-        for i in range(1, self.n):
-            V *= powers[:, i, self.exps[:, i]]
-        return V
+        return eval_monomials(self.exps, points).T
 
     def eval_vector(self, x) -> np.ndarray:
         """Vector v(x) of all basis monomials evaluated at the point x."""
@@ -308,13 +344,21 @@ class Polynomial:
             return 0
         return max(sum(a) for a in self.terms)
 
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        """The exponents as a (T, n) int64 array and the coefficients (T,), in term order."""
+        exps = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.n)
+        coeffs = np.array(list(self.terms.values()), dtype=float)
+        exps.flags.writeable = coeffs.flags.writeable = False
+        return exps, coeffs
+
     def coeff(self, alpha) -> float:
         return self.terms.get(tuple(alpha), 0.0)
 
     def coeff_vector(self, basis: MonomialBasis) -> np.ndarray:
         v = np.zeros(len(basis))
-        exps = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.n)
-        v[basis.indices(exps)] = list(self.terms.values())
+        exps, coeffs = self._arrays
+        v[basis.indices(exps)] = coeffs
         return v
 
     def is_zero(self) -> bool:
@@ -384,15 +428,18 @@ class Polynomial:
         return float(self.eval_grid(x.reshape(1, -1))[0])
 
     def eval_grid(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at many points at once, term by term; `points` has shape (m, n)."""
+        """Evaluate at many points at once; `points` has shape (m, n).
+
+        Blocks of `EVAL_BLOCK` points go through `eval_monomials`, and the
+        terms are added into the values one at a time, in term order.
+        """
         points = np.asarray(points, dtype=float)
+        exps, coeffs = self._arrays
         vals = np.zeros(points.shape[0])
-        for alpha, c in self.terms.items():
-            mono = np.ones(points.shape[0])
-            for i, a in enumerate(alpha):
-                if a:
-                    mono *= points[:, i] ** a
-            vals += c * mono
+        for start in range(0, points.shape[0], EVAL_BLOCK):
+            block = vals[start:start + EVAL_BLOCK]
+            for c, mono in zip(coeffs, eval_monomials(exps, points[start:start + EVAL_BLOCK])):
+                block += c * mono
         return vals
 
     # ------------------------------------------------------------------- norms

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import PseudoMomentSequence, moment_matrix
-from .poly import MonomialBasis, Polynomial, box_grid, monomials_upto, r_dim
+from .poly import MonomialBasis, Polynomial, box_grid, eval_monomials, monomials_upto, r_dim
 
 __all__ = [
     "CdKernel",
@@ -145,6 +145,27 @@ def _even_power_bound(y: PseudoMomentSequence, d: int, q: Polynomial, tol: float
     return bound
 
 
+def _power_plan(y: PseudoMomentSequence, d: int, family: list, tol: float) -> tuple:
+    """What a margin needs of the family: bounds, exponents and coefficients.
+
+    `bounds[j]` is member j's even-power bound and `exps` the union of the
+    members' exponents, in order of first appearance.  `steps` holds the
+    family's coefficient matrix in coordinate form, grouped by position:
+    step k is (members, rows of `exps`, coefficients as a column) for the
+    k-th term of every member that has one, so adding the steps in order adds
+    each member's terms in its own term order.
+    """
+    bounds = np.array([_even_power_bound(y, d, q, tol) for q in family])
+    rows = {}
+    terms = [[(j, rows.setdefault(alpha, len(rows)), c) for alpha, c in q.terms.items()]
+             for j, q in enumerate(family)]
+    steps = []
+    for step in itertools.zip_longest(*terms):
+        members, idx, coeffs = zip(*(term for term in step if term is not None))
+        steps.append((np.array(members), np.array(idx), np.array(coeffs)[:, None]))
+    return bounds, np.array(list(rows), dtype=np.int64).reshape(-1, y.n), steps
+
+
 def power_method_margin(
     y: PseudoMomentSequence,
     d: int,
@@ -157,10 +178,15 @@ def power_method_margin(
     Nonnegative margin means x survives every even-power moment-growth test
     the degree budget d allows; the set of such x contains the support of any
     representing measure.  `x` is one point (n,), for which the margin is a
-    float, or m points (m, n), for which it is an array of m margins.  The
-    bounds L(q^{2n})^{1/2n} do not depend on x: each is computed once per
-    sequence, keyed on d, tol and the terms of q, and kept on `y`, so a repeat
-    call only evaluates |q(x)|.  A call that raises keeps no bound.
+    float, or m points (m, n), for which it is an array of m margins; a NaN
+    or infinite coordinate raises ValueError naming the first such point.
+    The bounds L(q^{2n})^{1/2n} do not depend on x: they are computed once
+    per sequence and family, keyed on d, tol and the terms of every member,
+    and kept on `y` as one plan (`_power_plan`) with the members' exponents
+    and coefficients.  A call then evaluates every monomial of the family at
+    every point with one `eval_monomials` call, adds the members' terms one
+    position at a time, and takes one minimum, so no point's margin depends
+    on the others.  A call that raises keeps no plan.
     """
     if d > y.order:
         raise ValueError(f"degree budget {d} needs moments to degree {d} > {y.order}")
@@ -168,13 +194,17 @@ def power_method_margin(
     if x.ndim not in (1, 2) or x.shape[-1] != y.n:
         raise ValueError(f"x must have shape ({y.n},) or (m, {y.n}), got {x.shape}")
     pts = x.reshape(-1, y.n)
-    margin = np.full(pts.shape[0], math.inf)
-    new = {}
-    for q in family:
-        key = (d, tol, frozenset(q.terms.items()))
-        bound = y._power_bounds.get(key)
-        if bound is None:
-            bound = new[key] = _even_power_bound(y, d, q, tol)
-        margin = np.minimum(margin, bound - np.abs(q.eval_grid(pts)))
-    y._power_bounds.update(new)
+    if not np.isfinite(pts).all():
+        bad = pts[~np.isfinite(pts).all(axis=1)][0]
+        raise ValueError(f"point {tuple(bad.tolist())} is not finite")
+    key = (d, tol, tuple(frozenset(q.terms.items()) for q in family))
+    plan = y._power_bounds.get(key)
+    if plan is None:
+        plan = y._power_bounds[key] = _power_plan(y, d, family, tol)
+    bounds, exps, steps = plan
+    V = eval_monomials(exps, pts)
+    Q = np.zeros((len(family), pts.shape[0]))
+    for members, rows, coeffs in steps:
+        Q[members] += coeffs * V[rows]
+    margin = np.minimum.reduce(bounds[:, None] - np.abs(Q), axis=0, initial=math.inf)
     return float(margin[0]) if x.ndim == 1 else margin

@@ -159,8 +159,8 @@ def _integrals(mu: ReferenceMeasure, rows, p: Polynomial) -> np.ndarray:
     """
     if p.n != mu.n:
         raise ValueError("dimension mismatch")
-    exps = rows[:, None, :] + np.array(list(p.terms), dtype=np.int64).reshape(1, -1, mu.n)
-    return mu.moments(exps) @ np.array(list(p.terms.values()), dtype=float)
+    exps, coeffs = p._arrays
+    return mu.moments(rows[:, None, :] + exps[None]) @ coeffs
 
 
 def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBoundResult:
@@ -181,8 +181,9 @@ def solve_upper_bound(f: Polynomial, mu: ReferenceMeasure, d: int) -> UpperBound
     A = loc.gather(_integrals(mu, pairs.exps, f))
     B = loc.gather(_integrals(mu, pairs.exps, one))
     try:
-        # eigh's own Cholesky of B is the positive-definiteness test
-        w, V = sla.eigh(A, B)
+        # eigh's own Cholesky of B is the positive-definiteness test; only the
+        # smallest eigenpair is computed
+        w, V = sla.eigh(A, B, subset_by_index=[0, 0])
     except np.linalg.LinAlgError:
         raise ValueError("reference moment matrix is not positive definite") from None
     u_star = float(w[0])
@@ -208,14 +209,14 @@ def estimator_from_density(f: Polynomial, sigma: Polynomial, mu: ReferenceMeasur
         raise ValueError("dimension mismatch")
     n = mu.n
     # integrals[t] = integral of x^rows[t] * sigma: rows are 1, x_1..x_n, then f's terms
-    rows = np.concatenate([np.zeros((1, n), dtype=np.int64), np.eye(n, dtype=np.int64),
-                           np.array(list(f.terms), dtype=np.int64).reshape(-1, n)])
+    f_exps, f_coeffs = f._arrays
+    rows = np.concatenate([np.zeros((1, n), dtype=np.int64), np.eye(n, dtype=np.int64), f_exps])
     integrals = _integrals(mu, rows, sigma)
     mass = float(integrals[0])
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"density is not normalized: integral {mass}")
     x_check = integrals[1:n + 1]
-    cost = float(np.array(list(f.terms.values()), dtype=float) @ integrals[n + 1:])
+    cost = float(f_coeffs @ integrals[n + 1:])
     in_hull = mu.in_support_hull(x_check)
     return x_check, cost, in_hull
 

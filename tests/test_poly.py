@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from momlab.cone import PseudoMomentSequence
 from momlab.extraction import candidate_minimizer
 from momlab.poly import (
+    EVAL_BLOCK,
     MonomialBasis,
     Polynomial,
     box_grid,
@@ -178,6 +179,50 @@ def test_eval_grid_matches_scalar_eval():
     p = Polynomial(2, {(2, 0): 1.5, (1, 1): -0.5, (0, 0): 2.0})
     pts = rng.uniform(-1, 1, (20, 2))
     np.testing.assert_allclose(p.eval_grid(pts), [p(x) for x in pts])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_eval_grid_matches_product_reference(data, n):
+    alpha = st.tuples(*[st.integers(0, 6)] * n)
+    terms = data.draw(st.dictionaries(alpha, st.floats(-10, 10), max_size=8))
+    p = Polynomial(n, terms)
+    coords = st.lists(st.floats(-2, 2, allow_nan=False), min_size=n, max_size=n)
+    pts = data.draw(st.lists(coords, min_size=1, max_size=8))
+    parts = [[c * math.prod(x**a for x, a in zip(pt, alpha)) for alpha, c in p.terms.items()]
+             for pt in pts]
+    # relative to the terms' magnitudes, which bounds the round-off of any summation
+    # order; values below the smallest normal float carry absolute error only
+    scale = np.array([math.fsum(map(abs, row)) for row in parts])
+    err = np.abs(p.eval_grid(np.array(pts)) - [math.fsum(row) for row in parts])
+    assert (err <= 1e-12 * scale + np.finfo(float).tiny).all()
+
+
+def test_eval_grid_across_a_block_boundary_equals_each_point_bit_for_bit():
+    rng = np.random.default_rng(3)
+    p = Polynomial(2, {a: rng.normal() for a in MonomialBasis(2, 6)})
+    pts = rng.uniform(-1.5, 1.5, (EVAL_BLOCK + 5, 2))
+    grid = p.eval_grid(pts)
+    assert grid.tobytes() == np.array([p(x) for x in pts]).tobytes()
+
+
+def test_eval_matrix_row_at_one_point_equals_the_batch_row_bit_for_bit():
+    rng = np.random.default_rng(4)
+    basis = MonomialBasis(3, 5)
+    pts = rng.uniform(-1.5, 1.5, (EVAL_BLOCK + 5, 3))
+    batch = basis.eval_matrix(pts)
+    assert batch.shape == (len(pts), len(basis))
+    for i in (0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, len(pts) - 1):
+        assert basis.eval_matrix(pts[i:i + 1])[0].tobytes() == batch[i].tobytes()
+        assert basis.eval_vector(pts[i]).tobytes() == batch[i].tobytes()
+
+
+def test_basis_builds_exponent_tuples_on_first_use():
+    basis = MonomialBasis(3, 4)
+    assert len(basis) == r_dim(3, 4)
+    assert "exponents" not in vars(basis)
+    assert basis.exponents == [tuple(e) for e in basis.exps.tolist()]
+    assert basis[5] == basis.exponents[5] and list(basis) == basis.exponents
 
 
 def test_call_checks_point_size():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,32 @@ def test_power_margin_errors_repeat_and_keep_nothing():
             power_method_margin(bad, 2, [x], [0.0])
     assert y._power_bounds == {} and bad._power_bounds == {}
     assert power_method_margin(y, 2, [x], [0.0]) == 0.5
+
+
+def test_power_margin_reuses_the_plan_of_an_equal_family(monkeypatch):
+    y, pts = _batch_case()
+    first = power_method_margin(y, 12, _batch_family(), pts)
+    # equal members, built anew with their terms in reverse order
+    equal = [Polynomial(2, dict(reversed(q.terms.items()))) for q in _batch_family()]
+    applied = []
+    apply = PseudoMomentSequence.apply
+    monkeypatch.setattr(PseudoMomentSequence, "apply",
+                        lambda self, p: applied.append(p) or apply(self, p))
+    assert power_method_margin(y, 12, equal, pts).tobytes() == first.tobytes()
+    assert applied == [] and len(y._power_bounds) == 1
+    # fewer members is another family: a new plan, and no margin below the full family's
+    fewer = power_method_margin(y, 12, _batch_family()[:-1], pts)
+    assert applied and len(y._power_bounds) == 2
+    assert (fewer >= first).all()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_power_margin_names_the_first_non_finite_point(bad):
+    y = PseudoMomentSequence.from_atoms([[0.5, -0.25], [-0.5, 0.5]], [0.5, 0.5], 4)
+    family = default_power_family(2)
+    with pytest.raises(ValueError, match=re.escape(f"point ({bad}, 0.0) is not finite")):
+        power_method_margin(y, 4, family, [bad, 0.0])
+    pts = np.array([[0.1, 0.2], [0.3, bad], [bad, bad]])
+    with pytest.raises(ValueError, match=re.escape(f"point (0.3, {bad}) is not finite")):
+        power_method_margin(y, 4, family, pts)
+    assert y._power_bounds == {}

@@ -100,6 +100,19 @@ def test_upper_bound_matches_term_by_term_pencil(n, kind):
             assert abs(u - u_ref) <= 1e-10 * (1 + abs(u_ref))
 
 
+@pytest.mark.parametrize("kind", ["box", "ball"])
+def test_smallest_eigenpair_matches_the_full_pencil(kind, monkeypatch):
+    rng = np.random.default_rng(11)
+    f = Polynomial(3, {a: rng.normal() for a in MonomialBasis(3, 4)})
+    mu = ReferenceMeasure(kind, 3)
+    res = solve_upper_bound(f, mu, 16)
+    full = sla.eigh
+    monkeypatch.setattr(sla, "eigh", lambda A, B, **kwargs: full(A, B))
+    ref = solve_upper_bound(f, mu, 16)
+    assert abs(res.u_d_star - ref.u_d_star) <= 1e-12
+    assert np.abs(res.x_check - ref.x_check).max() <= 1e-12
+
+
 def test_upper_bound_singular_reference_raises():
     # a Dirac moment table yields a singular order-1 moment matrix
     tab = {(k,): 0.5**k for k in range(5)}
