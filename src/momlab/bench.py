@@ -29,6 +29,7 @@ from .upperbound import ReferenceMeasure, solve_upper_bound
 
 __all__ = [
     "BenchProblem",
+    "LevelRecord",
     "RateFit",
     "RateReport",
     "builtin_corpus",
@@ -68,30 +69,58 @@ class RateFit:
         return f"slope {self.slope:+.3f} (R^2 {self.r_squared:.3f})"
 
 
+@dataclass(frozen=True)
+class LevelRecord:
+    """One solved or failed level of one hierarchy in `run_suite`; NaN where a side has none."""
+
+    side: str                     # "lower" or "upper"
+    d: int
+    status: str                   # solver status ("Optimal" on the upper side) or "Failed: ..."
+    value: float = math.nan       # m_d or u_d
+    dual_value: float = math.nan  # f_d
+    gap: float = math.nan         # f* - m_d or u_d - f*
+    est_err: float = math.nan     # ||x^(d) - x*||, or ||x_check - x*|| on the upper side
+    mom_dist: float = math.nan
+    rounded: bool = False
+
+
 @dataclass
 class RateReport:
-    """Per-problem record of `run_suite`. Every field after `problem_id` defaults to empty;
-    a problem that failed sets only its id and one "Failed: ..." status."""
+    """Per-problem record of `run_suite`: one `LevelRecord` per level, in run order.
+
+    Every field after `problem_id` defaults to empty; a problem that raised
+    sets only its id and `failure` ("Failed: ...").  The per-level lists are
+    read-only views of the records: the lower side's levels, and the upper
+    side's solved levels only.
+    """
 
     problem_id: str
-    levels: list = field(default_factory=list)
-    statuses: list = field(default_factory=list)
-    m_values: list = field(default_factory=list)
-    f_values: list = field(default_factory=list)
-    m_gaps: list = field(default_factory=list)          # f* - m_d
-    upper_levels: list = field(default_factory=list)
-    u_values: list = field(default_factory=list)
-    u_gaps: list = field(default_factory=list)          # u_d - f*
-    est_errors: list = field(default_factory=list)      # ||x^(d) - x*||
-    x_check_errors: list = field(default_factory=list)  # ||x_check - x*|| on the upper side
-    mom_dists: list = field(default_factory=list)
-    flat_levels: list = field(default_factory=list)
+    records: list = field(default_factory=list)
+    failure: str | None = None
     lower_fit: RateFit | None = None
     upper_fit: RateFit | None = None
     f_star: float = math.nan
     x_star: np.ndarray = field(default_factory=lambda: np.array([]))
     s_star: np.ndarray = field(default_factory=lambda: np.array([]))
     grid_resolution: int = 0
+
+    def _column(self, side: str, name: str) -> list:
+        """`name` over the records of `side`, skipping failed upper levels."""
+        return [getattr(r, name) for r in self.records if r.side == side
+                and (side == "lower" or not r.status.startswith("Failed"))]
+
+    levels = property(lambda self: self._column("lower", "d"))
+    m_values = property(lambda self: self._column("lower", "value"))
+    f_values = property(lambda self: self._column("lower", "dual_value"))
+    est_errors = property(lambda self: self._column("lower", "est_err"))
+    mom_dists = property(lambda self: self._column("lower", "mom_dist"))
+    upper_levels = property(lambda self: self._column("upper", "d"))
+    u_values = property(lambda self: self._column("upper", "value"))
+    flat_levels = property(lambda self: [r.d for r in self.records if r.rounded])
+
+    @property
+    def statuses(self) -> list:
+        return [self.failure] if self.failure else self._column("lower", "status")
 
 
 def _default_resolution(n: int) -> int:
@@ -108,7 +137,11 @@ def brute_force_oracle(prob: SemialgebraicProblem, resolution: int | None = None
     it lies in K to 1e-12 and costs no more than the sample: a grid places a
     minimizer off its nodes only to its spacing, and f* to about its square.
     f_star, x_star and the sample set (within 1e-6 of f_star) then come from
-    these points.
+    these points.  The polish is interior-only: it holds an inequality g
+    active only where g(sample) <= `extraction.ACTIVE_TOL`.  A boundary
+    minimizer with no grid node that close to the boundary keeps the grid
+    value: f* reads 0.017-0.042 high on 4 of 6 random n=3 ball quartics at
+    61 points per axis.
     """
     n = prob.n
     if n > 3:
@@ -326,45 +359,33 @@ def _run_problem(bp: BenchProblem, r_dist: int = 2) -> RateReport:
                      grid_resolution=_default_resolution(bp.problem.n))
     analysed = {}  # relaxation order -> (est_err, mom_dist)
     for res in _solve_levels(bp.problem, range(bp.d_min, bp.d_max + 1)):
-        rep.levels.append(res.d)
-        rep.statuses.append(res.status)
-        rep.m_values.append(res.m_d_star)
-        rep.f_values.append(res.f_d_star)
-        rep.m_gaps.append(f_star - res.m_d_star)
-        y = res.pseudo_moments
-        if y is None:
-            rep.est_errors.append(math.nan)
-            rep.mom_dists.append(math.nan)
-            continue
-        k = relaxation_order(res.d)
-        if k not in analysed:
+        y, k = res.pseudo_moments, relaxation_order(res.d)
+        if y is not None and k not in analysed:
             est_err = float(np.linalg.norm(candidate_minimizer(y) - x_star))
             analysed[k] = (est_err, moment_distance_to_optimal(y, s_star, r=r_dist))
-        est_err, mom_dist = analysed[k]
-        rep.est_errors.append(est_err)
-        rep.mom_dists.append(mom_dist)
-        if res.rounded is not None:
-            rep.flat_levels.append(res.d)
+        est_err, mom_dist = analysed[k] if y is not None else (math.nan, math.nan)
+        rep.records.append(LevelRecord("lower", res.d, res.status, res.m_d_star, res.f_d_star,
+                                       f_star - res.m_d_star, est_err, mom_dist,
+                                       res.rounded is not None))
 
     for d in bp.upper_levels:
         try:
             ub = solve_upper_bound(bp.problem.objective, bp.measure, d)
-        except ValueError:
+        except ValueError as exc:
+            rep.records.append(LevelRecord("upper", d, f"Failed: {exc}"))
             continue
-        rep.upper_levels.append(d)
-        rep.u_values.append(ub.u_d_star)
-        rep.u_gaps.append(ub.u_d_star - f_star)
-        rep.x_check_errors.append(float(np.linalg.norm(ub.x_check - x_star)))
+        rep.records.append(LevelRecord("upper", d, "Optimal", ub.u_d_star, gap=ub.u_d_star - f_star,
+                                       est_err=float(np.linalg.norm(ub.x_check - x_star))))
 
-    def safe_fit(lv, gp):
+    def safe_fit(side):
+        pairs = [(r.d, r.gap) for r in rep.records if r.side == side and np.isfinite(r.gap)]
         try:
-            pairs = [(d, g) for d, g in zip(lv, gp) if np.isfinite(g)]
             return fit_rate([d for d, _ in pairs], [g for _, g in pairs])
         except ValueError:
             return None
 
-    rep.lower_fit = safe_fit(rep.levels, rep.m_gaps)
-    rep.upper_fit = safe_fit(rep.upper_levels, rep.u_gaps)
+    rep.lower_fit = safe_fit("lower")
+    rep.upper_fit = safe_fit("upper")
     return rep
 
 
@@ -380,45 +401,38 @@ def run_suite(corpus: list, out_dir: str | None = None, r_dist: int = 2):
         try:
             reports.append(_run_problem(bp, r_dist=r_dist))
         except Exception as exc:  # noqa: BLE001 - isolate per-problem failures
-            reports.append(RateReport(problem_id=bp.id, statuses=[f"Failed: {exc}"]))
+            reports.append(RateReport(problem_id=bp.id, failure=f"Failed: {exc}"))
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["problem", "d", "m_d", "f_d", "u_d", "est_err", "mom_dist", "status"])
     for rep in reports:
-        u_by_level = dict(zip(rep.upper_levels, rep.u_values))
-        for i, d in enumerate(rep.levels):
-            writer.writerow(
-                [
-                    rep.problem_id,
-                    d,
-                    f"{rep.m_values[i]:.10g}",
-                    f"{rep.f_values[i]:.10g}",
-                    f"{u_by_level[d]:.10g}" if d in u_by_level else "",
-                    f"{rep.est_errors[i]:.6g}",
-                    f"{rep.mom_dists[i]:.6g}",
-                    rep.statuses[i],
-                ]
-            )
-        for d in rep.upper_levels:
-            if d not in rep.levels:
-                writer.writerow(
-                    [rep.problem_id, d, "", "", f"{u_by_level[d]:.10g}", "", "", "upper-only"]
-                )
+        levels, u_by_level = rep.levels, dict(zip(rep.upper_levels, rep.u_values))
+        for r in rep.records:  # lower levels first, then upper ones
+            if r.side == "lower":
+                writer.writerow([rep.problem_id, r.d, f"{r.value:.10g}", f"{r.dual_value:.10g}",
+                                 f"{u_by_level[r.d]:.10g}" if r.d in u_by_level else "",
+                                 f"{r.est_err:.6g}", f"{r.mom_dist:.6g}", r.status])
+            elif r.status.startswith("Failed"):
+                writer.writerow([rep.problem_id, r.d, "", "", "", "", "", f"upper {r.status}"])
+            elif r.d not in levels:
+                writer.writerow([rep.problem_id, r.d, "", "", f"{r.value:.10g}", "", "",
+                                 "upper-only"])
     csv_text = buf.getvalue()
 
     lines = ["# Benchmark summary", ""]
     for rep in reports:
         lines.append(f"## {rep.problem_id}")
-        if not rep.levels:
-            lines.append(f"- {rep.statuses[0]}")
-            lines.append("")
+        if rep.failure:
+            lines += [f"- {rep.failure}", ""]
             continue
         lines.append(f"- oracle: f* = {rep.f_star:.10g} at {np.round(rep.x_star, 6).tolist()}"
                      f" (grid {rep.grid_resolution}/axis, {rep.s_star.shape[0]} optimal samples)")
         lines.append(f"- lower bounds m_d: {[round(v, 8) for v in rep.m_values]}")
         if rep.u_values:
             lines.append(f"- upper bounds u_d: {[round(v, 8) for v in rep.u_values]}")
+        lines += [f"- upper level {r.d}: {r.status}" for r in rep.records
+                  if r.side == "upper" and r.status.startswith("Failed")]
         if rep.flat_levels:
             lines.append(f"- flatness + extraction succeeded at levels {rep.flat_levels}")
         if rep.lower_fit is not None:

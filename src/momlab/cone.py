@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .poly import MonomialBasis, Polynomial, _exponent_row, exponent_array, r_dim
+from .poly import MonomialBasis, Polynomial, _exponent_row, exponent_array
 from .sdp import sv_rank
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "normalize",
     "moment_matrix",
     "localizing_matrix",
-    "op_norm_distance",
-    "vector_integral_check",
 ]
 
 
@@ -354,32 +352,3 @@ def localizing_matrix(y: PseudoMomentSequence, g: Polynomial, d: int) -> MomentM
         raise ValueError("pseudo-moment sequence too short for localizing matrix")
     basis = MonomialBasis(y.n, k)
     return MomentMatrix(k, y.basis.localizing_map(basis.exps, g).gather(y.y), basis)
-
-
-def op_norm_distance(y1: PseudoMomentSequence, y2: PseudoMomentSequence, t: int) -> float:
-    """Operator-norm distance of two truncated linear forms on R[X]_t.
-
-    The dual of the coefficient 2-norm is the Euclidean norm on the
-    pseudo-moment vector, so this is just the 2-norm of the truncated
-    difference.
-    """
-    if y1.n != y2.n:
-        raise ValueError("dimension mismatch")
-    if t > y1.order or t > y2.order:
-        raise ValueError("sequences do not cover degree t")
-    m = r_dim(y1.n, t)
-    return float(np.linalg.norm(y1.y[:m] - y2.y[:m]))
-
-
-def vector_integral_check(ms, h) -> tuple:
-    """Return (||integral of h dmu||_2, integral of ||h||_2 dmu) over an atomic measure.
-
-    `ms` is any object with `atoms` (k,n) and `weights` (k,); the first value
-    never exceeds the second (vector-integral triangle inequality).
-    """
-    atoms = np.atleast_2d(np.asarray(ms.atoms, dtype=float))
-    weights = np.asarray(ms.weights, dtype=float)
-    vals = np.array([[hi(x) for hi in h] for x in atoms])  # (k, len(h))
-    lhs = float(np.linalg.norm(weights @ vals))
-    rhs = float(weights @ np.linalg.norm(vals, axis=1))
-    return lhs, rhs

@@ -52,15 +52,17 @@ class ReferenceMeasure:
     """Moments of the reference measure of the upper-bound hierarchy.
 
     Kinds: 'box' (Lebesgue on [-1,1]^n), 'ball' (Lebesgue on the unit ball),
-    'table' (user-supplied finite moment table, searched by graded-lex rank).
+    'table' (user-supplied finite moment table, searched by graded-lex rank:
+    a dict {alpha: y_alpha} or (alpha, y_alpha) pairs, each exponent once).
     Box and ball moments multiply one per-degree factor table over the
     coordinates (the ball's then divide by a total-degree factor) in any degree;
     tables raise beyond their stated degree.  Every kind rejects an exponent
     that is not n nonnegative integers (`poly.exponent_array`), and a table
-    rejects a NaN or infinite moment; each ValueError names the exponent.
+    rejects a NaN or infinite moment or a repeated exponent; each ValueError
+    names the exponent.
     """
 
-    def __init__(self, kind: str, n: int, table: dict | None = None):
+    def __init__(self, kind: str, n: int, table: dict | list | None = None):
         if kind not in ("box", "ball", "table"):
             raise ValueError(f"unknown reference measure kind {kind!r}")
         self.kind = kind
@@ -69,8 +71,9 @@ class ReferenceMeasure:
         if kind == "table":
             if not table:
                 raise ValueError("table kind needs a nonempty moment table")
-            exps = np.concatenate([exponent_array(_exponent_row(a), n) for a in table])
-            values = np.array(list(table.values()), float)
+            pairs = list(table.items() if isinstance(table, dict) else table)
+            exps = np.concatenate([exponent_array(_exponent_row(a), n) for a, _ in pairs])
+            values = np.array([v for _, v in pairs], float)
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
                 raise ValueError(f"moment of exponent {tuple(exps[bad[0]].tolist())} "
@@ -79,6 +82,11 @@ class ReferenceMeasure:
             ranks = MonomialBasis.rank(exps)
             order = np.argsort(ranks)
             self._ranks, self._values = ranks[order], values[order]
+            dup = np.flatnonzero(self._ranks[1:] == self._ranks[:-1])
+            if dup.size:
+                count = np.count_nonzero(ranks == self._ranks[dup[0]])
+                raise ValueError(f"moment table has {count} entries for exponent "
+                                 f"{tuple(exps[order[dup[0]]].tolist())}")
 
     @staticmethod
     def box(n: int) -> "ReferenceMeasure":
@@ -94,8 +102,8 @@ class ReferenceMeasure:
         if not isinstance(d, dict):
             with open(path_or_dict) as fh:
                 d = json.load(fh)
-        table = {tuple(t["alpha"]): float(t["y"]) for t in d["values"]}
-        return ReferenceMeasure("table", int(d["n"]), table=table)
+        pairs = [(t["alpha"], float(t["y"])) for t in d["values"]]
+        return ReferenceMeasure("table", int(d["n"]), table=pairs)
 
     def moments(self, exps) -> np.ndarray:
         """Moments at every row of a nonnegative integer exponent array of shape (..., n)."""

@@ -12,6 +12,7 @@ import momlab
 import momlab.bench
 from momlab.bench import (
     BenchProblem,
+    LevelRecord,
     RateReport,
     brute_force_oracle,
     builtin_corpus,
@@ -286,9 +287,10 @@ def _same_value(a, b) -> bool:
 
 def test_rate_report_defaults_are_empty():
     rep = RateReport(problem_id="p")
-    for f in dataclasses.fields(RateReport):
-        if f.type == "list":
-            assert getattr(rep, f.name) == [], f.name
+    assert rep.records == [] and rep.failure is None
+    for name in ("levels", "statuses", "m_values", "f_values", "est_errors", "mom_dists",
+                 "flat_levels", "upper_levels", "u_values"):
+        assert getattr(rep, name) == [], name
     assert rep.lower_fit is None and rep.upper_fit is None
     assert math.isnan(rep.f_star)
     assert rep.x_star.shape == (0,) and rep.s_star.shape == (0,)
@@ -297,12 +299,15 @@ def test_rate_report_defaults_are_empty():
 
 def test_rate_reports_never_share_a_list():
     a, b = RateReport(problem_id="a"), RateReport(problem_id="b")
-    a.levels.append(2)
-    a.statuses.append("Optimal")
-    assert b.levels == [] and b.statuses == []
+    a.records.append(LevelRecord("lower", 2, "Optimal", -1.0))
+    assert a.levels == [2] and a.statuses == ["Optimal"]
+    assert b.records == [] and b.levels == [] and b.statuses == []
     lists = [getattr(r, f.name) for r in (a, b) for f in dataclasses.fields(RateReport)
              if f.type == "list"]
-    assert len({id(v) for v in lists}) == len(lists) == 24
+    assert len({id(v) for v in lists}) == len(lists) == 2
+    # the per-level lists are views: writing to one leaves the records alone
+    a.levels.append(3)
+    assert a.levels == [2] and len(a.records) == 1
 
 
 def test_run_suite_records_failed_problem_as_bare_report():
@@ -322,7 +327,40 @@ def test_run_suite_records_failed_problem_as_bare_report():
     (got,), _ = run_suite([bad])
     want = RateReport(
         problem_id="infeasible",
-        statuses=["Failed: no feasible grid point; raise the resolution"],
+        failure="Failed: no feasible grid point; raise the resolution",
     )
     for f in dataclasses.fields(RateReport):
         assert _same_value(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert got.statuses == [want.failure] and got.levels == []
+
+
+def test_run_suite_records_failed_upper_levels(tmp_path):
+    # min x on [-1, 1]: level 40 loses the density's normalization and level 64 the
+    # reference moment matrix's definiteness; both used to vanish from the report
+    x = Polynomial.variable(0, 1)
+    bp = BenchProblem(id="line", problem=SemialgebraicProblem(n=1, objective=x,
+                                                              constraints=(1 - x * x,)),
+                      d_min=2, d_max=2, upper_levels=(8, 40, 64),
+                      measure=ReferenceMeasure.box(1), unique_minimizer=True)
+    (rep,), csv_text = run_suite([bp], out_dir=str(tmp_path))
+    assert rep.upper_levels == [8] and len(rep.u_values) == 1
+    rows = csv_text.strip().splitlines()
+    assert rows[2] == "line,8,,,-0.9061798459,,,upper-only"
+    assert rows[3].startswith("line,40,,,,,,upper Failed: density is not normalized")
+    assert rows[4] == "line,64,,,,,,upper Failed: reference moment matrix is not positive definite"
+    summary = (tmp_path / "summary.md").read_text()
+    assert "- upper level 40: Failed: density is not normalized" in summary
+    assert "- upper level 64: Failed: reference moment matrix is not positive definite" in summary
+    failed = [r for r in rep.records if r.side == "upper" and r.status.startswith("Failed")]
+    assert [r.d for r in failed] == [40, 64]
+    assert all(math.isnan(r.value) and math.isnan(r.gap) for r in failed)
+    assert rep.upper_fit is None
+
+
+def test_load_corpus_rejects_repeated_table_exponent():
+    x = Polynomial.variable(0, 1)
+    prob = SemialgebraicProblem(n=1, objective=x, constraints=(1 - x * x,))
+    table = {"n": 1, "values": [{"alpha": [0], "y": 2.0}, {"alpha": [2], "y": 2 / 3},
+                                {"alpha": [2.0], "y": 0.5}]}
+    with pytest.raises(ValueError, match=r"moment table has 2 entries for exponent \(2,\)"):
+        load_corpus([{"id": "tab", "problem": prob.to_json_dict(), "measure": table}])

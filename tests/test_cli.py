@@ -397,3 +397,14 @@ def test_unreadable_or_malformed_input_file_is_a_usage_error(capsys, tmp_path, l
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and says in err
+
+
+def test_upper_rejects_measure_table_with_repeated_exponent(capsys, tmp_path, line_json):
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({"n": 1, "values": [
+        {"alpha": [0], "y": 1.0}, {"alpha": [2], "y": 0.3}, {"alpha": [2], "y": 0.9}]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["upper", "--problem", line_json, "--measure", str(dup), "--levels", "0:2:4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --measure" in err and "moment table has 2 entries for exponent (2,)" in err

@@ -11,10 +11,7 @@ from momlab.cone import (
     localizing_matrix,
     moment_matrix,
     normalize,
-    op_norm_distance,
-    vector_integral_check,
 )
-from momlab.extraction import AtomicMeasure
 from momlab.poly import Polynomial, monomials_upto
 
 
@@ -151,15 +148,11 @@ def test_localizing_matrix_hand_value():
     assert L.M.shape == (2, 2)
 
 
-def test_truncate_and_op_norm_distance():
+def test_truncate_keeps_the_leading_moments():
     y1 = PseudoMomentSequence.from_atoms([[0.5]], [1.0], 6)
-    y2 = PseudoMomentSequence.from_atoms([[0.5], [-0.5]], [0.5, 0.5], 6)
-    assert op_norm_distance(y1, y1.truncate(4), 4) == 0.0
-    d = op_norm_distance(y1, y2, 2)
-    # differs exactly in the degree-1 moment: 0.5 vs 0
-    assert d == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        op_norm_distance(y1, y2, 8)
+    y4 = y1.truncate(4)
+    assert y4.order == 4
+    assert np.array_equal(y4.y, y1.y[: len(y4.y)])
 
 
 def test_map_affine_matches_pushforward():
@@ -180,16 +173,6 @@ def test_moment_sequence_json_roundtrip():
     back = PseudoMomentSequence.from_json_dict(json.loads(json.dumps(y.to_json_dict())))
     np.testing.assert_allclose(back.y, y.y)
     assert back.order == 3
-
-
-def test_vector_integral_triangle_inequality():
-    rng = np.random.default_rng(11)
-    atoms = rng.uniform(-1, 1, (5, 2))
-    weights = rng.uniform(0.1, 1.0, 5)
-    mu = AtomicMeasure(atoms, weights)
-    h = [Polynomial.variable(0, 2), Polynomial.variable(1, 2) ** 2]
-    lhs, rhs = vector_integral_check(mu, h)
-    assert lhs <= rhs + 1e-12
 
 
 def test_moment_table_missing_exponent_raises_value_error():

@@ -345,3 +345,14 @@ def test_table_measure_rejects_non_finite_moments(bad):
     with pytest.raises(ValueError, match=r"moment of exponent \(2,\) is not finite"):
         ReferenceMeasure.from_json({"n": 1, "values": [{"alpha": [0], "y": 1.0},
                                                        {"alpha": [2], "y": bad}]})
+
+
+@pytest.mark.parametrize("repeat", [[2], [2.0]])
+def test_table_measure_rejects_repeated_exponent(repeat):
+    # the last entry used to win silently, as a dict keyed by exponent keeps it
+    values = [{"alpha": [0], "y": 1.0}, {"alpha": [2], "y": 0.3}, {"alpha": repeat, "y": 0.9}]
+    with pytest.raises(ValueError, match=r"moment table has 2 entries for exponent \(2,\)"):
+        ReferenceMeasure.from_json({"n": 1, "values": values})
+    with pytest.raises(ValueError, match=r"3 entries for exponent \(1, 0\)"):
+        ReferenceMeasure("table", 2, table=[((0, 0), 1.0), ((1, 0), 0.0), ((0, 1), 0.0),
+                                            ((1, 0), 0.1), ((1.0, 0), 0.2)])
