@@ -94,7 +94,8 @@ def check_flatness(y: PseudoMomentSequence, d: int, r: int, tol: float = 1e-6) -
     The truncated matrix drops ceil(r/2) orders, so its certified products lose
     total degree r; equal numerical ranks mean the sequence extends flatly and
     an atomic representing measure exists.  Singular values above tol times
-    the largest count toward a rank.
+    the largest count toward a rank.  Flatness also needs the order-d matrix's
+    eigenvalues >= -tol times the largest (y = (1, 0, -1, 0, 1) has ranks 2, 2).
 
     Raises ValueError for a step r < 1 (the two matrices would be the same
     or the truncation larger) or r > d, and for a tol outside (0, 1), where
@@ -108,7 +109,8 @@ def check_flatness(y: PseudoMomentSequence, d: int, r: int, tol: float = 1e-6) -
     if 2 * d > y.order:
         raise ValueError(f"flatness at order {d} needs moments to degree {2*d} > {y.order}")
     drop = -(-r // 2)
-    sf = np.linalg.svd(moment_matrix(y, d).M, compute_uv=False)
+    lam = np.linalg.eigvalsh(moment_matrix(y, d).M)
+    sf = np.sort(np.abs(lam))[::-1]
     st = np.linalg.svd(moment_matrix(y, d - drop).M, compute_uv=False)
     rank_f, rank_t = sv_rank(sf, tol), sv_rank(st, tol)
     return FlatnessReport(
@@ -118,7 +120,7 @@ def check_flatness(y: PseudoMomentSequence, d: int, r: int, tol: float = 1e-6) -
         rank_truncated=rank_t,
         singular_values_full=sf,
         singular_values_truncated=st,
-        is_flat=(rank_f == rank_t),
+        is_flat=bool(rank_f == rank_t and lam[0] >= -tol * sf[0]),
         tol=tol,
     )
 
@@ -188,14 +190,14 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
     raise last_err or ValueError("atom extraction failed")
 
 
-ACTIVE_TOL = 1e-3  # an inequality g with g(atom) <= ACTIVE_TOL is held at g = 0
+ACTIVE_TOL = 1e-3  # by default an inequality g with g(atom) <= ACTIVE_TOL is held at g = 0
 
 
-def polish_atoms(prob: SemialgebraicProblem, atoms) -> np.ndarray:
+def polish_atoms(prob: SemialgebraicProblem, atoms, active_tol: float = ACTIVE_TOL) -> np.ndarray:
     """Each row of `atoms` moved to a nearby KKT point of min f over K.
 
     The active set is read at the atom: every equality h, and every
-    inequality g with g(atom) <= ACTIVE_TOL.  Newton's method then solves
+    inequality g with g(atom) <= active_tol.  Newton's method then solves
     grad f = sum_a lam_a grad c_a, c_a = 0 over the active c_a for (x, lam),
     from the atom and the least-squares multipliers there.  Each step is a
     least-squares solve, so a singular KKT matrix (more active constraints
@@ -229,7 +231,7 @@ def polish_atoms(prob: SemialgebraicProblem, atoms) -> np.ndarray:
     for k, x0 in enumerate(atoms):
         val, grad, _ = derivs(x0)
         # polynomial 0 is f; the active constraints are polynomials 1 + act
-        act = 1 + np.flatnonzero((val[1:] <= ACTIVE_TOL) | (np.arange(len(polys) - 1) >= n_ineq))
+        act = 1 + np.flatnonzero((val[1:] <= active_tol) | (np.arange(len(polys) - 1) >= n_ineq))
         lam = np.linalg.lstsq(grad[act].T, grad[0], rcond=None)[0]
         x, best, best_res = x0, x0, np.inf
         for _ in range(20):  # from an atom the residual stops falling in 2-13 steps

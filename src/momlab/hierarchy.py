@@ -5,9 +5,10 @@ minimizes L(f) over pseudo-moment sequences with PSD moment and localizing
 matrices and L(h * X^gamma) = 0 for equality constraints h; the SOS side is
 its SDP dual, read off the same solve.  Equality relations are eliminated
 up front (the pseudo-moment vector is parametrized over an affine subspace),
-which keeps the remaining SDP strictly feasible even when K is finite.  A
-flat solution is rounded to the moments of its polished atoms
-(`solve_moment_sdp`).
+and each PSD block keeps only the rows that no earlier rows span there
+(`_independent_rows`), which keeps the SDP strictly feasible even when K is
+finite or a sphere.  A flat solution is rounded to the moments of its
+polished atoms (`solve_moment_sdp`).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class MomentSdp:
     nullbasis: np.ndarray          # columns span the admissible y directions
     offset: float                  # L(f) = c.z + offset
     block_weights: tuple           # g multiplying each PSD block (g=1 for the moment block)
-    block_bases: tuple             # kept monomial rows of each block
+    block_bases: tuple             # monomial rows of each block left by the row reduction
 
 
 class MomentSdpError(RuntimeError):
@@ -124,27 +125,20 @@ def _relation_rows(prob: SemialgebraicProblem, basis: MonomialBasis):
     return rows, owners
 
 
-def _dedup_rows(F0: np.ndarray, FN: np.ndarray):
-    """Indices of structurally distinct rows of an affine matrix F0 + FN.z.
+def _independent_rows(F0: np.ndarray, FN: np.ndarray):
+    """Indices of the rows of an affine matrix F0 + FN.z that no earlier rows span.
 
-    Equality relations can make two monomial rows of a moment/localizing
-    block identical as functions of z (e.g. the rows of x and x^2 on {0,1});
-    keeping one of each restores strict feasibility.
+    F(z)v = 0 for every z iff v'[F0 | FN] = 0, so each dropped row is a fixed
+    combination of kept rows and F is PSD iff its kept block is.  Equalities make
+    such rows (x = x^2 on {0,1}; row(1) = row(x1^2) + row(x2^2) on the circle).
+    Row i is kept when |R_ii| of one unpivoted QR of the signatures [F0 | FN]
+    exceeds 1e-12 (1 + max|signature|); row 0 is kept when no row is.
     """
     s = F0.shape[0]
     sigs = np.concatenate([F0, FN.reshape(s, -1)], axis=1)
     tol = 1e-12 * (1.0 + float(np.max(np.abs(sigs))))
-    # The leading entries F0[i] and FN[i, 0] tell nearly all distinct rows
-    # apart, so only the kept rows that match there get the full-row test,
-    # which alone decides.
-    lead = sigs[:, : s + FN.shape[2]]
-    keep = []
-    for i in range(s):
-        near = np.array(keep, dtype=int)
-        near = near[np.max(np.abs(lead[near] - lead[i]), axis=1) <= tol]
-        if not np.any(np.max(np.abs(sigs[near] - sigs[i]), axis=1) <= tol):
-            keep.append(i)
-    return keep
+    r = np.abs(np.diag(np.linalg.qr(sigs.T, mode="r")))
+    return np.flatnonzero(r > tol).tolist() or [0]
 
 
 def _check_level(prob: SemialgebraicProblem, d: int) -> None:
@@ -185,8 +179,8 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
         F0 = loc.gather(y_p)
         FN = loc.gather(N)
         keep = range(len(F0))
-        if rel_rows:  # only equality relations can make two rows of a block coincide
-            keep = _dedup_rows(F0, FN)
+        if rel_rows:  # only equality relations give a block a common kernel
+            keep = _independent_rows(F0, FN)
             F0 = F0[np.ix_(keep, keep)]
             FN = FN[np.ix_(keep, keep)]
         mats = np.transpose(FN, (2, 0, 1))

@@ -6,7 +6,7 @@ import pytest
 from momlab.bench import builtin_corpus, run_suite
 from momlab.cone import SemialgebraicProblem
 from momlab.hierarchy import solve_moment_relaxation
-from momlab.poly import Polynomial
+from momlab.poly import MonomialBasis, Polynomial
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +39,18 @@ def suite_run():
     t0 = time.monotonic()
     reports, csv_text = run_suite(builtin_corpus())
     return reports, csv_text, time.monotonic() - t0
+
+
+def sweep_problem(n, seed, domain):
+    """Seeded dense quartic on the unit ball or on the box [-1, 1]^n."""
+    rng = np.random.default_rng(seed)
+    f = Polynomial(n, {a: rng.standard_normal() for a in MonomialBasis(n, 4)})
+    xs = [Polynomial.variable(i, n) for i in range(n)]
+    if domain == "ball":
+        cons = (Polynomial.constant(1.0, n) - sum((x * x for x in xs), Polynomial.zero(n)),)
+    else:
+        cons = tuple(1 - x * x for x in xs)
+    return SemialgebraicProblem(n=n, objective=f, constraints=cons)
 
 
 def random_atomic(rng, n, k_max=4, min_sep=0.35, weight_range=(0.2, 1.0)):

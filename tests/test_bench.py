@@ -25,6 +25,8 @@ from momlab.cone import PseudoMomentSequence, SemialgebraicProblem, normalize
 from momlab.poly import Polynomial
 from momlab.upperbound import ReferenceMeasure
 
+from conftest import sweep_problem
+
 
 def test_oracle_interval_linear(line_problem):
     f_star, x_star, s_star = brute_force_oracle(line_problem)
@@ -52,11 +54,22 @@ def test_oracle_polishes_two_well_minimizers():
     assert sorted(s_star[:, 0]) == pytest.approx([-math.sqrt(0.5), math.sqrt(0.5)], abs=1e-9)
 
 
+@pytest.mark.parametrize("n, seed, f_star", [(2, 5, -2.6926761), (3, 0, -2.5092113)])
+def test_oracle_polishes_onto_the_sphere(n, seed, f_star):
+    # no grid node lies within 1e-3 of these boundary minimizers (the best n=3 sample
+    # has g = 3.3e-3); the polish holds g = 0 within one grid step and reaches the
+    # level-8 (n=2) and level-6 (n=3) relaxations' rounded atoms, where the grid
+    # value read 0.0121 and 0.022 high
+    got, x_star, _ = brute_force_oracle(sweep_problem(n, seed, "ball"))
+    assert got == pytest.approx(f_star, abs=1e-7)
+    assert abs(np.sum(x_star ** 2) - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("shift", [-1e-9, 1e-3])
 def test_oracle_keeps_grid_sample_when_polished_point_leaves_k_or_costs_more(
         monkeypatch, line_problem, shift):
     # min x on [-1, 1]: x - 1e-9 costs less but leaves K, x + 1e-3 stays in K but costs more
-    monkeypatch.setattr(momlab.bench, "polish_atoms", lambda prob, pts: pts + shift)
+    monkeypatch.setattr(momlab.bench, "polish_atoms", lambda prob, pts, active_tol: pts + shift)
     f_star, x_star, s_star = brute_force_oracle(line_problem)
     assert f_star == -1.0 and x_star.tolist() == [-1.0] and s_star.tolist() == [[-1.0]]
 

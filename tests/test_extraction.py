@@ -44,6 +44,18 @@ def test_flatness_lebesgue_not_flat():
     assert not rep.is_flat
 
 
+def test_flatness_rejects_equal_ranks_of_a_non_psd_sequence():
+    # y = (1, 0, -1, 0, 1): both moment matrices have rank 2, but L(x^2) = -1 has no
+    # representing measure, and extraction fails on the moment system
+    y = PseudoMomentSequence.from_table(1, 4, {(k,): [1.0, 0.0, -1.0, 0.0, 1.0][k] for k in range(5)})
+    rep = check_flatness(y, 2, 1)
+    assert rep.rank_full == rep.rank_truncated == 2
+    assert rep.is_flat is False
+    with pytest.raises(ValueError, match="moment system residual"):
+        extract_atoms(y, 2)
+    assert check_flatness(PseudoMomentSequence.from_atoms([[0.5]], [1.0], 4), 2, 1).is_flat is True
+
+
 def test_flatness_argument_guards():
     y = PseudoMomentSequence.from_atoms([[0.0]], [1.0], 4)
     with pytest.raises(ValueError, match="exceeds"):

@@ -21,6 +21,8 @@ from momlab.hierarchy import (
 )
 from momlab.poly import MonomialBasis, Polynomial
 
+from conftest import sweep_problem
+
 
 def test_relaxation_order():
     assert [relaxation_order(d) for d in range(1, 7)] == [1, 1, 2, 2, 3, 3]
@@ -41,7 +43,7 @@ def _moment_sdp_arrays(ms):
 def test_levels_of_one_order_build_the_same_sdp():
     # levels 2k-1 and 2k share relaxation_order k, which is why a sweep solves them once
     probs = [(bp.problem, range(bp.d_min, bp.d_max + 1)) for bp in builtin_corpus()]
-    probs += [(_sweep_problem(2, 0, domain), range(4, 9)) for domain in ("ball", "box")]
+    probs += [(sweep_problem(2, 0, domain), range(4, 9)) for domain in ("ball", "box")]
     pairs = 0
     for prob, levels in probs:
         for d in levels:
@@ -62,7 +64,7 @@ def test_levels_of_one_order_build_the_same_sdp():
 
 
 def _dedup_rows_reference(F0, FN):
-    """The pair-loop form of hierarchy._dedup_rows: one row pair at a time."""
+    """The rows a pair loop keeps: the first of each set of exactly equal rows."""
     s = F0.shape[0]
     sigs = np.concatenate([F0, FN.reshape(s, -1)], axis=1)
     scale = 1.0 + float(np.max(np.abs(sigs)))
@@ -74,11 +76,13 @@ def _dedup_rows_reference(F0, FN):
     return keep
 
 
-def test_dedup_rows_matches_pair_loop(monkeypatch, corner_problem):
-    # the idempotent relations x_i = x_i^2 of binary-corner make duplicate rows
-    seen, real = [], hierarchy._dedup_rows
-    monkeypatch.setattr(hierarchy, "_dedup_rows", lambda F0, FN: seen.append((F0, FN)) or real(F0, FN))
-    for d in (2, 4, 6):
+def test_independent_rows_match_pair_loop_on_binary_corner(monkeypatch, corner_problem):
+    # the idempotent relations x_i = x_i^2 of binary-corner make equal rows and no
+    # other dependence, so the QR reduction keeps exactly the rows the pair loop keeps
+    seen, real = [], hierarchy._independent_rows
+    monkeypatch.setattr(hierarchy, "_independent_rows",
+                        lambda F0, FN: seen.append((F0, FN)) or real(F0, FN))
+    for d in range(2, 9):
         build_moment_sdp(corner_problem, d)
     dropped = 0
     for F0, FN in seen:
@@ -88,18 +92,56 @@ def test_dedup_rows_matches_pair_loop(monkeypatch, corner_problem):
     assert dropped > 0
 
 
-def test_dedup_runs_only_with_equality_relations(monkeypatch):
-    # without equalities the rows of a block are distinct monomials' rows:
-    # build_moment_sdp keeps them all without scanning, and a scan would agree
-    seen, real = [], hierarchy._dedup_rows
-    monkeypatch.setattr(hierarchy, "_dedup_rows", lambda F0, FN: seen.append(1) or real(F0, FN))
-    prob = _sweep_problem(2, 0, "box")
+def test_independent_rows_drop_a_sum_of_rows_on_the_circle(monkeypatch):
+    # on x1^2 + x2^2 = 1 the row of x2^2 is the row of 1 minus the row of x1^2, and no
+    # two rows are equal: the pair loop keeps all six rows, the QR reduction five
+    seen, real = [], hierarchy._independent_rows
+    monkeypatch.setattr(hierarchy, "_independent_rows",
+                        lambda F0, FN: seen.append((F0, FN)) or real(F0, FN))
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    prob = SemialgebraicProblem(n=2, objective=x1 * x2, equalities=(x1 * x1 + x2 * x2 - 1,))
+    ms = build_moment_sdp(prob, 4)
+    assert _dedup_rows_reference(*seen[0]) == list(range(6))
+    assert ms.block_bases[0] == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1))
+    assert ms.problem.blocks[0].size == 5
+
+
+def test_row_reduction_runs_only_with_equality_relations(monkeypatch):
+    # without equalities the rows of a block are distinct monomials' rows, which no
+    # pseudo-moment kernel relates: build_moment_sdp keeps them all without a QR,
+    # and a QR would agree
+    seen, real = [], hierarchy._independent_rows
+    monkeypatch.setattr(hierarchy, "_independent_rows",
+                        lambda F0, FN: seen.append(1) or real(F0, FN))
+    prob = sweep_problem(2, 0, "box")
     assert not prob.equalities
     ms = build_moment_sdp(prob, 6)
     assert not seen
     for blk, rows in zip(ms.problem.blocks, ms.block_bases):
         assert blk.size == len(rows)
         assert real(blk.F0, np.transpose(blk.mats, (1, 2, 0))) == list(range(blk.size))
+
+
+def _on_sphere(n, objective):
+    """min objective(x_1, ..., x_n) subject to |x|^2 = 1."""
+    xs = [Polynomial.variable(i, n) for i in range(n)]
+    sphere = sum((x * x for x in xs), Polynomial.zero(n)) - 1
+    return SemialgebraicProblem(n=n, objective=objective(*xs), equalities=(sphere,))
+
+
+@pytest.mark.parametrize("n, objective, f_star, levels", [
+    (2, lambda x1, x2: x1 * x2, -0.5, (2, 6)),
+    (2, lambda x1, x2: x1 + x2, -math.sqrt(2.0), (3, 8)),
+    (3, lambda x1, x2, x3: x1 * x2 * x3, -1.0 / (3.0 * math.sqrt(3.0)), (5, 8)),
+], ids=["x1x2-circle", "x1+x2-circle", "x1x2x3-sphere"])
+def test_sphere_equality_problems_reach_closed_form_optima(n, objective, f_star, levels):
+    # the sphere makes the row of 1 a sum of rows of squares in every moment block;
+    # with only equal rows dropped, every level here from 3 on ended IllConditioned
+    for res in run_hierarchy(_on_sphere(n, objective), *levels):
+        assert res.status == "Optimal" and not res.retried, res.d
+        assert abs(res.m_d_star - f_star) <= 1e-6, res.d
+        assert res.f_d_star <= f_star + 1e-7, res.d
+        assert res.certificate.residual_norm <= 1e-8, res.d
 
 
 def test_constant_objective():
@@ -337,22 +379,11 @@ def test_stalled_solve_accepted_in_one_run(monkeypatch):
     assert max(sols[0].primal_residual, sols[0].dual_residual, sols[0].gap) <= 1e-7
 
 
-def _sweep_problem(n, seed, domain):
-    rng = np.random.default_rng(seed)
-    f = Polynomial(n, {a: rng.standard_normal() for a in MonomialBasis(n, 4)})
-    xs = [Polynomial.variable(i, n) for i in range(n)]
-    if domain == "ball":
-        cons = (Polynomial.constant(1.0, n) - sum((x * x for x in xs), Polynomial.zero(n)),)
-    else:
-        cons = tuple(1 - x * x for x in xs)
-    return SemialgebraicProblem(n=n, objective=f, constraints=cons)
-
-
 def test_block_off_the_cone_ends_the_solve():
     # the dual moment block of this wide-sweep problem stops being
     # Cholesky-factorable (at iteration 22 here); with its step pinned at 0 the
     # run used to iterate on to MaxIter (200) and return the same iterate
-    sol = sdp.solve(build_moment_sdp(_sweep_problem(2, 17, "box"), 8).problem)
+    sol = sdp.solve(build_moment_sdp(sweep_problem(2, 17, "box"), 8).problem)
     assert sol.status != "MaxIter"
     assert sol.iterations < sdp.MAX_ITER
 
@@ -373,7 +404,7 @@ def test_wide_seeded_sweep():
     for n, d in ((1, 8), (2, 8), (3, 6)):
         for domain in ("ball", "box"):
             for seed in range(12, 24):
-                prob = _sweep_problem(n, seed, domain)
+                prob = sweep_problem(n, seed, domain)
                 try:
                     res = solve_moment_relaxation(prob, d, want_certificate=False)
                 except RuntimeError:
@@ -396,7 +427,7 @@ def test_dual_residual_stays_at_round_off():
     for n in (1, 2):
         for domain in ("ball", "box"):
             for seed in range(12, 24):
-                sol = sdp.solve(build_moment_sdp(_sweep_problem(n, seed, domain), 8).problem)
+                sol = sdp.solve(build_moment_sdp(sweep_problem(n, seed, domain), 8).problem)
                 dres = [dr for _, _, _, dr, _ in sol.trace]
                 first = next((k for k, dr in enumerate(dres) if dr <= 1e-12), None)
                 if first is not None:
@@ -409,7 +440,7 @@ def test_dual_residual_stays_at_round_off():
 def test_reach_problems_solve_and_round(n, d):
     # two of the reach set's problems (seeds 0-2 of (n, d) = (2, 12), (2, 16),
     # (3, 10), (4, 8), (5, 6) on the ball); n = 2, d = 16 may end loose
-    prob = _sweep_problem(n, 0, "ball")
+    prob = sweep_problem(n, 0, "ball")
     res = solve_moment_relaxation(prob, d, want_certificate=False)
     assert res.status == "Optimal" and res.rounded is not None
     pts = np.random.default_rng(0).uniform(-1.0, 1.0, (256, n))
@@ -422,7 +453,7 @@ def test_reach_problems_solve_and_round(n, d):
 def test_pinned_sweep_problems_that_used_to_fail(domain, seed):
     # the benchmark's n=2, d=8 sweep problems that ended non-Optimal before
     # the dual projection
-    res = solve_moment_relaxation(_sweep_problem(2, seed, domain), 8, want_certificate=False)
+    res = solve_moment_relaxation(sweep_problem(2, seed, domain), 8, want_certificate=False)
     assert res.status == "Optimal"
 
 
