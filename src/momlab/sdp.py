@@ -15,12 +15,16 @@ optimal face (`_refine_primal`) is one least-squares step at that cutoff.
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
 (<F_ji, W^-1 F_jk W^-1>) are the only code in the iteration that reads
-`mats`.  `apply` and `adjoint` are one dense matrix-vector product each over
-the flattened (m, s*s) `mats`.  `schur` has a dense first stage, every
-W^-1 F_jk W^-1 in one batched product, and a sparse second stage: a CSR copy
-of the flattened `mats`, built once per block, sums each inner product over
-the nonzeros of F_ji only.  A block's arrays are read-only, so that copy
-cannot go stale, and a malformed block is rejected when it is built.
+`mats`.  Each block keeps the nonzeros of its flattened (m, s*s) `mats`
+once, as (variable, flat position, value) arrays.  `apply` and `adjoint` are
+one dense matrix-vector product each over the flattened `mats`, except on a
+large, sparse block, where they are one `np.bincount` each over its nonzeros;
+one cost rule (`_nonzero_products`) picks the product per block when it is
+built.  `schur` has a dense first stage, every W^-1 F_jk W^-1 in one batched
+product, and a sparse second stage: a CSR copy of the flattened `mats`, built
+from the same nonzeros, sums each inner product over the nonzeros of F_ji
+only.  A block's arrays are read-only, so neither copy can go stale, and a
+malformed block is rejected when it is built.
 
 The solver is an infeasible-start path-following method with Nesterov-Todd
 scaling and a Mehrotra-style adaptive centering step (predictor solve fixes
@@ -80,6 +84,18 @@ __all__ = [
 log = logging.getLogger("momlab.sdp")
 
 
+# Cost of one `apply` or `adjoint`, in entries of the dense product, which reads
+# all m*s^2 entries of `flat_mats`: the product over the nonzeros costs a fixed
+# NONZERO_FIXED_COST plus NONZERO_COST per nonzero (table in `SdpBlock`).
+NONZERO_FIXED_COST = 10_000
+NONZERO_COST = 20
+
+
+def _nonzero_products(dense_entries: int, nnz: int) -> bool:
+    """Whether `apply` and `adjoint` of a block are cheaper over its nonzeros."""
+    return NONZERO_FIXED_COST + NONZERO_COST * nnz < dense_entries
+
+
 @dataclass(frozen=True)
 class SdpBlock:
     """One affine PSD block: F0 + sum over k of x[var_idx[k]] * mats[k].
@@ -88,6 +104,29 @@ class SdpBlock:
     a constant PSD constraint.  The block keeps read-only copies of its
     arrays; F0 and every mats[k] must be exactly symmetric, and `var_idx`
     must hold distinct nonnegative indices, one per coefficient matrix.
+
+    `nonzeros` holds the nonzeros of `flat_mats` once, as (variable, flat
+    position, value) arrays in row-major order: flat_mats[k, p] = v for each
+    (k, p, v).  `apply` and `adjoint` are the dense products
+    x[var_idx] @ flat_mats and flat_mats @ Z.ravel(), unless `product` is
+    "nonzero": then `apply` is one `np.bincount` over the positions and
+    `adjoint` one over the variables.  `_nonzero_products` picks the product
+    from m*s^2 and the nonzero count.  The dense product costs about m*s^2
+    BLAS entries, the nonzero one a fixed ~10 000 plus ~20 per nonzero, so
+    the rule reads density as well as size.  Median of five runs, one BLAS
+    thread on a shared 2-core Xeon, us per call, dense -> nonzero:
+
+    | block                          | m*s^2 / nnz      | adjoint        | apply         |
+    |--------------------------------|------------------|----------------|---------------|
+    | n=4, d=6 ball moment           | 256 025 / 1 224  | 51.3 -> 8.5    | 65.8 -> 7.0   |
+    | n=4, d=6 ball localizing       | 47 025 / 1 124   | 7.8 -> 6.7     | 9.5 -> 6.9    |
+    | n=3, d=6 ball moment           | 33 200 / 399     | 4.9 -> 3.3     | 7.9 -> 4.8    |
+    | n=3, d=6 ball localizing       | 8 300 / 399      | 2.6 -> 3.2     | 3.2 -> 3.7    |
+    | n=2, d=8 ball moment           | 9 900 / 224      | 2.8 -> 2.7     | 3.5 -> 3.8    |
+    | motzkin-box, d=6, box block    | 2 700 / 99       | 1.8 -> 2.0     | 2.2 -> 2.6    |
+    | 16 %-dense phase-I Gram block  | 230 400 / 36 742 | 38.8 -> 210.5  | 46.3 -> 115.9 |
+
+    The last block is the Gram block of `is_sos_convex(x1^6 + x2^6 + x3^2)`.
     """
 
     F0: np.ndarray
@@ -95,6 +134,8 @@ class SdpBlock:
     mats: np.ndarray  # (m_act, s, s) symmetric coefficient matrices
     # mats as an (m_act, s*s) matrix, a read-only view; explicit sizes, since m_act may be 0
     flat_mats: np.ndarray = field(init=False, repr=False, compare=False)
+    nonzeros: tuple = field(init=False, repr=False, compare=False)  # (var, pos, val)
+    product: str = field(init=False, repr=False, compare=False)  # "dense" | "nonzero"
     _sparse: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -113,13 +154,19 @@ class SdpBlock:
             object.__setattr__(self, name, arr)
         flat = mats.reshape(len(var_idx), F0.shape[0] * F0.shape[0])
         object.__setattr__(self, "flat_mats", flat)
-        # CSR from the flat nonzero positions: scipy's own dense-to-CSR conversion
-        # takes several times as long on the moment blocks
+        # the nonzeros from the flat positions, and the CSR from them: scipy's own
+        # dense-to-CSR conversion takes several times as long on the moment blocks
         nz = np.flatnonzero(flat != 0)
-        width = flat.shape[1]
-        indptr = np.searchsorted(nz, width * np.arange(len(flat) + 1))
-        object.__setattr__(self, "_sparse", scipy.sparse.csr_array(
-            (flat.ravel()[nz], nz % width, indptr), shape=flat.shape))
+        var, pos = np.divmod(nz, flat.shape[1])
+        val = flat.ravel()[nz]
+        for arr in (var, pos, val):
+            arr.flags.writeable = False
+        object.__setattr__(self, "nonzeros", (var, pos, val))
+        object.__setattr__(self, "product",
+                           "nonzero" if _nonzero_products(flat.size, len(nz)) else "dense")
+        indptr = np.searchsorted(var, np.arange(len(flat) + 1))
+        object.__setattr__(self, "_sparse",
+                           scipy.sparse.csr_array((val, pos, indptr), shape=flat.shape))
 
     @property
     def size(self) -> int:
@@ -127,11 +174,18 @@ class SdpBlock:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """sum over k of x[var_idx[k]] * mats[k]."""
-        return (x[self.var_idx] @ self.flat_mats).reshape(self.size, self.size)
+        if self.product == "dense":
+            return (x[self.var_idx] @ self.flat_mats).reshape(self.size, self.size)
+        var, pos, val = self.nonzeros
+        return np.bincount(pos, weights=x[self.var_idx][var] * val,
+                           minlength=self.flat_mats.shape[1]).reshape(self.size, self.size)
 
     def adjoint(self, Z: np.ndarray) -> np.ndarray:
         """<mats[k], Z> for every k: the block's share of A*(Z) on var_idx."""
-        return self.flat_mats @ Z.ravel()
+        if self.product == "dense":
+            return self.flat_mats @ Z.ravel()
+        var, pos, val = self.nonzeros
+        return np.bincount(var, weights=val * Z.ravel()[pos], minlength=len(self.var_idx))
 
     def schur(self, W_inv: np.ndarray) -> np.ndarray:
         """<mats[i], W_inv mats[j] W_inv>: the block's Schur complement on var_idx.
@@ -386,6 +440,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
     c = problem.c
     blocks = problem.blocks
 
+    for j, blk in enumerate(blocks):
+        log.debug("block %d: s %d, m %d, %d nonzeros, %s apply and adjoint",
+                  j, blk.size, len(blk.var_idx), len(blk.nonzeros[0]), blk.product)
     dim_total = sum(blk.size for blk in blocks)
     x = np.zeros(nv)
     S = [np.eye(blk.size) * (1.0 + np.linalg.norm(blk.F0)) for blk in blocks]

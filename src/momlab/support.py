@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import PseudoMomentSequence, moment_matrix
-from .poly import MonomialBasis, Polynomial, box_grid, eval_monomials, monomials_upto, r_dim
+from .poly import (EVAL_BLOCK, MonomialBasis, Polynomial, box_grid, eval_monomials,
+                   monomials_upto, r_dim)
 
 __all__ = [
     "CdKernel",
@@ -51,8 +52,13 @@ class CdKernel:
         return float(vx @ (self.factor @ self.basis.eval_vector(z)))
 
     def diag(self, points: np.ndarray) -> np.ndarray:
-        vx = self.basis.eval_matrix(np.atleast_2d(points)) @ self.factor.T
-        return np.sum(vx * vx, axis=1)
+        """K(x, x) at each row of `points`, in blocks of `EVAL_BLOCK` points."""
+        points = np.atleast_2d(points)
+        out = np.empty(points.shape[0])
+        for start in range(0, points.shape[0], EVAL_BLOCK):
+            vx = self.basis.eval_matrix(points[start:start + EVAL_BLOCK]) @ self.factor.T
+            out[start:start + EVAL_BLOCK] = np.sum(vx * vx, axis=1)
+        return out
 
 
 def cd_kernel(y: PseudoMomentSequence, d: int, pinv_tol: float = 1e-8) -> CdKernel:

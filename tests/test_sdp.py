@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import os
 import subprocess
@@ -12,6 +13,7 @@ from scipy.optimize import linprog
 
 import momlab
 from momlab import hierarchy, sdp
+from momlab.bench import builtin_corpus
 from momlab.cone import SemialgebraicProblem
 from momlab.hierarchy import build_moment_sdp, compute_d0
 from momlab.poly import MonomialBasis, Polynomial
@@ -23,6 +25,7 @@ from momlab.sdp import (
     extract_dual_gram,
     solve,
 )
+from momlab.upperbound import is_sos_convex
 
 
 def _lp_as_sdp(c, A_ub, b_ub):
@@ -160,6 +163,26 @@ def _random_sym(rng, *shape):
     return A + np.swapaxes(A, -1, -2)
 
 
+def _check_apply_adjoint(blk, rng, exact):
+    """apply and adjoint against the dense products, and <apply(x), Z> = x[var_idx] . adjoint(Z).
+
+    With `exact`, apply(x) and adjoint(Z) must equal x[var_idx] @ flat_mats and
+    flat_mats @ Z.ravel() bit for bit, else to 1e-12 relative.
+    """
+    x = rng.standard_normal(int(blk.var_idx.max(initial=-1)) + 1)
+    Z = _random_sym(rng, blk.size, blk.size)
+    dense = ((x[blk.var_idx] @ blk.flat_mats).reshape(blk.size, blk.size),
+             blk.flat_mats @ Z.ravel())
+    for got, want in zip((blk.apply(x), blk.adjoint(Z)), dense):
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(initial=0.0))
+    assert np.tensordot(blk.apply(x), Z) == pytest.approx(x[blk.var_idx] @ blk.adjoint(Z),
+                                                          rel=1e-12, abs=1e-12)
+
+
 def test_block_operator_identities():
     rng = np.random.default_rng(7)
     nv, s = 6, 4
@@ -170,6 +193,8 @@ def test_block_operator_identities():
         Z = _random_sym(rng, s, s)
         # <apply(x), Z> = x[var_idx] . adjoint(Z)
         assert np.tensordot(blk.apply(x), Z) == pytest.approx(x[var_idx] @ blk.adjoint(Z), abs=1e-12)
+        assert blk.product == "dense"
+        _check_apply_adjoint(blk, rng, exact=True)
         # schur(W_inv)[i, j] = <F_i, W_inv F_j W_inv>
         B = rng.standard_normal((s, s))
         W_inv = B @ B.T + s * np.eye(s)
@@ -177,6 +202,11 @@ def test_block_operator_identities():
             [[np.tensordot(Fi, W_inv @ Fj @ W_inv) for Fj in blk.mats] for Fi in blk.mats]
         ).reshape(m, m)
         np.testing.assert_allclose(blk.schur(W_inv), expected, rtol=1e-12, atol=1e-10)
+    # the n=4, d=6 ball blocks (1 224 and 1 124 nonzeros), and a sparse block on
+    # every other variable, go over their nonzeros
+    for blk in _ball_blocks(4, 6) + (SdpBlock(*_sparse_test_block(rng)),):
+        assert blk.product == "nonzero"
+        _check_apply_adjoint(blk, rng, exact=False)
 
 
 def _check_schur_against_reference(blk, seed=0):
@@ -198,13 +228,23 @@ def _ball_quartic(n, seed):
     return SemialgebraicProblem(n=n, objective=f, constraints=(ball,))
 
 
+@functools.cache
+def _ball_blocks(n, d):
+    """The moment and localizing blocks of the level-d relaxation of `_ball_quartic(n, 0)`."""
+    return tuple(build_moment_sdp(_ball_quartic(n, 0), d).problem.blocks)
+
+
 def test_schur_on_sparse_moment_blocks():
-    # Hankel and localizing blocks: each F_i has a handful of nonzeros
-    blocks = build_moment_sdp(_ball_quartic(3, 0), 6).problem.blocks
-    assert len(blocks) == 2
-    for seed, blk in enumerate(blocks):
-        assert np.count_nonzero(blk.mats) < 0.1 * blk.mats.size
-        _check_schur_against_reference(blk, seed)
+    # Hankel and localizing blocks: each F_i has a handful of nonzeros; apply and
+    # adjoint go over them on all but the n=3 localizing block (8 300 entries, 399 nonzeros)
+    for n, products in ((3, ("nonzero", "dense")), (4, ("nonzero", "nonzero"))):
+        blocks = _ball_blocks(n, 6)
+        assert tuple(blk.product for blk in blocks) == products
+        for seed, blk in enumerate(blocks):
+            assert np.count_nonzero(blk.mats) < 0.1 * blk.mats.size
+            assert len(blk.nonzeros[0]) == np.count_nonzero(blk.mats)
+            _check_schur_against_reference(blk, seed)
+            _check_apply_adjoint(blk, np.random.default_rng(seed), exact=False)
 
 
 def test_schur_on_dense_equality_eliminated_blocks(corner_problem):
@@ -228,6 +268,32 @@ def test_schur_on_phase1_gram_blocks(monkeypatch):
     assert problems
     for seed, blk in enumerate(problems[-1].blocks):
         _check_schur_against_reference(blk, seed)
+        _check_apply_adjoint(blk, np.random.default_rng(seed), exact=True)
+
+
+def test_dense_products_on_small_and_dense_blocks(monkeypatch):
+    # the builtin n=2 problems at d=8, and the 16 %-dense phase-I Gram block of
+    # is_sos_convex(x1^6 + x2^6 + x3^2) (230 400 entries, 36 742 nonzeros), keep
+    # the dense products bit for bit
+    blocks = [blk for bp in builtin_corpus() if bp.problem.n == 2
+              for blk in build_moment_sdp(bp.problem, 8).problem.blocks]
+
+    class Captured(Exception):
+        pass
+
+    def capture(problem):
+        blocks.extend(problem.blocks)
+        raise Captured
+
+    monkeypatch.setattr(hierarchy, "solve", capture)
+    x1, x2, x3 = (Polynomial.variable(i, 3) for i in range(3))
+    with pytest.raises(Captured):
+        is_sos_convex(x1 ** 6 + x2 ** 6 + x3 ** 2)
+    assert max(blk.mats.size for blk in blocks) == 256 * 30 * 30
+    rng = np.random.default_rng(3)
+    for blk in blocks:
+        assert blk.product == "dense"
+        _check_apply_adjoint(blk, rng, exact=True)
 
 
 def test_schur_with_an_all_zero_coefficient_matrix():
@@ -285,21 +351,43 @@ def test_problem_rejects_cost_of_wrong_length():
         SdpProblem(n_vars=3, c=np.ones(2), blocks=[])
 
 
+def _sparse_test_block(rng):
+    """(F0, var_idx, mats) of a 30 x 30 block on the odd variables 1, 3, ..., 79, with
+    one symmetric pair of nonzeros per coefficient matrix."""
+    s, m = 30, 40
+    mats = np.zeros((m, s, s))
+    for k in range(m):
+        i, j = rng.choice(s, size=2, replace=False)
+        mats[k, i, j] = mats[k, j, i] = rng.standard_normal()
+    return np.eye(s), 1 + 2 * np.arange(m), mats
+
+
 def test_block_arrays_are_read_only_copies():
-    F0, var_idx, mats = np.eye(2), np.array([0]), np.array([[[0.0, 1.0], [1.0, 0.0]]])
-    blk = SdpBlock(F0=F0, var_idx=var_idx, mats=mats)
-    for arr in (blk.F0, blk.var_idx, blk.mats, blk.flat_mats):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[(0,) * arr.ndim] = 7
-    # flat_mats is stored once, as a view of mats
-    assert blk.flat_mats is blk.flat_mats and np.shares_memory(blk.flat_mats, blk.mats)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        blk.mats = np.zeros((1, 2, 2))
-    # the caller's arrays stay writable and are not shared with the block
-    mats[0, 0, 0] = 3.0
-    F0[1, 1] = 3.0
-    var_idx[0] = 4
-    assert blk.mats[0, 0, 0] == 0.0 and blk.F0[1, 1] == 1.0 and blk.var_idx[0] == 0
+    rng = np.random.default_rng(11)
+    for F0, var_idx, mats in [(np.eye(2), np.array([0]), np.array([[[0.0, 1.0], [1.0, 0.0]]])),
+                              _sparse_test_block(rng)]:
+        blk = SdpBlock(F0=F0, var_idx=var_idx, mats=mats)
+        for arr in (blk.F0, blk.var_idx, blk.mats, blk.flat_mats) + blk.nonzeros:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 7
+        # flat_mats is stored once, as a view of mats
+        assert blk.flat_mats is blk.flat_mats and np.shares_memory(blk.flat_mats, blk.mats)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            blk.mats = np.zeros((1, 2, 2))
+        x, Z = rng.standard_normal(var_idx.max() + 1), _random_sym(rng, blk.size, blk.size)
+
+        def outputs():
+            return (blk.F0, blk.var_idx, blk.mats, blk.apply(x), blk.adjoint(Z),
+                    blk.schur(Z @ Z + np.eye(blk.size)))
+
+        before = [out.copy() for out in outputs()]
+        # the caller's arrays stay writable and are not shared with the block
+        mats[0, 0, 0] = mats[0, 0, 1] = mats[0, 1, 0] = 3.0
+        F0[1, 1] = 3.0
+        var_idx[0] = 4
+        for got, want in zip(outputs(), before):
+            assert np.array_equal(got, want)
+    assert blk.product == "nonzero"
 
 
 def test_import_leaves_scipy_sparse_unloaded():
@@ -395,8 +483,10 @@ def test_iterations_logged_at_debug(caplog):
     with caplog.at_level(logging.DEBUG, logger="momlab.sdp"):
         sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]))
     lines = [r.getMessage() for r in caplog.records if r.name == "momlab.sdp"]
-    assert len(lines) == sol.iterations
-    assert lines[0].startswith("iter   1  pobj")
+    # one line per block, once per solve, then one per iteration
+    assert lines[0] == "block 0: s 2, m 1, 2 nonzeros, dense apply and adjoint"
+    assert len(lines) == 1 + sol.iterations
+    assert lines[1].startswith("iter   1  pobj")
 
 
 def test_row_scaling_invariance():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momlab.cone import PseudoMomentSequence
-from momlab.poly import Polynomial, r_dim
+from momlab.poly import EVAL_BLOCK, Polynomial, r_dim
 from momlab.support import (
     cd_kernel,
     cd_support_grid,
@@ -39,6 +39,18 @@ def test_kernel_off_diagonal_symmetry():
     a, b = np.array([0.2]), np.array([-0.7])
     assert k(a, b) == pytest.approx(k(b, a), abs=1e-12)
     assert k(a, a) == pytest.approx(k(a), abs=1e-12)
+
+
+def test_kernel_diag_in_blocks_matches_per_chunk_calls():
+    # 3 full blocks of EVAL_BLOCK points and a partial one, at the measure-eval degree
+    k = cd_kernel(_box_moments(2, 12), 6)
+    pts = np.random.default_rng(4).uniform(-1.5, 1.5, (3 * EVAL_BLOCK + 17, 2))
+    vals = k.diag(pts)
+    chunks = [k.diag(pts[i:i + EVAL_BLOCK]) for i in range(0, len(pts), EVAL_BLOCK)]
+    assert vals.shape == (len(pts),) and np.array_equal(vals, np.concatenate(chunks))
+    for i in (0, EVAL_BLOCK, len(pts) - 1):
+        assert vals[i] == pytest.approx(k(pts[i]), rel=1e-12)
+    assert k.diag(pts[0]).shape == (1,)
 
 
 def test_trace_identity_box_measures():
