@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .poly import MonomialBasis, Polynomial, _exponent_row, exponent_array
-from .sdp import sv_rank
 
 __all__ = [
     "ScaleRecord",
@@ -315,9 +314,6 @@ class MomentMatrix:
 
     def eigvals(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.M)
-
-    def numerical_rank(self, tol: float = 1e-6) -> int:
-        return sv_rank(np.linalg.svd(self.M, compute_uv=False), tol)
 
     def _eigen_factor(self, tol: float, zero_message: str):
         """Square roots r (a column) and eigenvectors U' (rows) of the eigenvalues of

@@ -93,8 +93,10 @@ def check_flatness(y: PseudoMomentSequence, d: int, r: int, tol: float = 1e-6) -
 
     The truncated matrix drops ceil(r/2) orders, so its certified products lose
     total degree r; equal numerical ranks mean the sequence extends flatly and
-    an atomic representing measure exists.  Singular values above tol times
-    the largest count toward a rank.  Flatness also needs the order-d matrix's
+    an atomic representing measure exists.  The truncated matrix is the
+    leading r(n, d - ceil(r/2)) block of the order-d one, since graded-lex
+    order puts the lower degrees first.  Singular values above tol times the
+    largest count toward a rank.  Flatness also needs the order-d matrix's
     eigenvalues >= -tol times the largest (y = (1, 0, -1, 0, 1) has ranks 2, 2).
 
     Raises ValueError for a step r < 1 (the two matrices would be the same
@@ -108,10 +110,11 @@ def check_flatness(y: PseudoMomentSequence, d: int, r: int, tol: float = 1e-6) -
         raise ValueError(f"flatness step r={r} exceeds matrix order d={d}")
     if 2 * d > y.order:
         raise ValueError(f"flatness at order {d} needs moments to degree {2*d} > {y.order}")
-    drop = -(-r // 2)
-    lam = np.linalg.eigvalsh(moment_matrix(y, d).M)
+    M = moment_matrix(y, d).M
+    lam = np.linalg.eigvalsh(M)
     sf = np.sort(np.abs(lam))[::-1]
-    st = np.linalg.svd(moment_matrix(y, d - drop).M, compute_uv=False)
+    m = r_dim(y.n, d - (r + 1) // 2)
+    st = np.linalg.svd(M[:m, :m], compute_uv=False)
     rank_f, rank_t = sv_rank(sf, tol), sv_rank(st, tol)
     return FlatnessReport(
         d=d,
@@ -289,6 +292,8 @@ def tchakaloff_prune(mu: AtomicMeasure, t: int) -> AtomicMeasure:
 
 
 def rank_profile(mu: AtomicMeasure, d_max: int) -> list:
-    """Numerical ranks of the measure's moment matrices for d = 0..d_max."""
-    y = mu.moments(2 * d_max)
-    return [moment_matrix(y, d).numerical_rank(1e-6) for d in range(d_max + 1)]
+    """Numerical ranks of the measure's moment matrices for d = 0..d_max,
+    each the leading r(n, d) block of the order-d_max matrix."""
+    M = moment_matrix(mu.moments(2 * d_max), d_max).M
+    return [sv_rank(np.linalg.svd(M[:m, :m], compute_uv=False), 1e-6)
+            for m in (r_dim(mu.n, d) for d in range(d_max + 1))]

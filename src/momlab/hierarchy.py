@@ -161,37 +161,31 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
     e0 = np.zeros(m)
     e0[0] = 1.0
     rel_rows, _ = _relation_rows(prob, basis)
-    E = np.vstack([e0] + rel_rows) if rel_rows else e0.reshape(1, -1)
+    E = np.vstack([e0, *rel_rows])
     rhs = np.zeros(E.shape[0])
     rhs[0] = 1.0
     y_p, N, residual = affine_solutions(E, rhs)
     if residual > 1e-8:
         raise ValueError("equality constraints are inconsistent with L(1) = 1")
-    nv = N.shape[1]
 
     weights = [Polynomial.constant(1.0, n)] + list(prob.constraints)
     blocks, block_weights, block_bases = [], [], []
     for g in weights:
-        kg = (budget - g.degree) // 2
-        if kg < 0:
-            continue
-        loc = basis.localizing_map(basis.exps[:r_dim(n, kg)], g)
+        loc = basis.localizing_map(basis.exps[:r_dim(n, (budget - g.degree) // 2)], g)
         F0 = loc.gather(y_p)
         FN = loc.gather(N)
         keep = range(len(F0))
         if rel_rows:  # only equality relations give a block a common kernel
             keep = _independent_rows(F0, FN)
-            F0 = F0[np.ix_(keep, keep)]
-            FN = FN[np.ix_(keep, keep)]
-        mats = np.transpose(FN, (2, 0, 1))
-        blocks.append(SdpBlock(F0=F0, var_idx=np.arange(nv), mats=mats))
+            F0, FN = F0[keep][:, keep], FN[keep][:, keep]
+        blocks.append(SdpBlock(F0=F0, mats=np.transpose(FN, (2, 0, 1))))
         block_weights.append(g)
         block_bases.append(tuple(basis.exponents[i] for i in keep))
 
     f_vec = prob.objective.coeff_vector(basis)
     c = N.T @ f_vec
     offset = float(f_vec @ y_p)
-    sdp = SdpProblem(n_vars=nv, c=c, blocks=blocks)
+    sdp = SdpProblem(n_vars=N.shape[1], c=c, blocks=blocks)
     return MomentSdp(
         d=d,
         order=k,
@@ -270,12 +264,12 @@ def solve_moment_sdp(
     quadratically; the polished ones reach round-off.  `m_d_star`, `f_d_star`
     and the certificate are always the SDP's.  Every measure on K costs at
     least f*, so rounding fires only when m_d is within the tolerance of f*.
+
+    Equalities that pin every pseudo-moment leave an SDP with no variables.
+    It is solved the same way: constant PSD blocks end Optimal, with a
+    certificate and rounding, and a constant block that is not PSD (K empty)
+    raises MomentSdpError naming Infeasible.
     """
-    if ms.problem.n_vars == 0:
-        # equalities pin every pseudo-moment; nothing to optimize
-        y = PseudoMomentSequence(prob.n, 2 * ms.order, ms.y_particular, ms.basis)
-        val = ms.offset
-        return RelaxationResult(ms.d, val, y, val, None, "Optimal")
     sol = solve(ms.problem)
     if sol.status != "Optimal":
         raise MomentSdpError(ms.d, sol.describe())
@@ -378,13 +372,12 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
     for sdim in sizes:
         hi = lo + sdim * (sdim + 1) // 2
         mats = np.concatenate([_sym_from_triu(N[lo:hi].T, sdim), np.eye(sdim)[None]])
-        sdp_blocks.append(SdpBlock(F0=_sym_from_triu(x_p[lo:hi], sdim),
-                                   var_idx=np.arange(nz + 1), mats=mats))
+        sdp_blocks.append(SdpBlock(F0=_sym_from_triu(x_p[lo:hi], sdim), mats=mats))
         lo = hi
     # t >= -1 keeps the SDP bounded; any bound below 0 gives the same verdict
-    sdp_blocks.append(
-        SdpBlock(F0=np.array([[1.0]]), var_idx=np.array([t_idx]), mats=np.array([[[1.0]]]))
-    )
+    t_mats = np.zeros((nz + 1, 1, 1))
+    t_mats[t_idx] = 1.0
+    sdp_blocks.append(SdpBlock(F0=np.array([[1.0]]), mats=t_mats))
     c = np.zeros(nz + 1)
     c[t_idx] = 1.0
     sol = solve(SdpProblem(n_vars=nz + 1, c=c, blocks=sdp_blocks))

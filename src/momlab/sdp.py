@@ -5,6 +5,13 @@ Problem form (minimization convention used throughout the package):
     minimize    c' x
     subject to  A_j(x) = F_j0 + sum_i x_i F_ji  PSD   for each block j
 
+Every block is affine in all n variables, as in the SDPA form (Fujisawa,
+Kojima & Nakata 1997) that `export_sdpa` writes: F_ji = 0 where variable i is
+absent from block j, so no kernel gathers or scatters by variable.  A problem
+with n = 0 is solved like any other; its blocks are constants, and the run
+ends Optimal when they are positive definite and Infeasible when one is not
+PSD.
+
 There are no linear equality constraints: callers eliminate them before the
 solve by affine substitution x = x_p + N z, which keeps the blocks strictly
 feasible.  Every such elimination, and every null space in the package, comes
@@ -51,9 +58,10 @@ Cholesky of a near-singular Schur matrix makes large.  So each dZ is
 corrected by the minimum-norm change sum_i w_i F_i with
 (AA*) w = rd - A*(dZ).  AA* is the Schur matrix at W = I; it is formed and
 pseudo-inverted once per solve, from one `eigh` with the `sv_rank` rule, so
-a variable that appears in no block (a zero row of AA*) is simply left out
-of the correction.  A step of length ad then scales the dual residual by
-1 - ad up to round-off, and once it has reached round-off it stays there.
+a variable whose coefficient matrices are all zero (a zero row of AA*) is
+simply left out of the correction.  A step of length ad then scales the dual
+residual by 1 - ad up to round-off, and once it has reached round-off it
+stays there.
 
 Stopping rule: `Optimal` at the first iterate with relative residuals and
 gap <= TOL (1e-8).  A run that ends any other way returns its first iterate
@@ -98,23 +106,24 @@ def _nonzero_products(dense_entries: int, nnz: int) -> bool:
 
 @dataclass(frozen=True)
 class SdpBlock:
-    """One affine PSD block: F0 + sum over k of x[var_idx[k]] * mats[k].
+    """One affine PSD block on every variable: F0 + sum over i of x[i] * mats[i].
 
-    A block with no variables (empty `var_idx`, `mats` of shape (0, s, s)) is
-    a constant PSD constraint.  The block keeps read-only copies of its
-    arrays; F0 and every mats[k] must be exactly symmetric, and `var_idx`
-    must hold distinct nonnegative indices, one per coefficient matrix.
+    `mats` holds one (s, s) coefficient matrix per variable of the problem,
+    zero where the variable does not enter the block; a block of a problem with
+    no variables has `mats` of shape (0, s, s) and is a constant PSD
+    constraint.  The block keeps read-only copies of F0 and `mats`, both of
+    which must be finite and exactly symmetric.
 
     `nonzeros` holds the nonzeros of `flat_mats` once, as (variable, flat
-    position, value) arrays in row-major order: flat_mats[k, p] = v for each
-    (k, p, v).  `apply` and `adjoint` are the dense products
-    x[var_idx] @ flat_mats and flat_mats @ Z.ravel(), unless `product` is
-    "nonzero": then `apply` is one `np.bincount` over the positions and
-    `adjoint` one over the variables.  `_nonzero_products` picks the product
-    from m*s^2 and the nonzero count.  The dense product costs about m*s^2
-    BLAS entries, the nonzero one a fixed ~10 000 plus ~20 per nonzero, so
-    the rule reads density as well as size.  Median of five runs, one BLAS
-    thread on a shared 2-core Xeon, us per call, dense -> nonzero:
+    position, value) arrays in row-major order: flat_mats[i, p] = v for each
+    (i, p, v).  `apply` and `adjoint` are the dense products x @ flat_mats and
+    flat_mats @ Z.ravel(), unless `product` is "nonzero": then `apply` is one
+    `np.bincount` over the positions and `adjoint` one over the variables.
+    `_nonzero_products` picks the product from m*s^2 and the nonzero count.
+    The dense product costs about m*s^2 BLAS entries, the nonzero one a fixed
+    ~10 000 plus ~20 per nonzero, so the rule reads density as well as size.
+    Median of five runs, one BLAS thread on a shared 2-core Xeon, us per call,
+    dense -> nonzero:
 
     | block                          | m*s^2 / nnz      | adjoint        | apply         |
     |--------------------------------|------------------|----------------|---------------|
@@ -130,9 +139,10 @@ class SdpBlock:
     """
 
     F0: np.ndarray
-    var_idx: np.ndarray  # (m_act,) indices into the decision vector
-    mats: np.ndarray  # (m_act, s, s) symmetric coefficient matrices
-    # mats as an (m_act, s*s) matrix, a read-only view; explicit sizes, since m_act may be 0
+    mats: np.ndarray  # (m, s, s) symmetric coefficient matrices, one per variable
+    # np.arange(m), read-only, for code that reads it: every block spans all variables
+    var_idx: np.ndarray = field(init=False, repr=False, compare=False)
+    # mats as an (m, s*s) matrix, a read-only view; explicit sizes, since m may be 0
     flat_mats: np.ndarray = field(init=False, repr=False, compare=False)
     nonzeros: tuple = field(init=False, repr=False, compare=False)  # (var, pos, val)
     product: str = field(init=False, repr=False, compare=False)  # "dense" | "nonzero"
@@ -141,24 +151,21 @@ class SdpBlock:
     def __post_init__(self):
         import scipy.sparse  # here, so that importing momlab does not load it
 
-        # copies, C-ordered, so the flattened (m_act, s*s) view never copies and
+        # copies, C-ordered, so the flattened (m, s*s) view never copies and
         # marking them read-only leaves the caller's arrays writable
         F0 = np.array(self.F0, dtype=float)
-        var_idx = np.array(self.var_idx, dtype=int)
         mats = np.array(self.mats, dtype=float, order="C")
-        if mats.ndim != 3 and mats.size == 0:
-            mats = mats.reshape((0,) + F0.shape)
-        _check_block(F0, var_idx, mats)
-        for name, arr in (("F0", F0), ("var_idx", var_idx), ("mats", mats)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        flat = mats.reshape(len(var_idx), F0.shape[0] * F0.shape[0])
-        object.__setattr__(self, "flat_mats", flat)
+        _check_block(F0, mats)
+        flat = mats.reshape(len(mats), F0.size)
         # the nonzeros from the flat positions, and the CSR from them: scipy's own
         # dense-to-CSR conversion takes several times as long on the moment blocks
         nz = np.flatnonzero(flat != 0)
         var, pos = np.divmod(nz, flat.shape[1])
         val = flat.ravel()[nz]
+        for name, arr in (("F0", F0), ("mats", mats), ("var_idx", np.arange(len(mats))),
+                          ("flat_mats", flat)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         for arr in (var, pos, val):
             arr.flags.writeable = False
         object.__setattr__(self, "nonzeros", (var, pos, val))
@@ -173,27 +180,27 @@ class SdpBlock:
         return self.F0.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """sum over k of x[var_idx[k]] * mats[k]."""
+        """sum over i of x[i] * mats[i]."""
         if self.product == "dense":
-            return (x[self.var_idx] @ self.flat_mats).reshape(self.size, self.size)
+            return (x @ self.flat_mats).reshape(self.size, self.size)
         var, pos, val = self.nonzeros
-        return np.bincount(pos, weights=x[self.var_idx][var] * val,
+        return np.bincount(pos, weights=x[var] * val,
                            minlength=self.flat_mats.shape[1]).reshape(self.size, self.size)
 
     def adjoint(self, Z: np.ndarray) -> np.ndarray:
-        """<mats[k], Z> for every k: the block's share of A*(Z) on var_idx."""
+        """<mats[i], Z> for every i: the block's share of A*(Z)."""
         if self.product == "dense":
             return self.flat_mats @ Z.ravel()
         var, pos, val = self.nonzeros
-        return np.bincount(var, weights=val * Z.ravel()[pos], minlength=len(self.var_idx))
+        return np.bincount(var, weights=val * Z.ravel()[pos], minlength=len(self.mats))
 
     def schur(self, W_inv: np.ndarray) -> np.ndarray:
-        """<mats[i], W_inv mats[j] W_inv>: the block's Schur complement on var_idx.
+        """<mats[i], W_inv mats[j] W_inv>: the block's share of the Schur complement.
 
         Fujisawa, Kojima & Nakata (1997): U_j = W_inv mats[j] W_inv for every j
         in one dense batched product, then <mats[i], U_j> summed over the
         nonzeros of mats[i] only, as one sparse (CSR) by dense product.  That
-        costs nnz * m_act instead of m_act^2 * s^2.
+        costs nnz * m instead of m^2 * s^2.
         """
         U = (W_inv @ self.mats @ W_inv).reshape(self.flat_mats.shape)
         return self._sparse @ U.T
@@ -202,28 +209,20 @@ class SdpBlock:
         return self.F0 + self.apply(x)
 
 
-def _check_block(F0: np.ndarray, var_idx: np.ndarray, mats: np.ndarray) -> None:
+def _check_block(F0: np.ndarray, mats: np.ndarray) -> None:
     """Raise ValueError naming the first way in which a block's arrays are malformed."""
     if F0.ndim != 2 or F0.shape[0] != F0.shape[1]:
         raise ValueError(f"SdpBlock F0 must be a square matrix, got shape {F0.shape}")
-    if var_idx.ndim != 1:
-        raise ValueError(f"SdpBlock var_idx must be one-dimensional, got shape {var_idx.shape}")
-    if mats.shape != (len(var_idx),) + F0.shape:
-        raise ValueError(f"SdpBlock mats has shape {mats.shape}; {len(var_idx)} variables "
-                         f"and a {F0.shape[0]}x{F0.shape[1]} F0 need "
-                         f"{(len(var_idx),) + F0.shape}")
+    if mats.ndim != 3 or mats.shape[1:] != F0.shape:
+        raise ValueError(f"SdpBlock mats has shape {mats.shape}; a {F0.shape[0]}x{F0.shape[1]} "
+                         f"F0 needs (m,) + {F0.shape}, one matrix per variable")
     if not (np.isfinite(F0).all() and np.isfinite(mats).all()):
         raise ValueError("SdpBlock F0 or mats has non-finite entries")
-    if np.any(var_idx < 0):
-        raise ValueError(f"SdpBlock var_idx has negative entries: {var_idx[var_idx < 0]}")
-    uniq, counts = np.unique(var_idx, return_counts=True)
-    if np.any(counts > 1):
-        raise ValueError(f"SdpBlock var_idx has repeated entries: {uniq[counts > 1]}")
     if not np.array_equal(F0, F0.T):
         raise ValueError("SdpBlock F0 is not symmetric")
     if not np.array_equal(mats, np.swapaxes(mats, 1, 2)):
         k = np.flatnonzero(np.any(mats != np.swapaxes(mats, 1, 2), axis=(1, 2)))[0]
-        raise ValueError(f"SdpBlock mats[{k}] (variable {var_idx[k]}) is not symmetric")
+        raise ValueError(f"SdpBlock mats[{k}] (variable {k}) is not symmetric")
 
 
 @dataclass
@@ -240,9 +239,9 @@ class SdpProblem:
         if not np.all(np.isfinite(self.c)):
             raise ValueError("SdpProblem c has non-finite entries")
         for j, blk in enumerate(self.blocks):
-            if blk.var_idx.size and blk.var_idx.max() >= self.n_vars:
-                raise ValueError(f"SdpProblem block {j} refers to variable "
-                                 f"{blk.var_idx.max()}, but n_vars is {self.n_vars}")
+            if len(blk.mats) != self.n_vars:
+                raise ValueError(f"SdpProblem block {j} has {len(blk.mats)} coefficient "
+                                 f"matrices, but n_vars is {self.n_vars}")
 
 
 MAX_ITER = 200
@@ -413,8 +412,10 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
         if w[-1] <= 1e-7:
             continue
         V = U[:, w > 1e-4 * w[-1]]
+        # filled into zeros, not copied: products with E round differently in the
+        # transposed layout, and np.empty's copy raised n=4, d=6 peak RSS by 1.5 MB
         E = np.zeros((V.size, problem.n_vars))
-        E[:, blk.var_idx] = (blk.mats @ V).reshape(len(blk.var_idx), V.size).T
+        E[:] = (blk.mats @ V).reshape(problem.n_vars, V.size).T
         rows.append(E)
         rhs.append(-(blk.F0 @ V).ravel())
     if not rows:
@@ -442,7 +443,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     for j, blk in enumerate(blocks):
         log.debug("block %d: s %d, m %d, %d nonzeros, %s apply and adjoint",
-                  j, blk.size, len(blk.var_idx), len(blk.nonzeros[0]), blk.product)
+                  j, blk.size, nv, len(blk.nonzeros[0]), blk.product)
     dim_total = sum(blk.size for blk in blocks)
     x = np.zeros(nv)
     S = [np.eye(blk.size) * (1.0 + np.linalg.norm(blk.F0)) for blk in blocks]
@@ -462,7 +463,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     def adjoint(Zs):
         out = np.zeros(nv)
         for blk, Zj in zip(blocks, Zs):
-            out[blk.var_idx] += blk.adjoint(Zj)
+            out += blk.adjoint(Zj)
         return out
 
     def measure(x, S, Z):
@@ -482,15 +483,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
         """
         return min(_max_step(Lj, dXj, STEP_FRAC) for Lj, dXj in zip(Ls, dXs))
 
-    # a block on every variable (each moment-SDP block) adds into all of M in place
-    schur_idx = [np.s_[:, :] if np.array_equal(blk.var_idx, np.arange(nv))
-                 else np.ix_(blk.var_idx, blk.var_idx) for blk in blocks]
-
     def schur(W_inv):
         """M[i, k] = sum over blocks of <F_ji, W_j^-1 F_jk W_j^-1>."""
         M = np.zeros((nv, nv))
-        for blk, idx, Wj_inv in zip(blocks, schur_idx, W_inv):
-            M[idx] += blk.schur(Wj_inv)
+        for blk, Wj_inv in zip(blocks, W_inv):
+            M += blk.schur(Wj_inv)
         return _sym(M)
 
     # the dual projection of every search direction
@@ -657,7 +654,7 @@ def export_sdpa(problem: SdpProblem, path) -> None:
 
     for jb, blk in enumerate(problem.blocks, start=1):
         emit(0, jb, -blk.F0)
-        for kk, vi in enumerate(blk.var_idx):
-            emit(int(vi) + 1, jb, blk.mats[kk])
+        for k, mat in enumerate(blk.mats, start=1):
+            emit(k, jb, mat)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

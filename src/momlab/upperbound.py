@@ -233,11 +233,9 @@ def is_sos_convex(f: Polynomial, d_cert: int | None = None):
     """Test whether the Hessian quadratic form y'D2f(x)y is SOS in (x,y).
 
     The certifying basis is {y_i x^beta}; the Gram is returned on success.
-    Degree <= 1 objectives are trivially convex.
+    An affine f has a zero Hessian form: (True, None), with no SDP.
     """
     n = f.n
-    if f.degree <= 1:
-        return True, None
     if d_cert is None:
         d_cert = f.degree
     # scalarized Hessian over doubled variables (x_1..x_n, y_1..y_n), summed in one term map

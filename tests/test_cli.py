@@ -344,6 +344,7 @@ def test_rejects_level_or_degree_the_input_cannot_take(capsys, line_json, moment
     ("bench --r -1", "--r"),
     ("extract --level 2 --rank-tol 1", "--rank-tol"),
     ("extract --level 2 --rank-tol 0", "--rank-tol"),
+    ("extract --level 2 --rank-tol abc", "--rank-tol"),
     ("upper --measure MOMENTS", "--measure"),
     ("upper --measure cube", "--measure"),
 ])

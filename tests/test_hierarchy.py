@@ -10,6 +10,7 @@ from momlab import hierarchy, sdp
 from momlab.extraction import candidate_minimizer
 from momlab.hierarchy import (
     MEMBERSHIP_TOL,
+    MomentSdpError,
     RelaxationResult,
     build_moment_sdp,
     compute_d0,
@@ -153,6 +154,35 @@ def test_constant_objective():
     res = solve_moment_relaxation(prob, 2)
     assert res.m_d_star == pytest.approx(3.5, abs=1e-7)
     assert res.pseudo_moments.value((0,)) == pytest.approx(1.0, abs=1e-9)
+
+
+def _pinned_problem(constraints=()):
+    """min x^2 with x = 0.5: the equality pins every pseudo-moment."""
+    x = Polynomial.variable(0, 1)
+    return SemialgebraicProblem(n=1, objective=x * x, constraints=constraints,
+                                equalities=(x - 0.5,))
+
+
+def test_pinned_moments_are_solved_certified_and_rounded():
+    # the SDP has no variables; its constant blocks go through the solver
+    prob = _pinned_problem()
+    assert build_moment_sdp(prob, 4).problem.n_vars == 0
+    res = solve_moment_relaxation(prob, 4)
+    assert res.status == "Optimal" and not res.retried
+    assert res.m_d_star == pytest.approx(0.25, abs=1e-12)
+    assert res.f_d_star <= res.m_d_star
+    assert res.certificate.residual_norm <= 1e-12
+    np.testing.assert_allclose(res.rounded.atoms, [[0.5]], rtol=0, atol=1e-12)
+
+
+def test_pinned_moments_outside_the_constraints_are_infeasible():
+    # x = 0.5 and x >= 1: K is empty and the constant localizing block [[-0.5]] is not PSD
+    prob = _pinned_problem((Polynomial.variable(0, 1) - 1,))
+    assert build_moment_sdp(prob, 4).problem.n_vars == 0
+    with pytest.raises(MomentSdpError, match="Infeasible"):
+        solve_moment_relaxation(prob, 4)
+    (res,) = run_hierarchy(prob, 4, 4)
+    assert res.status.startswith("Failed: level 4: ") and "Infeasible" in res.status
 
 
 def test_interval_linear_all_levels(line_problem):

@@ -386,3 +386,13 @@ def test_box_grid_rejects_resolution_below_one(resolution):
     kernel = cd_kernel(PseudoMomentSequence.from_atoms([[0.0], [0.5]], [0.5, 0.5], 4), 1)
     with pytest.raises(ValueError, match="grid resolution"):
         cd_support_grid(kernel, (-1.0, 1.0), resolution, 1.0)
+
+
+def test_str_lists_signed_terms_in_graded_lex_order():
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    p = x2 ** 3 + x2 * x2 - 2 * x1 * x2 + 0.25 * x1 * x1 - x2 - 0.5 * x1 + 2.5
+    assert str(p) == "+2.5 -0.5*x1 -1*x2 +0.25*x1^2 -2*x1*x2 +1*x2^2 +1*x2^3"
+    assert str(3 * x1 * x1 * x2) == "+3*x1^2*x2"
+    assert str(Polynomial.constant(-1.0, 2)) == "-1"
+    assert str(Polynomial.zero(2)) == "0"
+    assert str(x1 - x1) == "0"

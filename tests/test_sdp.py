@@ -32,9 +32,7 @@ def _lp_as_sdp(c, A_ub, b_ub):
     """Encode an LP (A_ub x <= b_ub) as diagonal 1x1 blocks."""
     blocks = []
     for row, bi in zip(A_ub, b_ub):
-        idx = np.nonzero(row)[0]
-        mats = np.array([[[-row[i]]] for i in idx])
-        blocks.append(SdpBlock(F0=np.array([[bi]]), var_idx=idx, mats=mats))
+        blocks.append(SdpBlock(F0=np.array([[bi]]), mats=-np.asarray(row)[:, None, None]))
     return SdpProblem(n_vars=len(c), c=np.asarray(c, float), blocks=blocks)
 
 
@@ -136,7 +134,6 @@ def test_simple_2x2_bound():
     # min x s.t. [[1, x], [x, 1]] >= 0  ->  x* = -1
     blk = SdpBlock(
         F0=np.eye(2),
-        var_idx=np.array([0]),
         mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     )
     sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]))
@@ -146,13 +143,13 @@ def test_simple_2x2_bound():
 
 
 def test_constant_block_leaves_value():
-    # a block with no variables is a constant PSD constraint; here it is slack
+    # a block whose coefficient matrices are all zero is a constant PSD constraint;
+    # here it is slack
     blk = SdpBlock(
         F0=np.eye(2),
-        var_idx=np.array([0]),
         mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     )
-    const = SdpBlock(F0=np.eye(3), var_idx=np.array([], dtype=int), mats=np.zeros((0, 3, 3)))
+    const = SdpBlock(F0=np.eye(3), mats=np.zeros((1, 3, 3)))
     sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk, const]))
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(-1.0, abs=1e-7)
@@ -187,12 +184,16 @@ def test_block_operator_identities():
     rng = np.random.default_rng(7)
     nv, s = 6, 4
     for m in (0, 1, 3, nv):
-        var_idx = np.sort(rng.choice(nv, size=m, replace=False))
-        blk = SdpBlock(F0=_random_sym(rng, s, s), var_idx=var_idx, mats=_random_sym(rng, m, s, s))
+        # m of the nv variables enter the block; the others have zero matrices
+        active = np.sort(rng.choice(nv, size=m, replace=False))
+        mats = np.zeros((nv, s, s))
+        mats[active] = _random_sym(rng, m, s, s)
+        blk = SdpBlock(F0=_random_sym(rng, s, s), mats=mats)
         x = rng.standard_normal(nv)
         Z = _random_sym(rng, s, s)
-        # <apply(x), Z> = x[var_idx] . adjoint(Z)
-        assert np.tensordot(blk.apply(x), Z) == pytest.approx(x[var_idx] @ blk.adjoint(Z), abs=1e-12)
+        # <apply(x), Z> = x . adjoint(Z), and the absent variables get nothing
+        assert np.tensordot(blk.apply(x), Z) == pytest.approx(x @ blk.adjoint(Z), abs=1e-12)
+        assert not np.delete(blk.adjoint(Z), active).any()
         assert blk.product == "dense"
         _check_apply_adjoint(blk, rng, exact=True)
         # schur(W_inv)[i, j] = <F_i, W_inv F_j W_inv>
@@ -200,7 +201,7 @@ def test_block_operator_identities():
         W_inv = B @ B.T + s * np.eye(s)
         expected = np.array(
             [[np.tensordot(Fi, W_inv @ Fj @ W_inv) for Fj in blk.mats] for Fi in blk.mats]
-        ).reshape(m, m)
+        ).reshape(nv, nv)
         np.testing.assert_allclose(blk.schur(W_inv), expected, rtol=1e-12, atol=1e-10)
     # the n=4, d=6 ball blocks (1 224 and 1 124 nonzeros), and a sparse block on
     # every other variable, go over their nonzeros
@@ -301,7 +302,7 @@ def test_schur_with_an_all_zero_coefficient_matrix():
     rng = np.random.default_rng(5)
     mats = _random_sym(rng, 3, 4, 4)
     mats[1] = 0.0
-    blk = SdpBlock(F0=np.eye(4), var_idx=np.array([0, 2, 3]), mats=mats)
+    blk = SdpBlock(F0=np.eye(4), mats=mats)
     _check_schur_against_reference(blk)
     B = rng.standard_normal((4, 4))
     M = blk.schur(B @ B.T + np.eye(4))
@@ -309,7 +310,7 @@ def test_schur_with_an_all_zero_coefficient_matrix():
 
 
 def test_schur_of_a_constant_block_is_empty():
-    blk = SdpBlock(F0=np.eye(3), var_idx=np.array([], dtype=int), mats=np.zeros((0, 3, 3)))
+    blk = SdpBlock(F0=np.eye(3), mats=np.zeros((0, 3, 3)))
     _check_schur_against_reference(blk)
 
 
@@ -317,21 +318,17 @@ _NOT_SYM = [[1.0, 2.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    pytest.param({"F0": np.eye(2), "var_idx": [0], "mats": np.zeros((2, 2, 2))},
-                 "mats has shape", id="more-mats-than-variables"),
-    pytest.param({"F0": np.eye(2), "var_idx": [0], "mats": np.zeros((1, 3, 3))},
+    pytest.param({"F0": np.eye(2), "mats": np.zeros((1, 3, 3))},
                  "mats has shape", id="mats-larger-than-F0"),
-    pytest.param({"F0": np.ones(2), "var_idx": [0], "mats": np.zeros((1, 2, 2))},
+    pytest.param({"F0": np.eye(2), "mats": np.zeros(0)},
+                 "mats has shape", id="empty-mats-not-3-D"),
+    pytest.param({"F0": np.ones(2), "mats": np.zeros((1, 2, 2))},
                  "square matrix", id="F0-not-square"),
-    pytest.param({"F0": np.eye(2), "var_idx": [0, 0], "mats": np.array([np.eye(2), np.eye(2)])},
-                 "repeated entries", id="duplicate-var-idx"),
-    pytest.param({"F0": np.eye(2), "var_idx": [-1], "mats": np.eye(2)[None]},
-                 "negative entries", id="negative-var-idx"),
-    pytest.param({"F0": np.array(_NOT_SYM), "var_idx": [0], "mats": np.eye(2)[None]},
+    pytest.param({"F0": np.array(_NOT_SYM), "mats": np.eye(2)[None]},
                  "F0 is not symmetric", id="F0-not-symmetric"),
-    pytest.param({"F0": np.eye(2), "var_idx": [0, 1], "mats": np.array([np.eye(2), _NOT_SYM])},
+    pytest.param({"F0": np.eye(2), "mats": np.array([np.eye(2), _NOT_SYM])},
                  r"mats\[1\] \(variable 1\) is not symmetric", id="mat-not-symmetric"),
-    pytest.param({"F0": np.eye(2), "var_idx": [0], "mats": np.full((1, 2, 2), np.nan)},
+    pytest.param({"F0": np.eye(2), "mats": np.full((1, 2, 2), np.nan)},
                  "non-finite", id="non-finite-mats"),
 ])
 def test_block_rejects_malformed_input(kwargs, match):
@@ -339,10 +336,13 @@ def test_block_rejects_malformed_input(kwargs, match):
         SdpBlock(**kwargs)
 
 
-def test_problem_rejects_variable_beyond_n_vars():
-    blk = SdpBlock(F0=np.eye(2), var_idx=np.array([5]), mats=np.eye(2)[None])
-    with pytest.raises(ValueError, match="block 0 refers to variable 5, but n_vars is 1"):
-        SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk])
+def test_problem_rejects_wrong_number_of_coefficient_matrices():
+    # every block has one coefficient matrix per variable, too many or too few raise
+    blk = SdpBlock(F0=np.eye(2), mats=np.zeros((6, 2, 2)))
+    for n_vars in (1, 7):
+        with pytest.raises(ValueError,
+                           match=f"block 0 has 6 coefficient matrices, but n_vars is {n_vars}"):
+            SdpProblem(n_vars=n_vars, c=np.ones(n_vars), blocks=[blk])
     SdpProblem(n_vars=6, c=np.ones(6), blocks=[blk])
 
 
@@ -352,21 +352,20 @@ def test_problem_rejects_cost_of_wrong_length():
 
 
 def _sparse_test_block(rng):
-    """(F0, var_idx, mats) of a 30 x 30 block on the odd variables 1, 3, ..., 79, with
-    one symmetric pair of nonzeros per coefficient matrix."""
+    """(F0, mats) of a 30 x 30 block of 80 variables, with one symmetric pair of
+    nonzeros in the coefficient matrix of each odd variable 1, 3, ..., 79."""
     s, m = 30, 40
-    mats = np.zeros((m, s, s))
+    mats = np.zeros((2 * m, s, s))
     for k in range(m):
         i, j = rng.choice(s, size=2, replace=False)
-        mats[k, i, j] = mats[k, j, i] = rng.standard_normal()
-    return np.eye(s), 1 + 2 * np.arange(m), mats
+        mats[2 * k + 1, i, j] = mats[2 * k + 1, j, i] = rng.standard_normal()
+    return np.eye(s), mats
 
 
 def test_block_arrays_are_read_only_copies():
     rng = np.random.default_rng(11)
-    for F0, var_idx, mats in [(np.eye(2), np.array([0]), np.array([[[0.0, 1.0], [1.0, 0.0]]])),
-                              _sparse_test_block(rng)]:
-        blk = SdpBlock(F0=F0, var_idx=var_idx, mats=mats)
+    for F0, mats in [(np.eye(2), np.array([[[0.0, 1.0], [1.0, 0.0]]])), _sparse_test_block(rng)]:
+        blk = SdpBlock(F0=F0, mats=mats)
         for arr in (blk.F0, blk.var_idx, blk.mats, blk.flat_mats) + blk.nonzeros:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 7
@@ -374,7 +373,7 @@ def test_block_arrays_are_read_only_copies():
         assert blk.flat_mats is blk.flat_mats and np.shares_memory(blk.flat_mats, blk.mats)
         with pytest.raises(dataclasses.FrozenInstanceError):
             blk.mats = np.zeros((1, 2, 2))
-        x, Z = rng.standard_normal(var_idx.max() + 1), _random_sym(rng, blk.size, blk.size)
+        x, Z = rng.standard_normal(len(mats)), _random_sym(rng, blk.size, blk.size)
 
         def outputs():
             return (blk.F0, blk.var_idx, blk.mats, blk.apply(x), blk.adjoint(Z),
@@ -384,7 +383,6 @@ def test_block_arrays_are_read_only_copies():
         # the caller's arrays stay writable and are not shared with the block
         mats[0, 0, 0] = mats[0, 0, 1] = mats[0, 1, 0] = 3.0
         F0[1, 1] = 3.0
-        var_idx[0] = 4
         for got, want in zip(outputs(), before):
             assert np.array_equal(got, want)
     assert blk.product == "nonzero"
@@ -409,7 +407,7 @@ def _arrow_sdp():
     Ea = np.zeros((3, 3)); Ea[0, 1] = Ea[1, 0] = Ea[1, 1] = 1.0
     Eb = np.zeros((3, 3)); Eb[0, 2] = Eb[2, 0] = Eb[2, 2] = 1.0
     Ec = np.zeros((3, 3)); Ec[1, 2] = Ec[2, 1] = 1.0
-    blk = SdpBlock(F0=F0, var_idx=np.arange(3), mats=np.array([Ea, Eb, Ec]))
+    blk = SdpBlock(F0=F0, mats=np.array([Ea, Eb, Ec]))
     return SdpProblem(n_vars=3, c=np.array([-1.0, -1.0, 1.0]), blocks=[blk])
 
 
@@ -429,7 +427,6 @@ def test_singular_dual_ends_ill_conditioned(monkeypatch):
     monkeypatch.setattr(sdp, "_chol_inv", singular)
     blk = SdpBlock(
         F0=np.eye(2),
-        var_idx=np.array([0]),
         mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     )
     sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]))
@@ -440,8 +437,8 @@ def test_singular_dual_ends_ill_conditioned(monkeypatch):
 def test_infeasible_detection():
     # x >= 1 and -x >= 0 simultaneously
     blocks = [
-        SdpBlock(F0=np.array([[-1.0]]), var_idx=np.array([0]), mats=np.array([[[1.0]]])),
-        SdpBlock(F0=np.array([[0.0]]), var_idx=np.array([0]), mats=np.array([[[-1.0]]])),
+        SdpBlock(F0=np.array([[-1.0]]), mats=np.array([[[1.0]]])),
+        SdpBlock(F0=np.array([[0.0]]), mats=np.array([[[-1.0]]])),
     ]
     sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=blocks))
     assert sol.status == "Infeasible"
@@ -466,7 +463,6 @@ def test_lp_cross_check_against_highs():
 def test_weak_duality_along_solution():
     blk = SdpBlock(
         F0=np.eye(2),
-        var_idx=np.array([0]),
         mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     )
     sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]))
@@ -477,7 +473,6 @@ def test_weak_duality_along_solution():
 def test_iterations_logged_at_debug(caplog):
     blk = SdpBlock(
         F0=np.eye(2),
-        var_idx=np.array([0]),
         mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     )
     with caplog.at_level(logging.DEBUG, logger="momlab.sdp"):
@@ -494,8 +489,7 @@ def test_row_scaling_invariance():
     def problem(scale):
         blk = SdpBlock(
             F0=scale * np.eye(2),
-            var_idx=np.array([0]),
-            mats=scale * np.array([[[0.0, 1.0], [1.0, 0.0]]]),
+                mats=scale * np.array([[[0.0, 1.0], [1.0, 0.0]]]),
         )
         return SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk])
 
@@ -507,7 +501,6 @@ def test_row_scaling_invariance():
 def test_extract_dual_gram_psd_and_status_guard():
     blk = SdpBlock(
         F0=np.eye(2),
-        var_idx=np.array([0]),
         mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     )
     sol = solve(SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk]))
@@ -519,8 +512,8 @@ def test_extract_dual_gram_psd_and_status_guard():
             n_vars=1,
             c=np.array([1.0]),
             blocks=[
-                SdpBlock(F0=np.array([[-1.0]]), var_idx=np.array([0]), mats=np.array([[[1.0]]])),
-                SdpBlock(F0=np.array([[0.0]]), var_idx=np.array([0]), mats=np.array([[[-1.0]]])),
+                SdpBlock(F0=np.array([[-1.0]]), mats=np.array([[[1.0]]])),
+                SdpBlock(F0=np.array([[0.0]]), mats=np.array([[[-1.0]]])),
             ],
         )
     )
@@ -578,7 +571,7 @@ def test_disc_solve_ends_optimal_with_exact_dual_feasibility():
 def test_variable_in_no_block():
     # variable 1 appears in no block, so AA* is singular; its pseudo-inverse
     # leaves that variable out of the dual correction
-    blk = SdpBlock(F0=np.eye(2), var_idx=np.array([0]), mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+    blk = SdpBlock(F0=np.eye(2), mats=np.array([[[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2))]))
     sol = solve(SdpProblem(n_vars=2, c=np.array([1.0, 0.0]), blocks=[blk]))
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(-1.0, abs=1e-7)
@@ -590,7 +583,6 @@ def test_variable_in_no_block():
 def test_export_sdpa_format(tmp_path):
     blk = SdpBlock(
         F0=np.eye(2),
-        var_idx=np.array([0]),
         mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
     )
     prob = SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk])
@@ -748,6 +740,6 @@ def test_affine_solutions_parametrize_the_solution_set(case):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_problem_rejects_non_finite_cost(bad):
-    blk = SdpBlock(F0=np.eye(2), var_idx=np.array([0, 1]), mats=np.array([np.eye(2), np.eye(2)]))
+    blk = SdpBlock(F0=np.eye(2), mats=np.array([np.eye(2), np.eye(2)]))
     with pytest.raises(ValueError, match="c has non-finite entries"):
         SdpProblem(n_vars=2, c=np.array([1.0, bad]), blocks=[blk])

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -8,6 +9,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momlab import upperbound
 from momlab.cone import SemialgebraicProblem
 from momlab.poly import MonomialBasis, Polynomial, r_dim
 from momlab.upperbound import (
@@ -178,6 +180,32 @@ def test_measure_rejects_malformed_exponents(kind, n, alpha):
     assert mu.moment((0,) * n) > 0 and mu.moment(np.zeros(n)) > 0
 
 
+def test_affine_objectives_are_sos_convex_with_no_sdp(monkeypatch):
+    # the Hessian form of a constant or linear f is zero: convex, no Gram, no SDP
+    def no_sdp(*args, **kwargs):
+        raise AssertionError("phase-I Gram SDP built for an affine objective")
+
+    monkeypatch.setattr(upperbound, "phase1_gram", no_sdp)
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    for f in (Polynomial.zero(2), Polynomial.constant(-3.0, 2), x1 - 2 * x2 + 1, 0.5 * x2):
+        assert is_sos_convex(f) == (True, None)
+        assert is_sos_convex(f, d_cert=4) == (True, None)
+
+
+def test_reference_measure_from_json_reads_a_path(tmp_path):
+    # the CLI passes a parsed dict; a file path, as str or Path, reads the same table
+    table = {"n": 2, "order": 2, "values": [
+        {"alpha": list(a), "y": y} for a, y in lebesgue_box_moments(2, 2).items()]}
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(table))
+    exps = np.array(MonomialBasis(2, 2).exponents)
+    want = ReferenceMeasure.from_json(table).moments(exps)
+    for source in (str(path), path):
+        mu = ReferenceMeasure.from_json(source)
+        assert (mu.kind, mu.n, mu.max_degree) == ("table", 2, 2)
+        np.testing.assert_array_equal(mu.moments(exps), want)
+
+
 def test_is_sos_convex_verdicts():
     x1 = Polynomial.variable(0, 2)
     x2 = Polynomial.variable(1, 2)
@@ -189,7 +217,7 @@ def test_is_sos_convex_verdicts():
     # a saddle is not convex anywhere near the origin
     convex, cert = is_sos_convex(x1 * x1 - x2 * x2)
     assert not convex and cert is None
-    # affine objectives short-circuit
+    # affine objectives have a zero Hessian form
     assert is_sos_convex(x1 - 2 * x2 + 1)[0]
     # SOS-convex inputs on which the phase-I Gram SDP once stalled at MaxIter
     z1, z2, z3 = (Polynomial.variable(i, 3) for i in range(3))
