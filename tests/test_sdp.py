@@ -318,6 +318,9 @@ _NOT_SYM = [[1.0, 2.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("kwargs, match", [
+    pytest.param({"F0": np.eye(2), "mats": np.zeros((2, 2, 2))},
+                 "block 0 has 2 coefficient matrices, but n_vars is 1",
+                 id="more-mats-than-variables"),
     pytest.param({"F0": np.eye(2), "mats": np.zeros((1, 3, 3))},
                  "mats has shape", id="mats-larger-than-F0"),
     pytest.param({"F0": np.eye(2), "mats": np.zeros(0)},
@@ -332,18 +335,25 @@ _NOT_SYM = [[1.0, 2.0], [0.0, 1.0]]
                  "non-finite", id="non-finite-mats"),
 ])
 def test_block_rejects_malformed_input(kwargs, match):
+    # a block does not know n_vars, so its matrix count is checked when it enters
+    # a (here one-variable) problem; every other case fails in SdpBlock itself
     with pytest.raises(ValueError, match=match):
-        SdpBlock(**kwargs)
+        SdpProblem(n_vars=1, c=np.ones(1), blocks=[SdpBlock(**kwargs)])
+
+
+def test_problem_rejects_variable_beyond_n_vars():
+    # six coefficient matrices: the block refers to variables 0..5
+    blk = SdpBlock(F0=np.eye(2), mats=np.zeros((6, 2, 2)))
+    with pytest.raises(ValueError, match="block 0 has 6 coefficient matrices, but n_vars is 1"):
+        SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk])
+    SdpProblem(n_vars=6, c=np.ones(6), blocks=[blk])
 
 
 def test_problem_rejects_wrong_number_of_coefficient_matrices():
-    # every block has one coefficient matrix per variable, too many or too few raise
+    # every block has one coefficient matrix per variable, so too few raise as well
     blk = SdpBlock(F0=np.eye(2), mats=np.zeros((6, 2, 2)))
-    for n_vars in (1, 7):
-        with pytest.raises(ValueError,
-                           match=f"block 0 has 6 coefficient matrices, but n_vars is {n_vars}"):
-            SdpProblem(n_vars=n_vars, c=np.ones(n_vars), blocks=[blk])
-    SdpProblem(n_vars=6, c=np.ones(6), blocks=[blk])
+    with pytest.raises(ValueError, match="block 0 has 6 coefficient matrices, but n_vars is 7"):
+        SdpProblem(n_vars=7, c=np.ones(7), blocks=[blk])
 
 
 def test_problem_rejects_cost_of_wrong_length():
