@@ -344,8 +344,8 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
     solve: the Gram entries range over x_p + N z and the SDP is over (z, t).
     The verdict reads only whether t* <= MEMBERSHIP_TOL, so any lower bound
     on t below 0 gives the same answer; -1 keeps the SDP well scaled (with
-    -1e6, the Gram SDPs of `compute_d0` on the builtin corpus took up to 82
-    iterations, where -1 takes at most 14).
+    -1e6, the Gram SDPs of `compute_d0` on the builtin corpus take up to 139
+    iterations, where -1 takes at most 10).
     Returns the Grams, shifted by t* and eigenvalue-floored, or None when the
     matching is inconsistent, the SDP is infeasible or t* > MEMBERSHIP_TOL.
     Any other non-Optimal status raises RuntimeError naming `what`, the status,

@@ -499,6 +499,16 @@ def test_sos_convex_gram_sdp_stays_short(monkeypatch):
     assert sols[0].iterations <= 20
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_n3_ball_relaxation_iterations(monkeypatch, seed):
+    # the n=3 problems of the relax-large benchmark: without the corrector's
+    # second-order term they took 19 and 17 iterations
+    sols = _record_solves(monkeypatch)
+    res = solve_moment_relaxation(sweep_problem(3, seed, "ball"), 6, want_certificate=False)
+    assert res.status == "Optimal" and not res.retried
+    assert len(sols) == 1 and sols[0].iterations <= 15
+
+
 def test_flat_solution_is_rounded_to_polished_atoms(monkeypatch, line_problem):
     sols = _record_solves(monkeypatch)
     ms = build_moment_sdp(line_problem, 4)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_sylvester, solve_triangular
 from scipy.optimize import linprog
 
 import momlab
@@ -85,8 +85,28 @@ def _nt_pairs():
 
 def test_nt_scaling_from_factors():
     for S, Z in _nt_pairs():
-        W = np.linalg.inv(sdp._nt_w_inv(sdp._chol(S), sdp._chol(Z)))
+        W = np.linalg.inv(sdp._nt_scaling(sdp._chol(S), sdp._chol(Z))[0])
         assert np.linalg.norm(W @ Z @ W - S) <= 1e-12 * np.linalg.norm(S)
+
+
+def test_nt_scaled_basis():
+    # G' S G = G^-1 Z G^-T = D and G G' = W^-1, and the second-order term G C G'
+    # has C solving D C + C D = dS~ dZ~ + dZ~ dS~
+    rng = np.random.default_rng(13)
+    for S, Z in _nt_pairs():
+        W_inv, G, G_inv_T, d = sdp._nt_scaling(sdp._chol(S), sdp._chol(Z))
+        D = np.diag(d)
+        for scaled in (G.T @ S @ G, G_inv_T.T @ Z @ G_inv_T):
+            assert np.linalg.norm(scaled - D) <= 1e-12 * np.linalg.norm(D)
+        assert np.linalg.norm(G @ G.T - W_inv) <= 1e-12 * np.linalg.norm(W_inv)
+        np.testing.assert_allclose(G_inv_T.T @ G, np.eye(len(S)), rtol=0, atol=1e-12)
+        dS, dZ = _random_sym(rng, len(S), len(S)), _random_sym(rng, len(S), len(S))
+        K = sdp._second_order(G, G_inv_T, d, dS, dZ)
+        np.testing.assert_array_equal(K, K.T)
+        # C from a Bartels-Stewart solve of D C + C D = dS~ dZ~ + dZ~ dS~
+        dS_t, dZ_t = G.T @ dS @ G, G_inv_T.T @ dZ @ G_inv_T
+        C = solve_sylvester(D, D, dS_t @ dZ_t + dZ_t @ dS_t)
+        assert np.linalg.norm(K - G @ C @ G.T) <= 1e-12 * np.linalg.norm(K)
 
 
 def _eigvalsh_step(S, dS, frac):
