@@ -3,16 +3,26 @@
 Level d bounds the total degree of every certified product.  The moment side
 minimizes L(f) over pseudo-moment sequences with PSD moment and localizing
 matrices and L(h * X^gamma) = 0 for equality constraints h; the SOS side is
-its SDP dual, read off the same solve.  Equality relations are eliminated
-up front (the pseudo-moment vector is parametrized over an affine subspace),
-and each PSD block keeps only the rows that no earlier rows span there
-(`_independent_rows`), which keeps the SDP strictly feasible even when K is
-finite or a sphere.  A flat solution is rounded to the moments of its
+its SDP dual, read off the same solve.  L(1) = 1 and the equality relations
+are eliminated up front by one echelon form (`sdp.basic_solutions`, columns
+in descending grlex order).  Its pivots are the dependent moments; the other,
+basic moments are the SDP variables, with each column of N scaled to unit
+norm.  A pivot monomial's row of a moment or localizing block is then a
+fixed combination of the row of 1 and the basic rows, so each block keeps
+just those.  (That holds when each relation of degree e is a combination of
+relation rows h X^gamma of degree at most e, as for a single equality or
+x_i = x_i^2; where it fails, a dropped row only relaxes the block, and m_d
+is still a lower bound.)  This removes the common kernel that equalities
+give every feasible moment matrix (x = x^2 on {0,1}; the row of 1 equal to
+the sum of the rows of x_i^2 on a sphere), which keeps the SDP strictly
+feasible even when K is finite or a sphere, and each block stays as sparse
+as the moment matrix.  A flat solution is rounded to the moments of its
 polished atoms (`solve_moment_sdp`).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -21,7 +31,8 @@ import numpy as np
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import AtomicMeasure, check_flatness, extract_atoms, polish_atoms
 from .poly import MonomialBasis, Polynomial, r_dim
-from .sdp import SdpBlock, SdpProblem, affine_solutions, extract_dual_gram, psd_floor, solve
+from .sdp import (SdpBlock, SdpProblem, affine_solutions, basic_solutions, extract_dual_gram,
+                  psd_floor, solve)
 
 __all__ = [
     "SosCertificate",
@@ -38,6 +49,8 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-7
+
+log = logging.getLogger("momlab.hierarchy")
 
 
 def relaxation_order(d: int) -> int:
@@ -88,17 +101,17 @@ class RelaxationResult:
 
 @dataclass(frozen=True)
 class MomentSdp:
-    """Assembled level-d moment SDP in eliminated coordinates y = y_p + N z."""
+    """Assembled level-d moment SDP in basic moment coordinates y = y_p + N z."""
 
     d: int
     order: int
     basis: MonomialBasis           # pseudo-moment basis, degree 2*order
     problem: SdpProblem            # variables z
-    y_particular: np.ndarray
-    nullbasis: np.ndarray          # columns span the admissible y directions
+    y_particular: np.ndarray       # zero on the basic moments
+    nullbasis: np.ndarray          # [I; -X], rows in basis order, columns scaled to unit norm
     offset: float                  # L(f) = c.z + offset
     block_weights: tuple           # g multiplying each PSD block (g=1 for the moment block)
-    block_bases: tuple             # monomial rows of each block left by the row reduction
+    block_bases: tuple             # monomial rows of each block: 1 and the basic monomials
 
 
 class MomentSdpError(RuntimeError):
@@ -125,22 +138,6 @@ def _relation_rows(prob: SemialgebraicProblem, basis: MonomialBasis):
     return rows, owners
 
 
-def _independent_rows(F0: np.ndarray, FN: np.ndarray):
-    """Indices of the rows of an affine matrix F0 + FN.z that no earlier rows span.
-
-    F(z)v = 0 for every z iff v'[F0 | FN] = 0, so each dropped row is a fixed
-    combination of kept rows and F is PSD iff its kept block is.  Equalities make
-    such rows (x = x^2 on {0,1}; row(1) = row(x1^2) + row(x2^2) on the circle).
-    Row i is kept when |R_ii| of one unpivoted QR of the signatures [F0 | FN]
-    exceeds 1e-12 (1 + max|signature|); row 0 is kept when no row is.
-    """
-    s = F0.shape[0]
-    sigs = np.concatenate([F0, FN.reshape(s, -1)], axis=1)
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(sigs))))
-    r = np.abs(np.diag(np.linalg.qr(sigs.T, mode="r")))
-    return np.flatnonzero(r > tol).tolist() or [0]
-
-
 def _check_level(prob: SemialgebraicProblem, d: int) -> None:
     """Raise ValueError when level d is below the degree of f or of a constraint."""
     deg_needed = max(prob.objective.degree, prob.max_constraint_degree)
@@ -157,30 +154,30 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
     basis = MonomialBasis(n, budget)
     m = len(basis)
 
-    # linear constraints on y: normalization + equality relations
+    # L(1) = 1 and the equality relations, solved for the pivot moments
     e0 = np.zeros(m)
     e0[0] = 1.0
     rel_rows, _ = _relation_rows(prob, basis)
     E = np.vstack([e0, *rel_rows])
     rhs = np.zeros(E.shape[0])
     rhs[0] = 1.0
-    y_p, N, residual = affine_solutions(E, rhs)
+    y_p, N, pivots, residual = basic_solutions(E, rhs)
     if residual > 1e-8:
         raise ValueError("equality constraints are inconsistent with L(1) = 1")
+    weights = (Polynomial.constant(1.0, n),) + tuple(prob.constraints)
+    max_n = float(np.max(np.abs(N), initial=0.0))
+    # the SDP takes unit-norm columns: raw basic coordinates leave more solves loose
+    N /= np.linalg.norm(N, axis=0)
+    kept = np.flatnonzero(np.r_[True, ~pivots[1:]])  # the row of 1 (a pivot) and the basic rows
 
-    weights = [Polynomial.constant(1.0, n)] + list(prob.constraints)
-    blocks, block_weights, block_bases = [], [], []
+    blocks, block_bases = [], []
     for g in weights:
-        loc = basis.localizing_map(basis.exps[:r_dim(n, (budget - g.degree) // 2)], g)
-        F0 = loc.gather(y_p)
-        FN = loc.gather(N)
-        keep = range(len(F0))
-        if rel_rows:  # only equality relations give a block a common kernel
-            keep = _independent_rows(F0, FN)
-            F0, FN = F0[keep][:, keep], FN[keep][:, keep]
-        blocks.append(SdpBlock(F0=F0, mats=np.transpose(FN, (2, 0, 1))))
-        block_weights.append(g)
-        block_bases.append(tuple(basis.exponents[i] for i in keep))
+        rows = kept[kept < r_dim(n, (budget - g.degree) // 2)]
+        loc = basis.localizing_map(basis.exps[rows], g)
+        blocks.append(SdpBlock(F0=loc.gather(y_p), mats=np.transpose(loc.gather(N), (2, 0, 1))))
+        block_bases.append(tuple(basis.exponents[i] for i in rows))
+    log.debug("level %d moment SDP: %d pivots of %d moments, max|N| %.3g, rows kept per "
+              "block %s", d, np.count_nonzero(pivots), m, max_n, [len(r) for r in block_bases])
 
     f_vec = prob.objective.coeff_vector(basis)
     c = N.T @ f_vec
@@ -194,7 +191,7 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
         y_particular=y_p,
         nullbasis=N,
         offset=offset,
-        block_weights=tuple(block_weights),
+        block_weights=weights,
         block_bases=tuple(block_bases),
     )
 

@@ -14,10 +14,18 @@ PSD.
 
 There are no linear equality constraints: callers eliminate them before the
 solve by affine substitution x = x_p + N z, which keeps the blocks strictly
-feasible.  Every such elimination, and every null space in the package, comes
-from the one helper `affine_solutions` (one SVD gives x_p and N) with the one
-rank rule `sv_rank` and cutoff `_rank_cutoff`; the final projection onto the
-optimal face (`_refine_primal`) is one least-squares step at that cutoff.
+feasible.  Two helpers make every such elimination and every null space in
+the package.  `basic_solutions` eliminates a moment relaxation's L(1) = 1 and
+equality relations with one echelon form: z is the basic moments and N is
+[I; -X] up to the row order, so each F_i stays as sparse as its moment rows.
+`affine_solutions` (one SVD gives x_p and N) stays where a caller needs an
+orthonormal N or the minimum-norm x_p: the phase-I Gram matching
+(`phase1_gram`), whose Gram entries have no moment structure to keep sparse,
+the multiplier complement that `qmodule_membership` projects onto, and the
+null vector of `tchakaloff_prune`'s inexact atom moments.  It and the final
+projection onto the optimal face (`_refine_primal`, one least-squares step)
+share the rank rule `sv_rank` and cutoff `_rank_cutoff`; `basic_solutions`
+picks its pivots at PIVOT_TOL.
 
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
@@ -89,6 +97,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
@@ -99,6 +108,7 @@ __all__ = [
     "extract_dual_gram",
     "psd_floor",
     "affine_solutions",
+    "basic_solutions",
     "sv_rank",
     "export_sdpa",
 ]
@@ -387,6 +397,13 @@ def _rank_cutoff(A: np.ndarray) -> float:
     return max(max(A.shape) * np.finfo(float).eps, 1e-12)
 
 
+# The pivot tolerance of `basic_solutions`: a column is a pivot when its part
+# outside the span of the columns scanned before it has norm above
+# PIVOT_TOL * max|E|.  It is absolute in the scale of E, where `_rank_cutoff`
+# is relative to the largest singular value.
+PIVOT_TOL = 1e-10
+
+
 def affine_solutions(E: np.ndarray, h: np.ndarray):
     """Solutions of E x = h as x_p + N z: returns (x_p, N, ||E x_p - h||).
 
@@ -400,6 +417,58 @@ def affine_solutions(E: np.ndarray, h: np.ndarray):
     r = sv_rank(s, _rank_cutoff(E))
     x_p = vt[:r].T @ ((u[:, :r].T @ h) / s[:r])
     return x_p, vt[r:].T, float(np.linalg.norm(E @ x_p - h))
+
+
+def _leading_columns(A: np.ndarray, tol: float) -> list:
+    """Columns of A whose part outside the span of the columns before them exceeds tol.
+
+    Divide and conquer: the right half is projected off the span of the left
+    half's leading columns (one QR) and scanned the same way.
+    """
+    if not A.shape[1] or np.max(np.linalg.norm(A, axis=0)) <= tol:
+        return []
+    if A.shape[1] == 1:
+        return [0]
+    h = A.shape[1] // 2
+    left = _leading_columns(A[:, :h], tol)
+    Q = np.linalg.qr(A[:, left])[0]
+    right = A[:, h:] - Q @ (Q.T @ A[:, h:])
+    return left + [h + j for j in _leading_columns(right, tol)]
+
+
+def basic_solutions(E: np.ndarray, h: np.ndarray):
+    """Solutions of E x = h in basic coordinates: returns (x_p, N, pivots, residual).
+
+    The reduced echelon form of E, its columns scanned from the last to the
+    first: a column is a pivot when the columns after it do not span it
+    (`PIVOT_TOL`); the others are basic.  The pivot entries of x are an affine
+    function of the basic ones, x_P = x_p,P - X x_B, with x_p zero on the
+    basic entries.  X and x_p come from one LU with partial pivoting of the
+    pivot columns, in scan order, and two triangular solves, which is exact
+    where the eliminations are, as on the sphere's relations and on
+    x_i = x_i^2; entries that round-off fills in where X is zero are reset to
+    zero.  N is [I; -X] up to the row order, so z is the basic entries of x in
+    ascending order; `pivots` masks the columns.  A residual above round-off
+    means E x = h has no solution.
+    """
+    m = E.shape[1]
+    scale = float(np.max(np.abs(E), initial=0.0))
+    cols = m - 1 - np.array(_leading_columns(E[:, ::-1], PIVOT_TOL * scale), dtype=int)
+    pivots = np.zeros(m, dtype=bool)
+    pivots[cols] = True
+    r = len(cols)
+    P, L, U = scipy.linalg.lu(E[:, cols])
+    rows = np.nonzero(P[:, :r].T)[1]  # E[rows][:, cols] = L[:r] U
+    rhs = np.column_stack([h, E[:, ~pivots]])[rows]
+    sol = scipy.linalg.solve_triangular(
+        U, scipy.linalg.solve_triangular(L[:r], rhs, lower=True, unit_diagonal=True))
+    sol[np.abs(sol) <= _rank_cutoff(E) * np.max(np.abs(sol), initial=0.0)] = 0.0  # fill-in
+    x_p = np.zeros(m)
+    x_p[cols] = sol[:, 0]
+    N = np.zeros((m, m - r))
+    N[~pivots] = np.eye(N.shape[1])
+    N[cols] = 0.0 - sol[:, 1:]  # 0.0 - X: no -0.0 entries
+    return x_p, N, pivots, float(np.linalg.norm(E @ x_p - h))
 
 
 def _psd_pinv(A: np.ndarray) -> np.ndarray:

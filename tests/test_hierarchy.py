@@ -20,7 +20,7 @@ from momlab.hierarchy import (
     solve_moment_relaxation,
     solve_sos_tightening,
 )
-from momlab.poly import MonomialBasis, Polynomial
+from momlab.poly import MonomialBasis, Polynomial, r_dim
 
 from conftest import sweep_problem
 
@@ -77,50 +77,74 @@ def _dedup_rows_reference(F0, FN):
     return keep
 
 
-def test_independent_rows_match_pair_loop_on_binary_corner(monkeypatch, corner_problem):
+def _independent_rows_reference(F0, FN):
+    """The rows of F0 + FN.z that no earlier rows span: |R_ii| of one QR of the signatures."""
+    s = F0.shape[0]
+    sigs = np.concatenate([F0, FN.reshape(s, -1)], axis=1)
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(sigs))))
+    r = np.abs(np.diag(np.linalg.qr(sigs.T, mode="r")))
+    return np.flatnonzero(r > tol).tolist() or [0]
+
+
+def _full_block_signatures(ms):
+    """(F0, FN) of every block over all its monomial rows, none dropped, at y = y_p + N z."""
+    n, out = ms.basis.n, []
+    for g in ms.block_weights:
+        rows = ms.basis.exps[:r_dim(n, (2 * ms.order - g.degree) // 2)]
+        loc = ms.basis.localizing_map(rows, g)
+        out.append((loc.gather(ms.y_particular), loc.gather(ms.nullbasis)))
+    return out
+
+
+def _check_kept_rows(ms):
+    """Each block keeps the rows the QR reference keeps on its full signatures; returns them."""
+    kept = []
+    for (F0, FN), rows, blk in zip(_full_block_signatures(ms), ms.block_bases,
+                                   ms.problem.blocks):
+        keep = _independent_rows_reference(F0, FN)
+        assert rows == tuple(ms.basis.exponents[i] for i in keep)
+        assert blk.size == len(keep)
+        kept.append(keep)
+    return kept
+
+
+def test_independent_rows_match_pair_loop_on_binary_corner(corner_problem):
     # the idempotent relations x_i = x_i^2 of binary-corner make equal rows and no
-    # other dependence, so the QR reduction keeps exactly the rows the pair loop keeps
-    seen, real = [], hierarchy._independent_rows
-    monkeypatch.setattr(hierarchy, "_independent_rows",
-                        lambda F0, FN: seen.append((F0, FN)) or real(F0, FN))
-    for d in range(2, 9):
-        build_moment_sdp(corner_problem, d)
+    # other dependence, so each block keeps exactly the rows the pair loop keeps
     dropped = 0
-    for F0, FN in seen:
-        keep = real(F0, FN)
-        assert keep == _dedup_rows_reference(F0, FN)
-        dropped += F0.shape[0] - len(keep)
+    for d in range(2, 9):
+        ms = build_moment_sdp(corner_problem, d)
+        for (F0, FN), keep in zip(_full_block_signatures(ms), _check_kept_rows(ms)):
+            assert keep == _dedup_rows_reference(F0, FN)
+            dropped += F0.shape[0] - len(keep)
     assert dropped > 0
 
 
-def test_independent_rows_drop_a_sum_of_rows_on_the_circle(monkeypatch):
+def test_independent_rows_drop_a_sum_of_rows_on_the_circle():
     # on x1^2 + x2^2 = 1 the row of x2^2 is the row of 1 minus the row of x1^2, and no
-    # two rows are equal: the pair loop keeps all six rows, the QR reduction five
-    seen, real = [], hierarchy._independent_rows
-    monkeypatch.setattr(hierarchy, "_independent_rows",
-                        lambda F0, FN: seen.append((F0, FN)) or real(F0, FN))
+    # two rows are equal: the pair loop keeps all six rows, the moment block five
     x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     prob = SemialgebraicProblem(n=2, objective=x1 * x2, equalities=(x1 * x1 + x2 * x2 - 1,))
     ms = build_moment_sdp(prob, 4)
-    assert _dedup_rows_reference(*seen[0]) == list(range(6))
+    _check_kept_rows(ms)
+    assert _dedup_rows_reference(*_full_block_signatures(ms)[0]) == list(range(6))
     assert ms.block_bases[0] == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1))
     assert ms.problem.blocks[0].size == 5
 
 
-def test_row_reduction_runs_only_with_equality_relations(monkeypatch):
+def test_row_reduction_runs_only_with_equality_relations():
     # without equalities the rows of a block are distinct monomials' rows, which no
-    # pseudo-moment kernel relates: build_moment_sdp keeps them all without a QR,
-    # and a QR would agree
-    seen, real = [], hierarchy._independent_rows
-    monkeypatch.setattr(hierarchy, "_independent_rows",
-                        lambda F0, FN: seen.append(1) or real(F0, FN))
+    # pseudo-moment kernel relates: every block keeps them all, the QR reference
+    # agrees, and the SDP variables are the moments after y_0 = 1
     prob = sweep_problem(2, 0, "box")
     assert not prob.equalities
     ms = build_moment_sdp(prob, 6)
-    assert not seen
-    for blk, rows in zip(ms.problem.blocks, ms.block_bases):
-        assert blk.size == len(rows)
-        assert real(blk.F0, np.transpose(blk.mats, (1, 2, 0))) == list(range(blk.size))
+    m = len(ms.basis)
+    np.testing.assert_array_equal(ms.y_particular, np.eye(m)[0])
+    np.testing.assert_array_equal(ms.nullbasis, np.eye(m)[:, 1:])
+    for blk, rows, keep in zip(ms.problem.blocks, ms.block_bases, _check_kept_rows(ms)):
+        assert keep == list(range(blk.size))
+        assert rows == tuple(ms.basis.exponents[:blk.size])
 
 
 def _on_sphere(n, objective):
@@ -143,6 +167,33 @@ def test_sphere_equality_problems_reach_closed_form_optima(n, objective, f_star,
         assert abs(res.m_d_star - f_star) <= 1e-6, res.d
         assert res.f_d_star <= f_star + 1e-7, res.d
         assert res.certificate.residual_norm <= 1e-8, res.d
+
+
+def test_sphere_blocks_are_sparse_in_basic_coordinates():
+    # min x1 + ... + x4 on the unit sphere at d = 8: through the dense SVD null basis
+    # the moment block had 3024 nonzeros per variable and took the dense products
+    prob = _on_sphere(4, lambda *xs: sum(xs[1:], xs[0]))
+    ms = build_moment_sdp(prob, 8)
+    _check_kept_rows(ms)
+    (blk,) = ms.problem.blocks
+    assert blk.product == "nonzero"
+    assert len(blk.nonzeros[0]) <= 20 * ms.problem.n_vars
+    res = hierarchy.solve_moment_sdp(prob, ms)
+    assert res.status == "Optimal" and not res.retried
+    assert abs(res.m_d_star + 2.0) <= 1e-7
+    assert res.certificate.residual_norm <= 1e-8
+
+
+def test_build_logs_the_elimination(caplog):
+    # one DEBUG line per build: pivot count, largest entry of N before its columns
+    # are scaled, and the rows each block keeps
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    prob = SemialgebraicProblem(n=2, objective=x1 * x2, constraints=(1 - x1,),
+                                equalities=(x1 * x1 + x2 * x2 - 1,))
+    with caplog.at_level("DEBUG", logger="momlab.hierarchy"):
+        build_moment_sdp(prob, 4)
+    assert [r.getMessage() for r in caplog.records if r.name == "momlab.hierarchy"] == [
+        "level 4 moment SDP: 7 pivots of 15 moments, max|N| 2, rows kept per block [5, 3]"]
 
 
 def test_constant_objective():

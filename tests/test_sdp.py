@@ -21,6 +21,7 @@ from momlab.sdp import (
     SdpBlock,
     SdpProblem,
     affine_solutions,
+    basic_solutions,
     export_sdpa,
     extract_dual_gram,
     solve,
@@ -269,9 +270,11 @@ def test_schur_on_sparse_moment_blocks():
 
 
 def test_schur_on_dense_equality_eliminated_blocks(corner_problem):
-    # binary-corner's equalities are eliminated through a dense null basis
+    # binary-corner's equalities are eliminated in basic moment coordinates, so its
+    # block is sparse (15 of 48 entries nonzero); through the dense SVD null basis
+    # more than half of them were
     (blk,) = build_moment_sdp(corner_problem, 4).problem.blocks
-    assert np.count_nonzero(blk.mats) > 0.5 * blk.mats.size
+    assert np.count_nonzero(blk.mats) < blk.mats.size / 3
     _check_schur_against_reference(blk)
 
 
@@ -766,6 +769,55 @@ def test_affine_solutions_parametrize_the_solution_set(case):
     np.testing.assert_array_equal(N_q, N)
     np.testing.assert_allclose(E @ x_q, h, atol=1e-12)  # least-squares solution
     assert residual == pytest.approx(1.0, rel=1e-10)
+
+
+def _pivots_reference(E):
+    """Columns, scanned from the last, that raise the rank of the columns after them."""
+    pivots, rank = np.zeros(E.shape[1], dtype=bool), 0
+    for j in range(E.shape[1] - 1, -1, -1):
+        r = np.linalg.matrix_rank(E[:, j:], tol=1e-9) if E.size else 0
+        pivots[j], rank = r > rank, r
+    return pivots
+
+
+def _basic_cases():
+    """`_affine_cases`, duplicate columns, and the relation rows of the circle at degree 6."""
+    cases = {name: E for name, (E, _) in _affine_cases().items()}
+    rng = np.random.default_rng(5)
+    cases["repeated-columns"] = rng.standard_normal((3, 4))[:, [0, 1, 1, 2, 0, 3, 3]]
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    circle = SemialgebraicProblem(n=2, objective=x1, equalities=(x1 * x1 + x2 * x2 - 1,))
+    cases["circle"] = np.array(hierarchy._relation_rows(circle, MonomialBasis(2, 6))[0])
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_basic_cases()))
+def test_basic_solutions_parametrize_the_solution_set(case):
+    E = _basic_cases()[case]
+    rows, cols = E.shape
+    rng = np.random.default_rng(6)
+    h = E @ rng.standard_normal(cols)
+    x_p, N, pivots, residual = basic_solutions(E, h)
+    np.testing.assert_array_equal(pivots, _pivots_reference(E))
+    basic = ~pivots
+    assert N.shape == (cols, np.count_nonzero(basic))
+    np.testing.assert_array_equal(N[basic], np.eye(N.shape[1]))
+    np.testing.assert_array_equal(x_p[basic], 0.0)
+    np.testing.assert_allclose(E @ N, 0.0, atol=1e-12)
+    z = rng.standard_normal(N.shape[1])
+    np.testing.assert_allclose(E @ (x_p + N @ z), h, atol=1e-12)
+    assert residual <= 1e-12
+    if case == "circle":
+        # integer relations, unit pivots: the elimination is exact
+        np.testing.assert_array_equal(N, np.round(N))
+
+    rank = np.count_nonzero(pivots)
+    if rows == rank:
+        return
+    # an h at distance 1 from the range of E: no x comes closer
+    u, _, _ = np.linalg.svd(E)
+    w = u[:, rank:] @ rng.standard_normal(rows - rank)
+    assert basic_solutions(E, h + w / np.linalg.norm(w))[3] >= 1.0 - 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
