@@ -7,16 +7,16 @@ its SDP dual, read off the same solve.  L(1) = 1 and the equality relations
 are eliminated up front by one echelon form (`sdp.basic_solutions`, columns
 in descending grlex order).  Its pivots are the dependent moments; the other,
 basic moments are the SDP variables, with each column of N scaled to unit
-norm.  A pivot monomial's row of a moment or localizing block is then a
-fixed combination of the row of 1 and the basic rows, so each block keeps
-just those.  (That holds when each relation of degree e is a combination of
-relation rows h X^gamma of degree at most e, as for a single equality or
-x_i = x_i^2; where it fails, a dropped row only relaxes the block, and m_d
-is still a lower bound.)  This removes the common kernel that equalities
-give every feasible moment matrix (x = x^2 on {0,1}; the row of 1 equal to
-the sum of the rows of x_i^2 on a sphere), which keeps the SDP strictly
-feasible even when K is finite or a sphere, and each block stays as sparse
-as the moment matrix.  A flat solution is rounded to the moments of its
+norm.  A pivot monomial's row of a moment or localizing block is a fixed
+combination of the row of 1 and the basic rows, its normal form, when each
+relation of degree e is a combination of relation rows h X^gamma of degree
+at most e, as for a single equality or x_i = x_i^2.  So each block keeps
+those rows and any pivot row that its normal form misses (`_block_rows`,
+checked on the block's signatures).  This removes the common kernel that
+equalities give every feasible moment matrix (x = x^2 on {0,1}; the row of
+1 equal to the sum of the rows of x_i^2 on a sphere), which keeps the SDP
+strictly feasible even when K is finite or a sphere, and each block stays as
+sparse as the moment matrix.  A flat solution is rounded to the moments of its
 polished atoms (`solve_moment_sdp`).
 """
 
@@ -111,7 +111,8 @@ class MomentSdp:
     nullbasis: np.ndarray          # [I; -X], rows in basis order, columns scaled to unit norm
     offset: float                  # L(f) = c.z + offset
     block_weights: tuple           # g multiplying each PSD block (g=1 for the moment block)
-    block_bases: tuple             # monomial rows of each block: 1 and the basic monomials
+    block_bases: tuple             # monomial rows of each block: 1, the basic monomials and
+                                   # the pivot monomials whose normal forms miss their rows
 
 
 class MomentSdpError(RuntimeError):
@@ -136,6 +137,31 @@ def _relation_rows(prob: SemialgebraicProblem, basis: MonomialBasis):
         rows.extend(block)
         owners.extend((j, gamma) for gamma in basis.exponents[:m])
     return rows, owners
+
+
+def _block_rows(G, normal_forms, rows, pivot_rows):
+    """Rows a block keeps: `rows` (1 and the basic monomials) and the pivot rows they miss.
+
+    G holds the block's full signatures, G[i, j] = [F0 | F_1 ... F_k][i, j].  The
+    row of a pivot monomial is its normal form (its row of `normal_forms`, over
+    1 and the basic monomials) applied to `rows` when each relation of degree e
+    combines relation rows of degree at most e, as for a single equality or
+    x_i = x_i^2.  A pivot row that differs from that combination by more than
+    round-off is kept, unless its difference is a combination of the differences
+    of pivot rows kept before it; each dropped row is then a fixed combination of
+    kept rows.
+    """
+    if not len(pivot_rows):
+        return rows
+    sigs = G.reshape(len(G), -1)
+    coef = normal_forms[pivot_rows, :len(rows)]
+    diff = sigs[pivot_rows] - coef @ sigs[rows]
+    tol = 1e-12 * (1.0 + np.max(np.abs(sigs))) * (1.0 + np.max(np.abs(coef).sum(axis=1)))
+    missed = np.max(np.abs(diff), axis=1) > tol
+    if not missed.any():
+        return rows
+    r = np.abs(np.diag(np.linalg.qr(diff[missed].T, mode="r")))
+    return np.sort(np.r_[rows, pivot_rows[missed][r > tol]])
 
 
 def _check_level(prob: SemialgebraicProblem, d: int) -> None:
@@ -166,15 +192,22 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
         raise ValueError("equality constraints are inconsistent with L(1) = 1")
     weights = (Polynomial.constant(1.0, n),) + tuple(prob.constraints)
     max_n = float(np.max(np.abs(N), initial=0.0))
-    # the SDP takes unit-norm columns: raw basic coordinates leave more solves loose
+    normal_forms = np.column_stack([y_p, N])  # y = normal_forms @ [1; z], z unscaled
+    # unit-norm columns: on 31 circle, sphere and binary-corner relaxations they
+    # left 1 solve loose and raw basic coordinates 3, but which solves end loose
+    # moves with round-off in these coordinates (ROADMAP item 15)
     N /= np.linalg.norm(N, axis=0)
-    kept = np.flatnonzero(np.r_[True, ~pivots[1:]])  # the row of 1 (a pivot) and the basic rows
+    y_and_n = np.column_stack([y_p, N])
+    basic = np.flatnonzero(np.r_[True, ~pivots[1:]])  # the row of 1 (a pivot) and the basic rows
 
     blocks, block_bases = [], []
     for g in weights:
-        rows = kept[kept < r_dim(n, (budget - g.degree) // 2)]
-        loc = basis.localizing_map(basis.exps[rows], g)
-        blocks.append(SdpBlock(F0=loc.gather(y_p), mats=np.transpose(loc.gather(N), (2, 0, 1))))
+        s = r_dim(n, (budget - g.degree) // 2)
+        G = basis.localizing_map(basis.exps[:s], g).gather(y_and_n)
+        rows = _block_rows(G, normal_forms, basic[basic < s], np.flatnonzero(pivots[1:s]) + 1)
+        if len(rows) < s:
+            G = G[np.ix_(rows, rows)]
+        blocks.append(SdpBlock(F0=G[:, :, 0], mats=np.transpose(G[:, :, 1:], (2, 0, 1))))
         block_bases.append(tuple(basis.exponents[i] for i in rows))
     log.debug("level %d moment SDP: %d pivots of %d moments, max|N| %.3g, rows kept per "
               "block %s", d, np.count_nonzero(pivots), m, max_n, [len(r) for r in block_bases])

@@ -446,10 +446,9 @@ def basic_solutions(E: np.ndarray, h: np.ndarray):
     basic entries.  X and x_p come from one LU with partial pivoting of the
     pivot columns, in scan order, and two triangular solves, which is exact
     where the eliminations are, as on the sphere's relations and on
-    x_i = x_i^2; entries that round-off fills in where X is zero are reset to
-    zero.  N is [I; -X] up to the row order, so z is the basic entries of x in
-    ascending order; `pivots` masks the columns.  A residual above round-off
-    means E x = h has no solution.
+    x_i = x_i^2.  N is [I; -X] up to the row order, so z is the basic entries
+    of x in ascending order; `pivots` masks the columns.  A residual above
+    round-off means E x = h has no solution.
     """
     m = E.shape[1]
     scale = float(np.max(np.abs(E), initial=0.0))
@@ -462,9 +461,8 @@ def basic_solutions(E: np.ndarray, h: np.ndarray):
     rhs = np.column_stack([h, E[:, ~pivots]])[rows]
     sol = scipy.linalg.solve_triangular(
         U, scipy.linalg.solve_triangular(L[:r], rhs, lower=True, unit_diagonal=True))
-    sol[np.abs(sol) <= _rank_cutoff(E) * np.max(np.abs(sol), initial=0.0)] = 0.0  # fill-in
     x_p = np.zeros(m)
-    x_p[cols] = sol[:, 0]
+    x_p[cols] = sol[:, 0] + 0.0  # no -0.0 entries
     N = np.zeros((m, m - r))
     N[~pivots] = np.eye(N.shape[1])
     N[cols] = 0.0 - sol[:, 1:]  # 0.0 - X: no -0.0 entries

@@ -184,6 +184,39 @@ def test_sphere_blocks_are_sparse_in_basic_coordinates():
     assert res.certificate.residual_norm <= 1e-8
 
 
+@pytest.mark.parametrize("d, extra_row", [(4, (0, 2)), (6, (0, 3))])
+def test_pivot_rows_their_normal_forms_miss_stay_in_the_block(d, extra_row):
+    # x1^2 + x2 = 0 and x1 x2 = 0 give x2^2 = x2 (x1^2 + x2) - x1 (x1 x2) only through
+    # relation rows of degree 3, so x2^2 is a pivot with normal form 0 while its
+    # moment row still holds the basic moment of x2^4: dropping that row left
+    # z_{x2^4} in no block and min x2^4 unbounded
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    prob = SemialgebraicProblem(n=2, objective=x2 * x2 * x2 * x2,
+                                equalities=(x1 * x1 + x2, x1 * x2))
+    ms = build_moment_sdp(prob, d)
+    _check_kept_rows(ms)
+    assert ms.block_bases == (((0, 0), (1, 0), (0, 1), extra_row),)
+    (blk,) = ms.problem.blocks
+    assert np.all(np.any(blk.flat_mats != 0.0, axis=1))  # every variable enters the block
+    res = hierarchy.solve_moment_sdp(prob, ms)
+    assert res.status == "Optimal" and not res.retried
+    assert abs(res.m_d_star) <= 1e-7
+    assert res.certificate.residual_norm <= 1e-8
+
+
+@pytest.mark.parametrize("d, rows", [(4, ((0, 0), (1, 0), (0, 1), (0, 2))),
+                                     (6, ((0, 0), (1, 0), (0, 2), (0, 3)))])
+def test_dependent_pivot_rows_their_normal_forms_miss_keep_a_spanning_set(d, rows):
+    # x2 + x1 x2 = 0 and x1^2 = 0: three pivot rows miss their normal forms, but
+    # their differences from them span only two dimensions, so two of them are kept
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    prob = SemialgebraicProblem(n=2, objective=x1, equalities=(x2 + x1 * x2, x1 * x1))
+    ms = build_moment_sdp(prob, d)
+    _check_kept_rows(ms)
+    assert ms.block_bases == (rows,)
+    assert np.all(np.any(ms.problem.blocks[0].flat_mats != 0.0, axis=1))
+
+
 def test_build_logs_the_elimination(caplog):
     # one DEBUG line per build: pivot count, largest entry of N before its columns
     # are scaled, and the rows each block keeps

@@ -820,6 +820,15 @@ def test_basic_solutions_parametrize_the_solution_set(case):
     assert basic_solutions(E, h + w / np.linalg.norm(w))[3] >= 1.0 - 1e-12
 
 
+def test_basic_solutions_keep_small_pinned_values():
+    # x_1 = 1e-13 x_0 beside x_0 = 1: a real entry twelve orders below the
+    # largest one is part of x_p, not round-off
+    E = np.array([[1.0, 0.0], [-1e-13, 1.0]])
+    x_p, N, pivots, residual = basic_solutions(E, np.array([1.0, 0.0]))
+    np.testing.assert_array_equal(x_p, [1.0, 1e-13])
+    assert N.shape == (2, 0) and pivots.all() and residual == 0.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_problem_rejects_non_finite_cost(bad):
     blk = SdpBlock(F0=np.eye(2), mats=np.array([np.eye(2), np.eye(2)]))
