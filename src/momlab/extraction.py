@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from .cone import PseudoMomentSequence, SemialgebraicProblem, moment_matrix
 from .poly import MonomialBasis, r_dim
-from .sdp import affine_solutions, sv_rank
+from .sdp import basic_solutions, sv_rank
 
 __all__ = [
     "AtomicMeasure",
@@ -274,8 +274,8 @@ def tchakaloff_prune(mu: AtomicMeasure, t: int) -> AtomicMeasure:
     atoms = mu.atoms.copy()
     weights = mu.weights.copy()
     while atoms.shape[0] > l:
-        # more atoms than monomials, so the null space is never empty
-        _, null, _ = affine_solutions(basis.eval_matrix(atoms).T, np.zeros(l))
+        # more atoms than monomials, so a null vector exists; any one gives a valid step
+        _, null, _, _ = basic_solutions(basis.eval_matrix(atoms).T, np.zeros(l))
         c = null[:, -1]
         if np.max(c) < np.max(-c):
             c = -c

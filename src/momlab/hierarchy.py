@@ -31,7 +31,7 @@ import numpy as np
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import AtomicMeasure, check_flatness, extract_atoms, polish_atoms
 from .poly import MonomialBasis, Polynomial, r_dim
-from .sdp import (SdpBlock, SdpProblem, affine_solutions, basic_solutions, extract_dual_gram,
+from .sdp import (SdpBlock, SdpProblem, _leading_columns, basic_solutions, extract_dual_gram,
                   psd_floor, solve)
 
 __all__ = [
@@ -148,8 +148,8 @@ def _block_rows(G, normal_forms, rows, pivot_rows):
     combines relation rows of degree at most e, as for a single equality or
     x_i = x_i^2.  A pivot row that differs from that combination by more than
     round-off is kept, unless its difference is a combination of the differences
-    of pivot rows kept before it; each dropped row is then a fixed combination of
-    kept rows.
+    of pivot rows kept before it (`sdp._leading_columns`, the pivot rule of
+    `basic_solutions`); each dropped row is then a fixed combination of kept rows.
     """
     if not len(pivot_rows):
         return rows
@@ -160,8 +160,8 @@ def _block_rows(G, normal_forms, rows, pivot_rows):
     missed = np.max(np.abs(diff), axis=1) > tol
     if not missed.any():
         return rows
-    r = np.abs(np.diag(np.linalg.qr(diff[missed].T, mode="r")))
-    return np.sort(np.r_[rows, pivot_rows[missed][r > tol]])
+    kept = pivot_rows[missed][_leading_columns(diff[missed].T, tol)]
+    return np.sort(np.r_[rows, kept])
 
 
 def _check_level(prob: SemialgebraicProblem, d: int) -> None:
@@ -230,7 +230,12 @@ def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
 
 
 def _recover_multipliers(prob, residual_vec, basis):
-    """Least-squares equality multipliers soaking up the certificate residual."""
+    """Least-squares equality multipliers soaking up the certificate residual.
+
+    They give the smallest `residual_norm`, the certificate's soundness measure;
+    a triangular solve on the echelon pivots of the relation rows would zero the
+    residual on the pivot monomials only.
+    """
     rel_rows, owners = _relation_rows(prob, basis)
     multipliers = [Polynomial.zero(prob.n) for _ in prob.equalities]
     if not rel_rows:
@@ -371,7 +376,8 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
     `target` is a coefficient vector over `basis`.  Minimizes t subject to
     G_j + t*I PSD, t >= -1 and exact coefficient matching (left-multiplied by
     `project` when given).  The matching equations are eliminated before the
-    solve: the Gram entries range over x_p + N z and the SDP is over (z, t).
+    solve (`sdp.basic_solutions`): the Gram entries range over x_p + N z, z the
+    basic Gram entries, N's columns scaled to unit norm, and the SDP is over (z, t).
     The verdict reads only whether t* <= MEMBERSHIP_TOL, so any lower bound
     on t below 0 gives the same answer; -1 keeps the SDP well scaled (with
     -1e6, the Gram SDPs of `compute_d0` on the builtin corpus take up to 139
@@ -392,9 +398,10 @@ def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
         Aeq, beq = A, target
     else:
         Aeq, beq = project.T @ A, project.T @ target
-    x_p, N, residual = affine_solutions(Aeq, beq)
+    x_p, N, _, residual = basic_solutions(Aeq, beq)
     if residual > 1e-9 * (1.0 + np.linalg.norm(beq)):
         return None
+    N /= np.linalg.norm(N, axis=0)  # as `build_moment_sdp` scales them
     nz = N.shape[1]
     t_idx = nz
 
@@ -434,9 +441,9 @@ def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int):
 
     Decided by a phase-I SDP: minimize t subject to G_j + t*I PSD and exact
     coefficient matching; membership iff the optimum is <= ~1e-7.  Equality
-    multipliers are eliminated from the matching equations first (projection
-    onto the complement of their column span) so every remaining variable
-    appears in a PSD block.
+    multipliers are eliminated from the matching equations first (left product
+    with a basis of the null space of their rows; any basis gives the same
+    equations) so every remaining variable appears in a PSD block.
     """
     if q.n != prob.n:
         raise ValueError("dimension mismatch")
@@ -452,8 +459,8 @@ def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int):
     project = None
     rel_rows, _ = _relation_rows(prob, basis)
     if rel_rows:
-        # orthonormal complement of the multiplier span: the null space of the rows
-        _, project, _ = affine_solutions(np.array(rel_rows), np.zeros(len(rel_rows)))
+        # the null space of the relation rows, whose span the multipliers fill
+        _, project, _, _ = basic_solutions(np.array(rel_rows), np.zeros(len(rel_rows)))
     grams = phase1_gram(basis, [(rows, g) for rows, g in zip(gram_bases, weights) if rows],
                         q.coeff_vector(basis), project)
     if grams is None:

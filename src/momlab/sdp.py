@@ -14,18 +14,18 @@ PSD.
 
 There are no linear equality constraints: callers eliminate them before the
 solve by affine substitution x = x_p + N z, which keeps the blocks strictly
-feasible.  Two helpers make every such elimination and every null space in
-the package.  `basic_solutions` eliminates a moment relaxation's L(1) = 1 and
-equality relations with one echelon form: z is the basic moments and N is
-[I; -X] up to the row order, so each F_i stays as sparse as its moment rows.
-`affine_solutions` (one SVD gives x_p and N) stays where a caller needs an
-orthonormal N or the minimum-norm x_p: the phase-I Gram matching
-(`phase1_gram`), whose Gram entries have no moment structure to keep sparse,
-the multiplier complement that `qmodule_membership` projects onto, and the
-null vector of `tchakaloff_prune`'s inexact atom moments.  It and the final
-projection onto the optimal face (`_refine_primal`, one least-squares step)
-share the rank rule `sv_rank` and cutoff `_rank_cutoff`; `basic_solutions`
-picks its pivots at PIVOT_TOL.
+feasible.  One helper makes every such elimination and every null space in
+the package: `basic_solutions`, one echelon form whose z is the basic
+entries of x and whose N is [I; -X] up to the row order, so each F_i stays
+as sparse as the rows it comes from.  It eliminates a moment relaxation's
+L(1) = 1 and equality relations, the coefficient matching of the phase-I
+Gram SDPs (`phase1_gram`), and gives the null space of the relation rows
+that `qmodule_membership` projects onto and the null vector of each
+`tchakaloff_prune` step.  Its pivots are the columns `_leading_columns`
+finds at PIVOT_TOL, a rule the moment blocks' pivot-row check shares.  The
+final projection onto the optimal face (`_refine_primal`, one least-squares
+step) and the dual correction's pseudo-inverse (`_psd_pinv`) read ranks by
+the rule `sv_rank` at the cutoff `_rank_cutoff`.
 
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
@@ -107,7 +107,6 @@ __all__ = [
     "solve",
     "extract_dual_gram",
     "psd_floor",
-    "affine_solutions",
     "basic_solutions",
     "sv_rank",
     "export_sdpa",
@@ -151,15 +150,17 @@ class SdpBlock:
 
     | block                          | m*s^2 / nnz      | adjoint        | apply         |
     |--------------------------------|------------------|----------------|---------------|
-    | n=4, d=6 ball moment           | 256 025 / 1 224  | 51.3 -> 8.5    | 65.8 -> 7.0   |
-    | n=4, d=6 ball localizing       | 47 025 / 1 124   | 7.8 -> 6.7     | 9.5 -> 6.9    |
-    | n=3, d=6 ball moment           | 33 200 / 399     | 4.9 -> 3.3     | 7.9 -> 4.8    |
-    | n=3, d=6 ball localizing       | 8 300 / 399      | 2.6 -> 3.2     | 3.2 -> 3.7    |
-    | n=2, d=8 ball moment           | 9 900 / 224      | 2.8 -> 2.7     | 3.5 -> 3.8    |
-    | motzkin-box, d=6, box block    | 2 700 / 99       | 1.8 -> 2.0     | 2.2 -> 2.6    |
-    | 16 %-dense phase-I Gram block  | 230 400 / 36 742 | 38.8 -> 210.5  | 46.3 -> 115.9 |
+    | n=4, d=6 ball moment           | 256 025 / 1 224  | 60.6 -> 7.2    | 66.8 -> 6.8   |
+    | n=4, d=6 ball localizing       | 47 025 / 1 124   | 8.0 -> 6.2     | 8.7 -> 5.9    |
+    | n=3, d=6 ball moment           | 33 200 / 399     | 5.0 -> 3.1     | 4.9 -> 3.5    |
+    | n=3, d=6 ball localizing       | 8 300 / 399      | 2.5 -> 3.3     | 3.0 -> 3.6    |
+    | n=2, d=8 ball moment           | 9 900 / 224      | 2.8 -> 2.6     | 3.2 -> 3.1    |
+    | motzkin-box, d=6, box block    | 2 700 / 99       | 1.5 -> 2.0     | 2.3 -> 2.4    |
+    | phase-I Gram block             | 230 400 / 1 032  | 42.7 -> 5.9    | 44.1 -> 6.4   |
 
     The last block is the Gram block of `is_sos_convex(x1^6 + x2^6 + x3^2)`.
+    Through a dense SVD null basis it held 36 742 nonzeros (16 %), and the
+    nonzero products took 210.5 and 115.9 us against 38.8 and 46.3 dense.
     """
 
     F0: np.ndarray
@@ -404,21 +405,6 @@ def _rank_cutoff(A: np.ndarray) -> float:
 PIVOT_TOL = 1e-10
 
 
-def affine_solutions(E: np.ndarray, h: np.ndarray):
-    """Solutions of E x = h as x_p + N z: returns (x_p, N, ||E x_p - h||).
-
-    One SVD of E gives both parts.  With r the numerical rank (singular
-    values above `_rank_cutoff(E)` times the largest),
-    x_p = V_r S_r^-1 U_r' h is the minimum-norm least-squares solution and the
-    orthonormal columns of N = V[:, r:] span the null space of E.  A residual
-    above round-off means E x = h has no solution.
-    """
-    u, s, vt = np.linalg.svd(E, full_matrices=E.shape[0] < E.shape[1])
-    r = sv_rank(s, _rank_cutoff(E))
-    x_p = vt[:r].T @ ((u[:, :r].T @ h) / s[:r])
-    return x_p, vt[r:].T, float(np.linalg.norm(E @ x_p - h))
-
-
 def _leading_columns(A: np.ndarray, tol: float) -> list:
     """Columns of A whose part outside the span of the columns before them exceeds tol.
 
@@ -473,7 +459,7 @@ def _psd_pinv(A: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a symmetric PSD matrix from one eigh, rank by the `sv_rank` rule.
 
     Eigenvalues at or below `_rank_cutoff(A)` times the largest count as zero,
-    the tolerance `affine_solutions` uses.
+    the cutoff `_refine_primal` uses.
     """
     lam, U = np.linalg.eigh(A)
     k = len(lam) - sv_rank(lam[::-1], _rank_cutoff(A))

@@ -374,6 +374,32 @@ def test_membership_uses_equalities():
     assert cert.residual_norm <= 1e-6
 
 
+def test_membership_with_dependent_relation_rows():
+    # the circle given once, twice, and with x1 times itself: the relation rows of
+    # a redundant equality are rows of the first one, and the projection onto the
+    # null space of the dependent rows gives the verdicts of the single equality
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    h = x1 * x1 + x2 * x2 - 1
+    single, twice, shifted = (
+        SemialgebraicProblem(n=2, objective=x1, constraints=(0.5 * (1 - x1),), equalities=eqs)
+        for eqs in ((h,), (h, h), (h, x1 * h)))
+    for prob in (twice, shifted):
+        rows = np.array(hierarchy._relation_rows(prob, MonomialBasis(2, 4))[0])
+        assert np.linalg.matrix_rank(rows) < len(rows)
+    cases = [(1 - x1 * x1, 2, True), (2 + x1, 2, True), (1 - x1 ** 4, 4, True),
+             (1 - x1 * x1 * x2, 4, True), (x1, 2, False), (Polynomial.constant(-1.0, 2), 3, False),
+             (x1 * x2 + 0.4, 3, False), (x1 * x1 - 0.5, 4, False), (x2, 4, False)]
+    for q, d, member in cases:
+        assert qmodule_membership(q, single, d)[0] == member
+        for prob in (twice, shifted):
+            ok, cert = qmodule_membership(q, prob, d)
+            assert ok == member
+            if member:
+                assert cert.residual_norm <= 1e-7
+    # 1 - h and 1 + h are the targets either way (x1 h would add targets of degree 3)
+    assert compute_d0(twice, 4) == compute_d0(single, 4) == 2
+
+
 def test_compute_d0_examples():
     x = Polynomial.variable(0, 1)
     half_ring = SemialgebraicProblem(
