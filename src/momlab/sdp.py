@@ -59,18 +59,23 @@ about as many iterations are saved, but more runs stall just above TOL: of
 the ball and box, n = 2..5), 5 ended loose instead of 3.
 Everything is dense; blocks at desk scale are at most a few hundred rows.
 The iteration is fully deterministic: fixed order, no randomized pivoting.
-The Cholesky factors LS_j of S_j and LZ_j of Z_j are the only factorizations
-of a block per iterate, and every per-block kernel reads them: the NT
-scaling W_j^-1 and its basis G_j from one SVD of LZ_j' LS_j and one
-triangular solve (`_nt_scaling`), both step lengths from one `sygst` and one
-smallest-eigenvalue `syevr` call (`_max_step`), and the corrector's Z_j^-1
-from `potri` (`_chol_inv`).  The Schur solves are `potrs` calls on the
-Schur matrix's factor (`_chol_solve`).  A block whose factorization fails has
-left the positive definite cone: no step can move it again, so the run ends
-there `IllConditioned`.  The blocks are small, so the loop's cost is per-call
-overhead more than arithmetic: each of these kernels is a direct LAPACK call
-that keeps scipy's checks (a non-finite operand raises ValueError, a failure
-LAPACK reports LinAlgError), with a factor checked once, when `_chol` makes
+`solve` holds the loop, the centering rule and the order of the status
+tests, and calls named kernels: `_Iterate.measure` (an iterate's residuals,
+objectives and gap, measured once), `SdpProblem.adjoint` and
+`SdpProblem.schur`, `_schur_factor`, `_direction`, `_step` and
+`_threshold_status`.  The Cholesky factors LS_j of S_j and LZ_j of Z_j are
+the only factorizations of a block per iterate, and every per-block kernel
+reads them: the NT scaling W_j^-1 and its basis G_j from one SVD of
+LZ_j' LS_j and one triangular solve (`_nt_scaling`), both step lengths from
+one `sygst` and one smallest-eigenvalue `syevr` call (`_max_step`), and the
+corrector's Z_j^-1 from `potri` (`_chol_inv`).  The Schur solves are `potrs`
+calls on the Schur matrix's jittered factor (`_chol_solve`).  A step's
+factorizations run in one `try`: a LinAlgError from any of them (a block
+that has left the positive definite cone, a Schur matrix past its jitter
+cap, a failed SVD) ends the run `IllConditioned`.  The blocks are small, so
+the loop's cost is per-call overhead more than arithmetic: each of these
+kernels is a direct LAPACK call that keeps scipy's checks (a non-finite
+operand raises ValueError), with a factor checked once, when `_chol` makes
 it; and every Frobenius inner product is one dot product (`_inner`).
 
 Every search direction keeps the dual residual exactly.  A*(Z) = c - rd is
@@ -86,9 +91,10 @@ residual by 1 - ad up to round-off, and once it has reached round-off it
 stays there.
 
 Stopping rule: `Optimal` at the first iterate with relative residuals and
-gap <= TOL (1e-8).  A run that ends any other way returns its first iterate
-within LOOSE_TOL (1e-7), if it had one, as `Optimal` with `loose=True`; no
-second solve runs, and `iterations` and `trace` cover the whole run.
+gap <= TOL (1e-8).  A run that ends any other way logs one DEBUG line naming
+the test that ended it, and returns its first iterate within LOOSE_TOL
+(1e-7), if it had one, as `Optimal` with `loose=True`; no second solve runs,
+and `iterations` and `trace` cover the whole run.
 """
 
 from __future__ import annotations
@@ -267,6 +273,17 @@ class SdpProblem:
             if len(blk.mats) != self.n_vars:
                 raise ValueError(f"SdpProblem block {j} has {len(blk.mats)} coefficient "
                                  f"matrices, but n_vars is {self.n_vars}")
+
+    def adjoint(self, Z: list) -> np.ndarray:
+        """A*(Z): the blocks' shares <F_ji, Z_j> summed, one entry per variable."""
+        return sum((blk.adjoint(Zj) for blk, Zj in zip(self.blocks, Z)), np.zeros(self.n_vars))
+
+    def schur(self, W_inv: list) -> np.ndarray:
+        """M[i, k] = sum over blocks of <F_ji, W_j^-1 F_jk W_j^-1>."""
+        M = np.zeros((self.n_vars, self.n_vars))
+        for blk, Wj_inv in zip(self.blocks, W_inv):
+            M += blk.schur(Wj_inv)
+        return _sym(M)
 
 
 MAX_ITER = 200
@@ -524,198 +541,180 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
     return x_ref
 
 
+@dataclass(frozen=True)
+class _Iterate:
+    """An iterate (x, S, Z) of `solve`, measured once by `_Iterate.measure`."""
+
+    x: np.ndarray
+    S: list
+    Z: list
+    Rp: list  # A_j(x) - S_j per block
+    rd: np.ndarray  # c - A*(Z)
+    pobj: float
+    dobj: float
+    pres: float  # max over blocks of ||Rp_j|| / (1 + ||F_j0||)
+    dres: float  # ||rd|| / (1 + ||c||)
+    gap: float  # sum over blocks of <S_j, Z_j>
+
+    @classmethod
+    def measure(cls, problem: SdpProblem, x, S, Z) -> "_Iterate":
+        Rp = [blk.assemble(x) - Sj for blk, Sj in zip(problem.blocks, S)]
+        rd = problem.c - problem.adjoint(Z)
+        pres = max(np.linalg.norm(R) / (1.0 + np.linalg.norm(blk.F0))
+                   for R, blk in zip(Rp, problem.blocks))
+        return cls(x, S, Z, Rp, rd, float(problem.c @ x),
+                   -sum(_inner(blk.F0, Zj) for blk, Zj in zip(problem.blocks, Z)), pres,
+                   np.linalg.norm(rd) / (1.0 + np.linalg.norm(problem.c)),
+                   sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z)))
+
+    @property
+    def mu(self) -> float:
+        return self.gap / sum(len(Sj) for Sj in self.S)
+
+    @property
+    def relgap(self) -> float:
+        return self.gap / (1.0 + abs(self.pobj) + abs(self.dobj))
+
+    def within(self, tol: float) -> bool:
+        return self.pres <= tol and self.dres <= tol and self.relgap <= tol
+
+
+def _schur_factor(M: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the Schur matrix M, jittered on near-singularity.
+
+    After a failure the jitter starts at 1e-14 * scale and grows 100-fold,
+    scale the mean diagonal of M (at least 1).  LinAlgError past 1e-6 * scale.
+    """
+    scale = max(1.0, float(np.trace(M)) / max(len(M), 1))
+    jitter = 0.0
+    while jitter <= 1e-6 * scale:
+        try:
+            return _chol(M if jitter == 0.0 else M + jitter * np.eye(len(M)))
+        except np.linalg.LinAlgError:
+            jitter = 1e-14 * scale if jitter == 0.0 else jitter * 100.0
+    raise np.linalg.LinAlgError(f"Schur matrix not positive definite at jitter 1e-6 * {scale:.2e}")
+
+
+def _direction(problem: SdpProblem, pt: _Iterate, W_inv, Lm, AA_pinv, Rc, K):
+    """Search direction (dx, dS, dZ) whose complementarity reads W^-1 Rc W^-1 - K per block.
+
+    Lm is the Schur factor; dZ is corrected to A*(dZ) = rd (module docstring).
+    """
+    g = problem.adjoint([_sym(Wj_inv @ (Rcj - Rpj) @ Wj_inv) - Kj
+                         for Wj_inv, Rcj, Rpj, Kj in zip(W_inv, Rc, pt.Rp, K)])
+    dx = _chol_solve(Lm, g - pt.rd)
+    dS, dZ = [], []
+    for blk, Wj_inv, Rcj, Rpj, Kj in zip(problem.blocks, W_inv, Rc, pt.Rp, K):
+        dSj = Rpj + blk.apply(dx)
+        dZ.append(_sym(Wj_inv @ (Rcj - dSj) @ Wj_inv) - Kj)
+        dS.append(_sym(dSj))
+    w = AA_pinv @ (pt.rd - problem.adjoint(dZ))
+    return dx, dS, [dZj + blk.apply(w) for blk, dZj in zip(problem.blocks, dZ)]
+
+
+def _step(L: list, dX: list) -> float:
+    """Largest fraction-to-boundary step keeping every block of X + a*dX PSD; L factors X."""
+    return min(_max_step(Lj, dXj, STEP_FRAC) for Lj, dXj in zip(L, dX))
+
+
+def _threshold_status(pt: _Iterate, zeta: float, stall_count: int):
+    """(status, the test that fired) if a threshold test ends the run at pt, else None."""
+    if not (np.isfinite(pt.mu) and np.isfinite(pt.pres) and np.isfinite(pt.dres)):
+        return "IllConditioned", f"non-finite mu, pres or dres: {pt.mu}, {pt.pres}, {pt.dres}"
+    znorm = max(np.linalg.norm(Zj) for Zj in pt.Z)  # a diverging dual ray: no feasible point
+    if znorm > 1e10 * zeta and pt.pres > 1e2 * TOL:
+        return "Infeasible", f"dual ray: max ||Z_j|| {znorm:.2e} > 1e10 zeta, pres {pt.pres:.2e}"
+    if pt.mu < 1e-14 and pt.pres > 1e2 * TOL:
+        return "Infeasible", f"mu floor: mu {pt.mu:.2e} < 1e-14, pres {pt.pres:.2e}"
+    if stall_count >= 3:
+        return ("Infeasible" if pt.pres > 1e2 * TOL else "IllConditioned",
+                f"stall counter: 3 steps with max(ap, ad) < 1e-8, pres {pt.pres:.2e}")
+    return None
+
+
 def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration; see module docstring for the method."""
-    nv = problem.n_vars
-    c = problem.c
     blocks = problem.blocks
-
     for j, blk in enumerate(blocks):
         log.debug("block %d: s %d, m %d, %d nonzeros, %s apply and adjoint",
-                  j, blk.size, nv, len(blk.nonzeros[0]), blk.product)
-    dim_total = sum(blk.size for blk in blocks)
-    x = np.zeros(nv)
-    S = [np.eye(blk.size) * (1.0 + np.linalg.norm(blk.F0)) for blk in blocks]
-    zeta = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
-    Z = [np.eye(blk.size) * zeta for blk in blocks]
-
-    c_scale = 1.0 + np.linalg.norm(c)
-    f0_scale = [1.0 + np.linalg.norm(blk.F0) for blk in blocks]
-
-    trace = []
-    status = "MaxIter"
-    stall_count = 0
-    it = 0
-    # the loop rebinds x, S and Z each step, so loose holds references
-    loose = None  # (x, S, Z) of the first iterate within LOOSE_TOL
-    last_step = "starting point"  # the step that produced the iterate, for the log
-
-    def adjoint(Zs):
-        out = np.zeros(nv)
-        for blk, Zj in zip(blocks, Zs):
-            out += blk.adjoint(Zj)
-        return out
-
-    def measure(x, S, Z):
-        """Residuals and objectives of an iterate: (Rp, rd, pobj, dobj, pres, dres)."""
-        Rp = [blk.assemble(x) - Sj for blk, Sj in zip(blocks, S)]
-        rd = c - adjoint(Z)
-        pobj = float(c @ x)
-        dobj = -sum(_inner(blk.F0, Zj) for blk, Zj in zip(blocks, Z))
-        pres = max(np.linalg.norm(R) / fs for R, fs in zip(Rp, f0_scale))
-        dres = np.linalg.norm(rd) / c_scale
-        return Rp, rd, pobj, dobj, pres, dres
-
-    def step(Ls, dXs):
-        """Largest fraction-to-boundary step keeping every block of Xs + a*dXs PSD.
-
-        Ls are the Cholesky factors of the blocks of Xs.
-        """
-        return min(_max_step(Lj, dXj, STEP_FRAC) for Lj, dXj in zip(Ls, dXs))
-
-    def schur(W_inv):
-        """M[i, k] = sum over blocks of <F_ji, W_j^-1 F_jk W_j^-1>."""
-        M = np.zeros((nv, nv))
-        for blk, Wj_inv in zip(blocks, W_inv):
-            M += blk.schur(Wj_inv)
-        return _sym(M)
-
+                  j, blk.size, problem.n_vars, len(blk.nonzeros[0]), blk.product)
+    zeta = 1.0 + float(np.max(np.abs(problem.c))) if problem.c.size else 1.0
+    pt = _Iterate.measure(problem, np.zeros(problem.n_vars),
+                          [np.eye(blk.size) * (1.0 + np.linalg.norm(blk.F0)) for blk in blocks],
+                          [np.eye(blk.size) * zeta for blk in blocks])
     # the dual projection of every search direction
-    AA_pinv = _psd_pinv(schur([np.eye(blk.size) for blk in blocks]))
+    AA_pinv = _psd_pinv(problem.schur([np.eye(blk.size) for blk in blocks]))
 
+    trace, loose, stall_count, it = [], None, 0, 0  # loose: first iterate within LOOSE_TOL
+    status, reason = "MaxIter", f"MAX_ITER = {MAX_ITER} iterations"
+    last_step = "starting point"  # the step that produced the iterate, for the log
     for it in range(1, MAX_ITER + 1):
-        Rp, rd, pobj, dobj, pres, dres = measure(x, S, Z)
-        gap = sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z))
-        mu = gap / dim_total
-        relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-        trace.append((pobj, dobj, pres, dres, mu))
+        trace.append((pt.pobj, pt.dobj, pt.pres, pt.dres, pt.mu))
         log.debug("iter %3d  pobj %+.6e  dobj %+.6e  pres %.2e  dres %.2e  gap %.2e  %s",
-                  it, pobj, dobj, pres, dres, relgap, last_step)
-
-        if pres <= TOL and dres <= TOL and relgap <= TOL:
+                  it, pt.pobj, pt.dobj, pt.pres, pt.dres, pt.relgap, last_step)
+        if pt.within(TOL):
             status = "Optimal"
             break
-        if loose is None and pres <= LOOSE_TOL and dres <= LOOSE_TOL and relgap <= LOOSE_TOL:
-            loose = (x, S, Z)
-        if not (np.isfinite(mu) and np.isfinite(pres) and np.isfinite(dres)):
-            status = "IllConditioned"
+        if loose is None and pt.within(LOOSE_TOL):
+            loose = pt
+        ended = _threshold_status(pt, zeta, stall_count)
+        if ended:
+            status, reason = ended
             break
-        znorm = max(np.linalg.norm(Zj) for Zj in Z)
-        if znorm > 1e10 * zeta and pres > 1e2 * TOL:
-            # dual ray diverging while primal residual is stuck: no feasible point
-            status = "Infeasible"
-            break
-        if mu < 1e-14 and pres > 1e2 * TOL:
-            status = "Infeasible"
-            break
-        if stall_count >= 3:
-            status = "Infeasible" if pres > 1e2 * TOL else "IllConditioned"
-            break
-        # the only factorizations per block and iterate: the NT scaling, both
-        # step lengths and Z^-1 all read them; a block that has left the PD
-        # cone would take step 0 from here on
+        # the factors of S and Z are a block's only ones per iterate (the NT scaling,
+        # step lengths and Z^-1 read them); any failed factorization ends the run
         try:
-            LS = [_chol(Sj) for Sj in S]
-            LZ = [_chol(Zj) for Zj in Z]
-        except np.linalg.LinAlgError:
-            status = "IllConditioned"
+            LS = [_chol(Sj) for Sj in pt.S]
+            LZ = [_chol(Zj) for Zj in pt.Z]
+            nt = [_nt_scaling(LSj, LZj) for LSj, LZj in zip(LS, LZ)]
+            W_inv = [ntj[0] for ntj in nt]
+            Lm = _schur_factor(problem.schur(W_inv))
+            # predictor: pure Newton step toward the boundary fixes the centering weight
+            dx, dS, dZ = _direction(problem, pt, W_inv, Lm, AA_pinv,
+                                    [-Sj for Sj in pt.S], [0.0] * len(blocks))
+            ap, ad = _step(LS, dS), _step(LZ, dZ)
+            gap_aff = sum(_inner(Sj + ap * dSj, Zj + ad * dZj)
+                          for Sj, dSj, Zj, dZj in zip(pt.S, dS, pt.Z, dZ))
+            sigma = min(1.0, max(1e-8, (max(gap_aff, 0.0) / pt.gap) ** 3))
+            if pt.relgap < 0.1 * max(pt.pres, pt.dres):
+                # gap has outrun feasibility: recenter fully so the next
+                # iterations can take feasibility-restoring steps
+                sigma = 1.0
+            # corrector: recentered step with the predictor's second-order term,
+            # Schur factorization reused
+            Rc = [sigma * pt.mu * _chol_inv(LZj) - Sj for Sj, LZj in zip(pt.S, LZ)]
+            second_order = min(ap, ad) >= SECOND_ORDER_MIN_STEP
+            K = ([_second_order(G, G_inv_T, d, dSj, dZj)
+                  for (_, G, G_inv_T, d), dSj, dZj in zip(nt, dS, dZ)]
+                 if second_order else [0.0] * len(blocks))
+            dx, dS, dZ = _direction(problem, pt, W_inv, Lm, AA_pinv, Rc, K)
+            ap, ad = _step(LS, dS), _step(LZ, dZ)
+        except np.linalg.LinAlgError as exc:
+            status, reason = "IllConditioned", f"LinAlgError in the Newton step: {exc}"
             break
-
-        # Nesterov-Todd scalings, each with its scaled basis, and Schur complement
-        nt = [_nt_scaling(LSj, LZj) for LSj, LZj in zip(LS, LZ)]
-        W_inv = [ntj[0] for ntj in nt]
-        M = schur(W_inv)
-
-        # dense Cholesky with escalating jitter on near-singularity
-        scale = max(1.0, float(np.trace(M)) / max(nv, 1))
-        Lm = None
-        jitter = 0.0
-        for attempt in range(8):
-            try:
-                Lm = _chol(M if jitter == 0.0 else M + jitter * np.eye(nv))
-                break
-            except np.linalg.LinAlgError:
-                jitter = 1e-14 * scale if jitter == 0.0 else jitter * 100.0
-        if Lm is None or jitter > 1e-6 * scale:
-            status = "IllConditioned"
-            break
-
-        def direction(Rc, K):
-            """Search direction whose complementarity reads W^-1 Rc W^-1 - K per block."""
-            g = adjoint([_sym(Wj_inv @ (Rcj - Rpj) @ Wj_inv) - Kj
-                         for Wj_inv, Rcj, Rpj, Kj in zip(W_inv, Rc, Rp, K)])
-            dx = _chol_solve(Lm, g - rd)
-            dS, dZ = [], []
-            for blk, Wj_inv, Rcj, Rpj, Kj in zip(blocks, W_inv, Rc, Rp, K):
-                dSj = Rpj + blk.apply(dx)
-                dZ.append(_sym(Wj_inv @ (Rcj - dSj) @ Wj_inv) - Kj)
-                dS.append(_sym(dSj))
-            # minimum-norm correction to A*(dZ) = rd exactly
-            w = AA_pinv @ (rd - adjoint(dZ))
-            dZ = [dZj + blk.apply(w) for blk, dZj in zip(blocks, dZ)]
-            return dx, dS, dZ
-
-        # predictor: pure Newton step toward the boundary fixes the centering weight
-        dx_a, dS_a, dZ_a = direction([-Sj for Sj in S], [0.0] * len(blocks))
-        ap, ad = step(LS, dS_a), step(LZ, dZ_a)
-        gap_aff = sum(
-            _inner(Sj + ap * dSj, Zj + ad * dZj)
-            for Sj, dSj, Zj, dZj in zip(S, dS_a, Z, dZ_a)
-        )
-        sigma = min(1.0, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
-        if relgap < 0.1 * max(pres, dres):
-            # gap has outrun feasibility: recenter fully so the next
-            # iterations can take feasibility-restoring steps
-            sigma = 1.0
-
-        # corrector: recentered step with the predictor's second-order term,
-        # Schur factorization reused
-        try:
-            Rc = [sigma * mu * _chol_inv(LZj) - Sj for Sj, LZj in zip(S, LZ)]
-        except np.linalg.LinAlgError:
-            status = "IllConditioned"
-            break
-        second_order = min(ap, ad) >= SECOND_ORDER_MIN_STEP
-        K = ([_second_order(G, G_inv_T, d, dSj, dZj)
-              for (_, G, G_inv_T, d), dSj, dZj in zip(nt, dS_a, dZ_a)]
-             if second_order else [0.0] * len(blocks))
-        dx, dS, dZ = direction(Rc, K)
-        ap, ad = step(LS, dS), step(LZ, dZ)
         last_step = (f"sigma {sigma:.1e}  ap {ap:.3f}  ad {ad:.3f}  "
                      f"second-order {'on' if second_order else 'off'}")
-
-        if max(ap, ad) < 1e-8:
-            stall_count += 1
-        else:
-            stall_count = 0
-
-        x = x + ap * dx
-        S = [_sym(Sj + ap * dSj) for Sj, dSj in zip(S, dS)]
-        Z = [_sym(Zj + ad * dZj) for Zj, dZj in zip(Z, dZ)]
+        stall_count = stall_count + 1 if max(ap, ad) < 1e-8 else 0
+        pt = _Iterate.measure(problem, pt.x + ap * dx,
+                              [_sym(Sj + ap * dSj) for Sj, dSj in zip(pt.S, dS)],
+                              [_sym(Zj + ad * dZj) for Zj, dZj in zip(pt.Z, dZ)])
 
     accepted_loose = status != "Optimal" and loose is not None
+    if status != "Optimal":
+        log.debug("run ended %s after %d iterations: %s%s", status, it, reason,
+                  "; accepted its first iterate within LOOSE_TOL" if accepted_loose else "")
     if accepted_loose:
-        x, S, Z = loose
-        status = "Optimal"
-    gap = sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z))
+        pt, status = loose, "Optimal"
+    final = pt
     if status == "Optimal":
         # dual identifies the optimal face; project the primal iterate onto it
-        x = _refine_primal(problem, x, Z, LOOSE_TOL if accepted_loose else TOL, gap)
-        S = [_sym(blk.assemble(x)) for blk in blocks]
-    _, _, pobj, dobj, pres, dres = measure(x, S, Z)
-    return SdpSolution(
-        x=x,
-        block_duals=Z,
-        value=pobj,
-        dual_value=dobj,
-        status=status,
-        iterations=it,
-        gap=gap / (1.0 + abs(pobj) + abs(dobj)),
-        primal_residual=float(pres),
-        dual_residual=float(dres),
-        trace=trace,
-        loose=accepted_loose,
-    )
+        x = _refine_primal(problem, pt.x, pt.Z, LOOSE_TOL if accepted_loose else TOL, pt.gap)
+        final = _Iterate.measure(problem, x, [_sym(blk.assemble(x)) for blk in blocks], pt.Z)
+    return SdpSolution(x=final.x, block_duals=final.Z, value=final.pobj, dual_value=final.dobj,
+                       status=status, iterations=it,
+                       gap=pt.gap / (1.0 + abs(final.pobj) + abs(final.dobj)),  # before refinement
+                       primal_residual=float(final.pres), dual_residual=float(final.dres),
+                       trace=trace, loose=accepted_loose)
 
 
 def extract_dual_gram(sol: SdpSolution, block: int) -> np.ndarray:

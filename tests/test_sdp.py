@@ -476,6 +476,123 @@ def test_singular_dual_ends_ill_conditioned(monkeypatch):
     assert sol.iterations == 1
 
 
+def _offdiag_sdp():
+    """min x over PSD [[1, x], [x, 1]] (optimum -1)."""
+    blk = SdpBlock(F0=np.eye(2), mats=np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+    return SdpProblem(n_vars=1, c=np.array([1.0]), blocks=[blk])
+
+
+def _end_line(caplog):
+    """The last momlab.sdp log line, and how many lines the run logged."""
+    lines = [r.getMessage() for r in caplog.records if r.name == "momlab.sdp"]
+    return lines[-1], len(lines)
+
+
+def test_schur_past_its_jitter_cap_ends_ill_conditioned(monkeypatch):
+    # a Schur matrix that no jitter up to 1e-6 of its scale makes positive definite
+    monkeypatch.setattr(SdpBlock, "schur", lambda self, W_inv: -np.eye(len(self.mats)))
+    sol = solve(_offdiag_sdp())
+    assert sol.status == "IllConditioned"
+    assert sol.iterations == 1
+
+
+def test_schur_factor_jitters_up_to_its_cap():
+    # a singular PSD matrix factors with the first jitter, 1e-14 times its mean diagonal
+    M = np.full((3, 3), 2.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._chol(M)
+    np.testing.assert_array_equal(sdp._schur_factor(M), sdp._chol(M + 2e-14 * np.eye(3)))
+    with pytest.raises(np.linalg.LinAlgError, match="Schur matrix not positive definite"):
+        sdp._schur_factor(-np.eye(3))
+
+
+def test_failed_nt_scaling_ends_ill_conditioned(monkeypatch, caplog):
+    # a LAPACK failure anywhere in the Newton step ends the run; it does not raise
+    def no_svd(LS, LZ):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(sdp, "_nt_scaling", no_svd)
+    with caplog.at_level(logging.DEBUG, logger="momlab.sdp"):
+        sol = solve(_offdiag_sdp())
+    assert sol.status == "IllConditioned"
+    assert sol.iterations == 1
+    assert sol.describe().startswith("status IllConditioned after 1 iterations")
+    assert _end_line(caplog)[0] == ("run ended IllConditioned after 1 iterations: "
+                                    "LinAlgError in the Newton step: SVD did not converge")
+
+
+def _empty_k_problem():
+    """min x on {-1 - x^2 >= 0}: K is empty."""
+    x = Polynomial.variable(0, 1)
+    return SemialgebraicProblem(n=1, objective=x, constraints=(-1 - x * x,))
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_empty_k_ends_infeasible_through_the_stall_counter(caplog, d):
+    # three steps in a row shorter than 1e-8 with the primal residual stuck
+    # (12 iterations at d = 2 and 23 at d = 4, OpenBLAS on a 2-core Xeon, one and two threads)
+    with caplog.at_level(logging.DEBUG, logger="momlab.sdp"):
+        sol = solve(build_moment_sdp(_empty_k_problem(), d).problem)
+    assert sol.status == "Infeasible" and not sol.loose
+    assert sol.iterations < sdp.MAX_ITER
+    assert sol.primal_residual > 1e2 * sdp.TOL
+    assert "stall counter" in _end_line(caplog)[0]
+    with pytest.raises(hierarchy.MomentSdpError, match=f"level {d}: .*status Infeasible"):
+        hierarchy.solve_moment_relaxation(_empty_k_problem(), d)
+
+
+def test_non_optimal_end_logs_the_test_that_fired(caplog, monkeypatch):
+    # one DEBUG line after the iteration lines, only when the run does not end
+    # Optimal at TOL; test_iterations_logged_at_debug covers an Optimal run
+    prob = build_moment_sdp(_empty_k_problem(), 2).problem
+    with caplog.at_level(logging.DEBUG, logger="momlab.sdp"):
+        sol = solve(prob)
+    line, count = _end_line(caplog)
+    assert count == len(prob.blocks) + sol.iterations + 1
+    assert line == (f"run ended Infeasible after {sol.iterations} iterations: stall counter: "
+                    f"3 steps with max(ap, ad) < 1e-8, pres {sol.primal_residual:.2e}")
+    # a run that accepts its first iterate within LOOSE_TOL says so
+    monkeypatch.setattr(sdp, "TOL", 0.0)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="momlab.sdp"):
+        sol = solve(_line_sdp())
+    line, count = _end_line(caplog)
+    assert sol.loose and count == 2 + sol.iterations + 1
+    assert line.startswith("run ended ") and line.endswith(
+        "; accepted its first iterate within LOOSE_TOL")
+
+
+def test_direction_solves_the_newton_system():
+    # a random SDP at an interior, infeasible point: dS = sym(Rp + A(dx)),
+    # A*(dZ) = rd, and dZ = sym(W^-1 (Rc - dS) W^-1) - K up to the dual correction
+    rng = np.random.default_rng(3)
+    nv, sizes = 5, (4, 3)
+    blocks = [SdpBlock(F0=_random_sym(rng, s, s), mats=_random_sym(rng, nv, s, s)) for s in sizes]
+    prob = SdpProblem(n_vars=nv, c=rng.standard_normal(nv), blocks=blocks)
+    pt = sdp._Iterate.measure(prob, rng.standard_normal(nv), [_spd(rng, s) for s in sizes],
+                              [_spd(rng, s) for s in sizes])
+    LS = [sdp._chol(Sj) for Sj in pt.S]
+    LZ = [sdp._chol(Zj) for Zj in pt.Z]
+    nt = [sdp._nt_scaling(a, b) for a, b in zip(LS, LZ)]
+    W_inv = [ntj[0] for ntj in nt]
+    Lm = sdp._schur_factor(prob.schur(W_inv))
+    AA_pinv = sdp._psd_pinv(prob.schur([np.eye(s) for s in sizes]))
+    dx, dS, dZ = sdp._direction(prob, pt, W_inv, Lm, AA_pinv, [-Sj for Sj in pt.S], [0.0, 0.0])
+    K = [sdp._second_order(G, G_inv_T, d, a, b) for (_, G, G_inv_T, d), a, b in zip(nt, dS, dZ)]
+    Rc = [0.3 * pt.mu * np.linalg.inv(Zj) - Sj for Zj, Sj in zip(pt.Z, pt.S)]
+    for Rc, K in (([-Sj for Sj in pt.S], [0.0, 0.0]), (Rc, K)):
+        dx, dS, dZ = sdp._direction(prob, pt, W_inv, Lm, AA_pinv, Rc, K)
+        for blk, Rpj, dSj in zip(blocks, pt.Rp, dS):
+            np.testing.assert_allclose(dSj, 0.5 * (Rpj + Rpj.T) + blk.apply(dx),
+                                       rtol=0, atol=1e-14 * np.abs(dSj).max())
+        A_dZ = sum(np.tensordot(blk.mats, dZj) for blk, dZj in zip(blocks, dZ))
+        assert np.linalg.norm(A_dZ - pt.rd) <= 1e-12 * np.linalg.norm(pt.rd)
+        for Wj_inv, Rcj, dSj, Kj, dZj in zip(W_inv, Rc, dS, K, dZ):
+            newton = Wj_inv @ (Rcj - dSj) @ Wj_inv
+            np.testing.assert_allclose(dZj, 0.5 * (newton + newton.T) - Kj,
+                                       rtol=0, atol=1e-10 * np.abs(dZj).max())
+
+
 def test_infeasible_detection():
     # x >= 1 and -x >= 0 simultaneously
     blocks = [
