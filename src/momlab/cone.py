@@ -315,18 +315,6 @@ class MomentMatrix:
     def eigvals(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.M)
 
-    def _eigen_factor(self, tol: float, zero_message: str):
-        """Square roots r (a column) and eigenvectors U' (rows) of the eigenvalues of
-        the symmetrized M above tol * lambda_max, so that M ~ (r U')'(r U').
-
-        Raises ValueError(zero_message) when lambda_max <= 0.
-        """
-        w, U = np.linalg.eigh((self.M + self.M.T) / 2)
-        if w[-1] <= 0.0:
-            raise ValueError(zero_message)
-        keep = w > tol * w[-1]
-        return np.sqrt(w[keep])[:, None], U[:, keep].T
-
 
 def moment_matrix(y: PseudoMomentSequence, d: int) -> MomentMatrix:
     """Moment matrix of order d: M[alpha,beta] = y_{alpha+beta}, size r(n,d)."""

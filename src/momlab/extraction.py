@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from .cone import PseudoMomentSequence, SemialgebraicProblem, moment_matrix
 from .poly import MonomialBasis, r_dim
-from .sdp import basic_solutions, sv_rank
+from .sdp import basic_solutions, psd_split, sv_rank
 
 __all__ = [
     "AtomicMeasure",
@@ -141,9 +141,11 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
     """
     _check_rank_tol("rank_tol", rank_tol)
     n = y.n
-    root, Ut = moment_matrix(y, d)._eigen_factor(rank_tol, "zero moment matrix")
-    rank = len(root)
-    P = root * Ut  # (rank, r(n, d)), M = P'P; columns are the leading rows of y.basis
+    w, U = psd_split(moment_matrix(y, d).M, rank_tol)
+    if not w.size:
+        raise ValueError("zero moment matrix")
+    rank = len(w)
+    P = np.sqrt(w)[:, None] * U.T  # (rank, r(n, d)), M = P'P; columns lead y.basis
 
     low = r_dim(n, d - 1) if d > 0 else 0  # columns of degree <= d - 1 lead the rest
     if low < rank:

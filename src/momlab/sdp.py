@@ -24,8 +24,9 @@ that `qmodule_membership` projects onto and the null vector of each
 `tchakaloff_prune` step.  Its pivots are the columns `_leading_columns`
 finds at PIVOT_TOL, a rule the moment blocks' pivot-row check shares.  The
 final projection onto the optimal face (`_refine_primal`, one least-squares
-step) and the dual correction's pseudo-inverse (`_psd_pinv`) read ranks by
-the rule `sv_rank` at the cutoff `_rank_cutoff`.
+step at `_rank_cutoff`) reads the dual blocks' ranges, and the dual
+correction AA*'s pseudo-inverse, from `psd_split` (the `sv_rank` rule), the
+package's only `np.linalg.eigh`, also behind `psd_floor`, CD kernels and atoms.
 
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
@@ -84,8 +85,8 @@ Schur solve gives meets it only up to the solve's error, which the jittered
 Cholesky of a near-singular Schur matrix makes large.  So each dZ is
 corrected by the minimum-norm change sum_i w_i F_i with
 (AA*) w = rd - A*(dZ).  AA* is the Schur matrix at W = I; it is formed and
-pseudo-inverted once per solve, from one `eigh` with the `sv_rank` rule, so
-a variable whose coefficient matrices are all zero (a zero row of AA*) is
+pseudo-inverted once per solve, from `psd_split` at `_rank_cutoff`, so a
+variable whose coefficient matrices are all zero (a zero row of AA*) is
 simply left out of the correction.  A step of length ad then scales the dual
 residual by 1 - ad up to round-off, and once it has reached round-off it
 stays there.
@@ -113,6 +114,7 @@ __all__ = [
     "solve",
     "extract_dual_gram",
     "psd_floor",
+    "psd_split",
     "basic_solutions",
     "sv_rank",
     "export_sdpa",
@@ -171,7 +173,7 @@ class SdpBlock:
 
     F0: np.ndarray
     mats: np.ndarray  # (m, s, s) symmetric coefficient matrices, one per variable
-    # np.arange(m), read-only, for code that reads it: every block spans all variables
+    # np.arange(m), read-only, all variables; its last reader is perfbench/tracing.py::_sdp_counts
     var_idx: np.ndarray = field(init=False, repr=False, compare=False)
     # mats as an (m, s*s) matrix, a read-only view; explicit sizes, since m may be 0
     flat_mats: np.ndarray = field(init=False, repr=False, compare=False)
@@ -269,6 +271,8 @@ class SdpProblem:
                              f"expected ({self.n_vars},) for n_vars={self.n_vars}")
         if not np.all(np.isfinite(self.c)):
             raise ValueError("SdpProblem c has non-finite entries")
+        if not self.blocks:
+            raise ValueError("SdpProblem blocks is empty; an SDP needs at least one block")
         for j, blk in enumerate(self.blocks):
             if len(blk.mats) != self.n_vars:
                 raise ValueError(f"SdpProblem block {j} has {len(blk.mats)} coefficient "
@@ -345,11 +349,14 @@ def _check_info(info, routine, failure):
         raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
 
 
-def _chol(A):
-    """Lower Cholesky factor of symmetric A (lower triangle read) by LAPACK potrf."""
+def _chol(A, where=""):
+    """Lower Cholesky factor of symmetric A (lower triangle read) by LAPACK potrf.
+
+    A failure's LinAlgError names the matrix first: `where` is, e.g., "Z_1: ".
+    """
     _check_finite(A)
     L, info = _potrf(A, lower=1)
-    _check_info(info, "potrf", f"matrix not positive definite: leading minor {info} fails")
+    _check_info(info, "potrf", f"{where}matrix not positive definite: leading minor {info} fails")
     return L
 
 
@@ -408,6 +415,16 @@ def _second_order(G, G_inv_T, d, dS, dZ):
 def sv_rank(s: np.ndarray, tol: float) -> int:
     """Number of singular values s (descending) above tol * s[0]; 0 for a zero matrix."""
     return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+
+
+def psd_split(A: np.ndarray, tol: float):
+    """(w, U): the eigenpairs of symmetrized A above tol * lambda_max (`sv_rank`), ascending.
+
+    None when A is 0x0 or lambda_max <= 0.  The other eigenvectors span the kernel.
+    """
+    w, U = np.linalg.eigh(_sym(A))
+    k = len(w) - sv_rank(w[::-1], tol)
+    return w[k:], U[:, k:]
 
 
 def _rank_cutoff(A: np.ndarray) -> float:
@@ -472,17 +489,6 @@ def basic_solutions(E: np.ndarray, h: np.ndarray):
     return x_p, N, pivots, float(np.linalg.norm(E @ x_p - h))
 
 
-def _psd_pinv(A: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of a symmetric PSD matrix from one eigh, rank by the `sv_rank` rule.
-
-    Eigenvalues at or below `_rank_cutoff(A)` times the largest count as zero,
-    the cutoff `_refine_primal` uses.
-    """
-    lam, U = np.linalg.eigh(A)
-    k = len(lam) - sv_rank(lam[::-1], _rank_cutoff(A))
-    return (U[:, k:] / lam[k:]) @ U[:, k:].T
-
-
 def _max_step(L, dS, frac):
     """Largest alpha <= 1 with S + alpha*dS still positive definite (fraction-to-boundary).
 
@@ -514,10 +520,9 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
     """
     rows, rhs = [], []
     for blk, Zj in zip(problem.blocks, Z):
-        w, U = np.linalg.eigh(_sym(Zj))
-        if w[-1] <= 1e-7:
+        w, V = psd_split(Zj, 1e-4)
+        if not w.size or w[-1] <= 1e-7:
             continue
-        V = U[:, w > 1e-4 * w[-1]]
         # filled into zeros, not copied: products with E round differently in the
         # transposed layout, and np.empty's copy raised n=4, d=6 peak RSS by 1.5 MB
         E = np.zeros((V.size, problem.n_vars))
@@ -643,7 +648,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
                           [np.eye(blk.size) * (1.0 + np.linalg.norm(blk.F0)) for blk in blocks],
                           [np.eye(blk.size) * zeta for blk in blocks])
     # the dual projection of every search direction
-    AA_pinv = _psd_pinv(problem.schur([np.eye(blk.size) for blk in blocks]))
+    AA = problem.schur([np.eye(blk.size) for blk in blocks])
+    w, U = psd_split(AA, _rank_cutoff(AA))
+    AA_pinv = (U / w) @ U.T
+    del AA, w, U  # n_vars^2 each, not held through the iteration
 
     trace, loose, stall_count, it = [], None, 0, 0  # loose: first iterate within LOOSE_TOL
     status, reason = "MaxIter", f"MAX_ITER = {MAX_ITER} iterations"
@@ -664,8 +672,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         # the factors of S and Z are a block's only ones per iterate (the NT scaling,
         # step lengths and Z^-1 read them); any failed factorization ends the run
         try:
-            LS = [_chol(Sj) for Sj in pt.S]
-            LZ = [_chol(Zj) for Zj in pt.Z]
+            LS = [_chol(Sj, f"S_{j}: ") for j, Sj in enumerate(pt.S)]
+            LZ = [_chol(Zj, f"Z_{j}: ") for j, Zj in enumerate(pt.Z)]
             nt = [_nt_scaling(LSj, LZj) for LSj, LZj in zip(LS, LZ)]
             W_inv = [ntj[0] for ntj in nt]
             Lm = _schur_factor(problem.schur(W_inv))
@@ -729,8 +737,8 @@ def extract_dual_gram(sol: SdpSolution, block: int) -> np.ndarray:
 
 def psd_floor(A: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix to symmetric A (Frobenius): negative eigenvalues set to 0."""
-    w, U = np.linalg.eigh(_sym(A))
-    return _sym((U * np.clip(w, 0.0, None)) @ U.T)
+    w, U = psd_split(A, 0.0)
+    return _sym((U * w) @ U.T)
 
 
 def export_sdpa(problem: SdpProblem, path) -> None:

@@ -18,6 +18,7 @@ import numpy as np
 from .cone import PseudoMomentSequence, moment_matrix
 from .poly import (EVAL_BLOCK, MonomialBasis, Polynomial, box_grid, eval_monomials,
                    monomials_upto, r_dim)
+from .sdp import psd_split
 
 __all__ = [
     "CdKernel",
@@ -64,10 +65,11 @@ class CdKernel:
 def cd_kernel(y: PseudoMomentSequence, d: int, pinv_tol: float = 1e-8) -> CdKernel:
     """Kernel of the order-d moment matrix, pseudo-inverted below pinv_tol (relative)."""
     M = moment_matrix(y, d)
-    root, Ut = M._eigen_factor(pinv_tol, "moment matrix is zero; kernel undefined")
-    rank = len(root)
-    F = (1.0 / root) * Ut
-    return CdKernel(d=d, factor=F, basis=M.basis, rank=rank, singular=rank < M.size)
+    w, U = psd_split(M.M, pinv_tol)
+    if not w.size:
+        raise ValueError("moment matrix is zero; kernel undefined")
+    F = np.ascontiguousarray((1.0 / np.sqrt(w)[:, None]) * U.T)  # row-major, as __call__ reads
+    return CdKernel(d=d, factor=F, basis=M.basis, rank=len(w), singular=len(w) < M.size)
 
 
 def cd_threshold(d: int, alpha: float, r: int) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from momlab import extraction
 from momlab.cone import PseudoMomentSequence, ScaleRecord, SemialgebraicProblem
 from momlab.extraction import (
     AtomicMeasure,
@@ -160,6 +161,27 @@ def test_roundtrip_random_measures_2d():
         mu = extract_atoms(y, 3)
         assert mu.n_atoms == atoms.shape[0]
         assert _match_atoms(mu.atoms, atoms) <= 1e-7
+
+
+def test_extracted_atoms_equal_the_inline_eigh_reference_bit_for_bit(monkeypatch):
+    # the column space from the rule extract_atoms applied inline before psd_split
+    def inline_split(A, tol):
+        w, U = np.linalg.eigh((A + A.T) / 2)
+        keep = w > tol * w[-1]
+        return w[keep], U[:, keep]
+
+    rng = np.random.default_rng(31)
+    cases = [PseudoMomentSequence.from_atoms(*random_atomic(rng, n), 6) for n in (1, 2, 3)]
+    got = [extract_atoms(y, 3) for y in cases]
+    monkeypatch.setattr(extraction, "psd_split", inline_split)
+    for y, mu in zip(cases, got):
+        ref = extract_atoms(y, 3)
+        assert np.array_equal(mu.atoms, ref.atoms) and np.array_equal(mu.weights, ref.weights)
+
+
+def test_extraction_rejects_a_zero_moment_matrix():
+    with pytest.raises(ValueError, match="zero moment matrix"):
+        extract_atoms(PseudoMomentSequence(1, 4, np.zeros(5)), 2)
 
 
 @pytest.mark.parametrize("r", [0, -2])

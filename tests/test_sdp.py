@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -393,6 +394,51 @@ def test_problem_rejects_cost_of_wrong_length():
         SdpProblem(n_vars=3, c=np.ones(2), blocks=[])
 
 
+@pytest.mark.parametrize("c", [0.0, 1.0])
+def test_problem_rejects_an_empty_block_list(c):
+    # solve used to fail inside its residual measure with "max() arg is an empty sequence"
+    with pytest.raises(ValueError, match="SdpProblem blocks is empty"):
+        SdpProblem(n_vars=1, c=np.array([c]), blocks=[])
+
+
+@pytest.mark.parametrize("A", [np.zeros((0, 0)), np.zeros((3, 3)), -np.eye(3),
+                               -np.diag([1.0, 2.0, 3.0]) + 1e-3],
+                         ids=["0x0", "zero", "minus-identity", "negative-definite"])
+def test_psd_split_keeps_nothing_without_a_positive_eigenvalue(A):
+    w, U = sdp.psd_split(A, 1e-8)
+    assert w.shape == (0,) and U.shape == (len(A), 0)
+
+
+def test_psd_split_keeps_the_eigenvalues_above_tol_times_the_largest():
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    lam = np.array([-0.5, 0.0, 1e-4, 3e-4, 0.5, 2.0])
+    # 1e-4 is below and 3e-4 above the cutoff 1e-4 * 2.0
+    w, U = sdp.psd_split((Q * lam) @ Q.T, 1e-4)
+    np.testing.assert_allclose(w, lam[3:], rtol=1e-10, atol=1e-14)
+    assert U.shape == (6, 3)
+    np.testing.assert_allclose(np.abs(U.T @ Q[:, 3:]), np.eye(3), atol=1e-10)
+    # the PSD part at tol = 0, the pseudo-inverse of the PSD part
+    w0, U0 = sdp.psd_split((Q * lam) @ Q.T, 0.0)
+    assert len(w0) == 4
+    np.testing.assert_allclose((U0 * w0) @ U0.T, (Q[:, 2:] * lam[2:]) @ Q[:, 2:].T, atol=1e-14)
+
+
+def test_psd_split_is_the_inline_eigenvalue_rule_bit_for_bit():
+    # the rule every consumer applied inline: eigh of the symmetrized matrix,
+    # eigenpairs with w > tol * w[-1]
+    rng = np.random.default_rng(8)
+    for size in (1, 2, 5, 17, 40):
+        for rank in sorted({1, size // 2, size}):
+            B = rng.standard_normal((size, rank))
+            for A in (B @ B.T, rng.standard_normal((size, size)), B @ B.T - 0.1 * np.eye(size)):
+                for tol in (0.0, 1e-12, sdp._rank_cutoff(A), 1e-8, 1e-6, 1e-4, 0.5):
+                    w_all, U_all = np.linalg.eigh((A + A.T) / 2)
+                    keep = w_all > tol * w_all[-1]
+                    w, U = sdp.psd_split(A, tol)
+                    assert np.array_equal(w, w_all[keep]) and np.array_equal(U, U_all[:, keep])
+
+
 def _sparse_test_block(rng):
     """(F0, mats) of a 30 x 30 block of 80 variables, with one symmetric pair of
     nonzeros in the coefficient matrix of each odd variable 1, 3, ..., 79."""
@@ -521,6 +567,21 @@ def test_failed_nt_scaling_ends_ill_conditioned(monkeypatch, caplog):
                                     "LinAlgError in the Newton step: SVD did not converge")
 
 
+def test_failed_block_cholesky_names_the_block(caplog):
+    # min x unbounded below: after 18 iterations (OpenBLAS on a 2-core Xeon, one and
+    # two threads) a dual block leaves the positive definite cone in the Newton step
+    x = Polynomial.variable(0, 1)
+    prob = build_moment_sdp(SemialgebraicProblem(n=1, objective=x), 2).problem
+    with caplog.at_level(logging.DEBUG, logger="momlab.sdp"):
+        sol = solve(prob)
+    assert sol.status == "IllConditioned" and not sol.loose
+    assert re.fullmatch(rf"run ended IllConditioned after {sol.iterations} iterations: "
+                        r"LinAlgError in the Newton step: [SZ]_\d+: matrix not positive "
+                        r"definite: leading minor \d+ fails", _end_line(caplog)[0])
+    with pytest.raises(np.linalg.LinAlgError, match=r"^Z_3: matrix not positive definite"):
+        sdp._chol(-np.eye(2), "Z_3: ")
+
+
 def _empty_k_problem():
     """min x on {-1 - x^2 >= 0}: K is empty."""
     x = Polynomial.variable(0, 1)
@@ -576,7 +637,9 @@ def test_direction_solves_the_newton_system():
     nt = [sdp._nt_scaling(a, b) for a, b in zip(LS, LZ)]
     W_inv = [ntj[0] for ntj in nt]
     Lm = sdp._schur_factor(prob.schur(W_inv))
-    AA_pinv = sdp._psd_pinv(prob.schur([np.eye(s) for s in sizes]))
+    AA = prob.schur([np.eye(s) for s in sizes])
+    w, U = sdp.psd_split(AA, sdp._rank_cutoff(AA))
+    AA_pinv = (U / w) @ U.T
     dx, dS, dZ = sdp._direction(prob, pt, W_inv, Lm, AA_pinv, [-Sj for Sj in pt.S], [0.0, 0.0])
     K = [sdp._second_order(G, G_inv_T, d, a, b) for (_, G, G_inv_T, d), a, b in zip(nt, dS, dZ)]
     Rc = [0.3 * pt.mu * np.linalg.inv(Zj) - Sj for Zj, Sj in zip(pt.Z, pt.S)]

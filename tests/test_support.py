@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from momlab.cone import PseudoMomentSequence
+from momlab.cone import PseudoMomentSequence, moment_matrix
 from momlab.poly import EVAL_BLOCK, Polynomial, r_dim
 from momlab.support import (
     cd_kernel,
@@ -84,6 +84,23 @@ def test_kernel_rejects_zero_matrix():
     y = PseudoMomentSequence(1, 2, np.zeros(3))
     with pytest.raises(ValueError, match="zero"):
         cd_kernel(y, 1)
+
+
+@pytest.mark.parametrize("atoms, order, d", [
+    ([[0.5]], 4, 2),  # a Dirac: rank 1 of 3
+    ([[0.3, -0.2], [-0.6, 0.1], [0.2, 0.8]], 8, 3),  # three atoms: rank 3 of 10
+    (None, 8, 3),  # the uniform box measure: full rank
+])
+def test_kernel_factor_is_the_inline_eigh_reference_bit_for_bit(atoms, order, d):
+    y = (_box_moments(2, order) if atoms is None
+         else PseudoMomentSequence.from_atoms(atoms, np.linspace(0.5, 1.0, len(atoms)), order))
+    M = moment_matrix(y, d).M
+    w, U = np.linalg.eigh((M + M.T) / 2)
+    keep = w > 1e-8 * w[-1]
+    k = cd_kernel(y, d)
+    assert np.array_equal(k.factor, (1.0 / np.sqrt(w[keep])[:, None]) * U[:, keep].T)
+    assert k.factor.flags.c_contiguous
+    assert (k.rank, k.singular) == (int(keep.sum()), bool(keep.sum() < len(M)))
 
 
 def test_cd_threshold_golden_and_guards():
