@@ -141,7 +141,7 @@ def extract_atoms(y: PseudoMomentSequence, d: int, rank_tol: float = 1e-6) -> At
     """
     _check_rank_tol("rank_tol", rank_tol)
     n = y.n
-    w, U = psd_split(moment_matrix(y, d).M, rank_tol)
+    w, U, _ = psd_split(moment_matrix(y, d).M, rank_tol)
     if not w.size:
         raise ValueError("zero moment matrix")
     rank = len(w)

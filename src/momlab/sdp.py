@@ -23,10 +23,13 @@ Gram SDPs (`phase1_gram`), and gives the null space of the relation rows
 that `qmodule_membership` projects onto and the null vector of each
 `tchakaloff_prune` step.  Its pivots are the columns `_leading_columns`
 finds at PIVOT_TOL, a rule the moment blocks' pivot-row check shares.  The
-final projection onto the optimal face (`_refine_primal`, one least-squares
-step at `_rank_cutoff`) reads the dual blocks' ranges, and the dual
-correction AA*'s pseudo-inverse, from `psd_split` (the `sv_rank` rule), the
-package's only `np.linalg.eigh`, also behind `psd_floor`, CD kernels and atoms.
+final projection onto the optimal face (`_refine_primal`) writes the face
+system in each dual block's eigenbasis, rejects the face on one QR residual
+when the system is inconsistent, and otherwise takes one least-squares step
+at `_rank_cutoff`.  It reads the dual blocks' ranges and their complements,
+and the dual correction AA*'s pseudo-inverse, from `psd_split` (the `sv_rank`
+rule), the package's only `np.linalg.eigh`, also behind `psd_floor`, CD
+kernels and atoms.
 
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
@@ -121,6 +124,8 @@ __all__ = [
 ]
 
 log = logging.getLogger("momlab.sdp")
+# the face check's one line per solve, apart from the iteration log it follows
+face_log = logging.getLogger("momlab.sdp.face")
 
 
 # Cost of one `apply` or `adjoint`, in entries of the dense product, which reads
@@ -332,8 +337,9 @@ def _inner(A, B):
     return float(np.dot(A.reshape(1, -1), B.reshape(-1, 1))[0, 0])
 
 
-_potrf, _potrs, _potri, _sygst, _syevr, _gesdd, _trtrs = get_lapack_funcs(
-    ("potrf", "potrs", "potri", "sygst", "syevr", "gesdd", "trtrs"), (np.empty((1, 1)),))
+_potrf, _potrs, _potri, _sygst, _syevr, _gesdd, _trtrs, _geqrf, _geqrf_lwork = get_lapack_funcs(
+    ("potrf", "potrs", "potri", "sygst", "syevr", "gesdd", "trtrs", "geqrf", "geqrf_lwork"),
+    (np.empty((1, 1)),))
 
 
 def _check_finite(A):
@@ -418,13 +424,16 @@ def sv_rank(s: np.ndarray, tol: float) -> int:
 
 
 def psd_split(A: np.ndarray, tol: float):
-    """(w, U): the eigenpairs of symmetrized A above tol * lambda_max (`sv_rank`), ascending.
+    """(w, U, K): the eigenpairs of symmetrized A above tol * lambda_max (`sv_rank`), ascending.
 
-    None when A is 0x0 or lambda_max <= 0.  The other eigenvectors span the kernel.
+    K holds the other eigenvectors, those with eigenvalue <= tol * lambda_max,
+    so [K, U] is one orthonormal eigenbasis of A and K spans the kernel of
+    A's kept part.  w and U are empty (shapes (0,) and (s, 0)), and K is the
+    whole basis, when A is 0x0 or lambda_max <= 0.
     """
     w, U = np.linalg.eigh(_sym(A))
     k = len(w) - sv_rank(w[::-1], tol)
-    return w[k:], U[:, k:]
+    return w[k:], U[:, k:], U[:, :k]
 
 
 def _rank_cutoff(A: np.ndarray) -> float:
@@ -509,6 +518,43 @@ def _max_step(L, dS, frac):
     return min(1.0, -frac / lam_min)
 
 
+# Entries of `mats` that one pass of `_eigenbasis_rows` reads in `_refine_primal`,
+# so that the pass's temporaries stay a few times 8 MB on any block
+FACE_CHUNK_ENTRIES = 1 << 20
+
+
+def _eigenbasis_rows(M: np.ndarray, V: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """One row per matrix of the (k, s, s) symmetric stack M: M V in the basis [K, V].
+
+    [K, V] is orthonormal, so ||M V||^2 = ||K'M V||^2 + ||V'M V||^2, and V'M V
+    is symmetric.  A row holds K'M V, then the upper triangle of V'M V with
+    its off-diagonal entries scaled by sqrt(2): (s-r) r + r(r+1)/2 entries
+    whose norm is ||M V||_F, r = V.shape[1].
+    """
+    k, r = K.shape[1], V.shape[1]
+    p, q = np.divmod(np.arange((k + r) * r), r)  # entry (p, q) of [K, V]' M V
+    keep = q >= p - k  # all of K'M V, the upper triangle of V'M V
+    rows = (np.hstack([K, V]).T @ (M @ V)).reshape(len(M), -1)[:, keep]
+    rows *= np.where((p >= k) & (q > p - k), np.sqrt(2.0), 1.0)[keep]
+    return rows
+
+
+def _residual_qr(Abt: np.ndarray):
+    """Householder QR of [A, b], given as its (n + 1, rows) transpose, which it overwrites.
+
+    Returns (QR, residual): LAPACK geqrf's factors, blocked with the workspace
+    `geqrf_lwork` asks for, and the norm of b outside the span of Q.  That
+    span contains the range of A, so the residual is a lower bound on
+    min ||A x - b|| at any rank of A, and 0 when A is wide.  np.triu(QR[:n, :n])
+    is R, and QR[:n, n] is Q'b on the span.
+    """
+    n = len(Abt) - 1
+    QR, _, _, info = _geqrf(Abt.T, lwork=int(_geqrf_lwork(Abt.shape[1], n + 1)[0]),
+                            overwrite_a=1)
+    _check_info(info, "geqrf", "geqrf failed")
+    return QR, float(np.linalg.norm(np.diagonal(QR)[n:]))
+
+
 def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float, gap: float):
     """Project the primal iterate onto the optimal face identified by the dual.
 
@@ -517,33 +563,70 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
     cuts out the optimal face E x = h.  The projection x - E^+ (E x - h)
     removes the O(sqrt(gap)) normal error but keeps the face position; it is
     returned only if it stays feasible and does not move the objective.
-    """
-    rows, rhs = [], []
-    for blk, Zj in zip(problem.blocks, Z):
-        w, V = psd_split(Zj, 1e-4)
-        if not w.size or w[-1] <= 1e-7:
-            continue
-        # filled into zeros, not copied: products with E round differently in the
-        # transposed layout, and np.empty's copy raised n=4, d=6 peak RSS by 1.5 MB
-        E = np.zeros((V.size, problem.n_vars))
-        E[:] = (blk.mats @ V).reshape(problem.n_vars, V.size).T
-        rows.append(E)
-        rhs.append(-(blk.F0 @ V).ravel())
-    if not rows:
-        return x
-    E = np.vstack(rows)
-    x_ref = x - np.linalg.lstsq(E, E @ x - np.concatenate(rhs), rcond=_rank_cutoff(E))[0]
 
-    # accept only if every block stays PSD to feas_tol and the objective survives
-    for blk in problem.blocks:
-        if np.min(np.linalg.eigvalsh(_sym(blk.assemble(x_ref)))) < -feas_tol:
-            return x
-    # projecting a feasible iterate onto the optimal face can only lower the
-    # objective (up to residual noise); a rise means the face was misread
-    obj_shift = float(problem.c @ (x_ref - x))
-    if obj_shift > 10.0 * max(gap, 0.0) + 1e-9 * (1.0 + abs(float(problem.c @ x))):
+    E is written in Z_j's eigenbasis [K_j, V_j] (`psd_split`): the upper
+    triangle of V_j' A_j(x) V_j, off-diagonal rows scaled by sqrt(2), and all
+    of K_j' A_j(x) V_j (`_eigenbasis_rows`).  That is r(r+1)/2 + (s-r) r rows
+    per block instead of the s r of A_j(x) V_j, with the same norm, so E'E,
+    E'h and the least-squares step are unchanged.  One Householder QR
+    (`geqrf`) of [E, E x - h] gives the part of the residual outside the span
+    of Q, which contains the range of E: a lower bound on the least-squares
+    residual at any rank of E, 0 when E is wide.  When it exceeds
+    feas_tol (1 + ||h||), the face system is inconsistent beyond the
+    tolerance of the PSD test, and the iterate comes back with no solve
+    (accepted faces have residuals at round-off).  Otherwise the step
+    is `lstsq` at `_rank_cutoff` on the QR's triangle, the QR that gelsd
+    starts from on a tall system, and the PSD and objective tests decide.
+    One DEBUG line per call on `momlab.sdp.face` gives the rows, the residual
+    and the deciding test.
+    """
+    n = problem.n_vars
+    faces = []  # (block, V, K, A_j(x) in the eigenbasis) of every dual block with a range
+    for blk, Zj in zip(problem.blocks, Z):
+        w, V, K = psd_split(Zj, 1e-4)
+        if w.size and w[-1] > 1e-7:
+            faces.append((blk, V, K, _eigenbasis_rows(blk.assemble(x)[None], V, K)[0]))
+    if not faces:
+        face_log.debug("face check: no dual block has an eigenvalue above 1e-7; iterate kept")
         return x
-    return x_ref
+    # [E, E x - h] transposed, so that its transpose is F-ordered and geqrf
+    # factors it in place
+    Et = np.empty((n + 1, sum(len(r) for *_, r in faces)))
+    col, h_sq = 0, 0.0
+    for blk, V, K, r in faces:
+        cols = slice(col, col + len(r))
+        step = max(1, FACE_CHUNK_ENTRIES // blk.size ** 2)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            Et[lo:hi, cols] = _eigenbasis_rows(blk.mats[lo:hi], V, K)
+        Et[n, cols] = r
+        h_sq += float(np.linalg.norm(blk.F0 @ V)) ** 2
+        col += len(r)
+    rows, rcond = Et.shape[1], _rank_cutoff(Et[:n].T)
+    QR, residual = _residual_qr(Et)
+    del Et  # overwritten by the factors
+    bound = feas_tol * (1.0 + np.sqrt(h_sq))
+
+    out, decision = x, "rejected on the residual"
+    if residual <= bound:
+        x_ref = x - np.linalg.lstsq(np.triu(QR[:n, :n]), QR[:n, n], rcond=rcond)[0]
+        # accept only if every block stays PSD to feas_tol and the objective survives
+        lam = min(float(np.linalg.eigvalsh(_sym(blk.assemble(x_ref)))[0])
+                  for blk in problem.blocks)
+        # projecting a feasible iterate onto the optimal face can only lower the
+        # objective (up to residual noise); a rise means the face was misread
+        shift = float(problem.c @ (x_ref - x))
+        limit = 10.0 * max(gap, 0.0) + 1e-9 * (1.0 + abs(float(problem.c @ x)))
+        if lam < -feas_tol:
+            decision = f"rejected on the PSD test: min eigenvalue {lam:.2e}"
+        elif shift > limit:
+            decision = f"rejected on the objective: shift {shift:.2e} > {limit:.2e}"
+        else:
+            out, decision = x_ref, f"accepted: min eigenvalue {lam:.2e}, objective shift {shift:.2e}"
+    face_log.debug("face check: %d variables, %d -> %d rows; QR residual %.2e, bound %.2e; %s",
+                   n, sum(blk.size * V.shape[1] for blk, V, *_ in faces), rows, residual, bound,
+                   decision)
+    return out
 
 
 @dataclass(frozen=True)
@@ -649,7 +732,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
                           [np.eye(blk.size) * zeta for blk in blocks])
     # the dual projection of every search direction
     AA = problem.schur([np.eye(blk.size) for blk in blocks])
-    w, U = psd_split(AA, _rank_cutoff(AA))
+    w, U, _ = psd_split(AA, _rank_cutoff(AA))
     AA_pinv = (U / w) @ U.T
     del AA, w, U  # n_vars^2 each, not held through the iteration
 
@@ -737,7 +820,7 @@ def extract_dual_gram(sol: SdpSolution, block: int) -> np.ndarray:
 
 def psd_floor(A: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix to symmetric A (Frobenius): negative eigenvalues set to 0."""
-    w, U = psd_split(A, 0.0)
+    w, U, _ = psd_split(A, 0.0)
     return _sym((U * w) @ U.T)
 
 

@@ -65,7 +65,7 @@ class CdKernel:
 def cd_kernel(y: PseudoMomentSequence, d: int, pinv_tol: float = 1e-8) -> CdKernel:
     """Kernel of the order-d moment matrix, pseudo-inverted below pinv_tol (relative)."""
     M = moment_matrix(y, d)
-    w, U = psd_split(M.M, pinv_tol)
+    w, U, _ = psd_split(M.M, pinv_tol)
     if not w.size:
         raise ValueError("moment matrix is zero; kernel undefined")
     F = np.ascontiguousarray((1.0 / np.sqrt(w)[:, None]) * U.T)  # row-major, as __call__ reads

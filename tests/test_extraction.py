@@ -168,7 +168,7 @@ def test_extracted_atoms_equal_the_inline_eigh_reference_bit_for_bit(monkeypatch
     def inline_split(A, tol):
         w, U = np.linalg.eigh((A + A.T) / 2)
         keep = w > tol * w[-1]
-        return w[keep], U[:, keep]
+        return w[keep], U[:, keep], U[:, ~keep]
 
     rng = np.random.default_rng(31)
     cases = [PseudoMomentSequence.from_atoms(*random_atomic(rng, n), 6) for n in (1, 2, 3)]

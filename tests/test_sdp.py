@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_sylvester, solve_triangular
 from scipy.optimize import linprog
 
@@ -27,6 +29,8 @@ from momlab.sdp import (
     solve,
 )
 from momlab.upperbound import is_sos_convex
+
+from conftest import sweep_problem
 
 
 def _lp_as_sdp(c, A_ub, b_ub):
@@ -405,8 +409,10 @@ def test_problem_rejects_an_empty_block_list(c):
                                -np.diag([1.0, 2.0, 3.0]) + 1e-3],
                          ids=["0x0", "zero", "minus-identity", "negative-definite"])
 def test_psd_split_keeps_nothing_without_a_positive_eigenvalue(A):
-    w, U = sdp.psd_split(A, 1e-8)
+    w, U, K = sdp.psd_split(A, 1e-8)
     assert w.shape == (0,) and U.shape == (len(A), 0)
+    # the complement is the whole eigenbasis
+    np.testing.assert_allclose(K.T @ K, np.eye(len(A)), atol=1e-14)
 
 
 def test_psd_split_keeps_the_eigenvalues_above_tol_times_the_largest():
@@ -414,14 +420,33 @@ def test_psd_split_keeps_the_eigenvalues_above_tol_times_the_largest():
     Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     lam = np.array([-0.5, 0.0, 1e-4, 3e-4, 0.5, 2.0])
     # 1e-4 is below and 3e-4 above the cutoff 1e-4 * 2.0
-    w, U = sdp.psd_split((Q * lam) @ Q.T, 1e-4)
+    w, U, _ = sdp.psd_split((Q * lam) @ Q.T, 1e-4)
     np.testing.assert_allclose(w, lam[3:], rtol=1e-10, atol=1e-14)
     assert U.shape == (6, 3)
     np.testing.assert_allclose(np.abs(U.T @ Q[:, 3:]), np.eye(3), atol=1e-10)
     # the PSD part at tol = 0, the pseudo-inverse of the PSD part
-    w0, U0 = sdp.psd_split((Q * lam) @ Q.T, 0.0)
+    w0, U0, _ = sdp.psd_split((Q * lam) @ Q.T, 0.0)
     assert len(w0) == 4
     np.testing.assert_allclose((U0 * w0) @ U0.T, (Q[:, 2:] * lam[2:]) @ Q[:, 2:].T, atol=1e-14)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-8, 1e-4, 0.5])
+def test_psd_split_complement_completes_an_orthonormal_eigenbasis(tol):
+    # [K, U] is orthonormal, and K holds exactly the eigenvalues <= tol * lambda_max
+    rng = np.random.default_rng(12)
+    cases = [np.zeros((0, 0)), np.zeros((3, 3)), -np.diag([1.0, 2.0, 3.0])]
+    for size in (1, 4, 9):
+        B = rng.standard_normal((size, size))
+        cases += [B + B.T, B @ B.T, B[:, :size // 2 + 1] @ B[:, :size // 2 + 1].T]
+    for A in cases:
+        w, U, K = sdp.psd_split(A, tol)
+        basis = np.hstack([K, U])
+        np.testing.assert_allclose(basis.T @ basis, np.eye(len(A)), atol=1e-13)
+        lam = np.linalg.eigvalsh(A)
+        np.testing.assert_allclose(basis.T @ A @ basis, np.diag(lam), atol=1e-12)
+        cut = tol * lam[-1] if len(A) and lam[-1] > 0 else np.inf
+        eps = 1e-12 * (1.0 + np.abs(lam).max(initial=0.0))  # eigvalsh against eigh
+        assert np.all(lam[:K.shape[1]] <= cut + eps) and np.all(w > cut - eps)
 
 
 def test_psd_split_is_the_inline_eigenvalue_rule_bit_for_bit():
@@ -435,8 +460,9 @@ def test_psd_split_is_the_inline_eigenvalue_rule_bit_for_bit():
                 for tol in (0.0, 1e-12, sdp._rank_cutoff(A), 1e-8, 1e-6, 1e-4, 0.5):
                     w_all, U_all = np.linalg.eigh((A + A.T) / 2)
                     keep = w_all > tol * w_all[-1]
-                    w, U = sdp.psd_split(A, tol)
+                    w, U, K = sdp.psd_split(A, tol)
                     assert np.array_equal(w, w_all[keep]) and np.array_equal(U, U_all[:, keep])
+                    assert np.array_equal(K, U_all[:, ~keep])
 
 
 def _sparse_test_block(rng):
@@ -638,7 +664,7 @@ def test_direction_solves_the_newton_system():
     W_inv = [ntj[0] for ntj in nt]
     Lm = sdp._schur_factor(prob.schur(W_inv))
     AA = prob.schur([np.eye(s) for s in sizes])
-    w, U = sdp.psd_split(AA, sdp._rank_cutoff(AA))
+    w, U, _ = sdp.psd_split(AA, sdp._rank_cutoff(AA))
     AA_pinv = (U / w) @ U.T
     dx, dS, dZ = sdp._direction(prob, pt, W_inv, Lm, AA_pinv, [-Sj for Sj in pt.S], [0.0, 0.0])
     K = [sdp._second_order(G, G_inv_T, d, a, b) for (_, G, G_inv_T, d), a, b in zip(nt, dS, dZ)]
@@ -928,6 +954,76 @@ def test_face_projection_rejected_returns_the_iterate(monkeypatch):
     assert len(calls) == 1
     _, x, _, out = calls[0]
     assert out is x
+
+
+# faces whose system is inconsistent: the QR residual rejects them
+_UNREACHABLE_FACES = {
+    "line-min level 4": lambda: build_moment_sdp(_corpus_problem("line-min"), 4).problem,
+    "n=3 d=6 ball seed 0": lambda: build_moment_sdp(sweep_problem(3, 0, "ball"), 6).problem,
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREACHABLE_FACES))
+def test_unreachable_face_is_rejected_without_a_least_squares_solve(monkeypatch, caplog, case):
+    problem = _UNREACHABLE_FACES[case]()
+    lstsq, solves = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
+    with caplog.at_level(logging.DEBUG, logger="momlab.sdp"):
+        calls = _refinements(monkeypatch, lambda: solve(problem))
+    assert len(calls) == 1 and calls[0][3] is calls[0][1]
+    assert not solves
+    lines = [r.getMessage() for r in caplog.records if r.name == "momlab.sdp.face"]
+    assert len(lines) == 1 and lines[0].endswith("; rejected on the residual")
+
+
+def test_face_check_logs_its_rows_residual_and_decision(caplog):
+    # the arrow SDP's face: one 3 x 3 block whose dual has rank 1, so 3 rows -> 1 + 2
+    with caplog.at_level(logging.DEBUG, logger="momlab.sdp"):
+        solve(_arrow_sdp())
+    lines = [r.getMessage() for r in caplog.records if r.name == "momlab.sdp.face"]
+    assert len(lines) == 1
+    m = re.fullmatch(r"face check: 3 variables, 3 -> 3 rows; QR residual (\S+), bound (\S+); "
+                     r"accepted: min eigenvalue \S+, objective shift \S+", lines[0])
+    assert m and float(m[1]) <= 1e-14 and float(m[2]) >= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 5), st.data())
+def test_eigenbasis_rows_keep_the_norm_and_the_normal_equations(s, m, data):
+    # Z of every rank 0..s: the rows reproduce ||A(x) V||_F and the E'E of the
+    # s r rows of A(x) V (the face system before the eigenbasis)
+    rank = data.draw(st.integers(0, s))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    F0, mats, x = _random_sym(rng, s, s), _random_sym(rng, m, s, s), rng.standard_normal(m)
+    Q = np.linalg.qr(rng.standard_normal((s, s)))[0][:, :rank]
+    w, V, K = sdp.psd_split((Q * rng.uniform(0.5, 2.0, rank)) @ Q.T, 1e-4)
+    assert V.shape == (s, rank) and K.shape == (s, s - rank)
+    rows = sdp._eigenbasis_rows(mats, V, K)
+    assert rows.shape == (m, rank * (rank + 1) // 2 + (s - rank) * rank)
+    A = F0 + np.tensordot(x, mats, axes=1)
+    assert np.linalg.norm(sdp._eigenbasis_rows(A[None], V, K)) == pytest.approx(
+        np.linalg.norm(A @ V), rel=1e-12, abs=1e-300)
+    E = (mats @ V).reshape(m, -1).T
+    assert np.linalg.norm(rows @ rows.T - E.T @ E) <= 1e-12 * np.linalg.norm(E.T @ E)
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "rank-deficient", "tall-rank-deficient", "zero"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), consistent=st.booleans())
+def test_qr_residual_bounds_the_least_squares_residual(case, seed, consistent):
+    cases = _affine_cases()
+    cases["tall-rank-deficient"] = cases["rank-deficient"].T
+    E = cases[case]
+    rng = np.random.default_rng(seed)
+    b = E @ rng.standard_normal(E.shape[1]) if consistent else rng.standard_normal(E.shape[0])
+    step = np.linalg.lstsq(E, b, rcond=sdp._rank_cutoff(E))[0]
+    QR, residual = sdp._residual_qr(np.vstack([E.T, b]))
+    assert residual <= np.linalg.norm(E @ step - b) + 1e-13 * (1.0 + np.linalg.norm(b))
+    # the least-squares step on the QR's triangle is the step on E
+    n = E.shape[1]
+    np.testing.assert_allclose(
+        np.linalg.lstsq(np.triu(QR[:n, :n]), QR[:n, n], rcond=sdp._rank_cutoff(E))[0], step,
+        rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(step)))
 
 
 def _affine_cases():
