@@ -34,16 +34,15 @@ kernels and atoms.
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
 (<F_ji, W^-1 F_jk W^-1>) are the only code in the iteration that reads
-`mats`.  Each block keeps the nonzeros of its flattened (m, s*s) `mats`
-once, as (variable, flat position, value) arrays.  `apply` and `adjoint` are
-one dense matrix-vector product each over the flattened `mats`, except on a
-large, sparse block, where they are one `np.bincount` each over its nonzeros;
-one cost rule (`_nonzero_products`) picks the product per block when it is
-built.  `schur` has a dense first stage, every W^-1 F_jk W^-1 in one batched
-product, and a sparse second stage: a CSR copy of the flattened `mats`, built
-from the same nonzeros, sums each inner product over the nonzeros of F_ji
-only.  A block's arrays are read-only, so neither copy can go stale, and a
-malformed block is rejected when it is built.
+`mats`.  Each block keeps `mats` and one sparse form, the CSR of the
+flattened (m, s*s) `mats`.  `apply` and `adjoint` are one product each with
+the operator pair that one cost rule (`_nonzero_products`) picks when the
+block is built: the flattened `mats`, or, on a large, sparse block, the CSR
+and its CSC transpose.  `schur` forms W^-1 F_jk W^-1 densely and sums each
+<F_ji, .> over the nonzero entries of F_ji by one CSR product, a slice of k
+at a time (`SdpBlock.chunks`, at most CHUNK_ENTRIES entries, the slices the
+face rows are read in too).  A block's arrays are read-only, so the CSR
+cannot go stale, and a malformed block is rejected when it is built.
 
 The solver is an infeasible-start path-following method with Nesterov-Todd
 scaling and Mehrotra's predictor-corrector (Mehrotra 1992; in NT scaling,
@@ -129,15 +128,21 @@ face_log = logging.getLogger("momlab.sdp.face")
 
 
 # Cost of one `apply` or `adjoint`, in entries of the dense product, which reads
-# all m*s^2 entries of `flat_mats`: the product over the nonzeros costs a fixed
-# NONZERO_FIXED_COST plus NONZERO_COST per nonzero (table in `SdpBlock`).
+# all m*s^2 entries of the flattened `mats`: the CSR product costs a fixed
+# NONZERO_FIXED_COST plus NONZERO_COST per nonzero entry (table in `SdpBlock`).
 NONZERO_FIXED_COST = 10_000
 NONZERO_COST = 20
 
 
 def _nonzero_products(dense_entries: int, nnz: int) -> bool:
-    """Whether `apply` and `adjoint` of a block are cheaper over its nonzeros."""
+    """Whether `apply` and `adjoint` of a block are cheaper over its CSR."""
     return NONZERO_FIXED_COST + NONZERO_COST * nnz < dense_entries
+
+
+# Entries of `mats` in one slice of `SdpBlock.chunks`, read when a block is
+# built: the temporaries of one pass of `schur` or of the face rows
+# (`_refine_primal`) stay a few times 8 MB on any block
+CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -148,43 +153,42 @@ class SdpBlock:
     zero where the variable does not enter the block; a block of a problem with
     no variables has `mats` of shape (0, s, s) and is a constant PSD
     constraint.  The block keeps read-only copies of F0 and `mats`, both of
-    which must be finite and exactly symmetric.
+    which must be finite and exactly symmetric, and a read-only CSR of the
+    flattened (m, s*s) `mats`.
 
-    `nonzeros` holds the nonzeros of `flat_mats` once, as (variable, flat
-    position, value) arrays in row-major order: flat_mats[i, p] = v for each
-    (i, p, v).  `apply` and `adjoint` are the dense products x @ flat_mats and
-    flat_mats @ Z.ravel(), unless `product` is "nonzero": then `apply` is one
-    `np.bincount` over the positions and `adjoint` one over the variables.
-    `_nonzero_products` picks the product from m*s^2 and the nonzero count.
-    The dense product costs about m*s^2 BLAS entries, the nonzero one a fixed
-    ~10 000 plus ~20 per nonzero, so the rule reads density as well as size.
-    Median of five runs, one BLAS thread on a shared 2-core Xeon, us per call,
-    dense -> nonzero:
+    `apply` is A' @ x and `adjoint` A @ Z.ravel(), A the flattened `mats` when
+    `product` is "dense", else the CSR (A' its CSC transpose on the same
+    arrays); `_nonzero_products` picks it from m*s^2 and the nonzero count.
+    The dense product costs about m*s^2 BLAS entries, the CSR one a fixed few
+    us plus a little per nonzero entry, so the rule reads density as well as
+    size.  Best of five runs of 2 000 calls, one BLAS thread on a 2-core AMD
+    EPYC (OpenBLAS, NumPy 2.4.6, SciPy 1.17.1), us per call, dense -> CSR:
 
-    | block                          | m*s^2 / nnz      | adjoint        | apply         |
-    |--------------------------------|------------------|----------------|---------------|
-    | n=4, d=6 ball moment           | 256 025 / 1 224  | 60.6 -> 7.2    | 66.8 -> 6.8   |
-    | n=4, d=6 ball localizing       | 47 025 / 1 124   | 8.0 -> 6.2     | 8.7 -> 5.9    |
-    | n=3, d=6 ball moment           | 33 200 / 399     | 5.0 -> 3.1     | 4.9 -> 3.5    |
-    | n=3, d=6 ball localizing       | 8 300 / 399      | 2.5 -> 3.3     | 3.0 -> 3.6    |
-    | n=2, d=8 ball moment           | 9 900 / 224      | 2.8 -> 2.6     | 3.2 -> 3.1    |
-    | motzkin-box, d=6, box block    | 2 700 / 99       | 1.5 -> 2.0     | 2.3 -> 2.4    |
-    | phase-I Gram block             | 230 400 / 1 032  | 42.7 -> 5.9    | 44.1 -> 6.4   |
+    | block                      | m*s^2 / nnz      | adjoint      | apply        |
+    |----------------------------|------------------|--------------|--------------|
+    | n=4, d=6 ball moment       | 256 025 / 1 224  | 53.5 -> 4.6  | 53.6 -> 5.4  |
+    | n=4, d=6 ball localizing   | 47 025 / 1 124   | 8.1 -> 4.8   | 8.2 -> 5.3   |
+    | n=3, d=6 ball moment       | 33 200 / 399     | 5.9 -> 3.9   | 6.7 -> 4.9   |
+    | n=3, d=6 ball localizing   | 8 300 / 399      | 2.4 -> 3.9   | 2.9 -> 4.4   |
+    | n=2, d=8 ball moment       | 9 900 / 224      | 2.5 -> 3.7   | 3.1 -> 4.4   |
+    | motzkin-box, d=6 moment    | 2 700 / 99       | 1.3 -> 3.5   | 1.8 -> 4.0   |
+    | phase-I Gram block         | 230 400 / 1 032  | 35.0 -> 4.7  | 38.6 -> 5.3  |
 
     The last block is the Gram block of `is_sos_convex(x1^6 + x2^6 + x3^2)`.
-    Through a dense SVD null basis it held 36 742 nonzeros (16 %), and the
-    nonzero products took 210.5 and 115.9 us against 38.8 and 46.3 dense.
+    Through a dense SVD null basis it held 36 742 nonzero entries (16 %).
     """
 
     F0: np.ndarray
     mats: np.ndarray  # (m, s, s) symmetric coefficient matrices, one per variable
     # np.arange(m), read-only, all variables; its last reader is perfbench/tracing.py::_sdp_counts
     var_idx: np.ndarray = field(init=False, repr=False, compare=False)
-    # mats as an (m, s*s) matrix, a read-only view; explicit sizes, since m may be 0
-    flat_mats: np.ndarray = field(init=False, repr=False, compare=False)
-    nonzeros: tuple = field(init=False, repr=False, compare=False)  # (var, pos, val)
     product: str = field(init=False, repr=False, compare=False)  # "dense" | "nonzero"
-    _sparse: object = field(init=False, repr=False, compare=False)
+    _sparse: object = field(init=False, repr=False, compare=False)  # CSR of mats, (m, s*s)
+    # the operator pair of `adjoint` and `apply`: flat mats and its transpose, or CSR and CSC
+    _A: object = field(init=False, repr=False, compare=False)
+    _At: object = field(init=False, repr=False, compare=False)
+    # slices covering mats in order, each one matrix or <= CHUNK_ENTRIES entries
+    chunks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         import scipy.sparse  # here, so that importing momlab does not load it
@@ -194,24 +198,25 @@ class SdpBlock:
         F0 = np.array(self.F0, dtype=float)
         mats = np.array(self.mats, dtype=float, order="C")
         _check_block(F0, mats)
-        flat = mats.reshape(len(mats), F0.size)
-        # the nonzeros from the flat positions, and the CSR from them: scipy's own
+        flat = mats.reshape(len(mats), F0.size)  # explicit sizes, since m may be 0
+        # the CSR from the flat positions of the nonzero entries: scipy's own
         # dense-to-CSR conversion takes several times as long on the moment blocks
         nz = np.flatnonzero(flat != 0)
         var, pos = np.divmod(nz, flat.shape[1])
-        val = flat.ravel()[nz]
-        for name, arr in (("F0", F0), ("mats", mats), ("var_idx", np.arange(len(mats))),
-                          ("flat_mats", flat)):
+        csr = scipy.sparse.csr_array(
+            (flat.ravel()[nz], pos, np.searchsorted(var, np.arange(len(flat) + 1))),
+            shape=flat.shape)
+        var_idx = np.arange(len(mats))
+        for arr in (F0, mats, var_idx, flat, csr.data, csr.indices, csr.indptr):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        for arr in (var, pos, val):
-            arr.flags.writeable = False
-        object.__setattr__(self, "nonzeros", (var, pos, val))
-        object.__setattr__(self, "product",
-                           "nonzero" if _nonzero_products(flat.size, len(nz)) else "dense")
-        indptr = np.searchsorted(var, np.arange(len(flat) + 1))
-        object.__setattr__(self, "_sparse",
-                           scipy.sparse.csr_array((val, pos, indptr), shape=flat.shape))
+        A = csr if _nonzero_products(flat.size, csr.nnz) else flat
+        step = max(1, CHUNK_ENTRIES // max(F0.size, 1))
+        chunks = tuple(slice(lo, min(lo + step, len(mats)))  # one empty slice when m = 0
+                       for lo in range(0, max(len(mats), 1), step))
+        for name, value in (("F0", F0), ("mats", mats), ("var_idx", var_idx),
+                            ("product", "dense" if A is flat else "nonzero"),
+                            ("_sparse", csr), ("_A", A), ("_At", A.T), ("chunks", chunks)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -219,29 +224,25 @@ class SdpBlock:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """sum over i of x[i] * mats[i]."""
-        if self.product == "dense":
-            return (x @ self.flat_mats).reshape(self.size, self.size)
-        var, pos, val = self.nonzeros
-        return np.bincount(pos, weights=x[var] * val,
-                           minlength=self.flat_mats.shape[1]).reshape(self.size, self.size)
+        return (self._At @ x).reshape(self.size, self.size)
 
     def adjoint(self, Z: np.ndarray) -> np.ndarray:
         """<mats[i], Z> for every i: the block's share of A*(Z)."""
-        if self.product == "dense":
-            return self.flat_mats @ Z.ravel()
-        var, pos, val = self.nonzeros
-        return np.bincount(var, weights=val * Z.ravel()[pos], minlength=len(self.mats))
+        return self._A @ Z.ravel()
 
     def schur(self, W_inv: np.ndarray) -> np.ndarray:
         """<mats[i], W_inv mats[j] W_inv>: the block's share of the Schur complement.
 
-        Fujisawa, Kojima & Nakata (1997): U_j = W_inv mats[j] W_inv for every j
-        in one dense batched product, then <mats[i], U_j> summed over the
-        nonzeros of mats[i] only, as one sparse (CSR) by dense product.  That
-        costs nnz * m instead of m^2 * s^2.
+        Fujisawa, Kojima & Nakata (1997), one `chunks` slice of j at a time:
+        U_j = W_inv mats[j] W_inv in one dense batched product, then
+        <mats[i], U_j> summed over the nonzero entries of mats[i] only, as one
+        CSR by dense product.  That costs nnz * m instead of m^2 * s^2.
         """
-        U = (W_inv @ self.mats @ W_inv).reshape(self.flat_mats.shape)
-        return self._sparse @ U.T
+        cols = []
+        for c in self.chunks:
+            U = W_inv @ self.mats[c] @ W_inv
+            cols.append(self._sparse @ U.reshape(len(U), self.F0.size).T)
+        return cols[0] if len(cols) == 1 else np.hstack(cols)
 
     def assemble(self, x: np.ndarray) -> np.ndarray:
         return self.F0 + self.apply(x)
@@ -518,11 +519,6 @@ def _max_step(L, dS, frac):
     return min(1.0, -frac / lam_min)
 
 
-# Entries of `mats` that one pass of `_eigenbasis_rows` reads in `_refine_primal`,
-# so that the pass's temporaries stay a few times 8 MB on any block
-FACE_CHUNK_ENTRIES = 1 << 20
-
-
 def _eigenbasis_rows(M: np.ndarray, V: np.ndarray, K: np.ndarray) -> np.ndarray:
     """One row per matrix of the (k, s, s) symmetric stack M: M V in the basis [K, V].
 
@@ -595,10 +591,8 @@ def _refine_primal(problem: SdpProblem, x: np.ndarray, Z: list, feas_tol: float,
     col, h_sq = 0, 0.0
     for blk, V, K, r in faces:
         cols = slice(col, col + len(r))
-        step = max(1, FACE_CHUNK_ENTRIES // blk.size ** 2)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            Et[lo:hi, cols] = _eigenbasis_rows(blk.mats[lo:hi], V, K)
+        for c in blk.chunks:  # written in place: stacked, the rows would double the peak
+            Et[c, cols] = _eigenbasis_rows(blk.mats[c], V, K)
         Et[n, cols] = r
         h_sq += float(np.linalg.norm(blk.F0 @ V)) ** 2
         col += len(r)
@@ -725,7 +719,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     blocks = problem.blocks
     for j, blk in enumerate(blocks):
         log.debug("block %d: s %d, m %d, %d nonzeros, %s apply and adjoint",
-                  j, blk.size, problem.n_vars, len(blk.nonzeros[0]), blk.product)
+                  j, blk.size, problem.n_vars, blk._sparse.nnz, blk.product)
     zeta = 1.0 + float(np.max(np.abs(problem.c))) if problem.c.size else 1.0
     pt = _Iterate.measure(problem, np.zeros(problem.n_vars),
                           [np.eye(blk.size) * (1.0 + np.linalg.norm(blk.F0)) for blk in blocks],

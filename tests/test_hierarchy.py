@@ -177,7 +177,7 @@ def test_sphere_blocks_are_sparse_in_basic_coordinates():
     _check_kept_rows(ms)
     (blk,) = ms.problem.blocks
     assert blk.product == "nonzero"
-    assert len(blk.nonzeros[0]) <= 20 * ms.problem.n_vars
+    assert blk._sparse.nnz <= 20 * ms.problem.n_vars
     res = hierarchy.solve_moment_sdp(prob, ms)
     assert res.status == "Optimal" and not res.retried
     assert abs(res.m_d_star + 2.0) <= 1e-7
@@ -197,7 +197,7 @@ def test_pivot_rows_their_normal_forms_miss_stay_in_the_block(d, extra_row):
     _check_kept_rows(ms)
     assert ms.block_bases == (((0, 0), (1, 0), (0, 1), extra_row),)
     (blk,) = ms.problem.blocks
-    assert np.all(np.any(blk.flat_mats != 0.0, axis=1))  # every variable enters the block
+    assert np.all(np.any(blk.mats != 0.0, axis=(1, 2)))  # every variable enters the block
     res = hierarchy.solve_moment_sdp(prob, ms)
     assert res.status == "Optimal" and not res.retried
     assert abs(res.m_d_star) <= 1e-7
@@ -214,7 +214,7 @@ def test_dependent_pivot_rows_their_normal_forms_miss_keep_a_spanning_set(d, row
     ms = build_moment_sdp(prob, d)
     _check_kept_rows(ms)
     assert ms.block_bases == (rows,)
-    assert np.all(np.any(ms.problem.blocks[0].flat_mats != 0.0, axis=1))
+    assert np.all(np.any(ms.problem.blocks[0].mats != 0.0, axis=(1, 2)))
 
 
 def test_build_logs_the_elimination(caplog):

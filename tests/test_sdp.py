@@ -188,13 +188,14 @@ def _random_sym(rng, *shape):
 def _check_apply_adjoint(blk, rng, exact):
     """apply and adjoint against the dense products, and <apply(x), Z> = x[var_idx] . adjoint(Z).
 
-    With `exact`, apply(x) and adjoint(Z) must equal x[var_idx] @ flat_mats and
-    flat_mats @ Z.ravel() bit for bit, else to 1e-12 relative.
+    With `exact`, apply(x) and adjoint(Z) must equal x[var_idx] @ flat and
+    flat @ Z.ravel() bit for bit, flat the (m, s*s) flattened mats, else to
+    1e-12 relative.
     """
     x = rng.standard_normal(int(blk.var_idx.max(initial=-1)) + 1)
     Z = _random_sym(rng, blk.size, blk.size)
-    dense = ((x[blk.var_idx] @ blk.flat_mats).reshape(blk.size, blk.size),
-             blk.flat_mats @ Z.ravel())
+    flat = blk.mats.reshape(len(blk.mats), blk.size ** 2)
+    dense = ((x[blk.var_idx] @ flat).reshape(blk.size, blk.size), flat @ Z.ravel())
     for got, want in zip((blk.apply(x), blk.adjoint(Z)), dense):
         if exact:
             assert np.array_equal(got, want)
@@ -268,7 +269,7 @@ def test_schur_on_sparse_moment_blocks():
         assert tuple(blk.product for blk in blocks) == products
         for seed, blk in enumerate(blocks):
             assert np.count_nonzero(blk.mats) < 0.1 * blk.mats.size
-            assert len(blk.nonzeros[0]) == np.count_nonzero(blk.mats)
+            assert blk._sparse.nnz == np.count_nonzero(blk.mats)
             _check_schur_against_reference(blk, seed)
             _check_apply_adjoint(blk, np.random.default_rng(seed), exact=False)
 
@@ -310,10 +311,8 @@ def test_dense_products_on_small_and_dense_blocks():
         _check_apply_adjoint(blk, rng, exact=True)
 
 
-def test_nonzero_products_on_the_phase1_gram_block(monkeypatch):
-    # the phase-I Gram block of is_sos_convex(x1^6 + x2^6 + x3^2) (230 400 entries)
-    # is eliminated in basic Gram entries: 1 032 nonzeros here, 36 742 through the
-    # dense SVD null basis, so apply and adjoint go over its nonzeros
+def _phase1_gram_block(monkeypatch):
+    """The largest block of the phase-I Gram SDP of is_sos_convex(x1^6 + x2^6 + x3^2)."""
     blocks = []
 
     class Captured(Exception):
@@ -323,15 +322,100 @@ def test_nonzero_products_on_the_phase1_gram_block(monkeypatch):
         blocks.extend(problem.blocks)
         raise Captured
 
-    monkeypatch.setattr(hierarchy, "solve", capture)
-    x1, x2, x3 = (Polynomial.variable(i, 3) for i in range(3))
-    with pytest.raises(Captured):
-        is_sos_convex(x1 ** 6 + x2 ** 6 + x3 ** 2)
-    gram = max(blocks, key=lambda blk: blk.mats.size)
+    with monkeypatch.context() as mp:
+        mp.setattr(hierarchy, "solve", capture)
+        x1, x2, x3 = (Polynomial.variable(i, 3) for i in range(3))
+        with pytest.raises(Captured):
+            is_sos_convex(x1 ** 6 + x2 ** 6 + x3 ** 2)
+    return max(blocks, key=lambda blk: blk.mats.size)
+
+
+def test_nonzero_products_on_the_phase1_gram_block(monkeypatch):
+    # the phase-I Gram block of is_sos_convex(x1^6 + x2^6 + x3^2) (230 400 entries)
+    # is eliminated in basic Gram entries: 1 032 nonzeros here, 36 742 through the
+    # dense SVD null basis, so apply and adjoint go over its nonzeros
+    gram = _phase1_gram_block(monkeypatch)
     assert gram.mats.size == 256 * 30 * 30
-    assert len(gram.nonzeros[0]) <= 1100
+    assert gram._sparse.nnz <= 1100
     assert gram.product == "nonzero"
     _check_apply_adjoint(gram, np.random.default_rng(3), exact=False)
+
+
+def test_nonzero_products_equal_the_bincount_formulas_bit_for_bit(monkeypatch):
+    # apply and adjoint by the CSR's CSC transpose and the CSR sum each output
+    # entry's products in the order of the (variable, flat position) nonzero
+    # list, as one np.bincount over that list did
+    rng = np.random.default_rng(13)
+    blocks = [blk for blk in _ball_blocks(3, 6) + _ball_blocks(4, 6) + (
+        _phase1_gram_block(monkeypatch), SdpBlock(*_sparse_test_block(rng)))
+        if blk.product == "nonzero"]
+    assert len(blocks) == 5
+    for blk in blocks:
+        s2 = blk.size ** 2
+        flat = blk.mats.reshape(len(blk.mats), s2)
+        nz = np.flatnonzero(flat)
+        var, pos = np.divmod(nz, s2)
+        val = flat.ravel()[nz]
+        for _ in range(3):
+            x = rng.standard_normal(len(blk.mats))
+            Z = _random_sym(rng, blk.size, blk.size)
+            assert np.array_equal(
+                blk.apply(x), np.bincount(pos, weights=x[var] * val, minlength=s2).reshape(
+                    blk.size, blk.size))
+            assert np.array_equal(
+                blk.adjoint(Z),
+                np.bincount(var, weights=val * Z.ravel()[pos], minlength=len(blk.mats)))
+
+
+def _random_spd(rng, s):
+    B = rng.standard_normal((s, s))
+    return B @ B.T + s * np.eye(s)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2])
+def test_schur_is_the_same_in_any_chunks(monkeypatch, per_chunk):
+    # schur reads mats one `chunks` slice at a time; a block built with slices of
+    # one or two matrices gives the one-slice result bit for bit
+    rng = np.random.default_rng(17)
+    blocks = (_ball_blocks(3, 6) + _ball_blocks(4, 6) + tuple(
+        build_moment_sdp(_corpus_problem("line-min"), 4).problem.blocks)
+        + (SdpBlock(*_sparse_test_block(rng)), SdpBlock(np.eye(4), _random_sym(rng, 5, 4, 4))))
+    for blk in blocks:
+        W_inv = _random_spd(rng, blk.size)
+        assert blk.chunks == (slice(0, len(blk.mats)),)
+        with monkeypatch.context() as mp:
+            mp.setattr(sdp, "CHUNK_ENTRIES", per_chunk * blk.size ** 2)
+            sliced = SdpBlock(blk.F0, blk.mats)
+        assert len(sliced.chunks) == -(-len(blk.mats) // per_chunk)
+        assert [i for c in sliced.chunks for i in range(len(blk.mats))[c]] == list(
+            range(len(blk.mats)))
+        assert np.array_equal(sliced.schur(W_inv), blk.schur(W_inv))
+    # no variables: one empty slice and a 0 x 0 share
+    empty = SdpBlock(np.eye(3), np.zeros((0, 3, 3)))
+    assert empty.chunks == (slice(0, 0),) and empty.schur(np.eye(3)).shape == (0, 0)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2])
+def test_solve_is_the_same_in_any_chunks(monkeypatch, caplog, per_chunk):
+    # the line-min level-4 solve, its Schur matrices and its face rows read in
+    # slices of at most one or two matrices: the same x, value and face decision
+    # bit for bit
+    def run():
+        problem = build_moment_sdp(_corpus_problem("line-min"), 4).problem
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="momlab.sdp.face"):
+            sol = solve(problem)
+        return problem, sol, [r.getMessage() for r in caplog.records
+                              if r.name == "momlab.sdp.face"]
+
+    problem, whole, whole_face = run()
+    monkeypatch.setattr(sdp, "CHUNK_ENTRIES",
+                        per_chunk * min(blk.size for blk in problem.blocks) ** 2)
+    problem, sol, face = run()
+    assert all(len(blk.chunks) > 1 for blk in problem.blocks)
+    assert np.array_equal(sol.x, whole.x) and sol.value == whole.value
+    assert sol.iterations == whole.iterations and sol.status == whole.status == "Optimal"
+    assert len(face) == 1 and face == whole_face
 
 
 def test_schur_with_an_all_zero_coefficient_matrix():
@@ -480,11 +564,18 @@ def test_block_arrays_are_read_only_copies():
     rng = np.random.default_rng(11)
     for F0, mats in [(np.eye(2), np.array([[[0.0, 1.0], [1.0, 0.0]]])), _sparse_test_block(rng)]:
         blk = SdpBlock(F0=F0, mats=mats)
-        for arr in (blk.F0, blk.var_idx, blk.mats, blk.flat_mats) + blk.nonzeros:
+        csr = blk._sparse
+        for arr in (blk.F0, blk.var_idx, blk.mats, csr.data, csr.indices, csr.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 7
-        # flat_mats is stored once, as a view of mats
-        assert blk.flat_mats is blk.flat_mats and np.shares_memory(blk.flat_mats, blk.mats)
+        # the operator pair of apply and adjoint is stored once: a view of mats and its
+        # transpose, or the CSR and its CSC transpose on the CSR's own arrays
+        if blk.product == "dense":
+            assert np.shares_memory(blk._A, blk.mats) and np.shares_memory(blk._At, blk.mats)
+        else:
+            assert blk._A is csr and all(np.shares_memory(a, b) for a, b in zip(
+                (blk._At.data, blk._At.indices, blk._At.indptr),
+                (csr.data, csr.indices, csr.indptr)))
         with pytest.raises(dataclasses.FrozenInstanceError):
             blk.mats = np.zeros((1, 2, 2))
         x, Z = rng.standard_normal(len(mats)), _random_sym(rng, blk.size, blk.size)
