@@ -530,7 +530,7 @@ def _eigenbasis_rows(M: np.ndarray, V: np.ndarray, K: np.ndarray) -> np.ndarray:
     k, r = K.shape[1], V.shape[1]
     p, q = np.divmod(np.arange((k + r) * r), r)  # entry (p, q) of [K, V]' M V
     keep = q >= p - k  # all of K'M V, the upper triangle of V'M V
-    rows = (np.hstack([K, V]).T @ (M @ V)).reshape(len(M), -1)[:, keep]
+    rows = (np.hstack([K, V]).T @ (M @ V)).reshape(len(M), (k + r) * r)[:, keep]
     rows *= np.where((p >= k) & (q > p - k), np.sqrt(2.0), 1.0)[keep]
     return rows
 

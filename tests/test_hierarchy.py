@@ -259,6 +259,17 @@ def test_pinned_moments_are_solved_certified_and_rounded():
     np.testing.assert_allclose(res.rounded.atoms, [[0.5]], rtol=0, atol=1e-12)
 
 
+def test_pinned_moments_on_the_boundary_of_the_constraints():
+    # x = 0.5 and x >= 0.5: the localizing block is the constant [[0]], and the
+    # face check runs on an SDP with no variables
+    prob = _pinned_problem((Polynomial.variable(0, 1) - 0.5,))
+    assert build_moment_sdp(prob, 4).problem.n_vars == 0
+    res = solve_moment_relaxation(prob, 4)
+    assert res.status == "Optimal" and not res.retried
+    assert res.m_d_star == pytest.approx(0.25, abs=1e-12)
+    assert res.f_d_star <= res.m_d_star
+
+
 def test_pinned_moments_outside_the_constraints_are_infeasible():
     # x = 0.5 and x >= 1: K is empty and the constant localizing block [[-0.5]] is not PSD
     prob = _pinned_problem((Polynomial.variable(0, 1) - 1,))

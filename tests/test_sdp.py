@@ -435,6 +435,18 @@ def test_schur_of_a_constant_block_is_empty():
     _check_schur_against_reference(blk)
 
 
+def test_face_check_of_a_problem_without_variables(caplog):
+    # the constant block [[0]] leaves the dual a range, so the face check
+    # builds its rows from the block's one empty slice of mats
+    problem = SdpProblem(n_vars=0, c=np.zeros(0),
+                         blocks=[SdpBlock(np.zeros((1, 1)), np.zeros((0, 1, 1)))])
+    with caplog.at_level(logging.DEBUG, logger="momlab.sdp.face"):
+        sol = solve(problem)
+    assert sol.status == "Optimal" and sol.x.shape == (0,) and sol.value == 0.0
+    (face,) = [r.getMessage() for r in caplog.records if r.name == "momlab.sdp.face"]
+    assert "0 variables, 1 -> 1 rows" in face and "accepted" in face
+
+
 _NOT_SYM = [[1.0, 2.0], [0.0, 1.0]]
 
 
