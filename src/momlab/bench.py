@@ -200,43 +200,89 @@ def fit_rate(levels, gaps, floor: float = 1e-9) -> RateFit:
     return RateFit(float(coef[0]), float(coef[1]), r2, finite_level, len(usable))
 
 
+# Pivots the moment-distance simplex may take.  Bland's rule cannot cycle, so
+# reaching the cap means round-off has broken the tableau.
+LP_MAX_PIVOTS = 10_000
+
+
+def _sup_norm_weights(Phi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Probability weights w minimizing max_i |y_i - (Phi w)_i|: a dense simplex.
+
+    The tableau holds min t subject to Phi w - t + u = y, -Phi w - t + v = -y
+    and sum(w) = 1, with w, t, u, v >= 0.  Phase one is two pivots to a vertex:
+    w = e_j for the column j of Phi nearest y, then t into the row of its
+    largest residual, which leaves every right-hand side >= 0.  Phase two
+    follows Bland's rule: the first column with a negative reduced cost enters,
+    and of the rows that tie for the least ratio the one with the smallest basic
+    index leaves, so it cannot cycle.  A tableau that stops on neither an
+    optimum nor a step (round-off) raises RuntimeError.
+    """
+    l, k = Phi.shape
+    m = 2 * l + 1
+    T = np.zeros((m + 1, k + 2 * l + 2))  # rows: constraints, then the reduced costs
+    T[:l, :k], T[l:2 * l, :k], T[:2 * l, k] = Phi, -Phi, -1.0
+    T[:2 * l, k + 1:-1] = np.eye(2 * l)
+    T[:l, -1], T[l:2 * l, -1] = y, -y
+    T[2 * l, :k] = T[2 * l, -1] = 1.0
+    T[m, k] = 1.0  # the cost of t
+    basis = np.arange(k + 1, k + m + 1)  # the slacks; row 2l gets w_j by the first pivot
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(T))))
+
+    def pivot(row, col):
+        T[row] /= T[row, col]
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        T[:] -= np.outer(factors, T[row])
+        basis[row] = col
+
+    pivot(2 * l, int(np.argmin(np.max(np.abs(y[:, None] - Phi), axis=0))))
+    pivot(int(np.argmin(T[:2 * l, -1])), k)
+    for _ in range(LP_MAX_PIVOTS):
+        entering = np.flatnonzero(T[m, :-1] < -tol)
+        if entering.size == 0:
+            w = np.zeros(k)
+            is_w = basis < k
+            w[basis[is_w]] = np.maximum(T[:m, -1][is_w], 0.0)
+            return w / w.sum()
+        col = T[:m, entering[0]]
+        rows = np.flatnonzero(col > tol)
+        if rows.size == 0:
+            raise RuntimeError("moment-distance simplex found no pivot row (round-off)")
+        ratios = T[rows, -1] / col[rows]
+        ties = rows[ratios <= ratios.min() + tol]
+        pivot(ties[np.argmin(basis[ties])], entering[0])
+    raise RuntimeError(f"moment-distance simplex reached no optimum in {LP_MAX_PIVOTS} pivots")
+
+
 def moment_distance_to_optimal(y: PseudoMomentSequence, s_star_samples, r: int = 2) -> float:
     """Sup-norm distance (over degrees <= r) from y to moments of measures on S*.
 
-    Linear program: min t over probability weights w on the sample points with
-    |y_alpha - sum_j w_j x_j^alpha| <= t for every |alpha| <= r.
+    The linear program min t over probability weights w on the sample points,
+    with |y_alpha - sum_j w_j x_j^alpha| <= t for every |alpha| <= r, solved by
+    an exact dense simplex (`_sup_norm_weights`).  The value returned is
+    max_alpha |y_alpha - sum_j w_j x_j^alpha| evaluated at the optimal weights,
+    clipped to >= 0 and normalized to sum 1: the distance an explicit
+    probability measure on the samples attains, with no solver tolerance
+    floor, so it reads 0.0 only where that measure's moments equal y's.
+    A sample set that is empty or not of shape (k, n), a non-finite sample and
+    one whose moments overflow raise ValueError, the last two naming the point.
     """
-    # imported here: scipy.optimize is a third of `import momlab` and only this LP needs it
-    from scipy.optimize import linprog
-
     samples = np.atleast_2d(np.asarray(s_star_samples, dtype=float))
     if samples.shape[0] == 0:
         raise ValueError("empty optimal sample set")
+    if samples.ndim != 2 or samples.shape[1] != y.n:
+        raise ValueError(f"samples must have shape (k, {y.n}), got {samples.shape}")
     y_r = y.truncate(r)
-    Phi = y_r.basis.eval_matrix(samples).T  # (l, k)
-    yv = y_r.y
-    k = samples.shape[0]
-    # variables: w_1..w_k, t
-    ones_t = np.ones((Phi.shape[0], 1))
-    A_ub = np.vstack(
-        [np.hstack([Phi, -ones_t]), np.hstack([-Phi, -ones_t])]
-    )
-    b_ub = np.concatenate([yv, -yv])
-    A_eq = np.concatenate([np.ones(k), [0.0]]).reshape(1, -1)
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * k + [(0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"moment-distance LP failed: {res.message}")
-    return float(res.fun)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Phi = y_r.basis.eval_matrix(samples).T  # (l, k)
+    bad = ~np.isfinite(Phi).all(axis=0)
+    if bad.any():
+        point = tuple(samples[np.argmax(bad)].tolist())
+        if np.isfinite(point).all():
+            raise ValueError(f"moments of sample {point} overflow to degree {r}")
+        raise ValueError(f"sample {point} is not finite")
+    w = _sup_norm_weights(Phi, y_r.y)
+    return float(np.max(np.abs(y_r.y - Phi @ w)))
 
 
 def builtin_corpus() -> list:

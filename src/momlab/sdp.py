@@ -34,14 +34,15 @@ kernels and atoms.
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
 (<F_ji, W^-1 F_jk W^-1>) are the only code in the iteration that reads
-`mats`.  Each block keeps `mats` and one sparse form, the CSR of the
-flattened (m, s*s) `mats`.  `apply` and `adjoint` are one product each with
-the operator pair that one cost rule (`_nonzero_products`) picks when the
-block is built: the flattened `mats`, or, on a large, sparse block, the CSR
-and its CSC transpose.  `schur` forms W^-1 F_jk W^-1 densely and sums each
-<F_ji, .> over the nonzero entries of F_ji by one CSR product, a slice of k
-at a time (`SdpBlock.chunks`, at most CHUNK_ENTRIES entries, the slices the
-face rows are read in too).  A block's arrays are read-only, so the CSR
+`mats`, and `gram` (<F_ji, F_jk>) reads the CSR once before it.  Each block
+keeps `mats` and one sparse form, the CSR of the flattened (m, s*s) `mats`.
+`apply` and `adjoint` are one product each with the operator pair that one
+cost rule (`_nonzero_products`) picks when the block is built: the flattened
+`mats`, or, on a large, sparse block, the CSR and its CSC transpose.
+`schur` forms W^-1 F_jk W^-1 densely and sums each <F_ji, .> over the
+nonzero entries of F_ji by one CSR product, a slice of k at a time
+(`SdpBlock.chunks`, at most CHUNK_ENTRIES entries, the slices the face rows
+are read in too).  A block's arrays are read-only, so the CSR
 cannot go stale, and a malformed block is rejected when it is built.
 
 The solver is an infeasible-start path-following method with Nesterov-Todd
@@ -86,7 +87,8 @@ linear in Z, and the Newton system asks A*(dZ) = rd, but the dZ that the
 Schur solve gives meets it only up to the solve's error, which the jittered
 Cholesky of a near-singular Schur matrix makes large.  So each dZ is
 corrected by the minimum-norm change sum_i w_i F_i with
-(AA*) w = rd - A*(dZ).  AA* is the Schur matrix at W = I; it is formed and
+(AA*) w = rd - A*(dZ).  AA* is the Schur matrix at W = I, the sum of each
+block's CSR times its transpose (`SdpBlock.gram`); it is formed and
 pseudo-inverted once per solve, from `psd_split` at `_rank_cutoff`, so a
 variable whose coefficient matrices are all zero (a zero row of AA*) is
 simply left out of the correction.  A step of length ad then scales the dual
@@ -243,6 +245,10 @@ class SdpBlock:
             U = W_inv @ self.mats[c] @ W_inv
             cols.append(self._sparse @ U.reshape(len(U), self.F0.size).T)
         return cols[0] if len(cols) == 1 else np.hstack(cols)
+
+    def gram(self) -> np.ndarray:
+        """<mats[i], mats[j]>: the block's share of AA*, `schur` at W_inv = I, from the CSR."""
+        return (self._sparse @ self._sparse.T).toarray()
 
     def assemble(self, x: np.ndarray) -> np.ndarray:
         return self.F0 + self.apply(x)
@@ -725,7 +731,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
                           [np.eye(blk.size) * (1.0 + np.linalg.norm(blk.F0)) for blk in blocks],
                           [np.eye(blk.size) * zeta for blk in blocks])
     # the dual projection of every search direction
-    AA = problem.schur([np.eye(blk.size) for blk in blocks])
+    AA = _sym(sum((blk.gram() for blk in blocks), np.zeros((problem.n_vars, problem.n_vars))))
     w, U, _ = psd_split(AA, _rank_cutoff(AA))
     AA_pinv = (U / w) @ U.T
     del AA, w, U  # n_vars^2 each, not held through the iteration

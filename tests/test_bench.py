@@ -134,6 +134,81 @@ def test_moment_distance_empty_samples():
         moment_distance_to_optimal(y, np.zeros((0, 1)), r=1)
 
 
+@pytest.mark.parametrize("samples, match", [
+    ([[0.5, np.nan]], r"sample \(0\.5, nan\) is not finite"),
+    ([[0.0, 0.0], [-np.inf, 1.0]], r"sample \(-inf, 1\.0\) is not finite"),
+    ([[0.0, 0.0], [1e200, 0.0]], r"moments of sample \(1e\+200, 0\.0\) overflow"),
+    ([[0.0, 0.0, 0.0]], r"shape \(k, 2\), got \(1, 3\)"),
+    (np.zeros((2, 2, 1)), r"shape \(k, 2\), got \(2, 2, 1\)"),
+])
+def test_moment_distance_rejects_bad_samples(samples, match):
+    y = PseudoMomentSequence.from_atoms([[0.5, -0.5]], [1.0], 4)
+    with pytest.raises(ValueError, match=match):
+        moment_distance_to_optimal(y, samples, r=2)
+
+
+def _highs_distance(y, samples, r):
+    """The moment-distance LP through scipy's HiGHS: the reference for the package's simplex."""
+    from scipy.optimize import linprog
+
+    y_r = y.truncate(r)
+    Phi = y_r.basis.eval_matrix(samples).T
+    k, ones = len(samples), np.ones((len(Phi), 1))
+    res = linprog(np.r_[np.zeros(k), 1.0],
+                  A_ub=np.vstack([np.hstack([Phi, -ones]), np.hstack([-Phi, -ones])]),
+                  b_ub=np.r_[y_r.y, -y_r.y], A_eq=np.r_[np.ones(k), 0.0][None], b_eq=[1.0],
+                  bounds=[(0, None)] * (k + 1), method="highs")
+    assert res.success, res.message
+    return res.fun
+
+
+def _check_against_highs(y, samples, r):
+    ours, ref = moment_distance_to_optimal(y, samples, r=r), _highs_distance(y, samples, r)
+    # HiGHS reads 0 below its 1e-7 feasibility tolerance; the simplex's value is attained
+    assert ours >= 0.0 and (abs(ours - ref) <= 1e-12 if ref > 1e-7 else ours <= 1e-7), (ours, ref)
+    return ours
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moment_distance_matches_highs(n):
+    rng = np.random.default_rng(n)
+    for r in (1, 2):
+        for k in (1, 2, 3, 5, 8, 13, 21, 30):
+            for draw in range(4):
+                samples = rng.uniform(-1.0, 1.0, (k, n))
+                if draw % 2:  # duplicate samples
+                    samples = samples[rng.integers(0, k, k)]
+                atoms = samples if draw == 0 else rng.uniform(-1.0, 1.0, (3, n))
+                y = PseudoMomentSequence.from_atoms(atoms, rng.dirichlet(np.ones(len(atoms))), 2)
+                dist = _check_against_highs(y, samples, r)
+                if draw == 0:  # a mixture over the samples is representable
+                    assert dist <= 1e-12, (r, k, dist)
+                point = PseudoMomentSequence.from_atoms(samples[-1:], [1.0], 2)
+                assert moment_distance_to_optimal(point, samples, r=r) == 0.0
+
+
+@pytest.mark.parametrize("atom, samples, r, dist", [
+    ([0.5, 0.5], [[0.0, 0.0]], 1, 0.5),              # both degree-1 residuals tie
+    ([0.5, 0.5], [[0.0, 0.0]], 2, 0.5),
+    ([0.0], [[-1.0], [1.0]], 1, 0.0),                # the midpoint of two samples
+    ([0.0], [[-1.0], [1.0]], 2, 1.0),                # ... whose second moment is off by 1
+    ([0.5, 0.5], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 2, None),
+    ([0.0, 0.0], [[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]], 2, 1.0),
+])
+def test_moment_distance_with_tied_residuals(atom, samples, r, dist):
+    y = PseudoMomentSequence.from_atoms([atom], [1.0], 2)
+    value = _check_against_highs(y, np.array(samples), r)
+    if dist is not None:
+        assert value == pytest.approx(dist, abs=1e-15)
+
+
+def test_moment_distance_names_its_pivot_cap(monkeypatch):
+    monkeypatch.setattr(momlab.bench, "LP_MAX_PIVOTS", 0)
+    y = PseudoMomentSequence.from_atoms([[0.0]], [1.0], 2)
+    with pytest.raises(RuntimeError, match="no optimum in 0 pivots"):
+        moment_distance_to_optimal(y, [[-1.0], [1.0]], r=1)
+
+
 def test_builtin_corpus_shape():
     corpus = builtin_corpus()
     assert len(corpus) == 5
@@ -281,13 +356,25 @@ def test_suite_reads_flatness_from_rounded_results(monkeypatch, suite_run):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is about a third of the import time; only the moment-distance LP needs it
+    # scipy.optimize is about a third of the import time, and no module of momlab uses it
     src = str(Path(momlab.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", "import sys, momlab; print('scipy.optimize' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_suite_runs_without_scipy_optimize():
+    # the moment-distance LP is the package's own simplex, so the suite runs with
+    # scipy.optimize unimportable
+    src = str(Path(momlab.__file__).resolve().parents[1])
+    code = ("import sys; sys.modules['scipy.optimize'] = None\n"
+            "from momlab.bench import builtin_corpus, run_suite\n"
+            "print([rep.failure for rep in run_suite(builtin_corpus())[0]])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str([None] * 5)
 
 
 def _same_value(a, b) -> bool:

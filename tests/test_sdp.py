@@ -395,6 +395,18 @@ def test_schur_is_the_same_in_any_chunks(monkeypatch, per_chunk):
     assert empty.chunks == (slice(0, 0),) and empty.schur(np.eye(3)).shape == (0, 0)
 
 
+def test_gram_is_schur_at_the_identity():
+    # the solver's AA* comes from each block's CSR times its transpose; it is the
+    # Schur matrix at W = I bit for bit, so no solve moves
+    rng = np.random.default_rng(19)
+    blocks = (_ball_blocks(3, 6) + _ball_blocks(4, 6) + tuple(
+        build_moment_sdp(_corpus_problem("line-min"), 4).problem.blocks)
+        + (SdpBlock(*_sparse_test_block(rng)), SdpBlock(np.eye(4), _random_sym(rng, 5, 4, 4)),
+           SdpBlock(np.eye(3), np.zeros((0, 3, 3)))))
+    for blk in blocks:
+        assert np.array_equal(blk.gram(), blk.schur(np.eye(blk.size)))
+
+
 @pytest.mark.parametrize("per_chunk", [1, 2])
 def test_solve_is_the_same_in_any_chunks(monkeypatch, caplog, per_chunk):
     # the line-min level-4 solve, its Schur matrices and its face rows read in
