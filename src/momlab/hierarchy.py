@@ -1,23 +1,28 @@
 """Moment relaxations, SOS tightenings, certificates, membership tests.
 
-Level d bounds the total degree of every certified product.  The moment side
-minimizes L(f) over pseudo-moment sequences with PSD moment and localizing
-matrices and L(h * X^gamma) = 0 for equality constraints h; the SOS side is
-its SDP dual, read off the same solve.  L(1) = 1 and the equality relations
-are eliminated up front by one echelon form (`sdp.basic_solutions`, columns
-in descending grlex order).  Its pivots are the dependent moments; the other,
-basic moments are the SDP variables, with each column of N scaled to unit
-norm.  A pivot monomial's row of a moment or localizing block is a fixed
-combination of the row of 1 and the basic rows, its normal form, when each
+Level d bounds the total degree of every certified product.  Every SDP here
+is a moment SDP built by `_moment_sdp`: min L(cost) over pseudo-moment
+sequences with PSD moment and localizing matrices and L(h * X^gamma) = 0 for
+equality constraints h; the SOS side is its SDP dual, read off the same
+solve.  The equality relations are eliminated first, as a homogeneous system,
+by one echelon form (`sdp.basic_solutions`, columns in descending grlex
+order): y = N1 w over the basic moments w.  A pivot monomial's row of a
+block is a fixed combination of the basic rows, its normal form, when each
 relation of degree e is a combination of relation rows h X^gamma of degree
-at most e, as for a single equality or x_i = x_i^2.  So each block keeps
-those rows and any pivot row that its normal form misses (`_block_rows`,
-checked on the block's signatures).  This removes the common kernel that
-equalities give every feasible moment matrix (x = x^2 on {0,1}; the row of
-1 equal to the sum of the rows of x_i^2 on a sphere), which keeps the SDP
-strictly feasible even when K is finite or a sphere, and each block stays as
-sparse as the moment matrix.  A flat solution is rounded to the moments of its
-polished atoms (`solve_moment_sdp`).
+at most e, as for a single equality or x_i = x_i^2.  So each block keeps its
+basic rows and any pivot row that its normal form misses (`_block_rows`),
+and a block that the relations make identically zero is left out.  This
+removes the common kernel that equalities give every feasible moment matrix
+(x = x^2 on {0,1}; the row of 1 equal to the sum of the rows of x_i^2 on a
+sphere), which keeps the SDP strictly feasible even when K is finite or a
+sphere, and each block stays as sparse as the moment matrix.  Then one
+normalization row is eliminated; the other basic moments, with unit-norm
+columns of N, are the SDP variables.  A relaxation has L(1) = 1, and a flat
+solution is rounded to the moments of its polished atoms (`solve_moment_sdp`).
+A Gram question (`qmodule_membership`, `compute_d0`, `is_sos_convex`) has
+L(tau) = 1, tau each block's squared rows times its weight, summed: q is a
+member when min L(q) >= -MEMBERSHIP_TOL, and its Grams are the dual blocks
+plus lam* I (`_gram_certificate`).
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ import numpy as np
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import AtomicMeasure, check_flatness, extract_atoms, polish_atoms
 from .poly import MonomialBasis, Polynomial, r_dim
-from .sdp import (SdpBlock, SdpProblem, _leading_columns, basic_solutions, extract_dual_gram,
-                  psd_floor, solve)
+from .sdp import SdpBlock, SdpProblem, _leading_columns, basic_solutions, psd_floor, solve
 
 __all__ = [
     "SosCertificate",
@@ -112,7 +116,8 @@ class MomentSdp:
     offset: float                  # L(f) = c.z + offset
     block_weights: tuple           # g multiplying each PSD block (g=1 for the moment block)
     block_bases: tuple             # monomial rows of each block: 1, the basic monomials and
-                                   # the pivot monomials whose normal forms miss their rows
+                                   # the pivot monomials whose normal forms miss their rows;
+                                   # () for a block that the equalities make identically zero
 
 
 class MomentSdpError(RuntimeError):
@@ -139,22 +144,22 @@ def _relation_rows(prob: SemialgebraicProblem, basis: MonomialBasis):
     return rows, owners
 
 
-def _block_rows(G, normal_forms, rows, pivot_rows):
-    """Rows a block keeps: `rows` (1 and the basic monomials) and the pivot rows they miss.
+def _block_rows(G, coef, rows, pivot_rows):
+    """Positions a block keeps: `rows` (its basic monomials) and the pivot rows they miss.
 
-    G holds the block's full signatures, G[i, j] = [F0 | F_1 ... F_k][i, j].  The
-    row of a pivot monomial is its normal form (its row of `normal_forms`, over
-    1 and the basic monomials) applied to `rows` when each relation of degree e
-    combines relation rows of degree at most e, as for a single equality or
-    x_i = x_i^2.  A pivot row that differs from that combination by more than
-    round-off is kept, unless its difference is a combination of the differences
-    of pivot rows kept before it (`sdp._leading_columns`, the pivot rule of
-    `basic_solutions`); each dropped row is then a fixed combination of kept rows.
+    G holds the block's signatures in the basic moments w of the relations,
+    G[i, j] = [F_1 ... F_k][i, j].  The row of a pivot monomial is its normal
+    form (its row of `coef`, over the block's basic rows) applied to `rows` when
+    each relation of degree e combines relation rows of degree at most e, as for
+    a single equality or x_i = x_i^2.  A pivot row that differs from that
+    combination by more than round-off is kept, unless its difference is a
+    combination of the differences of pivot rows kept before it
+    (`sdp._leading_columns`, the pivot rule of `basic_solutions`); each dropped
+    row is then a fixed combination of kept rows.
     """
     if not len(pivot_rows):
         return rows
     sigs = G.reshape(len(G), -1)
-    coef = normal_forms[pivot_rows, :len(rows)]
     diff = sigs[pivot_rows] - coef @ sigs[rows]
     tol = 1e-12 * (1.0 + np.max(np.abs(sigs))) * (1.0 + np.max(np.abs(coef).sum(axis=1)))
     missed = np.max(np.abs(diff), axis=1) > tol
@@ -171,62 +176,95 @@ def _check_level(prob: SemialgebraicProblem, d: int) -> None:
         raise ValueError(f"level {d} below problem degree {deg_needed}")
 
 
-def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
-    """Assemble the level-d moment relaxation as an explicit SDP over z."""
-    _check_level(prob, d)
-    n = prob.n
-    k = relaxation_order(d)
-    budget = 2 * k
-    basis = MonomialBasis(n, budget)
-    m = len(basis)
+def _moment_sdp(prob: SemialgebraicProblem, basis: MonomialBasis, blocks, cost: Polynomial,
+                what: str, trace: bool = False):
+    """min L(cost) over pseudo-moments on `basis` with PSD localizing matrices.
 
-    # L(1) = 1 and the equality relations, solved for the pivot moments
-    e0 = np.zeros(m)
-    e0[0] = 1.0
+    `blocks` pairs each block's rows, an (s, n) exponent array, with its weight
+    g.  The normalization is L(1) = 1, or with `trace` L(tau) = 1 for tau =
+    sum_j sum_i v_i^2 g_j over each block's kept rows v, after the basic
+    moments that no block holds are dropped.  Returns (problem, y_p, N, offset,
+    block_bases), y = y_p + N z and L(cost) = c.z + offset, with an empty basis
+    for a block left out.  With `trace`: None when L(cost) is unbounded because
+    the cost reaches a dropped moment, and problem None when no block is left.
+    """
+    m = len(basis)
     rel_rows, _ = _relation_rows(prob, basis)
-    E = np.vstack([e0, *rel_rows])
-    rhs = np.zeros(E.shape[0])
-    rhs[0] = 1.0
-    y_p, N, pivots, residual = basic_solutions(E, rhs)
-    if residual > 1e-8:
-        raise ValueError("equality constraints are inconsistent with L(1) = 1")
-    weights = (Polynomial.constant(1.0, n),) + tuple(prob.constraints)
+    if rel_rows:
+        _, N1, pivots, _ = basic_solutions(np.array(rel_rows), np.zeros(len(rel_rows)))
+    else:  # w = y, and no identity is built for it
+        N1, pivots = None, np.zeros(m, dtype=bool)
+    col = np.cumsum(~pivots) - 1  # column of each basic moment in w
+
+    live, bases = [], []  # the localizing maps of the SDP's blocks; every block's kept rows
+    for rows, g in blocks:
+        lmap, idx = basis.localizing_map(rows, g), basis.indices(rows)
+        keep = np.arange(len(rows))
+        if N1 is not None:
+            G = lmap.gather(N1)
+            piv, bas = np.flatnonzero(pivots[idx]), np.flatnonzero(~pivots[idx])
+            # a block that is 0 on every solution of the relations has F0 = 0 and F_i = 0
+            keep = _block_rows(G, N1[np.ix_(idx[piv], col[idx[bas]])], bas, piv) if G.any() else []
+            if 0 < len(keep) < len(rows):
+                lmap = basis.localizing_map(rows[keep], g)
+        if len(keep):
+            live.append(lmap)
+        bases.append(tuple(basis.exponents[i] for i in idx[keep]))
+
+    f_vec = cost.coeff_vector(basis)
+    if trace:
+        held = np.unique(np.concatenate([np.zeros(0, int), *(lm.idx.ravel() for lm in live)]))
+        w = held if N1 is None else np.flatnonzero(np.any(N1[held] != 0, axis=0))
+        dropped = np.delete(f_vec if N1 is None else f_vec @ N1, w)
+        if np.linalg.norm(dropped) > 1e-9 * (1.0 + np.linalg.norm(f_vec)):
+            return None
+        if not live:  # every block is 0 on the relations, and so is L(cost)
+            return None, None, None, 0.0, tuple(bases)
+        tau = sum(lmap.adjoint(np.eye(lmap.idx.shape[1])) for lmap in live)
+    else:
+        tau = np.zeros(m)
+        tau[0] = 1.0
+        w = np.arange(m - np.count_nonzero(pivots))
+    row = tau if N1 is None else tau @ N1
+    w_p, N2, piv2, residual = basic_solutions(row[None, w], np.ones(1))
+    if residual > 1e-8 or not trace and pivots[0]:  # pivots[0]: the relations force L(1) = 0
+        raise ValueError("equality constraints are inconsistent with "
+                         f"{'L(tau)' if trace else 'L(1)'} = 1")
+    if N1 is None:
+        y_p, N = np.zeros(m), np.zeros((m, N2.shape[1]))
+        y_p[w], N[w] = w_p, N2
+    else:
+        p = w[piv2][0]
+        y_p = N1[:, p] * w_p[piv2][0]
+        N = N1[:, w[~piv2]] + np.outer(N1[:, p], N2[piv2][0])
     max_n = float(np.max(np.abs(N), initial=0.0))
-    normal_forms = np.column_stack([y_p, N])  # y = normal_forms @ [1; z], z unscaled
     # unit-norm columns: on 31 circle, sphere and binary-corner relaxations they
     # left 1 solve loose and raw basic coordinates 3, but which solves end loose
     # moves with round-off in these coordinates (ROADMAP item 15)
     N /= np.linalg.norm(N, axis=0)
     y_and_n = np.column_stack([y_p, N])
-    basic = np.flatnonzero(np.r_[True, ~pivots[1:]])  # the row of 1 (a pivot) and the basic rows
+    sdp_blocks = []
+    for lmap in live:
+        G = lmap.gather(y_and_n)
+        sdp_blocks.append(SdpBlock(F0=G[:, :, 0], mats=np.transpose(G[:, :, 1:], (2, 0, 1))))
+    log.debug("%s: %d pivots of %d moments, max|N| %.3g, rows kept per block %s", what,
+              np.count_nonzero(pivots) + 1, m, max_n, [len(rows) for rows in bases])
+    problem = SdpProblem(n_vars=N.shape[1], c=N.T @ f_vec, blocks=sdp_blocks)
+    return problem, y_p, N, float(f_vec @ y_p), tuple(bases)
 
-    blocks, block_bases = [], []
-    for g in weights:
-        s = r_dim(n, (budget - g.degree) // 2)
-        G = basis.localizing_map(basis.exps[:s], g).gather(y_and_n)
-        rows = _block_rows(G, normal_forms, basic[basic < s], np.flatnonzero(pivots[1:s]) + 1)
-        if len(rows) < s:
-            G = G[np.ix_(rows, rows)]
-        blocks.append(SdpBlock(F0=G[:, :, 0], mats=np.transpose(G[:, :, 1:], (2, 0, 1))))
-        block_bases.append(tuple(basis.exponents[i] for i in rows))
-    log.debug("level %d moment SDP: %d pivots of %d moments, max|N| %.3g, rows kept per "
-              "block %s", d, np.count_nonzero(pivots), m, max_n, [len(r) for r in block_bases])
 
-    f_vec = prob.objective.coeff_vector(basis)
-    c = N.T @ f_vec
-    offset = float(f_vec @ y_p)
-    sdp = SdpProblem(n_vars=N.shape[1], c=c, blocks=blocks)
-    return MomentSdp(
-        d=d,
-        order=k,
-        basis=basis,
-        problem=sdp,
-        y_particular=y_p,
-        nullbasis=N,
-        offset=offset,
-        block_weights=weights,
-        block_bases=tuple(block_bases),
-    )
+def build_moment_sdp(prob: SemialgebraicProblem, d: int) -> MomentSdp:
+    """Assemble the level-d moment relaxation as an explicit SDP over z."""
+    _check_level(prob, d)
+    n = prob.n
+    k = relaxation_order(d)
+    basis = MonomialBasis(n, 2 * k)
+    weights = (Polynomial.constant(1.0, n),) + tuple(prob.constraints)
+    blocks = [(basis.exps[:r_dim(n, (2 * k - g.degree) // 2)], g) for g in weights]
+    problem, y_p, N, offset, bases = _moment_sdp(prob, basis, blocks, prob.objective,
+                                                 f"level {d} moment SDP")
+    return MomentSdp(d=d, order=k, basis=basis, problem=problem, y_particular=y_p,
+                     nullbasis=N, offset=offset, block_weights=weights, block_bases=bases)
 
 
 def _recover_multipliers(prob, residual_vec, basis):
@@ -237,15 +275,14 @@ def _recover_multipliers(prob, residual_vec, basis):
     residual on the pivot monomials only.
     """
     rel_rows, owners = _relation_rows(prob, basis)
-    multipliers = [Polynomial.zero(prob.n) for _ in prob.equalities]
+    terms = [{} for _ in prob.equalities]
     if not rel_rows:
-        return tuple(multipliers), residual_vec
+        return tuple(Polynomial.zero(prob.n) for _ in terms), residual_vec
     R = np.array(rel_rows).T  # columns are h*X^gamma coefficient vectors
     lam, *_ = np.linalg.lstsq(R, residual_vec, rcond=None)
-    for (j, gamma), lv in zip(owners, lam):
-        mono = Polynomial(prob.n, {gamma: float(lv)})
-        multipliers[j] = multipliers[j] + mono
-    return tuple(multipliers), residual_vec - R @ lam
+    for (j, gamma), lv in zip(owners, lam.tolist()):
+        terms[j][gamma] = lv
+    return tuple(Polynomial._result(prob.n, t.items()) for t in terms), residual_vec - R @ lam
 
 
 def _certificate(prob, q, s, basis, gram_bases, weights, grams) -> SosCertificate:
@@ -314,7 +351,7 @@ def solve_moment_sdp(
     f_d = sol.dual_value + ms.offset
     cert = None
     if want_certificate:
-        grams = [extract_dual_gram(sol, j) for j in range(len(ms.block_bases))]
+        grams = _dual_grams(sol, ms.block_bases)
         cert = _certificate(prob, prob.objective, f_d, ms.basis,
                             ms.block_bases, ms.block_weights, grams)
     rounded = _round(prob, y, ms.order, m_d)
@@ -359,91 +396,49 @@ def solve_sos_tightening(prob: SemialgebraicProblem, d: int):
     return res.f_d_star, res.certificate
 
 
-def _sym_from_triu(vals: np.ndarray, sdim: int) -> np.ndarray:
-    """Symmetric sdim x sdim matrices from upper-triangular entries on the last axis."""
-    iu, ju = np.triu_indices(sdim)
-    G = np.zeros(vals.shape[:-1] + (sdim, sdim))
-    G[..., iu, ju] = vals
-    G[..., ju, iu] = vals
-    return G
+def _dual_grams(sol, block_bases, shift: float = 0.0) -> list:
+    """Each dual block Z_j + shift * I, eigenvalue-floored; 0 x 0 for an empty basis."""
+    duals = iter(sol.block_duals)
+    return [psd_floor(next(duals) + shift * np.eye(len(rows)) if shift else next(duals))
+            if rows else np.zeros((0, 0)) for rows in block_bases]
 
 
-def phase1_gram(basis: MonomialBasis, blocks, target, project=None,
-                what: str = "membership SDP"):
-    """Phase-I Gram SDP: is `target` = sum_j (v_j' G_j v_j) g_j with every G_j PSD?
+def _gram_certificate(prob: SemialgebraicProblem, q: Polynomial, basis: MonomialBasis,
+                      blocks, what: str):
+    """Is q = sum_j (v_j' G_j v_j) g_j + sum_k lam_k h_k, G_j PSD?  (True, cert) or (False, None).
 
-    `blocks` pairs monomial rows v_j (exponent tuples) with weights g_j;
-    `target` is a coefficient vector over `basis`.  Minimizes t subject to
-    G_j + t*I PSD, t >= -1 and exact coefficient matching (left-multiplied by
-    `project` when given).  The matching equations are eliminated before the
-    solve (`sdp.basic_solutions`): the Gram entries range over x_p + N z, z the
-    basic Gram entries, N's columns scaled to unit norm, and the SDP is over (z, t).
-    The verdict reads only whether t* <= MEMBERSHIP_TOL, so any lower bound
-    on t below 0 gives the same answer; -1 keeps the SDP well scaled (with
-    -1e6, the Gram SDPs of `compute_d0` on the builtin corpus take up to 139
-    iterations, where -1 takes at most 10).
-    Returns the Grams, shifted by t* and eigenvalue-floored, or None when the
-    matching is inconsistent, the SDP is infeasible or t* > MEMBERSHIP_TOL.
-    Any other non-Optimal status raises RuntimeError naming `what`, the status,
-    iteration count and residuals.
+    `blocks` pairs rows v_j (an exponent array) with weights g_j.  The moment
+    SDP min L(q) s.t. L(tau) = 1 (`_moment_sdp` with `trace`) is the dual of
+    max lam with q - lam * tau in the module, which is -t* of the phase-I
+    min t with G_j + t*I PSD.  q is a member when min L(q) >= -MEMBERSHIP_TOL,
+    read from the primal side that the face check refines, and the Grams are
+    the dual blocks plus lam* I.  A solve that ends other than Optimal raises
+    RuntimeError naming `what` and how it ended.
     """
-    # coefficient matching over the upper-triangular Gram entries
-    cols, sizes = [], [len(rows) for rows, _ in blocks]
-    for (rows, g), sdim in zip(blocks, sizes):
-        iu, ju = np.triu_indices(sdim)
-        V = basis.localizing_map(rows, g).gather(np.eye(len(basis)))
-        cols.append((np.where(iu == ju, 1.0, 2.0)[:, None] * V[iu, ju]).T)
-    A = np.hstack(cols)
-    if project is None:
-        Aeq, beq = A, target
-    else:
-        Aeq, beq = project.T @ A, project.T @ target
-    x_p, N, _, residual = basic_solutions(Aeq, beq)
-    if residual > 1e-9 * (1.0 + np.linalg.norm(beq)):
-        return None
-    N /= np.linalg.norm(N, axis=0)  # as `build_moment_sdp` scales them
-    nz = N.shape[1]
-    t_idx = nz
-
-    sdp_blocks, lo = [], 0
-    for sdim in sizes:
-        hi = lo + sdim * (sdim + 1) // 2
-        mats = np.concatenate([_sym_from_triu(N[lo:hi].T, sdim), np.eye(sdim)[None]])
-        sdp_blocks.append(SdpBlock(F0=_sym_from_triu(x_p[lo:hi], sdim), mats=mats))
-        lo = hi
-    # t >= -1 keeps the SDP bounded; any bound below 0 gives the same verdict
-    t_mats = np.zeros((nz + 1, 1, 1))
-    t_mats[t_idx] = 1.0
-    sdp_blocks.append(SdpBlock(F0=np.array([[1.0]]), mats=t_mats))
-    c = np.zeros(nz + 1)
-    c[t_idx] = 1.0
-    sol = solve(SdpProblem(n_vars=nz + 1, c=c, blocks=sdp_blocks))
-    if sol.status == "Infeasible":
-        return None
+    built = _moment_sdp(prob, basis, blocks, q, what, trace=True)
+    if built is None:
+        return False, None
+    problem, _, _, offset, gram_bases = built
+    weights = [g for _, g in blocks]
+    if problem is None:  # q lies in the span of the relations, as every block does
+        return True, _certificate(prob, q, 0.0, basis, gram_bases, weights,
+                                  [np.zeros((0, 0))] * len(blocks))
+    sol = solve(problem)
     if sol.status != "Optimal":
         raise RuntimeError(f"{what} ended with {sol.describe()}")
-    t_star = float(sol.x[t_idx])
-    if t_star > MEMBERSHIP_TOL:
-        return None
-
-    entries = x_p + N @ sol.x[:nz]
-    grams, lo = [], 0
-    for sdim in sizes:
-        hi = lo + sdim * (sdim + 1) // 2
-        G = _sym_from_triu(entries[lo:hi], sdim) + max(t_star, 0.0) * np.eye(sdim)
-        grams.append(psd_floor(G))
-        lo = hi
-    return grams
+    if sol.value + offset < -MEMBERSHIP_TOL:
+        return False, None
+    grams = _dual_grams(sol, gram_bases, sol.dual_value + offset)
+    return True, _certificate(prob, q, 0.0, basis, gram_bases, weights, grams)
 
 
 def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int):
     """Is q = sigma_0 + sum sigma_i p_i + sum lam_j h_j with every product degree <= d?
 
-    Decided by a phase-I SDP: minimize t subject to G_j + t*I PSD and exact
-    coefficient matching; membership iff the optimum is <= ~1e-7.  Equality
-    multipliers are eliminated from the matching equations first (left product
-    with a basis of the null space of their rows; any basis gives the same
-    equations) so every remaining variable appears in a PSD block.
+    Decided by one trace-normalized moment SDP (`_gram_certificate`); the
+    Grams are over each block's kept rows.  A constraint of degree above d, or
+    one that the equalities make identically zero, gets an empty basis and a
+    0 x 0 Gram.
     """
     if q.n != prob.n:
         raise ValueError("dimension mismatch")
@@ -452,26 +447,17 @@ def qmodule_membership(q: Polynomial, prob: SemialgebraicProblem, d: int):
     n = prob.n
     basis = MonomialBasis(n, d)
     weights = [Polynomial.constant(1.0, n)] + list(prob.constraints)
-    # a constraint of degree above d gets no block: an empty basis and a 0 x 0 Gram
-    gram_bases = [tuple(basis.exponents[:r_dim(n, (d - g.degree) // 2)]) if g.degree <= d else ()
-                  for g in weights]
-
-    project = None
-    rel_rows, _ = _relation_rows(prob, basis)
-    if rel_rows:
-        # the null space of the relation rows, whose span the multipliers fill
-        _, project, _, _ = basic_solutions(np.array(rel_rows), np.zeros(len(rel_rows)))
-    grams = phase1_gram(basis, [(rows, g) for rows, g in zip(gram_bases, weights) if rows],
-                        q.coeff_vector(basis), project)
-    if grams is None:
-        return False, None
-    found = iter(grams)
-    grams = [next(found) if rows else np.zeros((0, 0)) for rows in gram_bases]
-    return True, _certificate(prob, q, 0.0, basis, gram_bases, weights, grams)
+    blocks = [(basis.exps[:r_dim(n, (d - g.degree) // 2) if g.degree <= d else 0], g)
+              for g in weights]
+    return _gram_certificate(prob, q, basis, blocks, "membership SDP")
 
 
 def compute_d0(prob: SemialgebraicProblem, d_max: int):
-    """Smallest k <= d_max with 1 - p in the level-k module for every constraint p."""
+    """Smallest k <= d_max with 1 - p in the level-k module for every constraint p.
+
+    Each test is a `qmodule_membership` call, one trace-normalized moment SDP;
+    None when no k <= d_max passes.
+    """
     targets = [Polynomial.constant(1.0, prob.n) - p for p in prob.constraint_pairs()]
     for k in range(d_max + 1):
         ok = True

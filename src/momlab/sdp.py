@@ -17,11 +17,11 @@ solve by affine substitution x = x_p + N z, which keeps the blocks strictly
 feasible.  One helper makes every such elimination and every null space in
 the package: `basic_solutions`, one echelon form whose z is the basic
 entries of x and whose N is [I; -X] up to the row order, so each F_i stays
-as sparse as the rows it comes from.  It eliminates a moment relaxation's
-L(1) = 1 and equality relations, the coefficient matching of the phase-I
-Gram SDPs (`phase1_gram`), and gives the null space of the relation rows
-that `qmodule_membership` projects onto and the null vector of each
-`tchakaloff_prune` step.  Its pivots are the columns `_leading_columns`
+as sparse as the rows it comes from.  It eliminates the equality relations
+of every moment SDP (`hierarchy._moment_sdp`, a homogeneous system) and then
+its normalization row, L(1) = 1 or the trace row L(tau) = 1 of a Gram
+question, and gives the null vector of each `tchakaloff_prune` step.  Its
+pivots are the columns `_leading_columns`
 finds at PIVOT_TOL, a rule the moment blocks' pivot-row check shares.  The
 final projection onto the optimal face (`_refine_primal`) writes the face
 system in each dual block's eigenbasis, rejects the face on one QR residual
@@ -174,10 +174,12 @@ class SdpBlock:
     | n=3, d=6 ball localizing   | 8 300 / 399      | 2.4 -> 3.9   | 2.9 -> 4.4   |
     | n=2, d=8 ball moment       | 9 900 / 224      | 2.5 -> 3.7   | 3.1 -> 4.4   |
     | motzkin-box, d=6 moment    | 2 700 / 99       | 1.3 -> 3.5   | 1.8 -> 4.0   |
-    | phase-I Gram block         | 230 400 / 1 032  | 35.0 -> 4.7  | 38.6 -> 5.3  |
+    | SOS-convexity Gram block   | 188 100 / 928    | 27.2 -> 3.9  | 28.4 -> 4.5  |
 
-    The last block is the Gram block of `is_sos_convex(x1^6 + x2^6 + x3^2)`.
-    Through a dense SVD null basis it held 36 742 nonzero entries (16 %).
+    The last block is the 30 x 30 block of `is_sos_convex(x1^6 + x2^6 + x3^2)`,
+    measured on a 2-core Intel Xeon where the n=4, d=6 moment block reads
+    44.3 -> 4.1 and 43.5 -> 4.5.  As a phase-I SDP over a dense SVD null
+    basis of its Gram entries it held 36 742 nonzero entries (16 %).
     """
 
     F0: np.ndarray
@@ -828,7 +830,9 @@ def export_sdpa(problem: SdpProblem, path) -> None:
     """Write the problem in SDPA sparse format (.dat-s).
 
     SDPA's convention is min c'x s.t. sum_i x_i F_i - F_0 PSD, so our block
-    constants are written negated.
+    constants are written negated.  Entries with i <= j are written in
+    row-major order; those of the coefficient matrices are read from each
+    block's CSR.
     """
     struct = [blk.size for blk in problem.blocks]
     lines = []
@@ -837,13 +841,15 @@ def export_sdpa(problem: SdpProblem, path) -> None:
     lines.append(" ".join(str(s) for s in struct) + " = bLOCKsTRUCT")
     lines.append(" ".join(repr(float(v)) for v in problem.c))
 
-    def emit(k, blk_no, mat):
-        for i, j in zip(*np.nonzero(np.triu(mat))):
-            lines.append(f"{k} {blk_no} {i+1} {j+1} {float(mat[i, j])!r}")
-
     for jb, blk in enumerate(problem.blocks, start=1):
-        emit(0, jb, -blk.F0)
-        for k, mat in enumerate(blk.mats, start=1):
-            emit(k, jb, mat)
+        # -F0, then the CSR's rows (the variables) with ascending, row-major positions
+        F0, csr = -blk.F0.ravel(), blk._sparse
+        pos = np.r_[np.flatnonzero(F0), csr.indices]
+        ks = np.repeat(np.arange(len(blk.mats) + 1), np.r_[len(pos) - csr.nnz, np.diff(csr.indptr)])
+        vals = np.r_[F0[F0 != 0], csr.data]
+        i, j = np.divmod(pos, blk.size)
+        up = i <= j
+        lines.extend(f"{k} {jb} {a + 1} {b + 1} {v!r}" for k, a, b, v in zip(
+            ks[up].tolist(), i[up].tolist(), j[up].tolist(), vals[up].tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

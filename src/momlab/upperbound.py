@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cone import SemialgebraicProblem
-from .hierarchy import _certificate, phase1_gram, solve_moment_relaxation
+from .hierarchy import _gram_certificate, solve_moment_relaxation
 from .extraction import candidate_minimizer
 from .poly import MonomialBasis, Polynomial, _exponent_row, exponent_array, monomials_upto, r_dim
 
@@ -232,8 +232,13 @@ def estimator_from_density(f: Polynomial, sigma: Polynomial, mu: ReferenceMeasur
 def is_sos_convex(f: Polynomial, d_cert: int | None = None):
     """Test whether the Hessian quadratic form y'D2f(x)y is SOS in (x,y).
 
-    The certifying basis is {y_i x^beta}; the Gram is returned on success.
-    An affine f has a zero Hessian form: (True, None), with no SDP.
+    The certifying rows are {y_i x^beta}.  The test is the trace-normalized
+    moment SDP of `hierarchy._gram_certificate` over the moments that the
+    block's entries reach: SOS when min L(form) >= -MEMBERSHIP_TOL subject to
+    L(sum of the squared rows) = 1, and the certificate's Gram is then the
+    dual block plus the dual optimum times I.  (False, None) otherwise, also
+    when the form has a monomial that no product of two rows reaches.  An
+    affine f has a zero Hessian form: (True, None), with no SDP.
     """
     n = f.n
     if d_cert is None:
@@ -258,13 +263,10 @@ def is_sos_convex(f: Polynomial, d_cert: int | None = None):
         for beta in monomials_upto(n, kx):
             rows.append(tuple(beta) + tuple(int(i == j) for j in range(n)))
     basis = MonomialBasis(2 * n, max(2 * max(sum(a) for a in rows), target.degree))
-    one = Polynomial.constant(1.0, 2 * n)
-    grams = phase1_gram(basis, [(rows, one)], target.coeff_vector(basis), what="SOS test SDP")
-    if grams is None:
-        return False, None
     # the Hessian form has no equality constraints, so no multipliers enter
     hess = SemialgebraicProblem(n=2 * n, objective=target)
-    return True, _certificate(hess, target, 0.0, basis, (tuple(rows),), (one,), grams)
+    one = Polynomial.constant(1.0, 2 * n)
+    return _gram_certificate(hess, target, basis, [(np.array(rows), one)], "SOS test SDP")
 
 
 def convex_cost_bound(prob: SemialgebraicProblem, d: int, f_star: float | None = None) -> dict:

@@ -260,8 +260,8 @@ def test_pinned_moments_are_solved_certified_and_rounded():
 
 
 def test_pinned_moments_on_the_boundary_of_the_constraints():
-    # x = 0.5 and x >= 0.5: the localizing block is the constant [[0]], and the
-    # face check runs on an SDP with no variables
+    # x = 0.5 and x >= 0.5: the localizing matrix is identically zero and is left
+    # out, so the SDP has no variables and one constant block, the moment block [[1]]
     prob = _pinned_problem((Polynomial.variable(0, 1) - 0.5,))
     assert build_moment_sdp(prob, 4).problem.n_vars == 0
     res = solve_moment_relaxation(prob, 4)
@@ -409,6 +409,76 @@ def test_membership_with_dependent_relation_rows():
                 assert cert.residual_norm <= 1e-7
     # 1 - h and 1 + h are the targets either way (x1 h would add targets of degree 3)
     assert compute_d0(twice, 4) == compute_d0(single, 4) == 2
+
+
+def _circles():
+    """The circle h = x1^2 + x2^2 - 1 given once, twice and as (h, x1 h), with 0.5 (1 - x1) >= 0."""
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    h = x1 * x1 + x2 * x2 - 1
+    return [SemialgebraicProblem(n=2, objective=x1, constraints=(0.5 * (1 - x1),), equalities=eqs)
+            for eqs in ((h,), (h, h), (h, x1 * h))]
+
+
+@pytest.mark.parametrize("which", ["single", "twice", "shifted"])
+def test_membership_answers_non_members_at_level_4(which):
+    # min t with G_j + t*I PSD ended IllConditioned on these and raised; the
+    # trace-normalized moment SDP ends Optimal with min L(q) < 0
+    prob = _circles()[["single", "twice", "shifted"].index(which)]
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    for q in (Polynomial.constant(-1.0, 2), x1 - 0.5, x1 * x2 + 0.4):
+        assert qmodule_membership(q, prob, 4) == (False, None)
+
+
+def test_membership_under_inconsistent_equalities():
+    # x = 0.5 and x = 0.7 put 1 in the span of the relations: every block is 0 on
+    # them and is left out, and every q of degree <= d is a member through the
+    # equality multipliers alone; the relaxation itself is rejected
+    x = Polynomial.variable(0, 1)
+    prob = SemialgebraicProblem(n=1, objective=x, constraints=(1 - x * x,),
+                                equalities=(x - 0.5, x - 0.7))
+    for q in (x, x * x, Polynomial.constant(-1.0, 1)):
+        ok, cert = qmodule_membership(q, prob, 2)
+        assert ok and [G.shape for G in cert.grams] == [(0, 0), (0, 0)]
+        assert cert.residual_norm <= 1e-12
+    assert compute_d0(prob, 4) == 2
+    with pytest.raises(ValueError, match="inconsistent with L\\(1\\) = 1"):
+        build_moment_sdp(prob, 2)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_identically_zero_localizing_block_is_dropped(d):
+    # 1 - x1^2 - x2^2 >= 0 is implied by x1^2 + x2^2 = 1: its localizing matrix is
+    # zero on every pseudo-moment sequence.  Kept as a 3x3, 5x5, 7x7 block, no point
+    # was strictly feasible and d = 8 ended loose; dropped, the constraint keeps its
+    # slot with an empty basis and a 0 x 0 Gram
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    prob = SemialgebraicProblem(n=2, objective=x1 * x2, constraints=(1 - x1 * x1 - x2 * x2,),
+                                equalities=(x1 * x1 + x2 * x2 - 1,))
+    ms = build_moment_sdp(prob, d)
+    assert [blk.size for blk in ms.problem.blocks] == [d // 2 * 2 + 1]
+    assert ms.block_bases[1] == ()
+    res = solve_moment_relaxation(prob, d)
+    assert res.status == "Optimal" and not res.retried and res.rounded is not None
+    assert abs(res.m_d_star + 0.5) <= 1e-8
+    assert [G.shape for G in res.certificate.grams][1] == (0, 0)
+    assert res.certificate.residual_norm <= 1e-8
+
+
+def test_multipliers_are_the_sum_of_their_terms():
+    # each multiplier holds its (gamma, lam) terms in relation-row order, as adding
+    # one monomial per relation row gave
+    prob = _circles()[2]
+    basis = MonomialBasis(2, 4)
+    vec = np.random.default_rng(0).standard_normal(len(basis))
+    multipliers, res = hierarchy._recover_multipliers(prob, vec, basis)
+    rel_rows, owners = hierarchy._relation_rows(prob, basis)
+    lam, *_ = np.linalg.lstsq(np.array(rel_rows).T, vec, rcond=None)
+    want = [Polynomial.zero(2) for _ in prob.equalities]
+    for (j, gamma), lv in zip(owners, lam):
+        want[j] = want[j] + Polynomial(2, {gamma: float(lv)})
+    assert multipliers == tuple(want)
+    assert [list(m.terms) for m in multipliers] == [list(m.terms) for m in want]
+    np.testing.assert_array_equal(res, vec - np.array(rel_rows).T @ lam)
 
 
 def test_compute_d0_examples():
@@ -609,7 +679,8 @@ def test_pinned_sweep_problems_that_used_to_fail(domain, seed):
 
 
 def test_sos_convex_gram_sdp_stays_short(monkeypatch):
-    # with the phase-I bound t >= -1e6 instead of -1 this Gram SDP took 22 iterations, not 9
+    # 8 iterations as a trace-normalized moment SDP, as many as the phase-I SDP took;
+    # with the phase-I bound t >= -1e6 instead of -1 that one took 22
     from momlab.upperbound import is_sos_convex
 
     sols = _record_solves(monkeypatch)

@@ -312,7 +312,7 @@ def test_dense_products_on_small_and_dense_blocks():
 
 
 def _phase1_gram_block(monkeypatch):
-    """The largest block of the phase-I Gram SDP of is_sos_convex(x1^6 + x2^6 + x3^2)."""
+    """The block of the trace-normalized SDP of is_sos_convex(x1^6 + x2^6 + x3^2)."""
     blocks = []
 
     class Captured(Exception):
@@ -331,11 +331,12 @@ def _phase1_gram_block(monkeypatch):
 
 
 def test_nonzero_products_on_the_phase1_gram_block(monkeypatch):
-    # the phase-I Gram block of is_sos_convex(x1^6 + x2^6 + x3^2) (230 400 entries)
-    # is eliminated in basic Gram entries: 1 032 nonzeros here, 36 742 through the
-    # dense SVD null basis, so apply and adjoint go over its nonzeros
+    # the 30 x 30 block of is_sos_convex(x1^6 + x2^6 + x3^2) holds one matrix per
+    # moment its rows reach, less the one L(tau) = 1 eliminates (188 100 entries):
+    # 928 nonzeros here, 36 742 through the dense SVD null basis of the Gram
+    # entries, so apply and adjoint go over its nonzeros
     gram = _phase1_gram_block(monkeypatch)
-    assert gram.mats.size == 256 * 30 * 30
+    assert gram.mats.size == 209 * 30 * 30
     assert gram._sparse.nnz <= 1100
     assert gram.product == "nonzero"
     _check_apply_adjoint(gram, np.random.default_rng(3), exact=False)
@@ -964,6 +965,33 @@ def test_export_sdpa_format(tmp_path):
         float(parts[4])
     # F0 is written negated under the SDPA sign convention
     assert "0 1 1 1 -1.0" in lines
+
+
+def _export_sdpa_dense_scan(problem, path):
+    """SDPA file written by scanning every dense coefficient matrix's upper triangle."""
+    lines = [f"{problem.n_vars} = mDIM", f"{len(problem.blocks)} = nBLOCK",
+             " ".join(str(blk.size) for blk in problem.blocks) + " = bLOCKsTRUCT",
+             " ".join(repr(float(v)) for v in problem.c)]
+    for jb, blk in enumerate(problem.blocks, start=1):
+        for k, mat in enumerate([-blk.F0, *blk.mats]):
+            for i, j in zip(*np.nonzero(np.triu(mat))):
+                lines.append(f"{k} {jb} {i + 1} {j + 1} {float(mat[i, j])!r}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def test_export_sdpa_matches_the_dense_scan(tmp_path):
+    # the entries read from each block's CSR give the file the dense scan wrote,
+    # byte for byte: the builtin binary corner and the normalized (x - 1)^2 on [-2, 2]
+    x = Polynomial.variable(0, 1)
+    smoke = momlab.normalize(SemialgebraicProblem(
+        n=1, objective=(x - 1) ** 2, constraints=(4 - x * x,), ball_radius=2.0))
+    for prob, d in ((_corpus_problem("binary-corner"), 4), (smoke, 4)):
+        sp = build_moment_sdp(prob, d).problem
+        export_sdpa(sp, tmp_path / "csr.dat-s")
+        _export_sdpa_dense_scan(sp, tmp_path / "dense.dat-s")
+        got = (tmp_path / "csr.dat-s").read_bytes()
+        assert got == (tmp_path / "dense.dat-s").read_bytes()
+        assert len(got.splitlines()) > 4
 
 
 def test_export_sdpa_round_trips_a_moment_sdp(tmp_path):

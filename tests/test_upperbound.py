@@ -183,9 +183,9 @@ def test_measure_rejects_malformed_exponents(kind, n, alpha):
 def test_affine_objectives_are_sos_convex_with_no_sdp(monkeypatch):
     # the Hessian form of a constant or linear f is zero: convex, no Gram, no SDP
     def no_sdp(*args, **kwargs):
-        raise AssertionError("phase-I Gram SDP built for an affine objective")
+        raise AssertionError("Gram SDP built for an affine objective")
 
-    monkeypatch.setattr(upperbound, "phase1_gram", no_sdp)
+    monkeypatch.setattr(upperbound, "_gram_certificate", no_sdp)
     x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     for f in (Polynomial.zero(2), Polynomial.constant(-3.0, 2), x1 - 2 * x2 + 1, 0.5 * x2):
         assert is_sos_convex(f) == (True, None)
@@ -227,7 +227,7 @@ def test_is_sos_convex_verdicts():
 
 
 def test_sos_convex_phase1_primal_is_feasible(monkeypatch):
-    # the refined primal point of each phase-I Gram SDP is accepted only if
+    # the refined primal point of each SOS-convexity SDP is accepted only if
     # every block stays PSD to the solver's tolerance, not to 10x that scaled by |F0|
     from momlab import hierarchy
 
