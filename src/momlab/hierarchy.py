@@ -1,25 +1,27 @@
 """Moment relaxations, SOS tightenings, certificates, membership tests.
 
-Level d bounds the total degree of every certified product.  Every SDP here
-is a moment SDP built by `_moment_sdp`: min L(cost) over pseudo-moment
-sequences with PSD moment and localizing matrices and L(h * X^gamma) = 0 for
-equality constraints h; the SOS side is its SDP dual, read off the same
-solve.  The equality relations are eliminated first, as a homogeneous system,
-by one echelon form (`sdp.basic_solutions`, columns in descending grlex
-order): y = N1 w over the basic moments w.  A pivot monomial's row of a
-block is a fixed combination of the basic rows, its normal form, when each
-relation of degree e is a combination of relation rows h X^gamma of degree
-at most e, as for a single equality or x_i = x_i^2.  So each block keeps its
-basic rows and any pivot row that its normal form misses (`_block_rows`),
-and a block that the relations make identically zero is left out.  This
-removes the common kernel that equalities give every feasible moment matrix
-(x = x^2 on {0,1}; the row of 1 equal to the sum of the rows of x_i^2 on a
-sphere), which keeps the SDP strictly feasible even when K is finite or a
-sphere, and each block stays as sparse as the moment matrix.  Then one
-normalization row is eliminated; the other basic moments, with unit-norm
-columns of N, are the SDP variables.  A relaxation has L(1) = 1, and a flat
-solution is rounded to the moments of its polished atoms (`solve_moment_sdp`).
-A Gram question (`qmodule_membership`, `compute_d0`, `is_sos_convex`) has
+Level d bounds the total degree of every certified product.  Every SDP here is
+a moment SDP built by `_moment_sdp`: min L(cost) over pseudo-moment sequences
+with PSD moment and localizing matrices and L(h * X^gamma) = 0 for equality
+constraints h; the SOS side is its SDP dual, read off the same solve.  The
+equality relations are eliminated first, as a homogeneous system, by one
+echelon form (`sdp.basic_solutions`, columns in descending grlex order):
+y = N1 w over the basic moments w; with no equalities N1 is the identity's
+columns on the moments that a block or the cost reaches, built without an
+m x m identity.  A pivot monomial's row of a block is its normal form, a fixed
+combination of the basic rows, when each relation of degree e combines
+relation rows h X^gamma of degree at most e, as for a single equality or
+x_i = x_i^2.  So each block keeps its basic rows and any pivot row that its
+normal form misses (`_block_rows`), and a block that the relations make
+identically zero is left out.  This removes the common kernel that equalities
+give every feasible moment matrix (x = x^2 on {0,1}; the row of 1 equal to the
+sum of the rows of x_i^2 on a sphere), which keeps the SDP strictly feasible
+even when K is finite or a sphere.  Each block is gathered once, over N1 with
+unit-norm columns: its kept rows, F0 and the F_i are slices of that gather, as
+sparse as the moment matrix.  One normalization row is eliminated.  A
+relaxation has L(1) = 1, whose column stays unscaled as y_p, and a flat
+solution is rounded to its polished atoms' moments (`solve_moment_sdp`).  A
+Gram question (`qmodule_membership`, `compute_d0`, `is_sos_convex`) has
 L(tau) = 1, tau each block's squared rows times its weight, summed: q is a
 member when min L(q) >= -MEMBERSHIP_TOL, and its Grams are the dual blocks
 plus lam* I (`_gram_certificate`).
@@ -111,8 +113,8 @@ class MomentSdp:
     order: int
     basis: MonomialBasis           # pseudo-moment basis, degree 2*order
     problem: SdpProblem            # variables z
-    y_particular: np.ndarray       # zero on the basic moments
-    nullbasis: np.ndarray          # [I; -X], rows in basis order, columns scaled to unit norm
+    y_particular: np.ndarray       # L(1)'s column of y = N1 w, unscaled: 0 on other basic moments
+    nullbasis: np.ndarray          # N1's other columns, unit-norm before the one gather, a view
     offset: float                  # L(f) = c.z + offset
     block_weights: tuple           # g multiplying each PSD block (g=1 for the moment block)
     block_bases: tuple             # monomial rows of each block: 1, the basic monomials and
@@ -144,21 +146,24 @@ def _relation_rows(prob: SemialgebraicProblem, basis: MonomialBasis):
     return rows, owners
 
 
-def _block_rows(G, coef, rows, pivot_rows):
-    """Positions a block keeps: `rows` (its basic monomials) and the pivot rows they miss.
+def _block_rows(G, idx, forms, pivots):
+    """Positions a block keeps: its basic rows and the pivot rows that they miss.
 
-    G holds the block's signatures in the basic moments w of the relations,
-    G[i, j] = [F_1 ... F_k][i, j].  The row of a pivot monomial is its normal
-    form (its row of `coef`, over the block's basic rows) applied to `rows` when
-    each relation of degree e combines relation rows of degree at most e, as for
-    a single equality or x_i = x_i^2.  A pivot row that differs from that
-    combination by more than round-off is kept, unless its difference is a
-    combination of the differences of pivot rows kept before it
+    G holds the signatures of the block's rows `idx` in the basic moments w of
+    the relations, G[i, j] = [F_1 ... F_k][i, j], w's columns scaled or not.
+    The row of a pivot monomial is its normal form (its row of `forms`, N1's
+    unscaled pivot rows, over the block's basic rows) applied to the basic rows
+    when each relation of degree e combines relation rows of degree at most e,
+    as for a single equality or x_i = x_i^2.  A pivot row that differs from
+    that combination by more than round-off is kept, unless its difference is
+    a combination of the differences of pivot rows kept before it
     (`sdp._leading_columns`, the pivot rule of `basic_solutions`); each dropped
     row is then a fixed combination of kept rows.
     """
+    rows, pivot_rows = np.flatnonzero(~pivots[idx]), np.flatnonzero(pivots[idx])
     if not len(pivot_rows):
         return rows
+    coef = forms[np.ix_(np.cumsum(pivots)[idx[pivot_rows]] - 1, np.cumsum(~pivots)[idx[rows]] - 1)]
     sigs = G.reshape(len(G), -1)
     diff = sigs[pivot_rows] - coef @ sigs[rows]
     tol = 1e-12 * (1.0 + np.max(np.abs(sigs))) * (1.0 + np.max(np.abs(coef).sum(axis=1)))
@@ -187,66 +192,67 @@ def _moment_sdp(prob: SemialgebraicProblem, basis: MonomialBasis, blocks, cost: 
     block_bases), y = y_p + N z and L(cost) = c.z + offset, with an empty basis
     for a block left out.  With `trace`: None when L(cost) is unbounded because
     the cost reaches a dropped moment, and problem None when no block is left.
+    Each block is gathered once, over N1 with unit-norm columns (L(1)'s stays
+    unscaled in a relaxation); its kept rows, F0 and the F_i are its slices.
     """
     m = len(basis)
+    f_vec = cost.coeff_vector(basis)
+    maps = [basis.localizing_map(rows, g) for rows, g in blocks]
     rel_rows, _ = _relation_rows(prob, basis)
     if rel_rows:
         _, N1, pivots, _ = basic_solutions(np.array(rel_rows), np.zeros(len(rel_rows)))
-    else:  # w = y, and no identity is built for it
-        N1, pivots = None, np.zeros(m, dtype=bool)
-    col = np.cumsum(~pivots) - 1  # column of each basic moment in w
+    else:  # the identity's columns on the moments that a block or the cost reaches
+        reached = np.concatenate([np.flatnonzero(f_vec), *(lm.idx.ravel() for lm in maps)])
+        N1, pivots = (np.arange(m)[:, None] == np.unique(reached)) * 1.0, np.zeros(m, dtype=bool)
+    max_n, forms = float(np.max(np.abs(N1), initial=0.0)), N1[pivots]
+    # unit-norm columns, scaled before the gather (dividing the gathered blocks rounds
+    # otherwise): on 31 circle, sphere and binary-corner relaxations they left 1 solve loose
+    # and raw basic coordinates 3, but which end loose moves with round-off (ROADMAP item 15)
+    norms = np.linalg.norm(N1, axis=0)
+    if not trace:
+        norms[:1] = 1.0  # L(1)'s column, when L(1) is basic: it becomes y_p
+    N1 /= norms
 
-    live, bases = [], []  # the localizing maps of the SDP's blocks; every block's kept rows
-    for rows, g in blocks:
-        lmap, idx = basis.localizing_map(rows, g), basis.indices(rows)
-        keep = np.arange(len(rows))
-        if N1 is not None:
-            G = lmap.gather(N1)
-            piv, bas = np.flatnonzero(pivots[idx]), np.flatnonzero(~pivots[idx])
-            # a block that is 0 on every solution of the relations has F0 = 0 and F_i = 0
-            keep = _block_rows(G, N1[np.ix_(idx[piv], col[idx[bas]])], bas, piv) if G.any() else []
-            if 0 < len(keep) < len(rows):
-                lmap = basis.localizing_map(rows[keep], g)
+    gathered, bases = [], []  # the SDP's blocks, each gathered once; every block's kept rows
+    for lmap, (rows, _) in zip(maps, blocks):
+        idx, G = basis.indices(rows), lmap.gather(N1)
+        # a block that is 0 on every solution of the relations has F0 = 0 and F_i = 0
+        keep = _block_rows(G, idx, forms, pivots) if G.any() else []
+        if 0 < len(keep) < len(rows):
+            G = G[np.ix_(keep, keep)]  # the full gather is freed
         if len(keep):
-            live.append(lmap)
+            gathered.append(G)
         bases.append(tuple(basis.exponents[i] for i in idx[keep]))
 
-    f_vec = cost.coeff_vector(basis)
-    if trace:
-        held = np.unique(np.concatenate([np.zeros(0, int), *(lm.idx.ravel() for lm in live)]))
-        w = held if N1 is None else np.flatnonzero(np.any(N1[held] != 0, axis=0))
-        dropped = np.delete(f_vec if N1 is None else f_vec @ N1, w)
+    if trace:  # w: the basic moments that some block holds; tau's row: the blocks' traces
+        w = np.flatnonzero(np.any([G.any(axis=(0, 1)) for G in gathered], axis=0))
+        dropped = np.delete((f_vec @ N1) * norms, w)  # in unscaled basic moments
         if np.linalg.norm(dropped) > 1e-9 * (1.0 + np.linalg.norm(f_vec)):
             return None
-        if not live:  # every block is 0 on the relations, and so is L(cost)
+        if not gathered:  # every block is 0 on the relations, and so is L(cost)
             return None, None, None, 0.0, tuple(bases)
-        tau = sum(lmap.adjoint(np.eye(lmap.idx.shape[1])) for lmap in live)
+        row = sum(np.einsum("iij->j", G) for G in gathered)
     else:
-        tau = np.zeros(m)
-        tau[0] = 1.0
-        w = np.arange(m - np.count_nonzero(pivots))
-    row = tau if N1 is None else tau @ N1
+        row, w = N1[0], np.arange(N1.shape[1])
     w_p, N2, piv2, residual = basic_solutions(row[None, w], np.ones(1))
     if residual > 1e-8 or not trace and pivots[0]:  # pivots[0]: the relations force L(1) = 0
         raise ValueError("equality constraints are inconsistent with "
                          f"{'L(tau)' if trace else 'L(1)'} = 1")
-    if N1 is None:
-        y_p, N = np.zeros(m), np.zeros((m, N2.shape[1]))
-        y_p[w], N[w] = w_p, N2
-    else:
-        p = w[piv2][0]
-        y_p = N1[:, p] * w_p[piv2][0]
-        N = N1[:, w[~piv2]] + np.outer(N1[:, p], N2[piv2][0])
-    max_n = float(np.max(np.abs(N), initial=0.0))
-    # unit-norm columns: on 31 circle, sphere and binary-corner relaxations they
-    # left 1 solve loose and raw basic coordinates 3, but which solves end loose
-    # moves with round-off in these coordinates (ROADMAP item 15)
-    N /= np.linalg.norm(N, axis=0)
-    y_and_n = np.column_stack([y_p, N])
-    sdp_blocks = []
-    for lmap in live:
-        G = lmap.gather(y_and_n)
-        sdp_blocks.append(SdpBlock(F0=G[:, :, 0], mats=np.transpose(G[:, :, 1:], (2, 0, 1))))
+    p, cols, scale, piv_row = w[piv2][0], w[~piv2], w_p[piv2][0], N2[piv2][0]
+    changed = np.flatnonzero(piv_row)  # the columns that a trace row changes; none in a relaxation
+    rescale = np.linalg.norm(N1[:, changed] + np.outer(N1[:, p], piv_row[changed]), axis=0)
+    # a slice where the columns are contiguous, as in every relaxation: N is a
+    # view of N1, and SdpBlock's copy is each block's only one
+    take = slice(cols[0], cols[-1] + 1) if len(cols) and np.ptp(cols) == len(cols) - 1 else cols
+
+    def columns(G):  # z's columns on G's last axis; a changed one gains p's, then unit norm
+        out = G[..., take]
+        out[..., changed] = (out[..., changed] + G[..., p, None] * piv_row[changed]) / rescale
+        return out
+
+    y_p, N = N1[:, p] * scale, columns(N1)
+    sdp_blocks = [SdpBlock(F0=G[:, :, p] * scale, mats=np.moveaxis(columns(G), 2, 0))
+                  for G in gathered]
     log.debug("%s: %d pivots of %d moments, max|N| %.3g, rows kept per block %s", what,
               np.count_nonzero(pivots) + 1, m, max_n, [len(rows) for rows in bases])
     problem = SdpProblem(n_vars=N.shape[1], c=N.T @ f_vec, blocks=sdp_blocks)
@@ -460,13 +466,7 @@ def compute_d0(prob: SemialgebraicProblem, d_max: int):
     """
     targets = [Polynomial.constant(1.0, prob.n) - p for p in prob.constraint_pairs()]
     for k in range(d_max + 1):
-        ok = True
-        for q in targets:
-            member, _ = qmodule_membership(q, prob, k)
-            if not member:
-                ok = False
-                break
-        if ok:
+        if all(qmodule_membership(q, prob, k)[0] for q in targets):
             return k
     return None
 

@@ -264,7 +264,7 @@ class LocalizingMap:
         """The map along the first axis of `vals` (y, or N: one (s, s) matrix per column)."""
         out = np.zeros(self.idx.shape[1:] + vals.shape[1:])
         for c, idx in zip(self.coeffs, self.idx):
-            out += c * vals[idx]
+            out += vals[idx] * c  # the temporary on the left: NumPy reuses it for the product
         return out
 
     def adjoint(self, G) -> np.ndarray:

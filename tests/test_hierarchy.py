@@ -20,7 +20,7 @@ from momlab.hierarchy import (
     solve_moment_relaxation,
     solve_sos_tightening,
 )
-from momlab.poly import MonomialBasis, Polynomial, r_dim
+from momlab.poly import LocalizingMap, MonomialBasis, Polynomial, r_dim
 
 from conftest import sweep_problem
 
@@ -339,6 +339,73 @@ def test_moment_sdp_blocks_are_the_localizing_matrices(which, corner_problem):
             keep = L.basis.indices(np.array(rows))
             np.testing.assert_allclose(blk.assemble(z), L.M[np.ix_(keep, keep)],
                                        rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["circle", "binary-corner"])
+def test_build_gathers_each_block_once(which, corner_problem, monkeypatch):
+    # one localizing map and one gather per block: the kept rows, F0 and the F_i
+    # are slices of that gather
+    prob = _on_sphere(2, lambda x1, x2: x1 * x2) if which == "circle" else corner_problem
+    calls = {"localizing_map": 0, "gather": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(MonomialBasis, "localizing_map")
+    counted(LocalizingMap, "gather")
+    ms = build_moment_sdp(prob, 4)
+    assert calls == {"localizing_map": len(ms.block_bases), "gather": len(ms.block_bases)}
+
+
+def _kept_row_problems():
+    """Relaxations whose blocks keep some rows, have several terms, or keep them all."""
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    y1, y2, y3 = (Polynomial.variable(i, 3) for i in range(3))
+    sphere = _on_sphere(3, lambda *xs: sum(xs[1:], xs[0]))
+    corner = builtin_corpus()[0].problem
+    out = [(bp.problem, bp.d_max) for bp in builtin_corpus()]
+    out += [(_on_sphere(2, lambda x1, x2: x1 * x2), d) for d in (4, 6)]
+    out += [(sphere, d) for d in (4, 6)]
+    out.append((SemialgebraicProblem(n=3, objective=sphere.objective, equalities=sphere.equalities,
+                                     constraints=(1 - y1 - 0.5 * y2 * y2, 0.3 + y3 - y1 * y2)), 6))
+    out.append((SemialgebraicProblem(n=2, objective=corner.objective, equalities=corner.equalities,
+                                     constraints=(1.5 - x1 - x2 + 0.2 * x1 * x2,)), 6))
+    return out
+
+
+def test_moment_sdp_blocks_are_the_maps_of_y_p_and_n_bit_for_bit():
+    # the columns of N are scaled before the one gather, so each block's F0 and
+    # mats are its kept rows' localizing map applied to y_p and N, to the last bit
+    for prob, d in _kept_row_problems():
+        ms = build_moment_sdp(prob, d)
+        live = [(g, rows) for g, rows in zip(ms.block_weights, ms.block_bases) if rows]
+        assert len(live) == len(ms.problem.blocks)
+        for blk, (g, rows) in zip(ms.problem.blocks, live):
+            lmap = ms.basis.localizing_map(np.array(rows), g)
+            assert np.array_equal(blk.F0, lmap.gather(ms.y_particular)), (prob, d)
+            assert np.array_equal(blk.mats, np.moveaxis(lmap.gather(ms.nullbasis), 2, 0)), (prob, d)
+
+
+def test_membership_cost_on_a_moment_no_block_reaches(monkeypatch):
+    # at level 1 only L(1) is in a block, so L(x) is free and min L(x) unbounded;
+    # at level 3 on the circle the relations enter, and the moment block reaches
+    # degree 2 only: the answer is False before any SDP is solved
+    def no_solve(problem):
+        raise AssertionError("no SDP should be solved")
+
+    monkeypatch.setattr(hierarchy, "solve", no_solve)
+    x = Polynomial.variable(0, 1)
+    interval = SemialgebraicProblem(n=1, objective=x, constraints=(1 - x * x,))
+    assert qmodule_membership(x, interval, 1) == (False, None)
+    circle, x1 = _on_sphere(2, lambda x1, x2: x1 * x2), Polynomial.variable(0, 2)
+    assert qmodule_membership(x1, circle, 1) == (False, None)
+    assert qmodule_membership(x1 ** 3, circle, 3) == (False, None)
 
 
 def test_membership_trivial_and_negative():
