@@ -213,19 +213,16 @@ def polish_atoms(prob: SemialgebraicProblem, atoms, active_tol: float = ACTIVE_T
     sqrt(epsilon).
 
     The value, gradient and Hessian of f and of every constraint are
-    coefficient rows over one monomial basis, formed once per call, so an
-    iterate costs one basis evaluation and one matrix product.  Nothing here
-    checks that a polished point lies in K or improves f; callers decide.
+    coefficient rows over one monomial basis (`_derivative_rows`), formed once
+    per call from the exponents, so an iterate costs one basis evaluation and
+    one matrix product.  Nothing here checks that a polished point lies in K
+    or improves f; callers decide.
     """
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
     n = prob.n
     polys = [prob.objective, *prob.constraints, *prob.equalities]
     basis = MonomialBasis(n, max(p.degree for p in polys))
-    rows = []  # per polynomial: itself, its n first and n*n second partials
-    for p in polys:
-        grad = [p.partial(i) for i in range(n)]
-        rows.append([p, *grad, *(gi.partial(j) for gi in grad for j in range(n))])
-    C = np.array([[q.coeff_vector(basis) for q in r] for r in rows])  # (P, 1 + n + n*n, len)
+    C = np.array([_derivative_rows(p, basis) for p in polys])  # (P, 1 + n + n*n, len)
     n_ineq = len(prob.constraints)
 
     def derivs(x):
@@ -252,6 +249,28 @@ def polish_atoms(prob: SemialgebraicProblem, atoms, active_tol: float = ACTIVE_T
             step = np.linalg.lstsq(J, -F, rcond=None)[0]
             x, lam = x + step[:n], lam + step[n:]
         out[k] = best
+    return out
+
+
+def _derivative_rows(p, basis: MonomialBasis) -> np.ndarray:
+    """Coefficient rows over `basis` of p, its partials d_i p and d_j d_i p: (1 + n + n*n, len).
+
+    Exponent arithmetic on p's terms: differentiating c x^a by x_i gives
+    c * a_i at a - e_i, and then by x_j gives (c * a_i) * (a - e_i)_j at
+    a - e_i - e_j, the products `Polynomial.partial` forms, in its order.  A
+    term whose derivative vanishes has a negative exponent there and is left
+    out; the others fall on distinct exponents, as in each partial.
+    """
+    E, c = p._arrays
+    n = p.n
+    eye = np.eye(n, dtype=np.int64)
+    E1 = E - eye[:, None]  # (n, T, n): each term by x_i
+    c1 = c * E.T  # (n, T): c * a_i
+    exps = np.concatenate([E[None], E1, (E1[:, None] - eye[None, :, None]).reshape(n * n, -1, n)])
+    vals = np.concatenate([c[None], c1, (c1[:, None] * np.moveaxis(E1, 2, 1)).reshape(n * n, -1)])
+    row, term = np.nonzero(exps.min(axis=-1, initial=0) >= 0)
+    out = np.zeros((1 + n + n * n, len(basis)))
+    out[row, basis.indices(exps[row, term])] = vals[row, term]
     return out
 
 

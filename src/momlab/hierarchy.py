@@ -38,7 +38,8 @@ import numpy as np
 from .cone import PseudoMomentSequence, SemialgebraicProblem
 from .extraction import AtomicMeasure, check_flatness, extract_atoms, polish_atoms
 from .poly import MonomialBasis, Polynomial, r_dim
-from .sdp import SdpBlock, SdpProblem, _leading_columns, basic_solutions, psd_floor, solve
+from .sdp import (CHUNK_ENTRIES, SdpBlock, SdpProblem, _leading_columns, basic_solutions,
+                  psd_floor, solve)
 
 __all__ = [
     "SosCertificate",
@@ -158,15 +159,22 @@ def _block_rows(G, idx, forms, pivots):
     that combination by more than round-off is kept, unless its difference is
     a combination of the differences of pivot rows kept before it
     (`sdp._leading_columns`, the pivot rule of `basic_solutions`); each dropped
-    row is then a fixed combination of kept rows.
+    row is then a fixed combination of kept rows.  The differences and max|G|
+    are formed in column slices of at most CHUNK_ENTRIES entries of G, so no
+    copy of G's basic rows exists.
     """
     rows, pivot_rows = np.flatnonzero(~pivots[idx]), np.flatnonzero(pivots[idx])
     if not len(pivot_rows):
         return rows
     coef = forms[np.ix_(np.cumsum(pivots)[idx[pivot_rows]] - 1, np.cumsum(~pivots)[idx[rows]] - 1)]
     sigs = G.reshape(len(G), -1)
-    diff = sigs[pivot_rows] - coef @ sigs[rows]
-    tol = 1e-12 * (1.0 + np.max(np.abs(sigs))) * (1.0 + np.max(np.abs(coef).sum(axis=1)))
+    diff, top = sigs[pivot_rows], 0.0
+    step = max(1, CHUNK_ENTRIES // len(sigs))
+    for lo in range(0, sigs.shape[1], step):
+        cols = slice(lo, lo + step)
+        diff[:, cols] -= coef @ sigs[rows, cols]
+        top = max(top, np.max(np.abs(sigs[:, cols])))
+    tol = 1e-12 * (1.0 + top) * (1.0 + np.max(np.abs(coef).sum(axis=1)))
     missed = np.max(np.abs(diff), axis=1) > tol
     if not missed.any():
         return rows
@@ -223,6 +231,7 @@ def _moment_sdp(prob: SemialgebraicProblem, basis: MonomialBasis, blocks, cost: 
         if len(keep):
             gathered.append(G)
         bases.append(tuple(basis.exponents[i] for i in idx[keep]))
+    del G  # `gathered` alone holds each gather, so that building the blocks frees them
 
     if trace:  # w: the basic moments that some block holds; tau's row: the blocks' traces
         w = np.flatnonzero(np.any([G.any(axis=(0, 1)) for G in gathered], axis=0))
@@ -251,8 +260,10 @@ def _moment_sdp(prob: SemialgebraicProblem, basis: MonomialBasis, blocks, cost: 
         return out
 
     y_p, N = N1[:, p] * scale, columns(N1)
-    sdp_blocks = [SdpBlock(F0=G[:, :, p] * scale, mats=np.moveaxis(columns(G), 2, 0))
-                  for G in gathered]
+    sdp_blocks = []
+    while gathered:  # in block order, each gather freed as soon as its block holds its copy
+        G = gathered.pop(0)
+        sdp_blocks.append(SdpBlock(F0=G[:, :, p] * scale, mats=np.moveaxis(columns(G), 2, 0)))
     log.debug("%s: %d pivots of %d moments, max|N| %.3g, rows kept per block %s", what,
               np.count_nonzero(pivots) + 1, m, max_n, [len(rows) for rows in bases])
     problem = SdpProblem(n_vars=N.shape[1], c=N.T @ f_vec, blocks=sdp_blocks)

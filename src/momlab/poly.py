@@ -24,6 +24,15 @@ applied to y or to every column of a matrix (`gather`) and transposed into the
 coefficients of (v'Gv)*g (`adjoint`).  The relaxation SDP, its certificates,
 `moment_matrix`, `localizing_matrix` and the upper-bound pencil all use it.
 
+The structure tables are built once and shared read-only (`_SharedTables`):
+each (n, d) basis table, its exponent tuples, and each localizing map's
+index table, keyed on n, d, the rows and the exponents of g, never on a
+coefficient.  A write to one raises.  The shared tables hold at most
+SHARED_ENTRIES entries in all (32 MiB of int64), the least recently used
+dropped first, and a table of more than `sdp.CHUNK_ENTRIES` entries is built
+per call and not kept.  A basis builds its list of exponent tuples on first
+use, from the shared tuples.
+
 A product of polynomials is one dict loop that adds c1*c2 into a term map
 pair by pair.  The upper-bound density and its integrals form no products:
 they come from the localizing map and moment gathers (`upperbound.py`).
@@ -38,9 +47,12 @@ import itertools
 import json
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .sdp import CHUNK_ENTRIES
 
 __all__ = [
     "MonomialBasis",
@@ -149,29 +161,79 @@ def eval_monomials(exps: np.ndarray, points) -> np.ndarray:
     return V
 
 
+# Entries that the shared tables hold at most: 32 MiB of int64
+SHARED_ENTRIES = 4 * CHUNK_ENTRIES
+
+
+class _SharedTables:
+    """Structure tables shared by every caller, keyed on structure only.
+
+    A table is built on its first request, and an array is made read-only.
+    All tables together hold at most SHARED_ENTRIES entries, the least recently
+    used dropped first; a table of more than CHUNK_ENTRIES entries is built on
+    every request and never kept.
+    """
+
+    def __init__(self):
+        self._tables = {}  # key -> (table, entries), least recently used first
+        self._entries = 0
+        self._lock = threading.Lock()
+
+    def get(self, key, build, entries: int):
+        """The table under `key`, of `entries` entries: `build()` unless it is kept."""
+        with self._lock:
+            kept = self._tables.pop(key, None)
+            if kept is not None:
+                self._tables[key] = kept
+                return kept[0]
+        table = build()
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+        if entries > CHUNK_ENTRIES:
+            return table
+        with self._lock:
+            kept = self._tables.setdefault(key, (table, entries))  # another thread's, if first
+            if kept[0] is table:
+                self._entries += entries
+                while self._entries > SHARED_ENTRIES:
+                    self._entries -= self._tables.pop(next(iter(self._tables)))[1]
+        return kept[0]
+
+
+_shared = _SharedTables()
+
+
+def _basis_table(n: int, d: int) -> np.ndarray:
+    """The exponents of degree <= d in n variables, row k the one of rank k."""
+    # stars and bars: n bars among n + d slots; the stars between bars are the exponents
+    size = r_dim(n, d)
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n + d), n)), np.int64, size * n).reshape(size, n)
+    exps = np.diff(bars, axis=1, prepend=-1) - 1
+    table = np.empty_like(exps)
+    table[MonomialBasis.rank(exps)] = exps
+    return table
+
+
 class MonomialBasis:
     """Ordered basis of all monomials of degree <= d in n variables.
 
     Row k holds the exponent of rank k (`rank`); the ordering is stable
     across the whole program (graded-lex), so indices can be exchanged between
-    modules.  `exps` holds the exponents as an (len, n) integer array.
+    modules.  `exps` holds the exponents as a read-only (len, n) integer array,
+    one per (n, d) shared by every basis (`_SharedTables`).
     """
 
     def __init__(self, n: int, d: int):
         self.n = n
         self.d = d
-        # stars and bars: n bars among n + d slots; the stars between bars are the exponents
-        size = r_dim(n, d)
-        bars = np.fromiter(itertools.chain.from_iterable(
-            itertools.combinations(range(n + d), n)), np.int64, size * n).reshape(size, n)
-        exps = np.diff(bars, axis=1, prepend=-1) - 1
-        self.exps = np.empty_like(exps)
-        self.exps[MonomialBasis.rank(exps)] = exps
+        self.exps = _shared.get(("basis", n, d), lambda: _basis_table(n, d), r_dim(n, d) * n)
 
     @functools.cached_property
     def exponents(self) -> list:
-        """The rows of `exps` as tuples, built on first use."""
-        return list(map(tuple, self.exps.tolist()))
+        """The rows of `exps` as tuples, built on first use from the shared tuples of (n, d)."""
+        return list(_shared.get(("exponents", self.n, self.d),
+                                lambda: tuple(map(tuple, self.exps.tolist())), self.exps.size))
 
     def __len__(self):
         return len(self.exps)
@@ -222,11 +284,22 @@ class MonomialBasis:
         return idx
 
     def localizing_map(self, rows, g: "Polynomial") -> "LocalizingMap":
-        """y -> localizing matrix of g over `rows`, one term of g at a time to bound peak memory."""
+        """y -> localizing matrix of g over `rows`.
+
+        The index table, built one term of g at a time to bound peak memory, is
+        shared read-only (`_SharedTables`), keyed on n, d, the rows and the
+        exponents of g; only g's coefficients are the caller's.
+        """
         E = np.asarray(rows, dtype=np.int64).reshape(-1, self.n)
-        idx = np.empty((len(g.terms), len(E), len(E)), dtype=np.int64)
-        for t, gamma in enumerate(g.terms):
-            idx[t] = self.indices(E[:, None] + E[None, :] + gamma)
+
+        def build():
+            idx = np.empty((len(g.terms), len(E), len(E)), dtype=np.int64)
+            for t, gamma in enumerate(g.terms):
+                idx[t] = self.indices(E[:, None] + E[None, :] + gamma)
+            return idx
+
+        key = ("localizing", self.n, self.d, E.tobytes(), tuple(g.terms))
+        idx = _shared.get(key, build, len(g.terms) * len(E) ** 2)
         return LocalizingMap(len(self), np.array(list(g.terms.values())), idx)
 
     def eval_matrix(self, points) -> np.ndarray:

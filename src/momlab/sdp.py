@@ -21,20 +21,24 @@ as sparse as the rows it comes from.  It eliminates the equality relations
 of every moment SDP (`hierarchy._moment_sdp`, a homogeneous system) and then
 its normalization row, L(1) = 1 or the trace row L(tau) = 1 of a Gram
 question, and gives the null vector of each `tchakaloff_prune` step.  Its
-pivots are the columns `_leading_columns`
-finds at PIVOT_TOL, a rule the moment blocks' pivot-row check shares.  The
-final projection onto the optimal face (`_refine_primal`) writes the face
-system in each dual block's eigenbasis, rejects the face on one QR residual
-when the system is inconsistent, and otherwise takes one least-squares step
-at `_rank_cutoff`.  It reads the dual blocks' ranges and their complements,
-and the dual correction AA*'s pseudo-inverse, from `psd_split` (the `sv_rank`
-rule), the package's only `np.linalg.eigh`, also behind `psd_floor`, CD
-kernels and atoms.
+pivots are the columns `_leading_columns` finds at PIVOT_TOL, a rule the
+moment blocks' pivot-row check shares: a block with at most LEAD_BLOCK rows
+or columns, such as a normalization row or a Gram question's few relation
+rows, is scanned by one Householder QR that skips the columns it spans, one
+pass per pivot (a one-row block takes one pass: its first column above the
+tolerance), and a larger one is halved, its right half projected off the
+left half's pivots.  The final projection onto the optimal face
+(`_refine_primal`) writes the face system in each dual block's eigenbasis,
+rejects the face on one QR residual when the system is inconsistent, and
+otherwise takes one least-squares step at `_rank_cutoff`.  It reads the
+dual blocks' ranges and their complements, and the dual correction AA*'s
+pseudo-inverse, from `psd_split` (the `sv_rank` rule), the package's only
+`np.linalg.eigh`, also behind `psd_floor`, CD kernels and atoms.
 
 How the coefficient matrices F_ji are stored is known only to `SdpBlock`:
 its `apply` (sum_i x_i F_ji), `adjoint` (<F_ji, Z>) and `schur`
 (<F_ji, W^-1 F_jk W^-1>) are the only code in the iteration that reads
-`mats`, and `gram` (<F_ji, F_jk>) reads the CSR once before it.  Each block
+`mats`, and `gram` (<F_ji, F_jk>) reads it once before it.  Each block
 keeps `mats` and one sparse form, the CSR of the flattened (m, s*s) `mats`.
 `apply` and `adjoint` are one product each with the operator pair that one
 cost rule (`_nonzero_products`) picks when the block is built: the flattened
@@ -87,13 +91,19 @@ linear in Z, and the Newton system asks A*(dZ) = rd, but the dZ that the
 Schur solve gives meets it only up to the solve's error, which the jittered
 Cholesky of a near-singular Schur matrix makes large.  So each dZ is
 corrected by the minimum-norm change sum_i w_i F_i with
-(AA*) w = rd - A*(dZ).  AA* is the Schur matrix at W = I, the sum of each
-block's CSR times its transpose (`SdpBlock.gram`); it is formed and
-pseudo-inverted once per solve, from `psd_split` at `_rank_cutoff`, so a
+(AA*) w = rd - A*(dZ).  AA* is the Schur matrix at W = I, the sum over the
+blocks of `SdpBlock.gram`: each block's CSR times the transpose operator of
+its `apply`, a dense product on a dense-product block, whose flattened
+`mats` it reads, and a sparse one on a nonzero-product block.  It is formed
+and pseudo-inverted once per solve, from `psd_split` at `_rank_cutoff`, so a
 variable whose coefficient matrices are all zero (a zero row of AA*) is
 simply left out of the correction.  A step of length ad then scales the dual
 residual by 1 - ad up to round-off, and once it has reached round-off it
 stays there.
+
+The residuals' denominators, 1 + ||F_j0|| per block and 1 + ||c||, are
+formed once per solve as well (`_scales`), and the predictor and a corrector
+without the second-order term subtract none.
 
 Stopping rule: `Optimal` at the first iterate with relative residuals and
 gap <= TOL (1e-8).  A run that ends any other way logs one DEBUG line naming
@@ -105,6 +115,7 @@ and `iterations` and `trace` cover the whole run.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,8 +260,14 @@ class SdpBlock:
         return cols[0] if len(cols) == 1 else np.hstack(cols)
 
     def gram(self) -> np.ndarray:
-        """<mats[i], mats[j]>: the block's share of AA*, `schur` at W_inv = I, from the CSR."""
-        return (self._sparse @ self._sparse.T).toarray()
+        """<mats[i], mats[j]>: the block's share of AA*, `schur` at W_inv = I.
+
+        The CSR times `_At`: the flattened `mats`' transpose on a dense-product
+        block, whose product is dense and equal bit for bit to the CSR times
+        its own transpose, which a nonzero-product block forms.
+        """
+        G = self._sparse @ self._At
+        return G if isinstance(G, np.ndarray) else G.toarray()
 
     def assemble(self, x: np.ndarray) -> np.ndarray:
         return self.F0 + self.apply(x)
@@ -389,8 +406,11 @@ def _chol_inv(L):
     """A^-1 from the lower Cholesky factor L of A (`_chol`), by LAPACK potri."""
     Ainv, info = _potri(L, lower=1)
     _check_info(info, "potri", f"singular matrix: zero on the factor's diagonal at {info - 1}")
-    # potri fills the lower triangle only; above it stay the zeros of L
-    return Ainv + np.tril(Ainv, -1).T
+    # potri fills the lower triangle only; above it stay the zeros of L, so the
+    # sum with the transpose mirrors it, and only the doubled diagonal is reset
+    out = Ainv + Ainv.T
+    out.flat[::len(out) + 1] = Ainv.diagonal()
+    return out
 
 
 def _nt_scaling(LS, LZ):
@@ -455,23 +475,42 @@ def _rank_cutoff(A: np.ndarray) -> float:
 # PIVOT_TOL * max|E|.  It is absolute in the scale of E, where `_rank_cutoff`
 # is relative to the largest singular value.
 PIVOT_TOL = 1e-10
+# Rows or columns up to which `_leading_columns` scans a block in one QR
+# instead of halving it: the scan takes one pass per pivot
+LEAD_BLOCK = 8
 
 
 def _leading_columns(A: np.ndarray, tol: float) -> list:
     """Columns of A whose part outside the span of the columns before them exceeds tol.
 
-    Divide and conquer: the right half is projected off the span of the left
-    half's leading columns (one QR) and scanned the same way.
+    A block with at most LEAD_BLOCK rows or columns is scanned by one
+    Householder QR that skips the columns it spans: the first column whose
+    remaining part exceeds tol is a pivot, its reflector is applied to the
+    columns after it, and the scan goes on from the next one, one pass per
+    pivot.  A one-row block is answered by its first pass: the first column
+    above tol.  A larger block is halved: the right half is projected off the
+    span of the left half's leading columns (one QR) and scanned the same way.
     """
-    if not A.shape[1] or np.max(np.linalg.norm(A, axis=0)) <= tol:
-        return []
-    if A.shape[1] == 1:
-        return [0]
-    h = A.shape[1] // 2
-    left = _leading_columns(A[:, :h], tol)
-    Q = np.linalg.qr(A[:, left])[0]
-    right = A[:, h:] - Q @ (Q.T @ A[:, h:])
-    return left + [h + j for j in _leading_columns(right, tol)]
+    above = np.linalg.norm(A, axis=0) > tol
+    if min(A.shape) > LEAD_BLOCK and above.any():
+        h = A.shape[1] // 2
+        left = _leading_columns(A[:, :h], tol)
+        Q = np.linalg.qr(A[:, left])[0]
+        right = A[:, h:] - Q @ (Q.T @ A[:, h:])
+        return left + [h + j for j in _leading_columns(right, tol)]
+    cols, done = [], 0
+    while above.any():
+        j = int(np.argmax(above))
+        cols.append(done + j)
+        if len(A) == 1:  # the pivot takes the last row: no part is left outside the pivots
+            break
+        done += j + 1
+        v = A[:, j].copy()  # the reflector taking column j onto its first row
+        v[0] += math.copysign(np.linalg.norm(v), v[0])
+        A = A[:, j + 1:]
+        A = (A - np.outer(v, (2.0 / (v @ v)) * (v @ A)))[1:]  # the rows outside the pivots
+        above = np.linalg.norm(A, axis=0) > tol
+    return cols
 
 
 def basic_solutions(E: np.ndarray, h: np.ndarray):
@@ -647,15 +686,15 @@ class _Iterate:
     gap: float  # sum over blocks of <S_j, Z_j>
 
     @classmethod
-    def measure(cls, problem: SdpProblem, x, S, Z) -> "_Iterate":
+    def measure(cls, problem: SdpProblem, x, S, Z, scales: tuple | None = None) -> "_Iterate":
+        """`scales` is `_scales(problem)`, which `solve` forms once; formed here if not given."""
+        block_scales, c_scale = scales or _scales(problem)
         Rp = [blk.assemble(x) - Sj for blk, Sj in zip(problem.blocks, S)]
         rd = problem.c - problem.adjoint(Z)
-        pres = max(np.linalg.norm(R) / (1.0 + np.linalg.norm(blk.F0))
-                   for R, blk in zip(Rp, problem.blocks))
+        pres = max(np.linalg.norm(R) / scale for R, scale in zip(Rp, block_scales))
         return cls(x, S, Z, Rp, rd, float(problem.c @ x),
                    -sum(_inner(blk.F0, Zj) for blk, Zj in zip(problem.blocks, Z)), pres,
-                   np.linalg.norm(rd) / (1.0 + np.linalg.norm(problem.c)),
-                   sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z)))
+                   np.linalg.norm(rd) / c_scale, sum(_inner(Sj, Zj) for Sj, Zj in zip(S, Z)))
 
     @property
     def mu(self) -> float:
@@ -667,6 +706,11 @@ class _Iterate:
 
     def within(self, tol: float) -> bool:
         return self.pres <= tol and self.dres <= tol and self.relgap <= tol
+
+
+def _scales(problem: SdpProblem) -> tuple:
+    """(1 + ||F_j0|| for each block j, 1 + ||c||): fixed for a solve, formed once."""
+    return [1.0 + np.linalg.norm(blk.F0) for blk in problem.blocks], 1.0 + np.linalg.norm(problem.c)
 
 
 def _schur_factor(M: np.ndarray) -> np.ndarray:
@@ -685,18 +729,25 @@ def _schur_factor(M: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError(f"Schur matrix not positive definite at jitter 1e-6 * {scale:.2e}")
 
 
-def _direction(problem: SdpProblem, pt: _Iterate, W_inv, Lm, AA_pinv, Rc, K):
+def _direction(problem: SdpProblem, pt: _Iterate, W_inv, Lm, AA_pinv, Rc, K=None):
     """Search direction (dx, dS, dZ) whose complementarity reads W^-1 Rc W^-1 - K per block.
 
     Lm is the Schur factor; dZ is corrected to A*(dZ) = rd (module docstring).
+    K is None when there is no second-order term, as in the predictor.
     """
-    g = problem.adjoint([_sym(Wj_inv @ (Rcj - Rpj) @ Wj_inv) - Kj
+    K = K or [None] * len(W_inv)
+
+    def scaled(Wj_inv, R, Kj):  # W^-1 R W^-1 - K of one block
+        X = _sym(Wj_inv @ R @ Wj_inv)
+        return X if Kj is None else X - Kj
+
+    g = problem.adjoint([scaled(Wj_inv, Rcj - Rpj, Kj)
                          for Wj_inv, Rcj, Rpj, Kj in zip(W_inv, Rc, pt.Rp, K)])
     dx = _chol_solve(Lm, g - pt.rd)
     dS, dZ = [], []
     for blk, Wj_inv, Rcj, Rpj, Kj in zip(problem.blocks, W_inv, Rc, pt.Rp, K):
         dSj = Rpj + blk.apply(dx)
-        dZ.append(_sym(Wj_inv @ (Rcj - dSj) @ Wj_inv) - Kj)
+        dZ.append(scaled(Wj_inv, Rcj - dSj, Kj))
         dS.append(_sym(dSj))
     w = AA_pinv @ (pt.rd - problem.adjoint(dZ))
     return dx, dS, [dZj + blk.apply(w) for blk, dZj in zip(problem.blocks, dZ)]
@@ -729,9 +780,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
         log.debug("block %d: s %d, m %d, %d nonzeros, %s apply and adjoint",
                   j, blk.size, problem.n_vars, blk._sparse.nnz, blk.product)
     zeta = 1.0 + float(np.max(np.abs(problem.c))) if problem.c.size else 1.0
+    scales = _scales(problem)
     pt = _Iterate.measure(problem, np.zeros(problem.n_vars),
-                          [np.eye(blk.size) * (1.0 + np.linalg.norm(blk.F0)) for blk in blocks],
-                          [np.eye(blk.size) * zeta for blk in blocks])
+                          [np.eye(blk.size) * scale for blk, scale in zip(blocks, scales[0])],
+                          [np.eye(blk.size) * zeta for blk in blocks], scales)
     # the dual projection of every search direction
     AA = _sym(sum((blk.gram() for blk in blocks), np.zeros((problem.n_vars, problem.n_vars))))
     w, U, _ = psd_split(AA, _rank_cutoff(AA))
@@ -763,8 +815,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             W_inv = [ntj[0] for ntj in nt]
             Lm = _schur_factor(problem.schur(W_inv))
             # predictor: pure Newton step toward the boundary fixes the centering weight
-            dx, dS, dZ = _direction(problem, pt, W_inv, Lm, AA_pinv,
-                                    [-Sj for Sj in pt.S], [0.0] * len(blocks))
+            dx, dS, dZ = _direction(problem, pt, W_inv, Lm, AA_pinv, [-Sj for Sj in pt.S])
             ap, ad = _step(LS, dS), _step(LZ, dZ)
             gap_aff = sum(_inner(Sj + ap * dSj, Zj + ad * dZj)
                           for Sj, dSj, Zj, dZj in zip(pt.S, dS, pt.Z, dZ))
@@ -779,7 +830,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             second_order = min(ap, ad) >= SECOND_ORDER_MIN_STEP
             K = ([_second_order(G, G_inv_T, d, dSj, dZj)
                   for (_, G, G_inv_T, d), dSj, dZj in zip(nt, dS, dZ)]
-                 if second_order else [0.0] * len(blocks))
+                 if second_order else None)
             dx, dS, dZ = _direction(problem, pt, W_inv, Lm, AA_pinv, Rc, K)
             ap, ad = _step(LS, dS), _step(LZ, dZ)
         except np.linalg.LinAlgError as exc:
@@ -790,7 +841,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         stall_count = stall_count + 1 if max(ap, ad) < 1e-8 else 0
         pt = _Iterate.measure(problem, pt.x + ap * dx,
                               [_sym(Sj + ap * dSj) for Sj, dSj in zip(pt.S, dS)],
-                              [_sym(Zj + ad * dZj) for Zj, dZj in zip(pt.Z, dZ)])
+                              [_sym(Zj + ad * dZj) for Zj, dZj in zip(pt.Z, dZ)], scales)
 
     accepted_loose = status != "Optimal" and loose is not None
     if status != "Optimal":
@@ -802,7 +853,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
     if status == "Optimal":
         # dual identifies the optimal face; project the primal iterate onto it
         x = _refine_primal(problem, pt.x, pt.Z, LOOSE_TOL if accepted_loose else TOL, pt.gap)
-        final = _Iterate.measure(problem, x, [_sym(blk.assemble(x)) for blk in blocks], pt.Z)
+        final = _Iterate.measure(problem, x, [_sym(blk.assemble(x)) for blk in blocks], pt.Z,
+                                 scales)
     return SdpSolution(x=final.x, block_duals=final.Z, value=final.pobj, dual_value=final.dobj,
                        status=status, iterations=it,
                        gap=pt.gap / (1.0 + abs(final.pobj) + abs(final.dobj)),  # before refinement

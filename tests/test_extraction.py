@@ -12,7 +12,7 @@ from momlab.extraction import (
     rank_profile,
     tchakaloff_prune,
 )
-from momlab.poly import Polynomial, r_dim
+from momlab.poly import MonomialBasis, Polynomial, r_dim
 
 from conftest import random_atomic
 
@@ -219,3 +219,24 @@ def test_polish_atoms_reaches_kkt_points():
                                   equalities=(x1 - x1 * x1, x2 - x2 * x2))
     got = polish_atoms(corner, [[1e-6, 0.99999], [1.00001, 1e-5]])
     np.testing.assert_allclose(got, [[0.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_derivative_rows_are_the_partials_bit_for_bit(n):
+    # polish_atoms' value, gradient and Hessian rows come from exponent arithmetic;
+    # they must be the coefficient vectors of Polynomial.partial's polynomials,
+    # signed zeros included, over the polynomial's own basis and a larger one
+    rng = np.random.default_rng(31 + n)
+    polys = [Polynomial.zero(n), Polynomial.constant(-2.5, n), Polynomial.variable(n - 1, n)]
+    for degree in (2, 4, 7):
+        exps = MonomialBasis(n, degree)
+        polys.append(Polynomial(n, {a: rng.standard_normal() * 10.0 ** rng.integers(-8, 8)
+                                    for a in exps if rng.uniform() < 0.5}))
+    polys.append((Polynomial.variable(0, n) * 3.0 - 1.0) ** 5)
+    for p in polys:
+        for basis in (MonomialBasis(n, p.degree), MonomialBasis(n, p.degree + 2)):
+            grad = [p.partial(i) for i in range(n)]
+            reference = np.array([q.coeff_vector(basis) for q in (
+                p, *grad, *(gi.partial(j) for gi in grad for j in range(n)))])
+            rows = extraction._derivative_rows(p, basis)
+            assert np.array_equal(rows, reference) and rows.tobytes() == reference.tobytes()

@@ -392,6 +392,19 @@ def test_moment_sdp_blocks_are_the_maps_of_y_p_and_n_bit_for_bit():
             assert np.array_equal(blk.mats, np.moveaxis(lmap.gather(ms.nullbasis), 2, 0)), (prob, d)
 
 
+def test_pivot_row_check_keeps_the_same_rows_in_any_column_slices(monkeypatch):
+    # `_block_rows` reads G in column slices of at most CHUNK_ENTRIES entries; one
+    # column per slice keeps the same rows and builds the same SDP, to the last bit
+    problems = [(prob, d) for prob, d in _kept_row_problems() if prob.equalities]
+    whole = [build_moment_sdp(prob, d) for prob, d in problems]
+    monkeypatch.setattr(hierarchy, "CHUNK_ENTRIES", 1)
+    for ms, (prob, d) in zip(whole, problems):
+        sliced = build_moment_sdp(prob, d)
+        assert sliced.block_bases == ms.block_bases, (prob, d)
+        for a, b in zip(sliced.problem.blocks, ms.problem.blocks):
+            assert np.array_equal(a.F0, b.F0) and np.array_equal(a.mats, b.mats), (prob, d)
+
+
 def test_membership_cost_on_a_moment_no_block_reaches(monkeypatch):
     # at level 1 only L(1) is in a block, so L(x) is free and min L(x) unbounded;
     # at level 3 on the circle the relations enter, and the moment block reaches

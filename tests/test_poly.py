@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momlab import poly
 from momlab.cone import PseudoMomentSequence
 from momlab.extraction import candidate_minimizer
 from momlab.poly import (
@@ -223,6 +224,57 @@ def test_basis_builds_exponent_tuples_on_first_use():
     assert "exponents" not in vars(basis)
     assert basis.exponents == [tuple(e) for e in basis.exps.tolist()]
     assert basis[5] == basis.exponents[5] and list(basis) == basis.exponents
+
+
+def test_shared_tables_are_read_only_and_the_same_for_every_basis():
+    # one exponent table per (n, d) and one index table per localizing structure,
+    # whatever the coefficients of g; a write to either raises
+    a, b = MonomialBasis(3, 4), MonomialBasis(3, 4)
+    assert a.exps is b.exps and not a.exps.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a.exps[0, 0] = 1
+    assert a.exponents == b.exponents and a.exponents is not b.exponents
+    assert all(x is y for x, y in zip(a.exponents, b.exponents))
+    x1, x2 = Polynomial.variable(0, 3), Polynomial.variable(1, 3)
+    g, h = 1 - x1 * x1 + 0.5 * x2, 2 - 3 * x1 * x1 - x2
+    assert list(g.terms) == list(h.terms)  # the same exponents, in the same order
+    rows = a.exps[:r_dim(3, 1)]
+    lg, lh = a.localizing_map(rows, g), b.localizing_map(np.array(rows), h)
+    assert lg.idx is lh.idx and not lg.idx.flags.writeable
+    assert np.array_equal(lh.coeffs, list(h.terms.values()))
+    with pytest.raises(ValueError, match="read-only"):
+        lg.idx[0, 0, 0] = 0
+    # other rows or other exponents of g: another table
+    assert a.localizing_map(rows[1:], g).idx is not lg.idx
+    assert a.localizing_map(rows, g + x2 * x2).idx is not lg.idx
+    # a table over CHUNK_ENTRIES entries is built per call, read-only all the same
+    big = MonomialBasis(3, 33)
+    rows = big.exps[:r_dim(3, 16)]  # 969 rows: 2 * 969^2 entries
+    one, two = (big.localizing_map(rows, 1 - x1) for _ in range(2))
+    assert one.idx is not two.idx and np.array_equal(one.idx, two.idx)
+    assert not one.idx.flags.writeable
+
+
+def test_shared_tables_keep_at_most_their_entry_bound(monkeypatch):
+    # least recently used out first; a table above CHUNK_ENTRIES is never kept
+    monkeypatch.setattr(poly, "SHARED_ENTRIES", 10)
+    monkeypatch.setattr(poly, "CHUNK_ENTRIES", 8)
+    tables, built = poly._SharedTables(), []
+
+    def get(key, entries):
+        return tables.get(key, lambda: built.append(key) or np.zeros(entries), entries)
+
+    first = get("a", 4)
+    assert get("a", 4) is first and built == ["a"]
+    get("b", 4)
+    get("a", 4)  # "b" is now the least recently used
+    get("c", 4)
+    assert tables._entries == 8 and list(tables._tables) == ["a", "c"]
+    get("b", 4)
+    assert built == ["a", "b", "c", "b"] and list(tables._tables) == ["c", "b"]
+    get("d", 9)
+    get("d", 9)
+    assert built[-2:] == ["d", "d"] and tables._entries == 8
 
 
 def test_call_checks_point_size():

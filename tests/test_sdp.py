@@ -408,6 +408,80 @@ def test_gram_is_schur_at_the_identity():
         assert np.array_equal(blk.gram(), blk.schur(np.eye(blk.size)))
 
 
+def test_gram_is_the_sparse_product_bit_for_bit():
+    # dense-product blocks form AA*'s share as the CSR times the flattened mats'
+    # transpose: the same bits as the CSR times its own transpose, which the
+    # nonzero-product blocks keep
+    rng = np.random.default_rng(23)
+    blocks = (_ball_blocks(3, 6) + _ball_blocks(4, 6) + tuple(
+        build_moment_sdp(_corpus_problem("motzkin-box"), 6).problem.blocks)
+        + (SdpBlock(*_sparse_test_block(rng)), SdpBlock(np.eye(4), _random_sym(rng, 5, 4, 4)),
+           SdpBlock(np.eye(3), np.zeros((0, 3, 3)))))
+    assert {blk.product for blk in blocks} == {"dense", "nonzero"}
+    for blk in blocks:
+        gram, reference = blk.gram(), (blk._sparse @ blk._sparse.T).toarray()
+        assert type(gram) is np.ndarray and gram.shape == reference.shape
+        assert np.array_equal(gram, reference) and gram.tobytes() == reference.tobytes()
+
+
+def _leading_columns_by_halving(A, tol):
+    """The pivot scan before its one-QR base case: halving down to single columns."""
+    if not A.shape[1] or np.max(np.linalg.norm(A, axis=0)) <= tol:
+        return []
+    if A.shape[1] == 1:
+        return [0]
+    h = A.shape[1] // 2
+    left = _leading_columns_by_halving(A[:, :h], tol)
+    Q = np.linalg.qr(A[:, left])[0]
+    right = A[:, h:] - Q @ (Q.T @ A[:, h:])
+    return left + [h + j for j in _leading_columns_by_halving(right, tol)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 3e-11, -7e-11, 1e-10, 1.5e-10, -2e-10, 0.5, -1.0,
+                                 2.0, 1e-300]), min_size=0, max_size=60),
+       st.sampled_from([1e-10, 0.0, 1.0]))
+def test_one_row_pivots_are_the_halving_scans(entries, tol):
+    # a one-row block: its first column above tol, exactly where halving finds it,
+    # with exact zeros, entries at and below tol, and entries whose square underflows
+    A = np.array(entries, dtype=float).reshape(1, -1)
+    assert np.array_equal(sdp._leading_columns(A, tol), _leading_columns_by_halving(A, tol))
+
+
+def test_small_block_pivots_are_the_halving_scans(monkeypatch):
+    # every block that compute_d0 and the relaxations of the builtin corpus, the
+    # circle, the sphere and binary-corner scan (relation rows, normalization rows
+    # and pivot-row differences), and random blocks with repeated and dependent
+    # columns: one QR per small block gives the pivots of halving to single columns
+    seen = []
+    scan = sdp._leading_columns
+
+    def recorded(A, tol):
+        seen.append((A.copy(), tol))
+        return scan(A, tol)
+
+    monkeypatch.setattr(sdp, "_leading_columns", recorded)
+    monkeypatch.setattr(hierarchy, "_leading_columns", recorded)
+    corpus = builtin_corpus()
+    for bp in corpus:
+        compute_d0(bp.problem, bp.d_max)
+    x = [Polynomial.variable(i, 3) for i in range(3)]
+    sphere = SemialgebraicProblem(n=3, objective=x[0] + x[1] + x[2],
+                                  equalities=(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] - 1,))
+    for prob, d in [(bp.problem, bp.d_max) for bp in corpus] + [(sphere, 6)]:
+        build_moment_sdp(prob, d)
+    rng = np.random.default_rng(29)
+    for rows, cols in [(1, 9), (2, 6), (3, 12), (6, 8), (8, 40), (40, 8), (5, 5)]:
+        for rank in range(min(rows, cols) + 1):
+            B = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+            seen.append((B[:, rng.permutation(np.r_[np.arange(cols), np.arange(cols)])],
+                         1e-10))
+    small = [(A, tol) for A, tol in seen if 1 < min(A.shape) <= sdp.LEAD_BLOCK]
+    assert len(small) >= 40 and len(seen) > len(small)
+    for A, tol in seen:
+        assert np.array_equal(scan(A, tol), _leading_columns_by_halving(A, tol))
+
+
 @pytest.mark.parametrize("per_chunk", [1, 2])
 def test_solve_is_the_same_in_any_chunks(monkeypatch, caplog, per_chunk):
     # the line-min level-4 solve, its Schur matrices and its face rows read in
